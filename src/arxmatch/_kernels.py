@@ -1,36 +1,20 @@
-"""Numeric kernels with two interchangeable backends.
+"""Numeric kernels of the matcher, in numpy.
 
-The hot inner loops of the matcher (edit-distance DP, token-vector dot
-products, Gini split search, forest evaluation) are compiled with numba by
-default. Setting the environment variable ``ARXMATCH_NO_NUMBA=1`` (or any
-non-empty value other than "0") selects the pure-numpy fallback instead;
-the fallback is also used automatically when numba is not importable.
-
-Both backends are written to produce bit-identical results: integer
-arithmetic throughout the Levenshtein and dot-product kernels, and the
-same IEEE operation order in the Gini and forest kernels. The benchmark
-in ``bench/bench_kernels.py`` checks agreement and compares speed.
+The hot inner loops (edit-distance DP, token-vector dot products, Gini
+split search, forest evaluation) live here, one function per operation.
+The edit distance and dot product use integer arithmetic throughout; the
+Gini and forest kernels fix their floating-point operation order, so
+every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "ARXMATCH_NO_NUMBA"
+BACKEND = "numpy"
 
 
-def _numba_disabled() -> bool:
-    val = os.environ.get(_ENV_FLAG, "0").strip().lower()
-    return val not in ("", "0", "false", "no", "off")
-
-
-# ---------------------------------------------------------------------------
-# Pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def levenshtein_np(a: np.ndarray, b: np.ndarray) -> int:
+def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     """Edit distance between two int64 codepoint arrays, row-vectorized DP."""
     n, m = a.size, b.size
     if n == 0:
@@ -48,8 +32,8 @@ def levenshtein_np(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[m])
 
 
-def sorted_dot_np(ids_a: np.ndarray, cnt_a: np.ndarray,
-                  ids_b: np.ndarray, cnt_b: np.ndarray) -> int:
+def sorted_dot(ids_a: np.ndarray, cnt_a: np.ndarray,
+               ids_b: np.ndarray, cnt_b: np.ndarray) -> int:
     """Dot product of two sparse count vectors keyed by sorted int64 ids."""
     if ids_a.size == 0 or ids_b.size == 0:
         return 0
@@ -60,8 +44,8 @@ def sorted_dot_np(ids_a: np.ndarray, cnt_a: np.ndarray,
     return int(np.dot(cnt_a[ia], cnt_b[ib]))
 
 
-def best_split_np(values: np.ndarray, pos_w: np.ndarray, neg_w: np.ndarray,
-                  feature_order: np.ndarray) -> tuple[int, float, float]:
+def best_split(values: np.ndarray, pos_w: np.ndarray, neg_w: np.ndarray,
+               feature_order: np.ndarray) -> tuple[int, float, float]:
     """Weighted Gini split search over the given features.
 
     values: (n, d) float64; pos_w/neg_w: per-row integer label weights as
@@ -103,14 +87,13 @@ def best_split_np(values: np.ndarray, pos_w: np.ndarray, neg_w: np.ndarray,
     return best_f, best_t, best_cost
 
 
-def forest_eval_np(feat: np.ndarray, thr: np.ndarray, left: np.ndarray,
-                   right: np.ndarray, prob: np.ndarray, roots: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
+def forest_eval(feat: np.ndarray, thr: np.ndarray, left: np.ndarray,
+                right: np.ndarray, prob: np.ndarray, roots: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
     """Mean leaf probability over all trees for each row of x.
 
     Trees are packed in flat arrays; feat[i] < 0 marks a leaf holding
-    prob[i]. Accumulates tree-by-tree so the summation order matches the
-    numba backend exactly.
+    prob[i]. Accumulates tree by tree, in root order.
     """
     rows = np.arange(x.shape[0])
     acc = np.zeros(x.shape[0], dtype=np.float64)
@@ -127,140 +110,6 @@ def forest_eval_np(feat: np.ndarray, thr: np.ndarray, left: np.ndarray,
             idx = np.where(inner, nxt, idx)
         acc += prob[idx]
     return acc / roots.size
-
-
-# ---------------------------------------------------------------------------
-# Numba loop implementations (compiled below when enabled)
-# ---------------------------------------------------------------------------
-
-def _levenshtein_loops(a, b):
-    n = a.size
-    m = b.size
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev = np.arange(m + 1)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(n):
-        cur[0] = i + 1
-        ai = a[i]
-        for j in range(m):
-            c = prev[j] + (0 if b[j] == ai else 1)
-            d = prev[j + 1] + 1
-            if d < c:
-                c = d
-            e = cur[j] + 1
-            if e < c:
-                c = e
-            cur[j + 1] = c
-        tmp = prev
-        prev = cur
-        cur = tmp
-    return prev[m]
-
-
-def _sorted_dot_loops(ids_a, cnt_a, ids_b, cnt_b):
-    i = 0
-    j = 0
-    s = 0
-    while i < ids_a.size and j < ids_b.size:
-        x = ids_a[i]
-        y = ids_b[j]
-        if x == y:
-            s += cnt_a[i] * cnt_b[j]
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return s
-
-
-def _best_split_loops(values, pos_w, neg_w, feature_order):
-    n = values.shape[0]
-    total_pos = 0.0
-    total_neg = 0.0
-    for i in range(n):
-        total_pos += pos_w[i]
-        total_neg += neg_w[i]
-    n_total = total_pos + total_neg
-    best_f = -1
-    best_t = 0.0
-    best_cost = np.inf
-    order = np.empty(n, dtype=np.int64)
-    for fi in range(feature_order.size):
-        f = feature_order[fi]
-        col = values[:, f]
-        order[:] = np.argsort(col, kind="mergesort")
-        pl = 0.0
-        nl_ = 0.0
-        for k in range(n - 1):
-            pl += pos_w[order[k]]
-            nl_ += neg_w[order[k]]
-            vk = col[order[k]]
-            vk1 = col[order[k + 1]]
-            if not (vk < vk1):
-                continue
-            t = (vk + vk1) / 2.0
-            n_left = pl + nl_
-            n_right = n_total - n_left
-            gl = 1.0 - (pl / n_left) ** 2 - (nl_ / n_left) ** 2
-            pr = total_pos - pl
-            nr = total_neg - nl_
-            gr = 1.0 - (pr / n_right) ** 2 - (nr / n_right) ** 2
-            cost = (n_left * gl + n_right * gr) / n_total
-            if cost < best_cost:
-                best_cost = cost
-                best_f = f
-                best_t = t
-    return best_f, best_t, best_cost
-
-
-def _forest_eval_loops(feat, thr, left, right, prob, roots, x):
-    out = np.zeros(x.shape[0], dtype=np.float64)
-    for r in range(x.shape[0]):
-        acc = 0.0
-        for t in range(roots.size):
-            idx = roots[t]
-            while feat[idx] >= 0:
-                if x[r, feat[idx]] <= thr[idx]:
-                    idx = left[idx]
-                else:
-                    idx = right[idx]
-            acc += prob[idx]
-        out[r] = acc / roots.size
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-BACKEND = "numpy"
-levenshtein = levenshtein_np
-sorted_dot = sorted_dot_np
-best_split = best_split_np
-forest_eval = forest_eval_np
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        _jit = {"cache": True, "nogil": True}
-        levenshtein_nb = njit(**_jit)(_levenshtein_loops)
-        sorted_dot_nb = njit(**_jit)(_sorted_dot_loops)
-        best_split_nb = njit(**_jit)(_best_split_loops)
-        forest_eval_nb = njit(**_jit)(_forest_eval_loops)
-
-        BACKEND = "numba"
-        levenshtein = levenshtein_nb
-        sorted_dot = sorted_dot_nb
-        best_split = best_split_nb
-        forest_eval = forest_eval_nb
-    except ImportError:  # pragma: no cover
-        pass
 
 
 def str_to_codes(s: str) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import json
 import os
 import sys
@@ -45,21 +46,19 @@ class CliError(RuntimeError):
 
 @contextlib.contextmanager
 def store_lock(directory: str | Path):
-    """Advisory lock against concurrent runs touching one store directory."""
+    """Advisory lock against concurrent runs touching one store directory.
+
+    An flock on ``.lock``: the OS releases it when the holder exits, so a
+    killed run leaves nothing that blocks the next one.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lock = directory / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CliError(f"store {directory} is locked by another run "
-                       f"(remove {lock} if stale)") from None
-    try:
-        os.close(fd)
+    with open(directory / ".lock", "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CliError(f"store {directory} is locked by another run") from None
         yield
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(lock)
 
 
 def _load_store(directory: str) -> CorpusStore:

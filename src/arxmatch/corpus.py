@@ -287,12 +287,6 @@ class CorpusStore:
         self.decisions: dict[str, MatchDecision] = {}
         self.merges: dict[str, str] = {}
         self.doi_index: dict[str, set[str]] = {}
-        self.mutations = 0
-
-    # -- mutation bookkeeping ------------------------------------------------
-
-    def _touch(self) -> None:
-        self.mutations += 1
 
     # -- ingest ----------------------------------------------------------------
 
@@ -313,7 +307,6 @@ class CorpusStore:
                 report.replaced += 1
             else:
                 report.reject(line_no, f"{rec.id}: version {rec.version} is not newer")
-        self._touch()
         return report
 
     def ingest_published(self, path: str | Path) -> IngestReport:
@@ -331,7 +324,6 @@ class CorpusStore:
             if rec.doi is not None:
                 self.doi_index.setdefault(rec.doi, set()).add(rec.accession)
             report.added += 1
-        self._touch()
         return report
 
     @staticmethod
@@ -351,7 +343,6 @@ class CorpusStore:
         if decision.preprint not in self.preprints:
             raise IntegrityError(f"decision for unknown preprint {decision.preprint}")
         self.decisions[decision.preprint] = decision
-        self._touch()
 
     def merge_on_publication(self, decision: MatchDecision) -> dict:
         """Make the published record canonical for a matched preprint.
@@ -372,9 +363,7 @@ class CorpusStore:
             raise IntegrityError(
                 f"{pid} already merged into {self.merges[pid]}, not {accession}"
             )
-        if self.merges.get(pid) != accession:
-            self.merges[pid] = accession
-            self._touch()
+        self.merges[pid] = accession
         view = published_to_json(self.published[accession])
         view["arxiv_link"] = pid
         return view
@@ -401,7 +390,6 @@ class CorpusStore:
         if not rec.withdrawn:
             rec = replace(rec, withdrawn=True)
             self.preprints[pid] = rec
-            self._touch()
         return rec
 
     # -- derived state ----------------------------------------------------------

@@ -17,6 +17,7 @@ fraction. Prediction is the mean leaf probability across trees.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -295,6 +296,45 @@ def load_model(path: str | Path) -> ForestModel:
         )
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc.args[0]!r}") from exc
-    if len(model.trees) != model.n_trees:
+    if not isinstance(model.trees, list) or len(model.trees) != model.n_trees:
         raise ModelFormatError(f"{path}: tree count does not match n_trees")
+    for t, nodes in enumerate(model.trees):
+        problem = _tree_problem(nodes)
+        if problem is not None:
+            raise ModelFormatError(f"{path}: tree {t}: {problem}")
     return model
+
+
+_INNER_KEYS = {"feature", "threshold", "left", "right"}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _tree_problem(nodes) -> str | None:
+    """Why the node list is not a tree forest_eval can walk, or None.
+
+    Children must come after their parent, so every walk from the root
+    ends at a leaf.
+    """
+    if not isinstance(nodes, list) or not nodes:
+        return "empty or not a list of nodes"
+    for i, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            return f"node {i} is not an object"
+        if set(node) == {"leaf"}:
+            if not (_is_number(node["leaf"]) and 0.0 <= node["leaf"] <= 1.0):
+                return f"node {i}: leaf value outside [0, 1]"
+            continue
+        if set(node) != _INNER_KEYS:
+            return f"node {i}: neither a leaf nor an inner node"
+        if type(node["feature"]) is not int or not 0 <= node["feature"] < len(FEATURE_NAMES):
+            return f"node {i}: feature id not in 0..{len(FEATURE_NAMES) - 1}"
+        if not _is_number(node["threshold"]):
+            return f"node {i}: threshold is not a finite number"
+        for side in ("left", "right"):
+            child = node[side]
+            if type(child) is not int or not i < child < len(nodes):
+                return f"node {i}: {side} child {child!r} is not a later node"
+    return None

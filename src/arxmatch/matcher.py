@@ -72,17 +72,17 @@ class MatchRunReport:
 
 
 class ProjectionCache:
-    """Memoized normalized projections of store records."""
+    """Memoized projections: preprints by id, published records by accession."""
 
     def __init__(self, store: CorpusStore):
         self.store = store
         self._preprints: dict[str, RecordProjection] = {}
         self._published: dict[str, RecordProjection] = {}
 
-    def preprint(self, pid: str) -> RecordProjection:
-        proj = self._preprints.get(pid)
+    def preprint(self, p: PreprintRecord) -> RecordProjection:
+        proj = self._preprints.get(p.id)
         if proj is None:
-            proj = self._preprints[pid] = project_preprint(self.store.preprints[pid])
+            proj = self._preprints[p.id] = project_preprint(p)
         return proj
 
     def published(self, accession: str) -> RecordProjection:
@@ -105,23 +105,13 @@ def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
 
 def match_by_classifier(p: PreprintRecord, index: CandidateIndex,
                         model: ForestModel, k: int,
-                        cache: ProjectionCache | None = None,
-                        store: CorpusStore | None = None,
-                        ) -> tuple[str, FeatureVector] | None:
+                        cache: ProjectionCache) -> tuple[str, FeatureVector] | None:
     """Best positively-classified candidate, or None."""
     ranked = query_candidates(index, p, k)
     if not ranked:
         return None
-    if cache is not None:
-        proj_p = cache.preprint(p.id) if p.id in cache.store.preprints \
-            else project_preprint(p)
-        vectors = [feature_vector_projected(proj_p, cache.published(a))
-                   for a in ranked]
-    else:
-        assert store is not None, "need a cache or a store to resolve accessions"
-        proj_p = project_preprint(p)
-        vectors = [feature_vector_projected(proj_p, project_published(store.published[a]))
-                   for a in ranked]
+    proj_p = cache.preprint(p)
+    vectors = [feature_vector_projected(proj_p, cache.published(a)) for a in ranked]
     probs = predict_many(model, np.array(vectors, dtype=np.float64))
     positives = [
         (vectors[i], ranked[i])
@@ -143,7 +133,9 @@ def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
         return MatchDecision(preprint=p.id, outcome=OUTCOME_DOI,
                              matched_accession=accession, vector=None,
                              decided_at=timestamp)
-    hit = match_by_classifier(p, index, model, k, cache=cache, store=store)
+    if cache is None:
+        cache = ProjectionCache(store)
+    hit = match_by_classifier(p, index, model, k, cache)
     if hit is not None:
         accession, vec = hit
         return MatchDecision(preprint=p.id, outcome=OUTCOME_CLASSIFIER,

@@ -31,15 +31,6 @@ class FeatureVector(NamedTuple):
     abstract_d: float
 
 
-def title_distance(a: NormalizedText, b: NormalizedText) -> float:
-    """Levenshtein distance over characters, scaled to [0, 1]."""
-    if not a.value and not b.value:
-        return 0.0
-    dist = _kernels.levenshtein(_kernels.str_to_codes(a.value),
-                                _kernels.str_to_codes(b.value))
-    return dist / max(len(a.value), len(b.value))
-
-
 def family_set(authors) -> frozenset[str]:
     out = set()
     for name in authors:
@@ -49,21 +40,13 @@ def family_set(authors) -> frozenset[str]:
     return frozenset(out)
 
 
-def author_distance(a: list[AuthorName], b: list[AuthorName]) -> float:
-    """1 - Jaccard overlap of the normalized family-name sets."""
-    fa, fb = family_set(a), family_set(b)
-    if not fa and not fb:
-        return 0.0
-    if not fa or not fb:
-        return 1.0
-    return 1.0 - len(fa & fb) / len(fa | fb)
-
-
 # token interning shared by every count vector; ids never leak into results
 _TOKEN_IDS: dict[str, int] = {}
 
+TFVector = tuple[np.ndarray, np.ndarray, int]
 
-def token_counts(text: NormalizedText) -> tuple[np.ndarray, np.ndarray, int]:
+
+def token_counts(text: NormalizedText) -> TFVector:
     """(sorted token ids, counts, squared norm) for a TF vector."""
     counts: dict[int, int] = {}
     for tok in text.value.split():
@@ -75,7 +58,28 @@ def token_counts(text: NormalizedText) -> tuple[np.ndarray, np.ndarray, int]:
     return ids, cnt, sq
 
 
-def _cosine_distance(va, vb) -> float:
+def _tf_vector(text: NormalizedText) -> TFVector | None:
+    """TF vector of a non-empty text; None stands for a missing abstract."""
+    return token_counts(text) if text.value else None
+
+
+def _edit_distance(a: np.ndarray, b: np.ndarray) -> float:
+    if a.size == 0 and b.size == 0:
+        return 0.0
+    return _kernels.levenshtein(a, b) / max(a.size, b.size)
+
+
+def _jaccard_distance(fa: frozenset[str], fb: frozenset[str]) -> float:
+    if not fa and not fb:
+        return 0.0
+    if not fa or not fb:
+        return 1.0
+    return 1.0 - len(fa & fb) / len(fa | fb)
+
+
+def _cosine_distance(va: TFVector | None, vb: TFVector | None) -> float:
+    if va is None or vb is None:
+        return NEUTRAL_ABSTRACT_DISTANCE
     ids_a, cnt_a, sq_a = va
     ids_b, cnt_b, sq_b = vb
     dot = int(_kernels.sorted_dot(ids_a, cnt_a, ids_b, cnt_b))
@@ -87,20 +91,19 @@ def _cosine_distance(va, vb) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
+def title_distance(a: NormalizedText, b: NormalizedText) -> float:
+    """Levenshtein distance over characters, scaled to [0, 1]."""
+    return _edit_distance(_kernels.str_to_codes(a.value), _kernels.str_to_codes(b.value))
+
+
+def author_distance(a: list[AuthorName], b: list[AuthorName]) -> float:
+    """1 - Jaccard overlap of the normalized family-name sets."""
+    return _jaccard_distance(family_set(a), family_set(b))
+
+
 def abstract_distance(a: NormalizedText, b: NormalizedText) -> float:
     """1 - TF cosine similarity; 0.5 when either abstract is missing."""
-    if not a.value or not b.value:
-        return NEUTRAL_ABSTRACT_DISTANCE
-    return _cosine_distance(token_counts(a), token_counts(b))
-
-
-def feature_vector(p: PreprintRecord, c: PublishedRecord) -> FeatureVector:
-    return FeatureVector(
-        title_d=title_distance(normalize_text(p.title), normalize_text(c.title)),
-        author_d=author_distance(list(p.authors), list(c.authors)),
-        abstract_d=abstract_distance(normalize_text(p.abstract),
-                                     normalize_text(c.abstract or "")),
-    )
+    return _cosine_distance(_tf_vector(a), _tf_vector(b))
 
 
 def lex_compare(u: FeatureVector, v: FeatureVector) -> int:
@@ -115,43 +118,30 @@ def lex_compare(u: FeatureVector, v: FeatureVector) -> int:
 class RecordProjection(NamedTuple):
     """Precomputed normalized views of one record, reused across pairings."""
 
-    title: NormalizedText
     title_codes: np.ndarray
     families: frozenset[str]
-    abstract_vec: tuple[np.ndarray, np.ndarray, int] | None
-    title_len: int
+    abstract_vec: TFVector | None
 
 
 def project(title: str, authors, abstract: str | None) -> RecordProjection:
-    ntitle = normalize_text(title)
-    nabstract = normalize_text(abstract) if abstract else NormalizedText("")
     return RecordProjection(
-        title=ntitle,
-        title_codes=_kernels.str_to_codes(ntitle.value),
+        title_codes=_kernels.str_to_codes(normalize_text(title).value),
         families=family_set(authors),
-        abstract_vec=token_counts(nabstract) if nabstract.value else None,
-        title_len=len(ntitle.value),
+        abstract_vec=_tf_vector(normalize_text(abstract)) if abstract else None,
     )
 
 
 def feature_vector_projected(a: RecordProjection, b: RecordProjection) -> FeatureVector:
-    """Same result as feature_vector, computed from cached projections."""
-    if a.title_len == 0 and b.title_len == 0:
-        t = 0.0
-    else:
-        dist = _kernels.levenshtein(a.title_codes, b.title_codes)
-        t = dist / max(a.title_len, b.title_len)
-    if not a.families and not b.families:
-        au = 0.0
-    elif not a.families or not b.families:
-        au = 1.0
-    else:
-        au = 1.0 - len(a.families & b.families) / len(a.families | b.families)
-    if a.abstract_vec is None or b.abstract_vec is None:
-        ab = NEUTRAL_ABSTRACT_DISTANCE
-    else:
-        ab = _cosine_distance(a.abstract_vec, b.abstract_vec)
-    return FeatureVector(t, au, ab)
+    """The (title, authors, abstract) distance vector of one record pair."""
+    return FeatureVector(
+        _edit_distance(a.title_codes, b.title_codes),
+        _jaccard_distance(a.families, b.families),
+        _cosine_distance(a.abstract_vec, b.abstract_vec),
+    )
+
+
+def feature_vector(p: PreprintRecord, c: PublishedRecord) -> FeatureVector:
+    return feature_vector_projected(project_preprint(p), project_published(c))
 
 
 def project_preprint(p: PreprintRecord) -> RecordProjection:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import arxmatch
 from arxmatch.cli import main
 
 from conftest import CORPUS_DIR, GOLDEN_DIR
@@ -69,19 +73,47 @@ class TestExitCodes:
         assert "too few" in capsys.readouterr().err
 
 
+def _python(code: str, *args: str, **kwargs) -> subprocess.Popen:
+    """Start a Python child that imports this checkout's arxmatch."""
+    env = dict(os.environ, PYTHONPATH=str(Path(arxmatch.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            text=True, **kwargs)
+
+
 class TestLocking:
     def test_concurrent_lock_refused(self, small_corpus, tmp_path, capsys):
         store = tmp_path / "locked"
         store.mkdir()
-        (store / ".lock").touch()
-        code = run("ingest", "--preprints",
-                   str(small_corpus / "preprints.jsonl"),
-                   "--store", str(store))
+        with open(store / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code = run("ingest", "--preprints",
+                       str(small_corpus / "preprints.jsonl"),
+                       "--store", str(store))
         assert code == 1
         assert "locked" in capsys.readouterr().err
 
     def test_lock_released_after_run(self, small_store):
-        assert not (small_store / ".lock").exists()
+        with open(small_store / ".lock", "a") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+    def test_killed_holder_does_not_block(self, small_corpus, tmp_path):
+        store = tmp_path / "store"
+        holder = _python(
+            "import sys, time\n"
+            "from arxmatch.cli import store_lock\n"
+            "with store_lock(sys.argv[1]):\n"
+            "    print('held', flush=True)\n"
+            "    time.sleep(60)\n",
+            str(store), stdout=subprocess.PIPE)
+        try:
+            assert holder.stdout.readline().strip() == "held"
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+        assert holder.returncode == -signal.SIGKILL
+        assert run("ingest", "--preprints", str(small_corpus / "preprints.jsonl"),
+                   "--store", str(store)) == 0
 
 
 class TestPipeline:
@@ -163,32 +195,31 @@ class TestGoldenRun:
             assert got == want, rel
 
 
-class TestCrossBackend:
-    def test_numpy_fallback_pipeline_identical(self, tmp_path):
-        """The numpy path must produce byte-identical artifacts."""
-        results = {}
-        for label, env_flag in (("numba", "0"), ("numpy", "1")):
-            work = tmp_path / label
-            corpus = work / "corpus"
-            store = work / "store"
-            import os
-
-            env = dict(os.environ, ARXMATCH_NO_NUMBA=env_flag)
-            script = (
-                "from arxmatch.cli import main; import sys; "
-                f"sys.exit(max(main(['gen','--n','120','--seed','11','--out',r'{corpus}']),"
-                f"main(['ingest','--preprints',r'{corpus}/preprints.jsonl',"
-                f"'--published',r'{corpus}/published.jsonl','--store',r'{store}']),"
-                f"main(['train','--store',r'{store}','--model',r'{work}/model.json','--seed','11']),"
-                f"main(['match','--store',r'{store}','--model',r'{work}/model.json',"
-                f"'--timestamp','{TS}','--report',r'{work}/report.json'])))"
-            )
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            results[label] = {
-                "model": (work / "model.json").read_bytes(),
-                "report": (work / "report.json").read_bytes(),
-                "decisions": (store / "decisions.jsonl").read_bytes(),
-            }
-        assert results["numba"] == results["numpy"]
+class TestBadModel:
+    def test_self_looping_model_is_1(self, tmp_path):
+        """A tree whose root is its own child must not hang match."""
+        corpus, store = tmp_path / "corpus", tmp_path / "store"
+        assert run("gen", "--n", "20", "--seed", "7", "--out", str(corpus),
+                   "--doi-rate", "0") == 0  # every preprint reaches the forest
+        assert run("ingest", "--preprints", str(corpus / "preprints.jsonl"),
+                   "--published", str(corpus / "published.jsonl"),
+                   "--store", str(store)) == 0
+        model = tmp_path / "loop.json"
+        model.write_text(json.dumps({
+            "schema_version": 1, "n_trees": 1, "max_depth": 1, "seed": 0,
+            "decision_threshold": 0.5,
+            "trees": [[{"feature": 0, "threshold": 0.5, "left": 0, "right": 0}]],
+        }))
+        proc = _python("import sys\nfrom arxmatch.cli import main\n"
+                       "sys.exit(main(sys.argv[1:]))\n",
+                       "match", "--store", str(store), "--model", str(model),
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert "left child" in json.loads(lines[0])["error"]

@@ -237,6 +237,29 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="schema version"):
             load_model(tmp_path / "m99.json")
 
+    @pytest.mark.parametrize("nodes", [
+        [],
+        [{"feature": 0, "threshold": 0.5, "left": 0, "right": 0}],  # self loop
+        [{"leaf": 1.0}, {"feature": 0, "threshold": 0.5, "left": 0, "right": 0}],
+        [{"feature": 0, "threshold": 0.5, "left": 1, "right": 3},
+         {"leaf": 1.0}, {"leaf": 0.0}],
+        [{"feature": 3, "threshold": 0.5, "left": 1, "right": 2},
+         {"leaf": 1.0}, {"leaf": 0.0}],
+        [{"feature": 0, "threshold": float("nan"), "left": 1, "right": 2},
+         {"leaf": 1.0}, {"leaf": 0.0}],
+        [{"feature": 0, "left": 1, "right": 2}, {"leaf": 1.0}, {"leaf": 0.0}],
+        [{"leaf": 1.5}],
+        [[0.5]],
+    ])
+    def test_malformed_tree(self, tmp_path, nodes):
+        model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=1)
+        save_model(model, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        payload["trees"] = [nodes]
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="tree 0"):
+            load_model(tmp_path / "bad.json")
+
     def test_not_a_model(self, tmp_path):
         (tmp_path / "x.json").write_text("[1, 2, 3]")
         with pytest.raises(ModelFormatError):

@@ -1,20 +1,8 @@
-"""Backend agreement: the numba kernels must match the numpy fallbacks bit-for-bit."""
+"""Kernel basics; the oracle suites in test_similarity and test_forest cover the rest."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 import arxmatch._kernels as K
-
-HAS_NUMBA = K.BACKEND == "numba"
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba backend disabled")
-
-
-def _random_codes(rng, max_len=40):
-    n = int(rng.integers(0, max_len))
-    return rng.integers(97, 123, n).astype(np.int64)
 
 
 def test_str_to_codes_roundtrip():
@@ -24,77 +12,7 @@ def test_str_to_codes_roundtrip():
 
 
 def test_levenshtein_numpy_basics():
-    assert K.levenshtein_np(K.str_to_codes("abc"), K.str_to_codes("abc")) == 0
-    assert K.levenshtein_np(K.str_to_codes("abc"), K.str_to_codes("abd")) == 1
-    assert K.levenshtein_np(K.str_to_codes(""), K.str_to_codes("xyz")) == 3
-    assert K.levenshtein_np(K.str_to_codes("kitten"), K.str_to_codes("sitting")) == 3
-
-
-@needs_numba
-def test_levenshtein_backends_agree():
-    rng = np.random.default_rng(101)
-    for _ in range(500):
-        a, b = _random_codes(rng), _random_codes(rng)
-        assert K.levenshtein_nb(a, b) == K.levenshtein_np(a, b)
-
-
-@needs_numba
-def test_sorted_dot_backends_agree():
-    rng = np.random.default_rng(102)
-    for _ in range(500):
-        ids_a = np.unique(rng.integers(0, 30, int(rng.integers(0, 20)))).astype(np.int64)
-        ids_b = np.unique(rng.integers(0, 30, int(rng.integers(0, 20)))).astype(np.int64)
-        cnt_a = rng.integers(1, 6, ids_a.size).astype(np.int64)
-        cnt_b = rng.integers(1, 6, ids_b.size).astype(np.int64)
-        assert K.sorted_dot_nb(ids_a, cnt_a, ids_b, cnt_b) == \
-            K.sorted_dot_np(ids_a, cnt_a, ids_b, cnt_b)
-
-
-@needs_numba
-def test_best_split_backends_agree():
-    rng = np.random.default_rng(103)
-    for _ in range(400):
-        n = int(rng.integers(2, 60))
-        x = np.round(rng.random((n, 3)), 2)
-        w = rng.integers(1, 4, n).astype(np.float64)
-        pos = rng.integers(0, 2, n).astype(bool)
-        pos_w = np.where(pos, w, 0.0)
-        neg_w = np.where(pos, 0.0, w)
-        feats = np.sort(rng.choice(3, size=2, replace=False)).astype(np.int64)
-        f1, t1, c1 = K.best_split_nb(x, pos_w, neg_w, feats)
-        f2, t2, c2 = K.best_split_np(x, pos_w, neg_w, feats)
-        assert (int(f1), float(t1)) == (int(f2), float(t2))
-        if int(f1) >= 0:
-            assert float(c1) == float(c2)
-
-
-@needs_numba
-def test_forest_eval_backends_agree():
-    rng = np.random.default_rng(104)
-    # one stump per feature plus a pure leaf tree
-    feat = np.array([0, -1, -1, 1, -1, -1, 2, -1, -1, -1], dtype=np.int64)
-    thr = np.array([0.4, 0, 0, 0.5, 0, 0, 0.6, 0, 0, 0], dtype=np.float64)
-    left = np.array([1, -1, -1, 4, -1, -1, 7, -1, -1, -1], dtype=np.int64)
-    right = np.array([2, -1, -1, 5, -1, -1, 8, -1, -1, -1], dtype=np.int64)
-    prob = np.array([0, 0.9, 0.2, 0, 0.8, 0.1, 0, 0.7, 0.3, 0.5], dtype=np.float64)
-    roots = np.array([0, 3, 6, 9], dtype=np.int64)
-    x = rng.random((200, 3))
-    out_nb = K.forest_eval_nb(feat, thr, left, right, prob, roots, x)
-    out_np = K.forest_eval_np(feat, thr, left, right, prob, roots, x)
-    assert np.array_equal(out_nb, out_np)
-
-
-def test_env_flag_selects_numpy():
-    import os
-    import subprocess
-    import sys
-
-    code = ("import arxmatch._kernels as K; "
-            "print(K.BACKEND); "
-            "print(K.levenshtein is K.levenshtein_np)")
-    env = dict(os.environ, ARXMATCH_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True, env=env,
-    ).stdout.split()
-    assert out == ["numpy", "True"]
+    assert K.levenshtein(K.str_to_codes("abc"), K.str_to_codes("abc")) == 0
+    assert K.levenshtein(K.str_to_codes("abc"), K.str_to_codes("abd")) == 1
+    assert K.levenshtein(K.str_to_codes(""), K.str_to_codes("xyz")) == 3
+    assert K.levenshtein(K.str_to_codes("kitten"), K.str_to_codes("sitting")) == 3

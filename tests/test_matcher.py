@@ -4,6 +4,7 @@ from arxmatch.candidates import build_index
 from arxmatch.corpus import OUTCOME_CLASSIFIER, OUTCOME_DOI, OUTCOME_UNMATCHED
 from arxmatch.forest import ForestModel
 from arxmatch.matcher import (
+    ProjectionCache,
     batch_match,
     build_naive_index,
     match_by_classifier,
@@ -65,7 +66,8 @@ class TestMatchByClassifier:
         )
         index = build_index(store)
         hit = match_by_classifier(store.preprints["2301.00001"], index,
-                                  title_stump_model(), 20, store=store)
+                                  title_stump_model(), 20,
+                                  cache=ProjectionCache(store))
         assert hit is not None and hit[0] == "zbl1"
 
     def test_lexicographic_smallest_among_positives(self):
@@ -82,7 +84,7 @@ class TestMatchByClassifier:
         store = store_with([p], published)
         index = build_index(store)
         hit = match_by_classifier(p, index, always_match_model(), 20,
-                                  store=store)
+                                  cache=ProjectionCache(store))
         assert hit is not None
         accession, vec = hit
         assert accession == "zbl2"
@@ -95,7 +97,7 @@ class TestMatchByClassifier:
         store = store_with([p], published)
         index = build_index(store)
         hit = match_by_classifier(p, index, always_match_model(), 20,
-                                  store=store)
+                                  cache=ProjectionCache(store))
         assert hit is not None and hit[0] == "zbl3"
 
     def test_no_candidates(self):
@@ -106,7 +108,8 @@ class TestMatchByClassifier:
         )
         index = build_index(store)
         assert match_by_classifier(store.preprints["2301.00001"], index,
-                                   always_match_model(), 20, store=store) is None
+                                   always_match_model(), 20,
+                                   cache=ProjectionCache(store)) is None
 
     def test_no_positive_candidates(self):
         store = store_with(
@@ -117,7 +120,7 @@ class TestMatchByClassifier:
         index = build_index(store)
         hit = match_by_classifier(store.preprints["2301.00001"], index,
                                   title_stump_model(threshold=0.01), 20,
-                                  store=store)
+                                  cache=ProjectionCache(store))
         assert hit is None
 
 

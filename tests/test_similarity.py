@@ -195,8 +195,10 @@ class TestFeatureVector:
                 authors=("Jane Doe",),
                 abstract=" ".join(rng.choice(words, 12)) if rng.random() < 0.8 else None,
             )
-            assert feature_vector(p, c) == \
-                feature_vector_projected(project_preprint(p), project_published(c))
+            v = feature_vector_projected(project_preprint(p), project_published(c))
+            assert v.title_d == title_distance(nt(p.title), nt(c.title))
+            assert v.author_d == author_distance(list(p.authors), list(c.authors))
+            assert v.abstract_d == abstract_distance(nt(p.abstract), nt(c.abstract or ""))
 
 
 vectors = st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)) \
