@@ -44,8 +44,6 @@ class CandidateIndex:
     token_postings: dict[str, set[str]]
     author_postings: dict[str, set[str]]
     idf: dict[str, float]
-    n_published: int
-    built_from: str
 
 
 def build_index(store: CorpusStore) -> CandidateIndex:
@@ -63,8 +61,6 @@ def build_index(store: CorpusStore) -> CandidateIndex:
         token_postings=token_postings,
         author_postings=author_postings,
         idf=idf,
-        n_published=n,
-        built_from=store.published_fingerprint(),
     )
 
 

@@ -131,8 +131,7 @@ def cmd_scope(args) -> int:
 def cmd_train(args) -> int:
     store = _load_store(args.store)
     index = build_index(store)
-    data = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos,
-                                  seed=args.seed)
+    data = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
     model = train_forest(data, n_trees=args.trees, max_depth=args.depth,
                          seed=args.seed, decision_threshold=args.threshold)
     save_model(model, args.model)

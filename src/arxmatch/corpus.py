@@ -9,7 +9,6 @@ between write phases the store may be read from many threads.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -54,10 +53,6 @@ class PreprintRecord:
     msc: tuple[str, ...]
     doi: str | None
     withdrawn: bool = False
-
-    @property
-    def primary_category(self) -> str:
-        return self.categories[0]
 
 
 @dataclass(frozen=True)
@@ -259,14 +254,24 @@ def decision_to_json(d: MatchDecision) -> dict:
 
 
 def decision_from_json(obj: dict) -> MatchDecision:
+    if not isinstance(obj, dict):
+        raise RecordError("decision must be a JSON object")
     vector = obj.get("vector")
-    return MatchDecision(
-        preprint=obj["preprint"],
-        outcome=obj["outcome"],
-        matched_accession=obj.get("matched_accession"),
-        vector=tuple(vector) if vector is not None else None,
-        decided_at=obj["decided_at"],
-    )
+    if vector is not None and not (isinstance(vector, list) and len(vector) == 3 and all(
+            type(x) in (int, float) and 0.0 <= x <= 1.0 for x in vector)):
+        raise RecordError("vector must be three numbers in [0, 1]")
+    if not isinstance(obj.get("decided_at", ""), str):
+        raise RecordError("decided_at must be a string")
+    try:
+        return MatchDecision(
+            preprint=obj["preprint"],
+            outcome=obj["outcome"],
+            matched_accession=obj.get("matched_accession"),
+            vector=tuple(vector) if vector is not None else None,
+            decided_at=obj["decided_at"],
+        )
+    except KeyError as exc:
+        raise RecordError(f"missing field {exc.args[0]!r}") from exc
 
 
 def _dumps(obj: dict) -> str:
@@ -401,13 +406,6 @@ class CorpusStore:
                 index.setdefault(rec.doi, set()).add(rec.accession)
         self.doi_index = index
 
-    def published_fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for accession in sorted(self.published):
-            h.update(_dumps(published_to_json(self.published[accession])).encode())
-            h.update(b"\n")
-        return h.hexdigest()
-
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
@@ -441,29 +439,50 @@ class CorpusStore:
 
     @classmethod
     def load(cls, directory: str | Path) -> "CorpusStore":
+        """Read a saved store; every decision and merge must name a stored
+        preprint and, when it has one, a stored accession."""
         directory = Path(directory)
         store = cls()
         report = IngestReport()
-        path = directory / cls.PREPRINTS_FILE
-        if path.exists():
-            for _line_no, obj in cls._read_jsonl(path, report):
-                rec = preprint_from_json(obj)
-                store.preprints[rec.id] = rec
-        path = directory / cls.PUBLISHED_FILE
-        if path.exists():
-            for _line_no, obj in cls._read_jsonl(path, report):
-                rec = published_from_json(obj)
-                store.published[rec.accession] = rec
-        path = directory / cls.DECISIONS_FILE
-        if path.exists():
-            for _line_no, obj in cls._read_jsonl(path, report):
-                d = decision_from_json(obj)
-                store.decisions[d.preprint] = d
-        path = directory / cls.MERGES_FILE
-        if path.exists():
-            for _line_no, obj in cls._read_jsonl(path, report):
-                store.merges[obj["preprint"]] = obj["accession"]
+        for name, add in ((cls.PREPRINTS_FILE, store._load_preprint),
+                          (cls.PUBLISHED_FILE, store._load_published),
+                          (cls.DECISIONS_FILE, store._load_decision),
+                          (cls.MERGES_FILE, store._load_merge)):
+            path = directory / name
+            if not path.exists():
+                continue
+            for line_no, obj in cls._read_jsonl(path, report):
+                try:
+                    add(obj)
+                except RecordError as exc:
+                    raise RecordError(f"{path}:{line_no}: {exc}") from exc
         if report.errors:
             raise RecordError(f"corrupt store at {directory}: {report.errors[:3]}")
         store.rebuild_doi_index()
         return store
+
+    def _load_preprint(self, obj) -> None:
+        rec = preprint_from_json(obj)
+        self.preprints[rec.id] = rec
+
+    def _load_published(self, obj) -> None:
+        rec = published_from_json(obj)
+        self.published[rec.accession] = rec
+
+    def _load_decision(self, obj) -> None:
+        d = decision_from_json(obj)
+        self._check_link(d.preprint, d.matched_accession)
+        self.decisions[d.preprint] = d
+
+    def _load_merge(self, obj) -> None:
+        if not isinstance(obj, dict) or set(obj) != {"preprint", "accession"}:
+            raise RecordError("a merge has exactly the keys preprint and accession")
+        self._check_link(obj["preprint"], obj["accession"])
+        self.merges[obj["preprint"]] = obj["accession"]
+
+    def _check_link(self, pid, accession) -> None:
+        if not isinstance(pid, str) or pid not in self.preprints:
+            raise RecordError(f"unknown preprint {pid!r}")
+        if accession is not None and (not isinstance(accession, str)
+                                      or accession not in self.published):
+            raise RecordError(f"unknown accession {accession!r}")

@@ -24,7 +24,7 @@ from .forest import (
     train_forest,
     training_pairs_from,
 )
-from .matcher import ProjectionCache, match_by_classifier
+from .matcher import match_by_classifier
 
 MIN_DOI_PAIRS = 200
 HOLDOUT_FRACTION = 0.2
@@ -91,11 +91,9 @@ def evaluate(store: CorpusStore, seed: int,
     data = training_pairs_from(store, index, train, neg_per_pos)
     model = train_forest(data, n_trees=n_trees, max_depth=max_depth, seed=seed,
                          decision_threshold=decision_threshold)
-    cache = ProjectionCache(store)
     tp = fp = 0
     for pid, truth in holdout:
-        hit = match_by_classifier(store.preprints[pid], index, model, k,
-                                  cache=cache)
+        hit = match_by_classifier(store.preprints[pid], store, index, model, k)
         if hit is None:
             continue
         if hit[0] == truth:

@@ -38,9 +38,6 @@ DEFAULT_MAX_DEPTH = 6
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_NEG_PER_POS = 3
 
-ORIGIN_POSITIVE = "doi_positive"
-ORIGIN_NEGATIVE = "sampled_negative"
-
 
 class TrainingError(ValueError):
     """The training data or hyperparameters cannot produce a model."""
@@ -54,13 +51,6 @@ class ModelFormatError(ValueError):
 class TrainingPair:
     vector: FeatureVector
     label: bool
-    origin: str
-
-    def __post_init__(self):
-        if self.origin not in (ORIGIN_POSITIVE, ORIGIN_NEGATIVE):
-            raise ValueError(f"unknown origin {self.origin!r}")
-        if self.label != (self.origin == ORIGIN_POSITIVE):
-            raise ValueError("label must be true exactly for DOI positives")
 
 
 @dataclass
@@ -70,7 +60,6 @@ class ForestModel:
     max_depth: int
     seed: int
     decision_threshold: float = DEFAULT_THRESHOLD
-    feature_names: tuple[str, ...] = FEATURE_NAMES
     _packed: tuple | None = field(default=None, repr=False, compare=False)
 
     def packed(self) -> tuple:
@@ -102,18 +91,15 @@ def training_pairs_from(store: CorpusStore, index: CandidateIndex,
     training: list[TrainingPair] = []
     for pid, accession in pairs:
         p = store.preprints[pid]
-        training.append(TrainingPair(feature_vector(p, store.published[accession]),
-                                     True, ORIGIN_POSITIVE))
+        training.append(TrainingPair(feature_vector(p, store.published[accession]), True))
         ranked = query_candidates(index, p, k=neg_per_pos + 1)
         for neg in [a for a in ranked if a != accession][:neg_per_pos]:
-            training.append(TrainingPair(feature_vector(p, store.published[neg]),
-                                         False, ORIGIN_NEGATIVE))
+            training.append(TrainingPair(feature_vector(p, store.published[neg]), False))
     return training
 
 
 def bootstrap_training_set(store: CorpusStore, index: CandidateIndex,
-                           neg_per_pos: int = DEFAULT_NEG_PER_POS,
-                           seed: int = 0) -> list[TrainingPair]:
+                           neg_per_pos: int = DEFAULT_NEG_PER_POS) -> list[TrainingPair]:
     """Label pairs from DOI matches plus hard negatives from the candidate list.
 
     Every unique DOI pair becomes a positive. Wrong DOIs are accepted
@@ -122,11 +108,7 @@ def bootstrap_training_set(store: CorpusStore, index: CandidateIndex,
     pairs = doi_pairs(store)
     if not pairs:
         raise TrainingError("no training signal: no DOI-resolvable pairs in store")
-    training = training_pairs_from(store, index, pairs, neg_per_pos)
-    # order carries no meaning (training canonicalizes); shuffle documents that
-    rng = np.random.default_rng(_mask_seed(seed))
-    perm = rng.permutation(len(training))
-    return [training[i] for i in perm]
+    return training_pairs_from(store, index, pairs, neg_per_pos)
 
 
 def _mask_seed(seed: int) -> int:
@@ -262,7 +244,7 @@ def save_model(model: ForestModel, path: str | Path) -> None:
         "max_depth": model.max_depth,
         "seed": model.seed,
         "decision_threshold": model.decision_threshold,
-        "feature_names": list(model.feature_names),
+        "feature_names": list(FEATURE_NAMES),
         "trees": model.trees,
     }
     path = Path(path)
@@ -292,10 +274,12 @@ def load_model(path: str | Path) -> ForestModel:
             max_depth=payload["max_depth"],
             seed=payload["seed"],
             decision_threshold=payload["decision_threshold"],
-            feature_names=tuple(payload.get("feature_names", FEATURE_NAMES)),
         )
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc.args[0]!r}") from exc
+    problem = _scalar_problem(model, payload.get("feature_names", list(FEATURE_NAMES)))
+    if problem is not None:
+        raise ModelFormatError(f"{path}: {problem}")
     if not isinstance(model.trees, list) or len(model.trees) != model.n_trees:
         raise ModelFormatError(f"{path}: tree count does not match n_trees")
     for t, nodes in enumerate(model.trees):
@@ -310,6 +294,21 @@ _INNER_KEYS = {"feature", "threshold", "left", "right"}
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _scalar_problem(model: ForestModel, feature_names) -> str | None:
+    """Why the hyperparameters are not ones train_forest accepts, or None."""
+    for name in ("n_trees", "max_depth"):
+        value = getattr(model, name)
+        if type(value) is not int or value < 1:
+            return f"{name} must be an integer >= 1"
+    if type(model.seed) is not int:
+        return "seed must be an integer"
+    if not (_is_number(model.decision_threshold) and 0.0 < model.decision_threshold < 1.0):
+        return "decision_threshold must be a number in (0, 1)"
+    if feature_names != list(FEATURE_NAMES):
+        return f"feature_names must be {list(FEATURE_NAMES)}"
+    return None
 
 
 def _tree_problem(nodes) -> str | None:

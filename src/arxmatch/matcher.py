@@ -29,13 +29,7 @@ from .corpus import (
 )
 from .forest import ForestModel, predict_many
 from .normalize import normalize_text
-from .similarity import (
-    FeatureVector,
-    RecordProjection,
-    feature_vector_projected,
-    project_preprint,
-    project_published,
-)
+from .similarity import FeatureVector, feature_vector_projected, projection
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -71,28 +65,6 @@ class MatchRunReport:
         }
 
 
-class ProjectionCache:
-    """Memoized projections: preprints by id, published records by accession."""
-
-    def __init__(self, store: CorpusStore):
-        self.store = store
-        self._preprints: dict[str, RecordProjection] = {}
-        self._published: dict[str, RecordProjection] = {}
-
-    def preprint(self, p: PreprintRecord) -> RecordProjection:
-        proj = self._preprints.get(p.id)
-        if proj is None:
-            proj = self._preprints[p.id] = project_preprint(p)
-        return proj
-
-    def published(self, accession: str) -> RecordProjection:
-        proj = self._published.get(accession)
-        if proj is None:
-            proj = self._published[accession] = project_published(
-                self.store.published[accession])
-        return proj
-
-
 def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
     """Accession of the unique DOI hit, or None (fall through to step two)."""
     if p.doi is None:
@@ -103,15 +75,15 @@ def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
     return None
 
 
-def match_by_classifier(p: PreprintRecord, index: CandidateIndex,
-                        model: ForestModel, k: int,
-                        cache: ProjectionCache) -> tuple[str, FeatureVector] | None:
+def match_by_classifier(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
+                        model: ForestModel, k: int) -> tuple[str, FeatureVector] | None:
     """Best positively-classified candidate, or None."""
     ranked = query_candidates(index, p, k)
     if not ranked:
         return None
-    proj_p = cache.preprint(p)
-    vectors = [feature_vector_projected(proj_p, cache.published(a)) for a in ranked]
+    proj_p = projection(p)
+    vectors = [feature_vector_projected(proj_p, projection(store.published[a]))
+               for a in ranked]
     probs = predict_many(model, np.array(vectors, dtype=np.float64))
     positives = [
         (vectors[i], ranked[i])
@@ -126,16 +98,13 @@ def match_by_classifier(p: PreprintRecord, index: CandidateIndex,
 
 def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
                    model: ForestModel, k: int,
-                   timestamp: str = DEFAULT_TIMESTAMP,
-                   cache: ProjectionCache | None = None) -> MatchDecision:
+                   timestamp: str = DEFAULT_TIMESTAMP) -> MatchDecision:
     accession = match_by_doi(p, store)
     if accession is not None:
         return MatchDecision(preprint=p.id, outcome=OUTCOME_DOI,
                              matched_accession=accession, vector=None,
                              decided_at=timestamp)
-    if cache is None:
-        cache = ProjectionCache(store)
-    hit = match_by_classifier(p, index, model, k, cache)
+    hit = match_by_classifier(p, store, index, model, k)
     if hit is not None:
         accession, vec = hit
         return MatchDecision(preprint=p.id, outcome=OUTCOME_CLASSIFIER,
@@ -185,14 +154,12 @@ def batch_match(store: CorpusStore, index: CandidateIndex, model: ForestModel,
     pair has exactly the same normalized title and author list, which is
     the baseline a naive matcher could also have found.
     """
-    cache = ProjectionCache(store)
     pids = store.unmerged_preprints()
     decisions = []
     doi_n = cls_n = naive_eq = 0
     for pid in pids:
         p = store.preprints[pid]
-        decision = match_preprint(p, store, index, model, k,
-                                  timestamp=timestamp, cache=cache)
+        decision = match_preprint(p, store, index, model, k, timestamp=timestamp)
         decisions.append(decision)
         if decision.outcome == OUTCOME_DOI:
             doi_n += 1

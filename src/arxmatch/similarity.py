@@ -14,6 +14,7 @@ agreement nor vetoes a match.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -141,12 +142,16 @@ def feature_vector_projected(a: RecordProjection, b: RecordProjection) -> Featur
 
 
 def feature_vector(p: PreprintRecord, c: PublishedRecord) -> FeatureVector:
-    return feature_vector_projected(project_preprint(p), project_published(c))
+    return feature_vector_projected(projection(p), projection(c))
 
 
-def project_preprint(p: PreprintRecord) -> RecordProjection:
-    return project(p.title, p.authors, p.abstract)
+# records are frozen, so a projection stays valid for the record's lifetime
+_PROJECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def project_published(c: PublishedRecord) -> RecordProjection:
-    return project(c.title, c.authors, c.abstract)
+def projection(rec: PreprintRecord | PublishedRecord) -> RecordProjection:
+    """The record's projection, computed once per record."""
+    proj = _PROJECTIONS.get(rec)
+    if proj is None:
+        proj = _PROJECTIONS[rec] = project(rec.title, rec.authors, rec.abstract)
+    return proj

@@ -77,7 +77,7 @@ def corpus_index(corpus_store):
 
 @pytest.fixture(scope="session")
 def corpus_model(corpus_store, corpus_index):
-    data = bootstrap_training_set(corpus_store, corpus_index, seed=42)
+    data = bootstrap_training_set(corpus_store, corpus_index)
     return train_forest(data, seed=42)
 
 

@@ -73,12 +73,6 @@ class TestBuildIndex:
         assert i1.token_postings == i2.token_postings
         assert i1.author_postings == i2.author_postings
         assert i1.idf == i2.idf
-        assert i1.built_from == i2.built_from
-
-    def test_fingerprint_tracks_content(self):
-        s1 = store_with([], [make_published()])
-        s2 = store_with([], [make_published(title="Changed")])
-        assert build_index(s1).built_from != build_index(s2).built_from
 
     def test_stopword_list_has_thirty_words(self):
         assert len(load_stopwords()) == 30

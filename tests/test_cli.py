@@ -68,6 +68,16 @@ class TestExitCodes:
     def test_ingest_without_inputs_is_1(self, tmp_path):
         assert run("ingest", "--store", str(tmp_path / "s")) == 1
 
+    def test_stats_with_dangling_merge_is_1(self, small_store, capsys):
+        (small_store / "merges.jsonl").write_text(
+            json.dumps({"preprint": "2301.99999", "accession": "zbl99999999"}) + "\n")
+        assert run("stats", "--store", str(small_store)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "unknown preprint" in json.loads(lines[0])["error"]
+
     def test_eval_too_few_pairs_is_1(self, small_store, capsys):
         assert run("eval", "--store", str(small_store), "--seed", "1") == 1
         assert "too few" in capsys.readouterr().err

@@ -280,6 +280,34 @@ class TestStorePersistence:
         assert loaded.merges == store.merges
         assert loaded.decisions["2301.00001"].outcome == OUTCOME_DOI
 
+    @pytest.mark.parametrize("name, line, problem", [
+        ("decisions.jsonl", {"preprint": "2301.09999", "outcome": OUTCOME_UNMATCHED,
+                             "matched_accession": None, "vector": None,
+                             "decided_at": TS}, "unknown preprint"),
+        ("decisions.jsonl", {"preprint": "2301.00001", "outcome": OUTCOME_DOI,
+                             "matched_accession": "zbl9", "vector": None,
+                             "decided_at": TS}, "unknown accession"),
+        ("decisions.jsonl", {"preprint": "2301.00001", "matched_accession": None,
+                             "vector": None, "decided_at": TS}, "missing field 'outcome'"),
+        ("decisions.jsonl", {"preprint": "2301.00001", "outcome": OUTCOME_CLASSIFIER,
+                             "matched_accession": "zbl00000001", "vector": ["a", "b", "c"],
+                             "decided_at": TS}, "vector"),
+        ("decisions.jsonl", {"preprint": "2301.00001", "outcome": OUTCOME_DOI,
+                             "matched_accession": "zbl00000001", "vector": None,
+                             "decided_at": 5}, "decided_at"),
+        ("merges.jsonl", {"preprint": "2301.09999", "accession": "zbl00000001"},
+         "unknown preprint"),
+        ("merges.jsonl", {"preprint": "2301.00001", "accession": "zbl9"},
+         "unknown accession"),
+        ("merges.jsonl", {"preprint": "2301.00001"}, "keys preprint and accession"),
+    ])
+    def test_load_rejects_bad_decision_or_merge(self, tmp_path, name, line, problem):
+        store_with([make_preprint()], [make_published()]).save(tmp_path)
+        write_jsonl(tmp_path / name, [line])
+        with pytest.raises(RecordError, match=problem) as exc:
+            CorpusStore.load(tmp_path)
+        assert name in str(exc.value)
+
     def test_ingest_deterministic_export(self, tmp_path):
         objs = [preprint_obj(f"2301.0000{i}", title=f"T {i}") for i in range(1, 5)]
         path = tmp_path / "p.jsonl"

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from arxmatch import similarity
 from arxmatch.corpus import CorpusStore
 from arxmatch.evaluate import EvalError, evaluate, split_doi_pairs
 from arxmatch.synth import PerturbationProfile, gen_synthetic_corpus
@@ -87,3 +90,25 @@ class TestEvaluate:
         store = corpus(tmp_path, 250, seed=38, doi_rate=1.0)
         assert evaluate(store, seed=8).as_dict() == \
             evaluate(store, seed=8).as_dict()
+
+
+class TestSharedProjections:
+    def test_each_record_projected_at_most_once(self, tmp_path, monkeypatch):
+        # training pairs and holdout matching score through one projection
+        # per record, so no (title, authors, abstract) is projected more often
+        # than there are records carrying it
+        store = corpus(tmp_path, 250, seed=39, doi_rate=1.0)
+        carriers = Counter((rec.title, rec.authors, rec.abstract)
+                           for records in (store.preprints, store.published)
+                           for rec in records.values())
+        calls = Counter()
+        project = similarity.project
+
+        def counting(title, authors, abstract):
+            calls[(title, authors, abstract)] += 1
+            return project(title, authors, abstract)
+
+        monkeypatch.setattr(similarity, "project", counting)
+        evaluate(store, seed=9)
+        assert calls
+        assert {t: n for t, n in calls.items() if n > carriers[t]} == {}

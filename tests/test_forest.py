@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from arxmatch import _kernels
 from arxmatch.candidates import build_index
 from arxmatch.forest import (
+    FEATURE_NAMES,
     ForestModel,
     ModelFormatError,
     TrainingError,
@@ -25,8 +28,7 @@ from conftest import make_preprint, make_published, store_with
 
 
 def tp(t, a, b, label):
-    return TrainingPair(FeatureVector(t, a, b),
-                        label, "doi_positive" if label else "sampled_negative")
+    return TrainingPair(FeatureVector(t, a, b), label)
 
 
 def gini_split_oracle(x: np.ndarray, labels, weights):
@@ -152,12 +154,6 @@ class TestTrainForest:
             train_forest(STUMP_DATA, n_trees=1, max_depth=1, seed=0,
                          decision_threshold=1.5)
 
-    def test_training_pair_label_origin_invariant(self):
-        with pytest.raises(ValueError):
-            TrainingPair(FeatureVector(0, 0, 0), True, "sampled_negative")
-        with pytest.raises(ValueError):
-            TrainingPair(FeatureVector(0, 0, 0), False, "doi_positive")
-
 
 class TestPredict:
     def test_fixture_extremes(self, corpus_model):
@@ -210,6 +206,49 @@ class TestPredict:
         assert ok / total >= 0.95
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def tree_payloads(draw):
+    """A walkable node list; one time in four a node is replaced by any JSON."""
+    size = draw(st.integers(1, 5))
+    nodes = []
+    for i in range(size):
+        if i == size - 1 or draw(st.booleans()):
+            nodes.append({"leaf": draw(st.floats(0.0, 1.0))})
+        else:
+            nodes.append({"feature": draw(st.integers(0, 2)),
+                          "threshold": draw(st.floats(0.0, 1.0)),
+                          "left": draw(st.integers(i + 1, size - 1)),
+                          "right": draw(st.integers(i + 1, size - 1))})
+    if draw(st.integers(0, 3)) == 0:
+        nodes[draw(st.integers(0, size - 1))] = draw(json_values)
+    return nodes
+
+
+@st.composite
+def model_payloads(draw):
+    """A well-formed model with up to two fields replaced or dropped."""
+    n_trees = draw(st.integers(1, 3))
+    payload = {"schema_version": 1, "n_trees": n_trees,
+               "max_depth": draw(st.integers(1, 4)), "seed": draw(st.integers()),
+               "decision_threshold": draw(st.floats(0.01, 0.99)),
+               "feature_names": list(FEATURE_NAMES),
+               "trees": [draw(tree_payloads()) for _ in range(n_trees)]}
+    for key in draw(st.sets(st.sampled_from(sorted(payload)), max_size=2)):
+        if draw(st.booleans()):
+            payload[key] = draw(json_values)
+        else:
+            del payload[key]
+    return payload
+
+
 class TestSerialization:
     def test_roundtrip_identical_predictions(self, tmp_path):
         model = train_forest(STUMP_DATA, n_trees=10, max_depth=3, seed=11)
@@ -260,6 +299,44 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="tree 0"):
             load_model(tmp_path / "bad.json")
 
+    @pytest.mark.parametrize("name, value", [
+        ("decision_threshold", float("nan")),
+        ("decision_threshold", 5.0),
+        ("decision_threshold", 0.0),
+        ("decision_threshold", "0.5"),
+        ("seed", "s"),
+        ("seed", 1.5),
+        ("n_trees", True),
+        ("max_depth", 0),
+        ("max_depth", 2.0),
+        ("feature_names", 5),
+        ("feature_names", ["abstract_d", "author_d", "title_d"]),
+    ])
+    def test_bad_scalar_field(self, tmp_path, name, value):
+        model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=1)
+        save_model(model, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        payload[name] = value
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=name):
+            load_model(tmp_path / "bad.json")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=model_payloads() | json_values,
+           vector=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+    @example(payload={"schema_version": 1, "n_trees": 0, "max_depth": 1, "seed": 0,
+                      "decision_threshold": 0.5, "trees": []},
+             vector=(0.5, 0.5, 0.5))  # no trees: the mean leaf value is NaN
+    def test_random_payload_rejected_or_predicts(self, tmp_path, payload, vector):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(payload))
+        try:
+            model = load_model(path)
+        except ModelFormatError:
+            return
+        assert 0.0 <= predict(model, FeatureVector(*vector)) <= 1.0
+
     def test_not_a_model(self, tmp_path):
         (tmp_path / "x.json").write_text("[1, 2, 3]")
         with pytest.raises(ModelFormatError):
@@ -286,7 +363,7 @@ class TestBootstrapTrainingSet:
     def test_counts_one_pos_two_neg(self):
         store = self._paired_store()
         index = build_index(store)
-        data = bootstrap_training_set(store, index, neg_per_pos=2, seed=0)
+        data = bootstrap_training_set(store, index, neg_per_pos=2)
         assert sum(1 for p in data if p.label) == 1
         assert sum(1 for p in data if not p.label) == 2
 
@@ -300,8 +377,7 @@ class TestBootstrapTrainingSet:
                            authors=("Al Smith",)),
         ]
         store = store_with([preprint], published)
-        data = bootstrap_training_set(store, build_index(store),
-                                      neg_per_pos=3, seed=0)
+        data = bootstrap_training_set(store, build_index(store), neg_per_pos=3)
         assert sum(1 for p in data if p.label) == 1
         assert sum(1 for p in data if not p.label) == 0
 
@@ -316,14 +392,13 @@ class TestBootstrapTrainingSet:
                                     authors=("Jane Doe",), doi="10.1/book",
                                     document_type="book")]
         store = store_with(preprints, published)
-        data = bootstrap_training_set(store, build_index(store),
-                                      neg_per_pos=2, seed=0)
+        data = bootstrap_training_set(store, build_index(store), neg_per_pos=2)
         assert sum(1 for p in data if p.label) == 2
 
     def test_no_training_signal(self):
         store = store_with([make_preprint()], [make_published()])
         with pytest.raises(TrainingError, match="no training signal"):
-            bootstrap_training_set(store, build_index(store), seed=0)
+            bootstrap_training_set(store, build_index(store))
 
     def test_multi_hit_doi_not_a_pair(self):
         preprint = make_preprint(doi="10.1/a")
@@ -331,4 +406,4 @@ class TestBootstrapTrainingSet:
                      make_published(accession="zbl2", doi="10.1/a")]
         store = store_with([preprint], published)
         with pytest.raises(TrainingError):
-            bootstrap_training_set(store, build_index(store), seed=0)
+            bootstrap_training_set(store, build_index(store))

@@ -4,7 +4,6 @@ from arxmatch.candidates import build_index
 from arxmatch.corpus import OUTCOME_CLASSIFIER, OUTCOME_DOI, OUTCOME_UNMATCHED
 from arxmatch.forest import ForestModel
 from arxmatch.matcher import (
-    ProjectionCache,
     batch_match,
     build_naive_index,
     match_by_classifier,
@@ -65,9 +64,8 @@ class TestMatchByClassifier:
                             authors=("Al Smith",))],
         )
         index = build_index(store)
-        hit = match_by_classifier(store.preprints["2301.00001"], index,
-                                  title_stump_model(), 20,
-                                  cache=ProjectionCache(store))
+        hit = match_by_classifier(store.preprints["2301.00001"], store, index,
+                                  title_stump_model(), 20)
         assert hit is not None and hit[0] == "zbl1"
 
     def test_lexicographic_smallest_among_positives(self):
@@ -83,8 +81,7 @@ class TestMatchByClassifier:
         ]
         store = store_with([p], published)
         index = build_index(store)
-        hit = match_by_classifier(p, index, always_match_model(), 20,
-                                  cache=ProjectionCache(store))
+        hit = match_by_classifier(p, store, index, always_match_model(), 20)
         assert hit is not None
         accession, vec = hit
         assert accession == "zbl2"
@@ -96,8 +93,7 @@ class TestMatchByClassifier:
                      make_published(accession="zbl3")]
         store = store_with([p], published)
         index = build_index(store)
-        hit = match_by_classifier(p, index, always_match_model(), 20,
-                                  cache=ProjectionCache(store))
+        hit = match_by_classifier(p, store, index, always_match_model(), 20)
         assert hit is not None and hit[0] == "zbl3"
 
     def test_no_candidates(self):
@@ -107,9 +103,8 @@ class TestMatchByClassifier:
             [make_published(title="Different world", authors=("Al Smith",))],
         )
         index = build_index(store)
-        assert match_by_classifier(store.preprints["2301.00001"], index,
-                                   always_match_model(), 20,
-                                   cache=ProjectionCache(store)) is None
+        assert match_by_classifier(store.preprints["2301.00001"], store, index,
+                                   always_match_model(), 20) is None
 
     def test_no_positive_candidates(self):
         store = store_with(
@@ -118,9 +113,8 @@ class TestMatchByClassifier:
                             authors=("Al Smith",))],
         )
         index = build_index(store)
-        hit = match_by_classifier(store.preprints["2301.00001"], index,
-                                  title_stump_model(threshold=0.01), 20,
-                                  cache=ProjectionCache(store))
+        hit = match_by_classifier(store.preprints["2301.00001"], store, index,
+                                  title_stump_model(threshold=0.01), 20)
         assert hit is None
 
 

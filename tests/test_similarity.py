@@ -14,8 +14,7 @@ from arxmatch.similarity import (
     feature_vector,
     feature_vector_projected,
     lex_compare,
-    project_preprint,
-    project_published,
+    projection,
     title_distance,
 )
 
@@ -195,7 +194,7 @@ class TestFeatureVector:
                 authors=("Jane Doe",),
                 abstract=" ".join(rng.choice(words, 12)) if rng.random() < 0.8 else None,
             )
-            v = feature_vector_projected(project_preprint(p), project_published(c))
+            v = feature_vector_projected(projection(p), projection(c))
             assert v.title_d == title_distance(nt(p.title), nt(c.title))
             assert v.author_d == author_distance(list(p.authors), list(c.authors))
             assert v.abstract_d == abstract_distance(nt(p.abstract), nt(c.abstract or ""))

@@ -41,7 +41,7 @@ class TestGenerator:
         store = load_store(tmp_path)
         index = build_index(store)
         model = train_forest(
-            bootstrap_training_set(store, index, seed=2), n_trees=10,
+            bootstrap_training_set(store, index), n_trees=10,
             max_depth=4, seed=2)
         report = batch_match(store, index, model, 20, timestamp=TS)
         assert report.doi_matches == 60
