@@ -1,10 +1,14 @@
-"""Numeric kernels of the matcher, in numpy.
+"""Numeric kernels of the matcher, in numpy and Python ints.
 
-The hot inner loops (edit-distance DP, token-vector dot products, Gini
+The hot inner loops (edit distance, token-vector dot products, Gini
 split search, forest evaluation) live here, one function per operation.
-The edit distance and dot product use integer arithmetic throughout; the
-Gini and forest kernels fix their floating-point operation order, so
-every result is reproducible bit for bit.
+The edit distance is the Myers/Hyyrö bit-parallel recurrence over
+Python ints (G. Myers, J. ACM 46(3), 1999; H. Hyyrö, 2003), one
+fixed-size step per character of the second string; it and the dot
+product use integer arithmetic throughout. The forest walk advances all
+trees one level per numpy step. The Gini and forest kernels fix their
+floating-point operation order (the forest sums leaf values tree by tree
+in root order), so every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -15,21 +19,45 @@ BACKEND = "numpy"
 
 
 def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance between two int64 codepoint arrays, row-vectorized DP."""
+    """Edit distance between two int64 codepoint arrays.
+
+    Bit-parallel over the DP column (G. Myers, J. ACM 46(3), 1999, in
+    H. Hyyrö's 2003 formulation). Bit i of a Python int stands for row
+    i + 1 of the DP column; peq[c] has bit i set where a[i] == c. pv/mv
+    hold the +1/-1 vertical deltas of the current column, ph/mh the
+    horizontal deltas into it. Each character of b advances the column
+    by a fixed handful of int operations; every ~ is masked to len(a)
+    bits, and the score follows the last row through the high bit.
+    """
     n, m = a.size, b.size
     if n == 0:
         return int(m)
     if m == 0:
         return int(n)
-    prev = np.arange(m + 1, dtype=np.int64)
-    offs = np.arange(m + 1, dtype=np.int64)
-    for i in range(n):
-        sub = prev[:-1] + (b != a[i])
-        best = np.minimum(sub, prev[1:] + 1)
-        # fold insertions in via prefix min of (cost - column index)
-        e = np.minimum.accumulate(np.concatenate(([np.int64(i + 1)], best - offs[1:])))
-        prev = e + offs
-    return int(prev[m])
+    peq: dict[int, int] = {}
+    bit = 1
+    for c in a.tolist():
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = bit >> 1
+    pv, mv, score = mask, 0, n
+    for c in b.tolist():
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        # the top row D[0][j] = j adds a +1 horizontal delta on each step
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def sorted_dot(ids_a: np.ndarray, cnt_a: np.ndarray,
@@ -93,23 +121,24 @@ def forest_eval(feat: np.ndarray, thr: np.ndarray, left: np.ndarray,
     """Mean leaf probability over all trees for each row of x.
 
     Trees are packed in flat arrays; feat[i] < 0 marks a leaf holding
-    prob[i]. Accumulates tree by tree, in root order.
+    prob[i]. All trees are walked at once on a (n_trees, n_rows) node
+    index matrix, one level per step, so a call costs about max_depth
+    numpy steps whatever the tree and row counts. The leaf values are
+    then summed tree by tree in root order (cumsum is sequential), the
+    same float additions as a per-tree loop, so the result is
+    bit-identical to one.
     """
-    rows = np.arange(x.shape[0])
-    acc = np.zeros(x.shape[0], dtype=np.float64)
-    for root in roots:
-        idx = np.full(x.shape[0], root, dtype=np.int64)
-        while True:
-            f = feat[idx]
-            inner = f >= 0
-            if not inner.any():
-                break
-            fx = np.where(inner, f, 0)
-            go_left = x[rows, fx] <= thr[idx]
-            nxt = np.where(go_left, left[idx], right[idx])
-            idx = np.where(inner, nxt, idx)
-        acc += prob[idx]
-    return acc / roots.size
+    cols = np.arange(x.shape[0])
+    idx = np.repeat(roots[:, None], x.shape[0], axis=1)
+    while True:
+        f = feat[idx]
+        inner = f >= 0
+        if not inner.any():
+            break
+        go_left = x[cols, np.where(inner, f, 0)] <= thr[idx]
+        nxt = np.where(go_left, left[idx], right[idx])
+        idx = np.where(inner, nxt, idx)
+    return np.cumsum(prob[idx], axis=0)[-1] / roots.size
 
 
 def str_to_codes(s: str) -> np.ndarray:

@@ -233,10 +233,6 @@ def predict(model: ForestModel, v: FeatureVector) -> float:
     return float(predict_many(model, np.array([list(v)], dtype=np.float64))[0])
 
 
-def classify(model: ForestModel, v: FeatureVector) -> bool:
-    return predict(model, v) >= model.decision_threshold
-
-
 def save_model(model: ForestModel, path: str | Path) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -263,9 +259,10 @@ def load_model(path: str | Path) -> ForestModel:
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelFormatError(f"{path}: not a forest model file")
-    if payload["schema_version"] != SCHEMA_VERSION:
+    version = payload["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ModelFormatError(
-            f"{path}: unsupported schema version {payload['schema_version']!r}"
+            f"{path}: unsupported schema version {version!r}"
         )
     try:
         model = ForestModel(

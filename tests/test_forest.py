@@ -177,6 +177,44 @@ class TestPredict:
             v = FeatureVector(*rng.random(3))
             assert predict(model, v) == walk(v)
 
+    @pytest.mark.parametrize("n_trees, n_rows, seed", [
+        (1, 1, 40), (1, 30, 41), (100, 1, 42), (100, 30, 43),
+        (7, 5, 44), (25, 12, 45), (60, 2, 46),
+    ])
+    def test_forest_eval_bit_exact_vs_per_tree_walk(self, n_trees, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(0.0, 1.0, 9)  # shared by x and thresholds: exact ties
+        feat, thr, left, right, prob, roots = [], [], [], [], [], []
+
+        def node(depth):
+            i = len(feat)
+            feat.append(-1), thr.append(0.0), left.append(-1), right.append(-1)
+            prob.append(float(rng.random()))
+            if depth > 0 and rng.random() < 0.8:
+                feat[i] = int(rng.integers(0, 3))
+                thr[i] = float(rng.choice(grid))
+                left[i] = node(depth - 1)
+                right[i] = node(depth - 1)
+            return i
+
+        for t in range(n_trees):
+            roots.append(node(0 if t == 0 else int(rng.integers(0, 7))))
+        packed = (np.array(feat, dtype=np.int64), np.array(thr),
+                  np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+                  np.array(prob), np.array(roots, dtype=np.int64))
+        x = rng.choice(grid, size=(n_rows, 3))
+
+        want = []
+        for row in x:
+            acc = 0.0
+            for i in roots:
+                while feat[i] >= 0:
+                    i = left[i] if row[feat[i]] <= thr[i] else right[i]
+                acc += prob[i]
+            want.append(acc / len(roots))
+        assert feat[roots[0]] < 0  # the first tree is a bare leaf
+        assert np.array_equal(_kernels.forest_eval(*packed, x), np.array(want))
+
     def test_forest_within_tree_range(self):
         rng = np.random.default_rng(27)
         data = [tp(rng.random(), rng.random(), rng.random(), bool(i % 2))
@@ -319,6 +357,16 @@ class TestSerialization:
         payload[name] = value
         (tmp_path / "bad.json").write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match=name):
+            load_model(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("version", [True, 1.0])  # both == 1 in Python
+    def test_schema_version_not_an_int(self, tmp_path, version):
+        model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=1)
+        save_model(model, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        payload["schema_version"] = version
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="schema version"):
             load_model(tmp_path / "bad.json")
 
     @settings(max_examples=300, deadline=None,

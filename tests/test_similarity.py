@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arxmatch import _kernels
+from arxmatch.candidates import query_candidates
 from arxmatch.normalize import NormalizedText, normalize_text, split_authors
 from arxmatch.similarity import (
     NEUTRAL_ABSTRACT_DISTANCE,
@@ -67,6 +69,39 @@ class TestTitleDistance:
             want = edit_distance_oracle(a, b) / max(len(a), len(b)) \
                 if (a or b) else 0.0
             assert got == want
+
+    def test_kernel_vs_dp_oracle_long_unicode(self):
+        # lengths up to 300 make the bit-parallel column several machine
+        # words wide; non-BMP letters, combining marks and runs of one
+        # character exercise the pattern masks
+        rng = np.random.default_rng(9)
+        alphabet = list("abc xyz-") + ["𝔸", "𝔹", "\u0301", "\u0308", "é", "數", "ß"]
+        for _ in range(2_000):
+            # one length in four spans 0-300, the rest 0-120 (one word boundary)
+            n, m = (int(rng.integers(0, 301 if rng.random() < 0.25 else 121))
+                    for _ in range(2))
+            a = "".join(rng.choice(alphabet, n))
+            if rng.random() < 0.5:  # a near copy: long runs of matches
+                b = "".join(c for c in a if rng.random() < 0.9)[:m]
+            else:
+                b = "".join(rng.choice(alphabet, m))
+            if rng.random() < 0.2:
+                b += str(rng.choice(alphabet)) * int(rng.integers(1, 80))
+            got = _kernels.levenshtein(_kernels.str_to_codes(a),
+                                       _kernels.str_to_codes(b))
+            assert got == edit_distance_oracle(a, b), (a, b)
+
+    def test_kernel_vs_dp_oracle_on_candidate_titles(self, corpus_store, corpus_index):
+        pairs = 0
+        for p in list(corpus_store.preprints.values())[:50]:
+            a = normalize_text(p.title).value
+            for accession in query_candidates(corpus_index, p):
+                b = normalize_text(corpus_store.published[accession].title).value
+                got = _kernels.levenshtein(_kernels.str_to_codes(a),
+                                           _kernels.str_to_codes(b))
+                assert got == edit_distance_oracle(a, b), (a, b)
+                pairs += 1
+        assert pairs > 50
 
     def test_monotone_degradation(self):
         # fresh sentinel substitutions at distinct positions: distance must
