@@ -3,7 +3,28 @@
 Blocking step of the matcher. Published records are indexed by their
 normalized title tokens (stopwords removed) and normalized family names;
 a query scores every posting hit with smoothed token IDF plus a flat
-boost of 2 per shared family name and returns the top-k accessions.
+boost of 2 per shared family name and returns the top-k accessions, best
+score first and ties by accession.
+
+Representation: the published accessions are sorted once, and a record's
+ordinal is its position in that list (ordinal i is ``accessions[i]``). A
+posting is an int64 array of ordinals, strictly increasing because the
+records are indexed in ordinal order.
+
+Query: the postings of the query's title tokens (in ``title_tokens``
+order), then of its family names (in sorted order), are concatenated,
+each with its weight repeated alongside. ``np.unique`` maps the hit
+ordinals onto dense bins and ``np.bincount`` sums each bin's weights, so
+the cost follows the number of hits and not the corpus size. Hits tied at
+the k-th score are all kept through ``np.partition``, and the survivors
+are ordered by ``np.lexsort`` on (-score, ordinal).
+
+The scores and the order equal those of scoring hits one at a time in a
+dict and sorting by (-score, accession), bit for bit: ``np.bincount``
+adds each bin's weights in input order, which is the order in which the
+dict loop adds a record's token and family weights, starting from the
+same 0.0; and ordinal order is accession order, so the tie-break is the
+same.
 
 The index is immutable once built; rebuild it after corpus changes.
 """
@@ -13,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+
+import numpy as np
 
 from .corpus import CorpusStore, PreprintRecord
 from .normalize import normalize_text
@@ -41,25 +64,32 @@ def title_tokens(title: str) -> list[str]:
 
 @dataclass
 class CandidateIndex:
-    token_postings: dict[str, set[str]]
-    author_postings: dict[str, set[str]]
+    accessions: list[str]
+    token_postings: dict[str, np.ndarray]
+    author_postings: dict[str, np.ndarray]
     idf: dict[str, float]
 
 
+def _as_postings(lists: dict[str, list[int]]) -> dict[str, np.ndarray]:
+    return {key: np.array(ords, dtype=np.int64) for key, ords in lists.items()}
+
+
 def build_index(store: CorpusStore) -> CandidateIndex:
-    token_postings: dict[str, set[str]] = {}
-    author_postings: dict[str, set[str]] = {}
-    for accession in sorted(store.published):
+    accessions = sorted(store.published)
+    token_lists: dict[str, list[int]] = {}
+    author_lists: dict[str, list[int]] = {}
+    for ordinal, accession in enumerate(accessions):
         rec = store.published[accession]
         for tok in title_tokens(rec.title):
-            token_postings.setdefault(tok, set()).add(accession)
+            token_lists.setdefault(tok, []).append(ordinal)
         for fam in sorted(family_set(rec.authors)):
-            author_postings.setdefault(fam, set()).add(accession)
-    n = len(store.published)
-    idf = {tok: math.log(1.0 + n / len(accs)) for tok, accs in token_postings.items()}
+            author_lists.setdefault(fam, []).append(ordinal)
+    n = len(accessions)
+    idf = {tok: math.log(1.0 + n / len(ords)) for tok, ords in token_lists.items()}
     return CandidateIndex(
-        token_postings=token_postings,
-        author_postings=author_postings,
+        accessions=accessions,
+        token_postings=_as_postings(token_lists),
+        author_postings=_as_postings(author_lists),
         idf=idf,
     )
 
@@ -69,22 +99,28 @@ def query_candidates(index: CandidateIndex, p: PreprintRecord,
     """Top-k accessions by blocking score; only strictly positive scores."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores: dict[str, float] = {}
+    postings: list[np.ndarray] = []
+    weights: list[float] = []
     for tok in title_tokens(p.title):
-        postings = index.token_postings.get(tok)
-        if not postings:
-            continue
-        w = index.idf[tok]
-        for accession in postings:
-            scores[accession] = scores.get(accession, 0.0) + w
+        ords = index.token_postings.get(tok)
+        if ords is not None:
+            postings.append(ords)
+            weights.append(index.idf[tok])
     for fam in sorted(family_set(p.authors)):
-        postings = index.author_postings.get(fam)
-        if not postings:
-            continue
-        for accession in postings:
-            scores[accession] = scores.get(accession, 0.0) + AUTHOR_BOOST
-    ranked = sorted(
-        (acc for acc, s in scores.items() if s > 0.0),
-        key=lambda acc: (-scores[acc], acc),
-    )
-    return ranked[:k]
+        ords = index.author_postings.get(fam)
+        if ords is not None:
+            postings.append(ords)
+            weights.append(AUTHOR_BOOST)
+    if not postings:
+        return []
+    w = np.repeat(weights, [len(ords) for ords in postings])
+    hits, inv = np.unique(np.concatenate(postings), return_inverse=True)
+    scores = np.bincount(inv, weights=w)
+    keep = scores > 0.0
+    hits, scores = hits[keep], scores[keep]
+    if len(hits) > k:
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = scores >= kth
+        hits, scores = hits[keep], scores[keep]
+    order = np.lexsort((hits, -scores))[:k]
+    return [index.accessions[i] for i in hits[order].tolist()]

@@ -120,6 +120,11 @@ def _require_file(path: str) -> None:
         raise CliError(f"input file not found: {path}")
 
 
+def _require_candidates(k: int) -> None:
+    if k < 1:
+        raise CliError(f"--candidates must be >= 1, got {k}")
+
+
 def cmd_scope(args) -> int:
     store = _load_store(args.store)
     rules = load_rules(args.rules)
@@ -148,6 +153,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_match(args) -> int:
+    _require_candidates(args.candidates)
     with store_lock(args.store):
         store = _load_store(args.store)
         _require_file(args.model)
@@ -216,6 +222,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_candidates(args.candidates)
     store = _load_store(args.store)
     report = evaluate(store, seed=args.seed, n_trees=args.trees,
                       max_depth=args.depth, neg_per_pos=args.neg_per_pos,

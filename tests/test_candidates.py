@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arxmatch.candidates import (
     AUTHOR_BOOST,
@@ -48,9 +50,58 @@ def brute_force_rank(store: CorpusStore, p, k: int) -> list[str]:
     return [acc for acc, _ in scored[:k]]
 
 
+_DICT_SORT_INDEX: list = [None, None]
+
+
+def _dict_sort_index(store: CorpusStore):
+    """Dict-of-sets postings and IDF of `store`, kept for the last store seen
+    so that one oracle index serves many queries; the store must not change
+    between calls."""
+    if _DICT_SORT_INDEX[0] is not store:
+        token_postings: dict[str, set[str]] = {}
+        author_postings: dict[str, set[str]] = {}
+        for accession in sorted(store.published):
+            rec = store.published[accession]
+            for tok in title_tokens(rec.title):
+                token_postings.setdefault(tok, set()).add(accession)
+            for fam in sorted(family_set(rec.authors)):
+                author_postings.setdefault(fam, set()).add(accession)
+        n = len(store.published)
+        idf = {tok: math.log(1.0 + n / len(accs))
+               for tok, accs in token_postings.items()}
+        _DICT_SORT_INDEX[:] = [store, (token_postings, author_postings, idf)]
+    return _DICT_SORT_INDEX[1]
+
+
+def dict_sort_rank(store: CorpusStore, p, k: int) -> list[str]:
+    """The dict-and-sort query that the array query replaced: add every
+    posting hit into a dict, then fully sort by (-score, accession)."""
+    token_postings, author_postings, idf = _dict_sort_index(store)
+    scores: dict[str, float] = {}
+    for tok in title_tokens(p.title):
+        postings = token_postings.get(tok)
+        if not postings:
+            continue
+        w = idf[tok]
+        for accession in postings:
+            scores[accession] = scores.get(accession, 0.0) + w
+    for fam in sorted(family_set(p.authors)):
+        postings = author_postings.get(fam)
+        if not postings:
+            continue
+        for accession in postings:
+            scores[accession] = scores.get(accession, 0.0) + AUTHOR_BOOST
+    ranked = sorted(
+        (acc for acc, s in scores.items() if s > 0.0),
+        key=lambda acc: (-scores[acc], acc),
+    )
+    return ranked[:k]
+
+
 class TestBuildIndex:
     def test_empty_store(self):
         index = build_index(CorpusStore())
+        assert index.accessions == []
         assert index.token_postings == {} and index.author_postings == {}
 
     def test_stopwords_absent(self):
@@ -61,17 +112,31 @@ class TestBuildIndex:
 
     def test_shared_author_posting(self):
         store = store_with([], [
-            make_published(accession="zbl1", authors=("Jane Doe",)),
             make_published(accession="zbl2", authors=("John Doe",)),
+            make_published(accession="zbl1", authors=("Jane Doe",)),
         ])
         index = build_index(store)
-        assert index.author_postings["doe"] == {"zbl1", "zbl2"}
+        assert index.accessions == ["zbl1", "zbl2"]
+        assert [index.accessions[i] for i in index.author_postings["doe"]] == \
+            ["zbl1", "zbl2"]
+
+    def test_postings_are_increasing_ordinals(self, corpus_index):
+        n = len(corpus_index.accessions)
+        assert corpus_index.accessions == sorted(corpus_index.accessions)
+        for postings in (corpus_index.token_postings, corpus_index.author_postings):
+            for ords in postings.values():
+                assert ords.dtype == np.int64 and len(ords) > 0
+                assert 0 <= ords[0] and ords[-1] < n
+                assert np.all(np.diff(ords) > 0)
 
     def test_rebuild_identical(self):
         store = store_with([], [make_published(), make_published(accession="zbl2")])
         i1, i2 = build_index(store), build_index(store)
-        assert i1.token_postings == i2.token_postings
-        assert i1.author_postings == i2.author_postings
+        assert i1.accessions == i2.accessions
+        for attr in ("token_postings", "author_postings"):
+            a, b = getattr(i1, attr), getattr(i2, attr)
+            assert list(a) == list(b)
+            assert all(np.array_equal(a[key], b[key]) for key in a)
         assert i1.idf == i2.idf
 
     def test_stopword_list_has_thirty_words(self):
@@ -160,6 +225,51 @@ class TestOracleEquivalence:
             p = corpus_store.preprints[pid]
             assert query_candidates(corpus_index, p, 20) == \
                 brute_force_rank(corpus_store, p, 20)
+
+
+_WORDS = ("knot", "curve", "group", "flow", "graph", "zeta")
+_FAMILIES = ("Doe", "Roe", "Kim")
+
+
+@st.composite
+def tie_heavy_case(draw):
+    """A small store over a 4-6 word vocabulary and 3 family names, so many
+    records share a score, plus a query that may repeat title words, use
+    words no record has, or name a family no record has."""
+    vocab = _WORDS[:draw(st.integers(4, 6))]
+    numbers = draw(st.lists(st.integers(0, 999), min_size=1, max_size=14,
+                            unique=True))
+    published = []
+    for number in numbers:
+        words = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=4))
+        fams = draw(st.lists(st.sampled_from(_FAMILIES), min_size=1,
+                             max_size=3, unique=True))
+        published.append(make_published(
+            accession=f"zbl{number:08d}", title=" ".join(words).title(),
+            authors=tuple(f"A {fam}" for fam in fams)))
+    words = draw(st.lists(st.sampled_from(vocab + ("on", "lemma")),
+                          min_size=1, max_size=6))
+    fams = draw(st.lists(st.sampled_from(_FAMILIES + ("Zed",)), min_size=1,
+                         max_size=3, unique=True))
+    p = make_preprint(title=" ".join(words),
+                      authors=tuple(f"B {fam}" for fam in fams))
+    return store_with([], published), p, draw(st.integers(1, 8))
+
+
+class TestDictSortOracle:
+    def test_corpus1000_every_preprint(self, corpus_store, corpus_index):
+        for pid in sorted(corpus_store.preprints):
+            p = corpus_store.preprints[pid]
+            for k in (1, 2, 3, 4, 20, 50):
+                assert query_candidates(corpus_index, p, k) == \
+                    dict_sort_rank(corpus_store, p, k), f"{pid} k={k}"
+
+    @given(tie_heavy_case())
+    @settings(max_examples=300, deadline=None)
+    def test_small_stores_with_ties(self, case):
+        store, p, k = case
+        assert query_candidates(build_index(store), p, k) == \
+            dict_sort_rank(store, p, k)
 
 
 class TestBlockingRecall:

@@ -83,6 +83,54 @@ class TestExitCodes:
         assert "too few" in capsys.readouterr().err
 
 
+class TestCandidatesOption:
+    @pytest.fixture()
+    def doi_only_store(self, tmp_path) -> tuple[Path, Path]:
+        """A store where every preprint resolves by DOI, and a model."""
+        corpus, store = tmp_path / "corpus", tmp_path / "store"
+        assert run("gen", "--n", "50", "--seed", "7", "--out", str(corpus),
+                   "--doi-rate", "1.0", "--wrong-doi-rate", "0") == 0
+        assert run("ingest", "--preprints", str(corpus / "preprints.jsonl"),
+                   "--published", str(corpus / "published.jsonl"),
+                   "--store", str(store)) == 0
+        model = tmp_path / "model.json"
+        assert run("train", "--store", str(store), "--model", str(model),
+                   "--trees", "5", "--depth", "3", "--seed", "7") == 0
+        return store, model
+
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_match_rejects_k_below_one(self, doi_only_store, tmp_path, capsys, k):
+        store, model = doi_only_store
+        before = {f.name: f.read_bytes() for f in store.iterdir()}
+        capsys.readouterr()
+        assert run("match", "--store", str(store), "--model", str(model),
+                   "--candidates", k, "--timestamp", TS,
+                   "--report", str(tmp_path / "match.json")) == 1
+        assert "--candidates" in self._one_error_line(capsys)
+        assert not (tmp_path / "match.json").exists()
+        assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+
+    def test_match_checks_k_before_the_store(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run("match", "--store", str(missing), "--model",
+                   str(tmp_path / "model.json"), "--candidates", "0") == 1
+        assert "--candidates" in self._one_error_line(capsys)
+        assert not missing.exists()
+
+    def test_eval_rejects_k_below_one(self, tmp_path, capsys):
+        assert run("eval", "--store", str(tmp_path / "missing"), "--seed", "1",
+                   "--candidates", "0") == 1
+        assert "--candidates" in self._one_error_line(capsys)
+
+
 def _python(code: str, *args: str, **kwargs) -> subprocess.Popen:
     """Start a Python child that imports this checkout's arxmatch."""
     env = dict(os.environ, PYTHONPATH=str(Path(arxmatch.__file__).parents[1]))
