@@ -11,13 +11,12 @@ that a stronger disambiguator can replace it wholesale.
 
 from __future__ import annotations
 
-import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import OUTCOME_UNMATCHED, CorpusStore, IntegrityError, MatchDecision
+from .corpus import (OUTCOME_UNMATCHED, CorpusStore, IntegrityError, MatchDecision,
+                     write_jsonl)
 from .normalize import AuthorName, author_key
 
 KIND_PREPRINT = "preprint"
@@ -171,30 +170,22 @@ class ProfileTable:
                 kind == KIND_PREPRINT for kind, _ in profile.documents)
 
     def export_jsonl(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for pid in sorted(self.profiles):
-                profile = self.profiles[pid]
-                docs = [
+        write_jsonl(path, (
+            {
+                "profile_id": pid,
+                "canonical_name": self.profiles[pid].display_name(),
+                "documents": [
                     {
                         "kind": kind,
                         "key": key,
                         "withdrawn": entry.withdrawn,
                         "on_published_version": entry.on_published_version,
                     }
-                    for (kind, key), entry in sorted(profile.documents.items())
-                ]
-                fh.write(json.dumps(
-                    {
-                        "profile_id": pid,
-                        "canonical_name": profile.display_name(),
-                        "documents": docs,
-                    },
-                    sort_keys=True, ensure_ascii=False, separators=(",", ":"),
-                ))
-                fh.write("\n")
-        os.replace(tmp, path)
+                    for (kind, key), entry in sorted(self.profiles[pid].documents.items())
+                ],
+            }
+            for pid in sorted(self.profiles)
+        ))
 
 
 def build_profiles(store: CorpusStore) -> ProfileTable:

@@ -5,13 +5,16 @@ machine-readable JSON error line on stderr), and 2 on usage errors. All
 randomized steps take an explicit --seed. The match timestamp can be
 pinned with --timestamp or the SOURCE_DATE_EPOCH environment variable so
 that repeated runs are byte-identical.
+
+The seven store commands open --store through ``corpus.open_store``: only
+ingest creates a store; ingest, match and merge lock it exclusively until
+their files are replaced, and train, eval, stats and scope lock it shared
+while they read it. A store that is missing or locked fails with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import fcntl
 import json
 import os
 import sys
@@ -21,7 +24,8 @@ from pathlib import Path
 
 from .authors import build_profiles
 from .candidates import DEFAULT_K, build_index
-from .corpus import OUTCOME_UNMATCHED, CorpusStore
+from .corpus import (OUTCOME_UNMATCHED, PROFILES_FILE, CorpusStore, StoreError,
+                     open_store, write_atomic)
 from .evaluate import evaluate
 from .forest import (
     DEFAULT_MAX_DEPTH,
@@ -37,46 +41,16 @@ from .matcher import batch_match
 from .scope import load_rules, scope_report
 from .synth import PerturbationProfile, gen_synthetic_corpus
 
-PROFILES_FILE = "profiles.jsonl"
-
-
 class CliError(RuntimeError):
     """Runtime failure surfaced as exit code 1."""
-
-
-@contextlib.contextmanager
-def store_lock(directory: str | Path):
-    """Advisory lock against concurrent runs touching one store directory.
-
-    An flock on ``.lock``: the OS releases it when the holder exits, so a
-    killed run leaves nothing that blocks the next one.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / ".lock", "a") as fh:
-        try:
-            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise CliError(f"store {directory} is locked by another run") from None
-        yield
-
-
-def _load_store(directory: str) -> CorpusStore:
-    path = Path(directory)
-    if not path.is_dir():
-        raise CliError(f"store directory not found: {directory}")
-    return CorpusStore.load(path)
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with write_atomic(path) as fh:
         fh.write(text)
-    os.replace(tmp, target)
 
 
 def _report_json(obj: dict) -> str:
@@ -100,17 +74,16 @@ def _run_timestamp(explicit: str | None) -> str:
 def cmd_ingest(args) -> int:
     if not args.preprints and not args.published:
         raise CliError("nothing to ingest: pass --preprints and/or --published")
-    with store_lock(args.store):
-        store_dir = Path(args.store)
-        store = CorpusStore.load(store_dir)
+    for path in (args.preprints, args.published):
+        if path:
+            _require_file(path)
+    with open_store(args.store, "c") as store:
         result: dict = {}
         if args.preprints:
-            _require_file(args.preprints)
             result["preprints"] = store.ingest_preprints(args.preprints).as_dict()
         if args.published:
-            _require_file(args.published)
             result["published"] = store.ingest_published(args.published).as_dict()
-        store.save(store_dir)
+        store.save(args.store)
     sys.stdout.write(_report_json(result))
     return 0
 
@@ -126,17 +99,16 @@ def _require_candidates(k: int) -> None:
 
 
 def cmd_scope(args) -> int:
-    store = _load_store(args.store)
-    rules = load_rules(args.rules)
-    csv_text = scope_report(store, store.decisions, rules)
+    with open_store(args.store) as store:
+        csv_text = scope_report(store, store.decisions, load_rules(args.rules))
     _write_text(args.report, csv_text)
     return 0
 
 
 def cmd_train(args) -> int:
-    store = _load_store(args.store)
-    index = build_index(store)
-    data = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
+    with open_store(args.store) as store:
+        index = build_index(store)
+        data = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
     model = train_forest(data, n_trees=args.trees, max_depth=args.depth,
                          seed=args.seed, decision_threshold=args.threshold)
     save_model(model, args.model)
@@ -154,8 +126,7 @@ def cmd_train(args) -> int:
 
 def cmd_match(args) -> int:
     _require_candidates(args.candidates)
-    with store_lock(args.store):
-        store = _load_store(args.store)
+    with open_store(args.store, "w") as store:
         _require_file(args.model)
         model = load_model(args.model)
         index = build_index(store)
@@ -167,8 +138,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    with store_lock(args.store):
-        store = _load_store(args.store)
+    with open_store(args.store, "w") as store:
         profiles = build_profiles(store)
         merged = 0
         for pid in sorted(store.decisions):
@@ -204,29 +174,29 @@ def _subject_table(store: CorpusStore) -> list[dict]:
 
 
 def cmd_stats(args) -> int:
-    store = _load_store(args.store)
-    unpublished = store.unpublished_preprints()
-    with_msc = sum(1 for pid in unpublished if store.preprints[pid].msc)
-    stats = {
-        "preprints_total": len(store.preprints),
-        "published_total": len(store.published),
-        "unpublished": len(unpublished),
-        "matched": len(store.preprints) - len(unpublished),
-        "merged": len(store.merges),
-        "withdrawn": sum(1 for r in store.preprints.values() if r.withdrawn),
-        "with_msc": with_msc,
-        "subjects": _subject_table(store),
-    }
+    with open_store(args.store) as store:
+        unpublished = store.unpublished_preprints()
+        with_msc = sum(1 for pid in unpublished if store.preprints[pid].msc)
+        stats = {
+            "preprints_total": len(store.preprints),
+            "published_total": len(store.published),
+            "unpublished": len(unpublished),
+            "matched": len(store.preprints) - len(unpublished),
+            "merged": len(store.merges),
+            "withdrawn": sum(1 for r in store.preprints.values() if r.withdrawn),
+            "with_msc": with_msc,
+            "subjects": _subject_table(store),
+        }
     _write_text(args.report, _report_json(stats))
     return 0
 
 
 def cmd_eval(args) -> int:
     _require_candidates(args.candidates)
-    store = _load_store(args.store)
-    report = evaluate(store, seed=args.seed, n_trees=args.trees,
-                      max_depth=args.depth, neg_per_pos=args.neg_per_pos,
-                      k=args.candidates, decision_threshold=args.threshold)
+    with open_store(args.store) as store:
+        report = evaluate(store, seed=args.seed, n_trees=args.trees,
+                          max_depth=args.depth, neg_per_pos=args.neg_per_pos,
+                          k=args.candidates, decision_threshold=args.threshold)
     _write_text(args.report, _report_json(report.as_dict()))
     return 0
 
@@ -332,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, StoreError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - uniform runtime failure surface

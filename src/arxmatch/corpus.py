@@ -1,14 +1,17 @@
-"""Record types and the JSONL-backed corpus store.
+"""Record types, the JSONL-backed corpus store and its directory.
 
 The store keeps three collections (preprint records, published records,
 match decisions) plus the merge assignments, persisted as one JSON Lines
 file each inside a store directory. The DOI index is derived state,
 rebuilt deterministically on load. Mutations require exclusive access;
-between write phases the store may be read from many threads.
+between write phases the store may be read from many threads. Commands
+open a store directory only through ``open_store``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import os
 import re
@@ -27,6 +30,14 @@ OUTCOME_CLASSIFIER = "classifier_match"
 OUTCOME_UNMATCHED = "unmatched"
 OUTCOMES = (OUTCOME_DOI, OUTCOME_CLASSIFIER, OUTCOME_UNMATCHED)
 
+# The store directory's files; merge writes the author profiles.
+PREPRINTS_FILE = "preprints.jsonl"
+PUBLISHED_FILE = "published.jsonl"
+DECISIONS_FILE = "decisions.jsonl"
+MERGES_FILE = "merges.jsonl"
+PROFILES_FILE = "profiles.jsonl"
+LOCK_FILE = ".lock"
+
 
 class RecordError(ValueError):
     """A record violates its schema or an invariant."""
@@ -34,6 +45,10 @@ class RecordError(ValueError):
 
 class IntegrityError(RuntimeError):
     """An operation would leave the store referencing missing records."""
+
+
+class StoreError(RuntimeError):
+    """A store directory is missing or locked by another run."""
 
 
 def validate_arxiv_id(value: str) -> str:
@@ -153,7 +168,7 @@ def preprint_from_json(obj: dict) -> PreprintRecord:
         authors = _parse_authors(obj["authors"], pid)
     except KeyError as exc:
         raise RecordError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(version, int) or version < 1:
+    if type(version) is not int or version < 1:
         raise RecordError(f"{pid}: version must be a positive integer")
     if not isinstance(title, str) or not title.strip():
         raise RecordError(f"{pid}: title must be non-empty")
@@ -274,17 +289,79 @@ def decision_from_json(obj: dict) -> MatchDecision:
         raise RecordError(f"missing field {exc.args[0]!r}") from exc
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+@contextlib.contextmanager
+def write_atomic(path: str | Path):
+    """Yield a text file that is renamed over ``path`` once the block ends,
+    so a reader sees the old file or the new one, never a part; on error
+    ``path`` is left as it was and the temporary file removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, objects) -> None:
+    """Replace ``path`` with one compact, key-sorted JSON object per line."""
+    with write_atomic(path) as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                                separators=(",", ":")))
+            fh.write("\n")
+
+
+def _read_jsonl(path: str | Path, reject=None):
+    """Yield ``(line number, value)`` per non-blank line of ``path``. A line
+    that is not UTF-8 raises ``RecordError`` naming it, and so does one that
+    is not JSON unless ``reject(line_no, reason)`` is given to take it."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    yield line_no, json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise RecordError(f"{path}:{line_no}: invalid UTF-8: {exc.reason}") from None
+            except json.JSONDecodeError as exc:
+                if reject is None:
+                    raise RecordError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
+                reject(line_no, f"malformed JSON: {exc.msg}")
+
+
+@contextlib.contextmanager
+def open_store(directory: str | Path, mode: str = "r"):
+    """Load the store in ``directory`` for one command and yield it.
+
+    ``mode`` is ``"r"`` (read), ``"w"`` (write) or ``"c"`` (write, creating
+    the directory; only ingest creates a store). A reader holds a shared
+    flock on ``.lock`` while the files are read; a writer holds an exclusive
+    one from before the load until its block ends, so it replaces its files
+    under the lock. The OS drops an flock when its holder dies.
+    """
+    directory = Path(directory)
+    if mode == "c":
+        directory.mkdir(parents=True, exist_ok=True)
+    elif not directory.is_dir():
+        raise StoreError(f"store directory not found: {directory}")
+    with open(directory / LOCK_FILE, "a") as lock:
+        try:
+            fcntl.flock(lock, (fcntl.LOCK_SH if mode == "r" else fcntl.LOCK_EX)
+                        | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StoreError(f"store {directory} is locked by another run") from None
+        store = CorpusStore.load(directory)
+        if mode != "r":
+            yield store
+            return
+    yield store
 
 
 class CorpusStore:
     """In-memory corpus with JSONL persistence and a derived DOI index."""
-
-    PREPRINTS_FILE = "preprints.jsonl"
-    PUBLISHED_FILE = "published.jsonl"
-    DECISIONS_FILE = "decisions.jsonl"
-    MERGES_FILE = "merges.jsonl"
 
     def __init__(self) -> None:
         self.preprints: dict[str, PreprintRecord] = {}
@@ -297,7 +374,7 @@ class CorpusStore:
 
     def ingest_preprints(self, path: str | Path) -> IngestReport:
         report = IngestReport()
-        for line_no, obj in self._read_jsonl(path, report):
+        for line_no, obj in _read_jsonl(path, report.reject):
             try:
                 rec = preprint_from_json(obj)
             except RecordError as exc:
@@ -316,7 +393,7 @@ class CorpusStore:
 
     def ingest_published(self, path: str | Path) -> IngestReport:
         report = IngestReport()
-        for line_no, obj in self._read_jsonl(path, report):
+        for line_no, obj in _read_jsonl(path, report.reject):
             try:
                 rec = published_from_json(obj)
             except RecordError as exc:
@@ -330,17 +407,6 @@ class CorpusStore:
                 self.doi_index.setdefault(rec.doi, set()).add(rec.accession)
             report.added += 1
         return report
-
-    @staticmethod
-    def _read_jsonl(path, report: IngestReport):
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    yield line_no, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    report.reject(line_no, f"malformed JSON: {exc.msg}")
 
     # -- decisions and merges ---------------------------------------------------
 
@@ -411,74 +477,63 @@ class CorpusStore:
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        self._write_jsonl(
-            directory / self.PREPRINTS_FILE,
+        write_jsonl(
+            directory / PREPRINTS_FILE,
             (preprint_to_json(self.preprints[k]) for k in sorted(self.preprints)),
         )
-        self._write_jsonl(
-            directory / self.PUBLISHED_FILE,
+        write_jsonl(
+            directory / PUBLISHED_FILE,
             (published_to_json(self.published[k]) for k in sorted(self.published)),
         )
-        self._write_jsonl(
-            directory / self.DECISIONS_FILE,
+        write_jsonl(
+            directory / DECISIONS_FILE,
             (decision_to_json(self.decisions[k]) for k in sorted(self.decisions)),
         )
-        self._write_jsonl(
-            directory / self.MERGES_FILE,
+        write_jsonl(
+            directory / MERGES_FILE,
             ({"preprint": k, "accession": self.merges[k]} for k in sorted(self.merges)),
         )
 
-    @staticmethod
-    def _write_jsonl(path: Path, objects) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for obj in objects:
-                fh.write(_dumps(obj))
-                fh.write("\n")
-        os.replace(tmp, path)
-
     @classmethod
     def load(cls, directory: str | Path) -> "CorpusStore":
-        """Read a saved store; every decision and merge must name a stored
-        preprint and, when it has one, a stored accession."""
+        """Read a saved store. A bad line raises ``RecordError`` naming its
+        file and line: every key is stored once, and every decision and merge
+        names a stored preprint and, when it has one, a stored accession."""
         directory = Path(directory)
         store = cls()
-        report = IngestReport()
-        for name, add in ((cls.PREPRINTS_FILE, store._load_preprint),
-                          (cls.PUBLISHED_FILE, store._load_published),
-                          (cls.DECISIONS_FILE, store._load_decision),
-                          (cls.MERGES_FILE, store._load_merge)):
+        for name, add in ((PREPRINTS_FILE, store._load_preprint),
+                          (PUBLISHED_FILE, store._load_published),
+                          (DECISIONS_FILE, store._load_decision),
+                          (MERGES_FILE, store._load_merge)):
             path = directory / name
             if not path.exists():
                 continue
-            for line_no, obj in cls._read_jsonl(path, report):
+            for line_no, obj in _read_jsonl(path):
                 try:
                     add(obj)
                 except RecordError as exc:
                     raise RecordError(f"{path}:{line_no}: {exc}") from exc
-        if report.errors:
-            raise RecordError(f"corrupt store at {directory}: {report.errors[:3]}")
         store.rebuild_doi_index()
         return store
 
     def _load_preprint(self, obj) -> None:
         rec = preprint_from_json(obj)
-        self.preprints[rec.id] = rec
+        _put_once(self.preprints, rec.id, rec, "preprint")
 
     def _load_published(self, obj) -> None:
         rec = published_from_json(obj)
-        self.published[rec.accession] = rec
+        _put_once(self.published, rec.accession, rec, "accession")
 
     def _load_decision(self, obj) -> None:
         d = decision_from_json(obj)
         self._check_link(d.preprint, d.matched_accession)
-        self.decisions[d.preprint] = d
+        _put_once(self.decisions, d.preprint, d, "decision for preprint")
 
     def _load_merge(self, obj) -> None:
         if not isinstance(obj, dict) or set(obj) != {"preprint", "accession"}:
             raise RecordError("a merge has exactly the keys preprint and accession")
         self._check_link(obj["preprint"], obj["accession"])
-        self.merges[obj["preprint"]] = obj["accession"]
+        _put_once(self.merges, obj["preprint"], obj["accession"], "merge of preprint")
 
     def _check_link(self, pid, accession) -> None:
         if not isinstance(pid, str) or pid not in self.preprints:
@@ -486,3 +541,9 @@ class CorpusStore:
         if accession is not None and (not isinstance(accession, str)
                                       or accession not in self.published):
             raise RecordError(f"unknown accession {accession!r}")
+
+
+def _put_once(table: dict, key: str, value, what: str) -> None:
+    if key in table:
+        raise RecordError(f"repeated {what} {key}")
+    table[key] = value

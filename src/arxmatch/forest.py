@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .candidates import CandidateIndex, query_candidates
-from .corpus import CorpusStore
+from .corpus import CorpusStore, write_atomic
 from .similarity import FeatureVector, feature_vector
 
 SCHEMA_VERSION = 1
@@ -243,12 +242,9 @@ def save_model(model: ForestModel, path: str | Path) -> None:
         "feature_names": list(FEATURE_NAMES),
         "trees": model.trees,
     }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with write_atomic(path) as fh:
         json.dump(payload, fh, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_model(path: str | Path) -> ForestModel:

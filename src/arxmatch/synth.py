@@ -13,14 +13,13 @@ the corpus files.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-PREPRINTS_FILE = "preprints.jsonl"
-PUBLISHED_FILE = "published.jsonl"
+from .corpus import PREPRINTS_FILE, PUBLISHED_FILE, write_atomic, write_jsonl
+
 GROUNDTRUTH_FILE = "groundtruth.json"
 
 
@@ -283,25 +282,13 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
         "wrong_doi": wrong_doi,
         "decoys": decoys,
     }
-    _write_jsonl(out_dir / PREPRINTS_FILE, preprints)
-    _write_jsonl(out_dir / PUBLISHED_FILE, published)
+    write_jsonl(out_dir / PREPRINTS_FILE, preprints)
+    write_jsonl(out_dir / PUBLISHED_FILE, published)
     _write_json(out_dir / GROUNDTRUTH_FILE, truth)
     return truth
 
 
-def _write_jsonl(path: Path, objects: list[dict]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for obj in objects:
-            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                                separators=(",", ":")))
-            fh.write("\n")
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, obj: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with write_atomic(path) as fh:
         json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)

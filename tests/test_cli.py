@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import json
 import os
@@ -78,6 +79,29 @@ class TestExitCodes:
         assert len(lines) == 1
         assert "unknown preprint" in json.loads(lines[0])["error"]
 
+    def test_stats_with_repeated_preprint_is_1(self, small_store, capsys):
+        path = small_store / "preprints.jsonl"
+        first = path.read_bytes().splitlines(keepends=True)[0]
+        with open(path, "ab") as fh:
+            fh.write(first)
+        assert run("stats", "--store", str(small_store)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "repeated preprint" in json.loads(lines[0])["error"]
+
+    def test_ingest_input_not_utf8_is_1(self, small_corpus, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes((small_corpus / "preprints.jsonl").read_bytes() + b"\xff\xfe\n")
+        assert run("ingest", "--preprints", str(path),
+                   "--store", str(tmp_path / "store")) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert f"{path}:61: invalid UTF-8" in json.loads(lines[0])["error"]
+
     def test_eval_too_few_pairs_is_1(self, small_store, capsys):
         assert run("eval", "--store", str(small_store), "--seed", "1") == 1
         assert "too few" in capsys.readouterr().err
@@ -138,6 +162,35 @@ def _python(code: str, *args: str, **kwargs) -> subprocess.Popen:
                             text=True, **kwargs)
 
 
+@contextlib.contextmanager
+def _holding(code: str, *args: str):
+    """Run a Python child until it prints 'held', then SIGKILL it on exit."""
+    holder = _python(code, *args, stdout=subprocess.PIPE)
+    try:
+        assert holder.stdout.readline().strip() == "held"
+        yield holder
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+
+
+HOLD_WRITER = (
+    "import sys, time\n"
+    "from arxmatch.corpus import open_store\n"
+    "with open_store(sys.argv[1], sys.argv[2]):\n"
+    "    print('held', flush=True)\n"
+    "    time.sleep(60)\n"
+)
+HOLD_SHARED = (
+    "import fcntl, sys, time\n"
+    "fh = open(sys.argv[1], 'a')\n"
+    "fcntl.flock(fh, fcntl.LOCK_SH | fcntl.LOCK_NB)\n"
+    "print('held', flush=True)\n"
+    "time.sleep(60)\n"
+)
+
+
 class TestLocking:
     def test_concurrent_lock_refused(self, small_corpus, tmp_path, capsys):
         store = tmp_path / "locked"
@@ -156,22 +209,54 @@ class TestLocking:
 
     def test_killed_holder_does_not_block(self, small_corpus, tmp_path):
         store = tmp_path / "store"
-        holder = _python(
-            "import sys, time\n"
-            "from arxmatch.cli import store_lock\n"
-            "with store_lock(sys.argv[1]):\n"
-            "    print('held', flush=True)\n"
-            "    time.sleep(60)\n",
-            str(store), stdout=subprocess.PIPE)
-        try:
-            assert holder.stdout.readline().strip() == "held"
-        finally:
-            holder.kill()
-            holder.wait()
-            holder.stdout.close()
+        with _holding(HOLD_WRITER, str(store), "c") as holder:
+            pass
         assert holder.returncode == -signal.SIGKILL
         assert run("ingest", "--preprints", str(small_corpus / "preprints.jsonl"),
                    "--store", str(store)) == 0
+
+    def test_reader_refused_while_a_writer_holds_the_store(self, small_store, capsys):
+        with _holding(HOLD_WRITER, str(small_store), "w"):
+            assert run("stats", "--store", str(small_store)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "is locked by another run" in json.loads(lines[0])["error"]
+
+    def test_writer_refused_while_a_reader_holds_the_store(self, small_store, tmp_path,
+                                                           capsys):
+        before = {f.name: f.read_bytes() for f in small_store.iterdir()}
+        with _holding(HOLD_SHARED, str(small_store / ".lock")):
+            assert run("stats", "--store", str(small_store)) == 0  # readers share
+            capsys.readouterr()
+            assert run("match", "--store", str(small_store),
+                       "--model", str(tmp_path / "model.json")) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "is locked by another run" in json.loads(lines[0])["error"]
+        assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before
+
+
+class TestMissingStore:
+    @pytest.mark.parametrize("argv", [
+        ["match", "--model", "model.json"], ["merge"],
+        ["train", "--model", "model.json", "--seed", "1"], ["eval", "--seed", "1"],
+        ["stats"], ["scope"],
+    ], ids=lambda argv: argv[0])
+    def test_mistyped_store_is_1_and_creates_nothing(self, tmp_path, monkeypatch,
+                                                     capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        typo = tmp_path / "stroe"
+        assert run(*argv, "--store", str(typo)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == f"store directory not found: {typo}"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPipeline:
@@ -243,6 +328,9 @@ class TestGoldenRun:
     def test_reports_match_golden(self, pipeline, name):
         assert (pipeline / name).read_bytes() == \
             (GOLDEN_DIR / name).read_bytes()
+
+    def test_no_tmp_file_left(self, pipeline):
+        assert not list(pipeline.rglob("*.tmp"))
 
     def test_artifact_hashes_match_golden(self, pipeline):
         import hashlib

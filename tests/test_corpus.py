@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arxmatch.cli import main
 from arxmatch.corpus import (
     OUTCOME_CLASSIFIER,
     OUTCOME_DOI,
@@ -17,6 +23,7 @@ from arxmatch.corpus import (
     preprint_from_json,
     published_from_json,
     validate_arxiv_id,
+    write_atomic,
 )
 
 from conftest import make_preprint, make_published, store_with
@@ -77,6 +84,17 @@ class TestValidation:
     def test_version_must_be_positive(self):
         with pytest.raises(RecordError):
             preprint_from_json(preprint_obj(version=0))
+
+    def test_boolean_version_rejected(self, tmp_path):
+        with pytest.raises(RecordError, match="version"):
+            preprint_from_json(preprint_obj(version=True))
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [preprint_obj(version=True)])
+        assert CorpusStore().ingest_preprints(path).rejected == 1
+        store_with([make_preprint()]).save(tmp_path / "store")
+        write_jsonl(tmp_path / "store" / "preprints.jsonl", [preprint_obj(version=True)])
+        with pytest.raises(RecordError, match="preprints.jsonl:1: .*version"):
+            CorpusStore.load(tmp_path / "store")
 
     def test_msc_syntax(self):
         rec = preprint_from_json(preprint_obj(msc=["05A15", "11-XX"]))
@@ -308,6 +326,37 @@ class TestStorePersistence:
             CorpusStore.load(tmp_path)
         assert name in str(exc.value)
 
+    @pytest.mark.parametrize("name", ["preprints.jsonl", "published.jsonl",
+                                      "decisions.jsonl", "merges.jsonl"])
+    def test_load_rejects_repeated_key(self, tmp_path, name):
+        store = store_with([make_preprint()], [make_published()])
+        store.record_decision(matched_decision())
+        store.merge_on_publication(matched_decision())
+        store.save(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() * 2)
+        with pytest.raises(RecordError, match=f"{name}:2: repeated"):
+            CorpusStore.load(tmp_path)
+
+    def test_load_rejects_invalid_utf8(self, tmp_path):
+        store = store_with([make_preprint()], [make_published()])
+        store.merge_on_publication(matched_decision())
+        store.save(tmp_path)
+        with open(tmp_path / "merges.jsonl", "ab") as fh:
+            fh.write(b"\xff\xfe")
+        with pytest.raises(RecordError, match="merges.jsonl:2: invalid UTF-8"):
+            CorpusStore.load(tmp_path)
+
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("old")
+        with pytest.raises(ZeroDivisionError):
+            with write_atomic(path) as fh:
+                fh.write("new")
+                1 / 0
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
     def test_ingest_deterministic_export(self, tmp_path):
         objs = [preprint_obj(f"2301.0000{i}", title=f"T {i}") for i in range(1, 5)]
         path = tmp_path / "p.jsonl"
@@ -375,3 +424,88 @@ class TestStoreProperties:
                    if d.outcome != OUTCOME_UNMATCHED]
         assert len(matched) <= len(store.preprints)
         assert len(store.decisions) == 1
+
+
+def _fuzz_base_store() -> dict[str, bytes]:
+    """The files of a saved 3-record store with every kind of line."""
+    store = store_with(
+        [make_preprint(f"2301.0000{i}", msc=("05A15",), doi=f"10.1/{i}") for i in (1, 2, 3)],
+        [make_published(f"zbl0000000{i}", doi=f"10.1/{i}") for i in (1, 2, 3)],
+    )
+    store.record_decision(matched_decision("2301.00001", "zbl00000001"))
+    store.record_decision(matched_decision("2301.00002", "zbl00000002", OUTCOME_CLASSIFIER))
+    store.record_decision(MatchDecision("2301.00003", OUTCOME_UNMATCHED, None, None, TS))
+    store.merge_on_publication(matched_decision("2301.00001", "zbl00000001"))
+    with tempfile.TemporaryDirectory() as tmp:
+        store.save(tmp)
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+
+
+FUZZ_BASE = _fuzz_base_store()
+OTHER_JSON = [None, True, 0, 2.5, "x", [], ["x"], {}, {"x": 1}]
+
+
+def _mutate(data: bytes, op: tuple) -> bytes:
+    kind, i, j, k = op
+    lines = data.splitlines(keepends=True)
+    if kind == "flip" and data:
+        at = i % len(data)
+        return data[:at] + bytes([data[at] ^ (j % 255 + 1)]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:i % (len(data) + 1)]
+    if kind == "duplicate" and lines:
+        line = lines[i % len(lines)]
+        lines.insert(j % (len(lines) + 1), line if line.endswith(b"\n") else line + b"\n")
+        return b"".join(lines)
+    if kind == "swap" and lines:
+        at = i % len(lines)
+        try:
+            obj = json.loads(lines[at])
+        except ValueError:
+            return data  # an earlier mutation broke this line
+        if not isinstance(obj, dict) or not obj:
+            return data
+        key = sorted(obj)[j % len(obj)]
+        others = [v for v in OTHER_JSON if type(v) is not type(obj[key])]
+        obj[key] = others[k % len(others)]
+        lines[at] = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        return b"".join(lines)
+    return data
+
+
+FUZZ_OPS = st.lists(
+    st.tuples(st.sampled_from(sorted(FUZZ_BASE)),
+              st.tuples(st.sampled_from(["flip", "truncate", "duplicate", "swap"]),
+                        st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+                        st.integers(0, 1 << 16))),
+    min_size=1, max_size=3)
+
+
+class TestStoreFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(FUZZ_OPS)
+    def test_corrupt_store_loads_or_is_rejected(self, ops):
+        files = dict(FUZZ_BASE)
+        for name, op in ops:
+            files[name] = _mutate(files[name], op)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                (Path(tmp) / name).write_bytes(data)
+            try:
+                CorpusStore.load(tmp)
+                loaded = True
+            except RecordError:
+                loaded = False
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["stats", "--store", tmp])
+        if loaded:
+            assert code == 0
+            assert json.loads(out.getvalue())["preprints_total"] <= 3
+            assert err.getvalue() == ""
+        else:
+            assert code == 1
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"].startswith("RecordError: ")
