@@ -55,13 +55,20 @@ def _slug(key: NameKey) -> str:
 
 
 class ProfileTable:
-    """All profiles plus the document->authors registry behind coauthor checks."""
+    """All profiles plus the document->authors registry behind coauthor checks.
+
+    ``_holders`` is the reverse index from a document to the ids of the
+    profiles holding it, so merge and withdrawal touch only those profiles
+    instead of scanning every one. Every insertion into a profile's
+    ``documents`` goes through ``_hold``, which keeps the index current.
+    """
 
     def __init__(self) -> None:
         self.profiles: dict[str, AuthorProfile] = {}
         self._by_name: dict[NameKey, list[str]] = {}
         self._doc_names: dict[DocKey, set[NameKey]] = {}
         self._assigned: dict[tuple[DocKey, NameKey], str] = {}
+        self._holders: dict[DocKey, set[str]] = {}
 
     # -- profile creation ------------------------------------------------------
 
@@ -112,9 +119,14 @@ class ProfileTable:
                        for d in cand.documents):
                     profile = cand
                     break
-        profile.documents.setdefault(doc, DocEntry(withdrawn=withdrawn))
+        self._hold(profile, doc, DocEntry(withdrawn=withdrawn))
         self._assigned[(doc, key)] = profile.profile_id
         return profile.profile_id
+
+    def _hold(self, profile: AuthorProfile, doc: DocKey, entry: DocEntry) -> None:
+        """Give ``profile`` the document unless it already holds it."""
+        profile.documents.setdefault(doc, entry)
+        self._holders.setdefault(doc, set()).add(profile.profile_id)
 
     def assign_record(self, kind: str, key: str, authors,
                       withdrawn: bool = False) -> list[str]:
@@ -136,38 +148,43 @@ class ProfileTable:
         pub = store.published[decision.matched_accession]
         pub_doc = self.register_document(KIND_PUBLISHED, pub.accession, pub.authors)
         pub_names = self._doc_names[pub_doc]
-        holders = [p for p in self.profiles.values() if pre_doc in p.documents]
+        holders = self._holders.get(pre_doc)
         if not holders:
-            already = any(pub_doc in p.documents for p in self.profiles.values())
-            if already:
+            if pub_doc in self._holders:
                 return  # merge previously applied
             raise IntegrityError(
                 f"no profile holds preprint {decision.preprint}")
-        for profile in sorted(holders, key=lambda p: p.profile_id):
+        for pid in sorted(holders):
+            profile = self.profiles[pid]
             key = author_key(profile.canonical_name)
             if key in pub_names:
                 profile.documents.pop(pre_doc)
-                profile.documents.setdefault(
-                    pub_doc, DocEntry(withdrawn=False,
-                                      on_published_version=True))
-                self._assigned[(pub_doc, key)] = profile.profile_id
+                holders.discard(pid)
+                self._hold(profile, pub_doc, DocEntry(withdrawn=False,
+                                                      on_published_version=True))
+                self._assigned[(pub_doc, key)] = pid
             else:
                 profile.documents[pre_doc].on_published_version = False
+        if not holders:
+            del self._holders[pre_doc]
 
     def mark_withdrawn(self, pid: str, store: CorpusStore) -> None:
         store.mark_withdrawn(pid)  # raises on unknown id, store untouched
         doc = (KIND_PREPRINT, pid)
-        for profile in self.profiles.values():
-            if doc in profile.documents:
-                profile.documents[doc].withdrawn = True
+        for holder in self._holders.get(doc, ()):
+            self.profiles[holder].documents[doc].withdrawn = True
 
     # -- consistency and export ---------------------------------------------------------
 
     def check_invariants(self) -> None:
+        holders: dict[DocKey, set[str]] = {}
         for profile in self.profiles.values():
             assert profile.documents, f"orphan profile {profile.profile_id}"
             assert profile.preprint_only == all(
                 kind == KIND_PREPRINT for kind, _ in profile.documents)
+            for doc in profile.documents:
+                holders.setdefault(doc, set()).add(profile.profile_id)
+        assert holders == self._holders, "reverse index differs from documents"
 
     def export_jsonl(self, path: str | Path) -> None:
         write_jsonl(path, (

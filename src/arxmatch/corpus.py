@@ -15,7 +15,9 @@ import fcntl
 import json
 import os
 import re
+import shutil
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .normalize import AuthorName, DoiError, normalize_doi, split_authors
@@ -127,10 +129,18 @@ def _parse_authors(items, where: str) -> tuple[AuthorName, ...]:
     for entry in items:
         if not isinstance(entry, str) or not entry.strip():
             raise RecordError(f"{where}: author entries must be non-empty strings")
-        names.extend(split_authors(entry))
+        names.extend(_split_entry(entry))
     if not names:
         raise RecordError(f"{where}: no parseable author names")
     return tuple(names)
+
+
+@lru_cache(maxsize=65536)
+def _split_entry(entry: str) -> tuple[AuthorName, ...]:
+    """``split_authors`` once per distinct entry string: a store repeats
+    its authors' bylines across records, and the names are frozen, so
+    records may share them. A tuple, so no caller can change a cached value."""
+    return tuple(split_authors(entry))
 
 
 def _parse_msc(items, where: str) -> tuple[str, ...]:
@@ -340,10 +350,17 @@ def open_store(directory: str | Path, mode: str = "r"):
     the directory; only ingest creates a store). A reader holds a shared
     flock on ``.lock`` while the files are read; a writer holds an exclusive
     one from before the load until its block ends, so it replaces its files
-    under the lock. The OS drops an flock when its holder dies.
+    under the lock. The OS drops an flock when its holder dies. When the
+    block raises, ``"c"`` removes the directories it made in this call, so
+    a failed first ingest leaves no empty store behind.
     """
     directory = Path(directory)
+    created = []  # the directories made here, deepest first
     if mode == "c":
+        for path in (directory, *directory.parents):
+            if path.exists():
+                break
+            created.append(path)
         directory.mkdir(parents=True, exist_ok=True)
     elif not directory.is_dir():
         raise StoreError(f"store directory not found: {directory}")
@@ -355,7 +372,15 @@ def open_store(directory: str | Path, mode: str = "r"):
             raise StoreError(f"store {directory} is locked by another run") from None
         store = CorpusStore.load(directory)
         if mode != "r":
-            yield store
+            try:
+                yield store
+            except BaseException:
+                if created:  # still under the lock, so nothing else is inside
+                    shutil.rmtree(directory, ignore_errors=True)
+                    for parent in created[1:]:
+                        with contextlib.suppress(OSError):
+                            parent.rmdir()
+                raise
             return
     yield store
 

@@ -134,19 +134,29 @@ def overlap_share(category: str, store: CorpusStore,
 
 def scope_report(store: CorpusStore, decisions: dict[str, MatchDecision],
                  rules: ScopeRules) -> str:
-    """Per-category CSV: count, overlap share, and the policy verdict."""
+    """Per-category CSV: count, overlap share, and the policy verdict.
+
+    One pass over the preprints; the share is ``overlap_share``'s, counting
+    each preprint once per category it carries."""
     counts: dict[str, int] = {}
-    for rec in store.preprints.values():
+    carrying: dict[str, int] = {}
+    matched: dict[str, int] = {}
+    for pid, rec in store.preprints.items():
         for cat in rec.categories:
             counts[cat] = counts.get(cat, 0) + 1
+        decision = decisions.get(pid)
+        hit = decision is not None and decision.outcome != OUTCOME_UNMATCHED
+        for cat in set(rec.categories):
+            carrying[cat] = carrying.get(cat, 0) + 1
+            matched[cat] = matched.get(cat, 0) + hit
     rows = []
     for cat in sorted(counts, key=lambda c: (-counts[c], c)):
-        share = overlap_share(cat, store, decisions)
+        share = matched[cat] / carrying[cat]
         verdict = decide_categories([cat], rules)
         rows.append((
             cat,
             str(counts[cat]),
-            f"{share:.4f}" if share is not None else "",
+            f"{share:.4f}",
             "true" if verdict.in_scope else "false",
             verdict.reason,
         ))

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arxmatch.authors import (
     KIND_PREPRINT,
     KIND_PUBLISHED,
+    DocEntry,
     ProfileTable,
     build_profiles,
 )
 from arxmatch.corpus import IntegrityError, MatchDecision, OUTCOME_DOI
-from arxmatch.normalize import split_authors
+from arxmatch.normalize import author_key, split_authors
 
 from conftest import make_preprint, make_published, store_with
 
@@ -210,3 +216,105 @@ class TestInvariants:
             "kind": "preprint", "key": "2301.00001",
             "withdrawn": True, "on_published_version": True,
         }]
+
+
+class ScanTable(ProfileTable):
+    """The reference: find a document's holders by scanning every profile,
+    as the table did before it kept the ``_holders`` reverse index."""
+
+    def update_on_merge(self, decision, store):
+        pre_doc = (KIND_PREPRINT, decision.preprint)
+        pub = store.published[decision.matched_accession]
+        pub_doc = self.register_document(KIND_PUBLISHED, pub.accession, pub.authors)
+        pub_names = self._doc_names[pub_doc]
+        holders = [p for p in self.profiles.values() if pre_doc in p.documents]
+        if not holders:
+            if any(pub_doc in p.documents for p in self.profiles.values()):
+                return
+            raise IntegrityError(f"no profile holds preprint {decision.preprint}")
+        for profile in sorted(holders, key=lambda p: p.profile_id):
+            key = author_key(profile.canonical_name)
+            if key in pub_names:
+                profile.documents.pop(pre_doc)
+                profile.documents.setdefault(
+                    pub_doc, DocEntry(withdrawn=False, on_published_version=True))
+                self._assigned[(pub_doc, key)] = profile.profile_id
+            else:
+                profile.documents[pre_doc].on_published_version = False
+
+    def mark_withdrawn(self, pid, store):
+        store.mark_withdrawn(pid)
+        doc = (KIND_PREPRINT, pid)
+        for profile in self.profiles.values():
+            if doc in profile.documents:
+                profile.documents[doc].withdrawn = True
+
+
+def holders_from_documents(table):
+    holders = {}
+    for pid, profile in table.profiles.items():
+        for doc in profile.documents:
+            holders.setdefault(doc, set()).add(pid)
+    return holders
+
+
+# few names, so same-named profiles, shared coauthors and dropped authors recur
+NAMES = ("Jane Doe", "Doe, Jane", "John Roe", "Mary Moe", "J. Doe")
+AUTHOR_LISTS = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3)
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("assign"), st.integers(0, 3)),
+    st.tuples(st.just("merge"), st.integers(0, 3), st.integers(0, 2)),
+    st.tuples(st.just("withdraw"), st.integers(0, 4)),
+), max_size=12)
+
+
+class TestReverseIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(AUTHOR_LISTS, min_size=4, max_size=4),
+           st.lists(AUTHOR_LISTS, min_size=3, max_size=3), OPS)
+    def test_matches_scan_reference(self, pre_authors, pub_authors, ops):
+        store = store_with(
+            [make_preprint(pid=f"2301.{i:05d}", authors=a)
+             for i, a in enumerate(pre_authors)],
+            [make_published(accession=f"zbl{j:08d}", authors=a)
+             for j, a in enumerate(pub_authors)])
+        indexed, scanned = ProfileTable(), ScanTable()
+        with tempfile.TemporaryDirectory() as tmp:
+            for op in ops:
+                pid = f"2301.{op[1]:05d}"  # index 4 names no stored preprint
+                raised = []
+                for table in (indexed, scanned):
+                    try:
+                        if op[0] == "assign":
+                            rec = store.preprints[pid]
+                            table.assign_record(KIND_PREPRINT, pid, rec.authors,
+                                                withdrawn=rec.withdrawn)
+                        elif op[0] == "merge":
+                            table.update_on_merge(MatchDecision(
+                                pid, OUTCOME_DOI, f"zbl{op[2]:08d}", None, TS), store)
+                        else:
+                            table.mark_withdrawn(pid, store)
+                    except IntegrityError:
+                        raised.append(table)
+                assert raised in ([], [indexed, scanned])
+                assert indexed._holders == holders_from_documents(indexed)
+                indexed.check_invariants()
+                out = [Path(tmp, "indexed.jsonl"), Path(tmp, "scanned.jsonl")]
+                indexed.export_jsonl(out[0])
+                scanned.export_jsonl(out[1])
+                assert out[0].read_bytes() == out[1].read_bytes()
+                assert indexed._assigned == scanned._assigned
+
+    def test_merge_before_assignment_is_integrity_error(self):
+        store = store_with([make_preprint()], [make_published()])
+        table = ProfileTable()
+        with pytest.raises(IntegrityError):
+            table.update_on_merge(doi_decision(), store)
+        assert table._holders == {}
+
+    def test_check_invariants_catches_a_stale_index(self):
+        store = store_with([make_preprint()], [])
+        table = build_profiles(store)
+        table._holders[(KIND_PREPRINT, "2301.00001")].clear()
+        with pytest.raises(AssertionError):
+            table.check_invariants()

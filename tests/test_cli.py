@@ -102,6 +102,34 @@ class TestExitCodes:
         assert len(lines) == 1
         assert f"{path}:61: invalid UTF-8" in json.loads(lines[0])["error"]
 
+    @pytest.mark.parametrize("store_path", ["new", "new/deeper"])
+    def test_failed_first_ingest_leaves_no_store(self, small_corpus, tmp_path, capsys,
+                                                 store_path):
+        path = tmp_path / "bad.jsonl"
+        first = (small_corpus / "preprints.jsonl").read_bytes().splitlines(keepends=True)[0]
+        path.write_bytes(first + b"\xff\n")
+        store = tmp_path / store_path
+        assert run("ingest", "--preprints", str(path), "--store", str(store)) == 1
+        assert f"{path}:2: invalid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        assert run("stats", "--store", str(store)) == 1
+        assert "store directory not found" in capsys.readouterr().err
+
+    def test_failed_ingest_keeps_an_existing_store(self, small_store, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\n")
+        before = {f.name: f.read_bytes() for f in small_store.iterdir()}
+        assert run("ingest", "--preprints", str(path), "--store", str(small_store)) == 1
+        assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before
+
+    def test_failed_ingest_keeps_an_existing_empty_directory(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\n")
+        (tmp_path / "empty").mkdir()
+        assert run("ingest", "--preprints", str(path),
+                   "--store", str(tmp_path / "empty")) == 1
+        assert [f.name for f in (tmp_path / "empty").iterdir()] == [".lock"]
+
     def test_eval_too_few_pairs_is_1(self, small_store, capsys):
         assert run("eval", "--store", str(small_store), "--seed", "1") == 1
         assert "too few" in capsys.readouterr().err

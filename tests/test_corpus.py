@@ -20,13 +20,16 @@ from arxmatch.corpus import (
     IntegrityError,
     MatchDecision,
     RecordError,
+    _parse_authors,
+    _split_entry,
     preprint_from_json,
     published_from_json,
     validate_arxiv_id,
     write_atomic,
 )
+from arxmatch.normalize import split_authors
 
-from conftest import make_preprint, make_published, store_with
+from conftest import CORPUS_DIR, make_preprint, make_published, store_with
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -280,6 +283,33 @@ class TestMerge:
         assert store.unmerged_preprints() == ["2301.00001"]
         store.merge_on_publication(matched_decision())
         assert store.unmerged_preprints() == []
+
+
+class TestAuthorSplitMemo:
+    def _entries(self):
+        for name in ("preprints.jsonl", "published.jsonl"):
+            for line in (CORPUS_DIR / name).read_text("utf-8").splitlines():
+                yield from json.loads(line)["authors"]
+
+    def test_memo_equals_uncached_split(self):
+        entries = list(self._entries())
+        assert len(entries) > len(set(entries))  # bylines repeat, so hits occur
+        for entry in entries:
+            assert _parse_authors([entry], "x") == tuple(split_authors(entry))
+
+    def test_cached_value_is_a_tuple(self):
+        entry = next(self._entries())
+        assert type(_split_entry(entry)) is tuple
+        assert _split_entry(entry) is _split_entry(entry)
+
+    def test_two_loads_give_equal_records(self, tmp_path):
+        store = CorpusStore()
+        store.ingest_preprints(CORPUS_DIR / "preprints.jsonl")
+        store.ingest_published(CORPUS_DIR / "published.jsonl")
+        store.save(tmp_path)
+        first, second = CorpusStore.load(tmp_path), CorpusStore.load(tmp_path)
+        assert first.preprints == second.preprints == store.preprints
+        assert first.published == second.published == store.published
 
 
 class TestStorePersistence:

@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arxmatch.corpus import OUTCOME_DOI, OUTCOME_UNMATCHED, MatchDecision
 from arxmatch.scope import (
@@ -201,3 +203,20 @@ class TestScopeReport:
         assert base_rows["math.IT"]["in_scope"] == "false"
         assert new_rows["math.IT"]["in_scope"] == "true"
         assert base_rows["math.AG"] == new_rows["math.AG"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.lists(st.sampled_from(("math.AG", "math.NT", "cs.LG")),
+                           min_size=1, max_size=4),
+                  st.sampled_from((None, True, False))),
+        max_size=8))
+    def test_shares_equal_overlap_share(self, rows):
+        # repeated categories on one preprint count it once, as in overlap_share
+        store = store_with([make_preprint(pid=f"2301.{i:05d}", categories=cats)
+                            for i, (cats, _) in enumerate(rows, 1)], [])
+        decisions = {f"2301.{i:05d}": decision(f"2301.{i:05d}", matched=m)
+                     for i, (_, m) in enumerate(rows, 1) if m is not None}
+        report = csv.DictReader(io.StringIO(scope_report(store, decisions, RULES)))
+        for row in report:
+            share = overlap_share(row["category"], store, decisions)
+            assert row["overlap_share"] == f"{share:.4f}"
