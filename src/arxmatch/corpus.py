@@ -24,6 +24,7 @@ from .normalize import AuthorName, DoiError, normalize_doi, split_authors
 
 ARXIV_ID_RE = re.compile(r"^\d{4}\.\d{4,5}$|^[a-z-]+(\.[A-Z]{2})?/\d{7}$")
 MSC_RE = re.compile(r"^\d{2}[A-Z-][0-9X-]{2}$")
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")  # \ud800 to \udfff
 
 DOCUMENT_TYPES = ("journal_article", "collection_article", "book")
 
@@ -327,19 +328,33 @@ def write_jsonl(path: str | Path, objects) -> None:
 def _read_jsonl(path: str | Path, reject=None):
     """Yield ``(line number, value)`` per non-blank line of ``path``. A line
     that is not UTF-8 raises ``RecordError`` naming it, and so does one that
-    is not JSON unless ``reject(line_no, reason)`` is given to take it."""
+    is not JSON or holds an unpaired surrogate escape such as ``\\ud800``
+    (no UTF-8 file can store it), unless ``reject(line_no, reason)`` is
+    given to take it."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8")
-                if line.strip():
-                    yield line_no, json.loads(line)
             except UnicodeDecodeError as exc:
                 raise RecordError(f"{path}:{line_no}: invalid UTF-8: {exc.reason}") from None
+            if not line.strip(" \t\r\n"):  # JSON's whitespace, not str.isspace
+                continue
+            try:
+                value = json.loads(line)
+                # the backslash test is cheap and spares most lines the
+                # regex; a match may be a valid pair, which encodes fine
+                if "\\" in line and _SURROGATE_ESCAPE_RE.search(line):
+                    json.dumps(value, ensure_ascii=False).encode("utf-8")
             except json.JSONDecodeError as exc:
-                if reject is None:
-                    raise RecordError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
-                reject(line_no, f"malformed JSON: {exc.msg}")
+                reason = f"malformed JSON: {exc.msg}"
+            except UnicodeEncodeError:
+                reason = "unpaired surrogate escape"
+            else:
+                yield line_no, value
+                continue
+            if reject is None:
+                raise RecordError(f"{path}:{line_no}: {reason}")
+            reject(line_no, reason)
 
 
 @contextlib.contextmanager
@@ -428,8 +443,7 @@ class CorpusStore:
                 report.reject(line_no, f"duplicate accession {rec.accession}")
                 continue
             self.published[rec.accession] = rec
-            if rec.doi is not None:
-                self.doi_index.setdefault(rec.doi, set()).add(rec.accession)
+            self._index_doi(rec)
             report.added += 1
         return report
 
@@ -491,11 +505,19 @@ class CorpusStore:
     # -- derived state ----------------------------------------------------------
 
     def rebuild_doi_index(self) -> None:
-        index: dict[str, set[str]] = {}
+        self.doi_index = {}
         for rec in self.published.values():
-            if rec.doi is not None:
-                index.setdefault(rec.doi, set()).add(rec.accession)
-        self.doi_index = index
+            self._index_doi(rec)
+
+    def _index_doi(self, rec: PublishedRecord) -> None:
+        if rec.doi is not None:
+            self.doi_index.setdefault(rec.doi, set()).add(rec.accession)
+
+    def doi_accession(self, doi: str | None) -> str | None:
+        """Accession of the one published record carrying ``doi``; None when
+        the DOI is absent or no record or several records carry it."""
+        hits = self.doi_index.get(doi, ())
+        return next(iter(hits)) if len(hits) == 1 else None
 
     # -- persistence --------------------------------------------------------------
 

@@ -71,12 +71,9 @@ def doi_pairs(store: CorpusStore) -> list[tuple[str, str]]:
     """(preprint id, accession) for every DOI resolving to a unique record."""
     pairs = []
     for pid in sorted(store.preprints):
-        rec = store.preprints[pid]
-        if rec.doi is None:
-            continue
-        hits = store.doi_index.get(rec.doi, ())
-        if len(hits) == 1:
-            pairs.append((pid, next(iter(hits))))
+        accession = store.doi_accession(store.preprints[pid].doi)
+        if accession is not None:
+            pairs.append((pid, accession))
     return pairs
 
 

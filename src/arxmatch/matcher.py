@@ -67,12 +67,7 @@ class MatchRunReport:
 
 def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
     """Accession of the unique DOI hit, or None (fall through to step two)."""
-    if p.doi is None:
-        return None
-    hits = store.doi_index.get(p.doi, ())
-    if len(hits) == 1:
-        return next(iter(hits))
-    return None
+    return store.doi_accession(p.doi)
 
 
 def match_by_classifier(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,

@@ -12,6 +12,10 @@ exact-equality keys (the naive title+authors match) are reproducible:
 5. punctuation mapped to spaces, except hyphens joining word characters
 6. lowercased, whitespace collapsed
 
+Steps 4 and 5 are one ``str.translate`` over a table that classifies a
+code point once. Step 1 precedes step 3: a mark after a backslash would
+otherwise be read as a command name.
+
 All functions here are total and idempotent.
 """
 
@@ -62,8 +66,24 @@ def _strip_latex(text: str) -> str:
     return _CMD_RE.sub("", text)
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalpha() or ch.isdigit()
+class _CharClasses(dict):
+    """Steps 4 and 5 as a translate table, filled in on first sight."""
+
+    def __missing__(self, code: int) -> str | None:
+        ch = chr(code)
+        if ch in _DROPPED:
+            out = None
+        elif ch.isalpha() or ch.isdigit():
+            out = ch
+        elif unicodedata.category(ch) == "Pd" or ch == "-":
+            out = "-"
+        else:
+            out = " "
+        self[code] = out
+        return out
+
+
+_CHAR_CLASSES = _CharClasses()
 
 
 @lru_cache(maxsize=65536)
@@ -71,18 +91,7 @@ def normalize_text(raw: str) -> NormalizedText:
     """Canonical lowercase form of a title, abstract, or name fragment."""
     text = unicodedata.normalize("NFKD", raw)
     text = "".join(ch for ch in text if not unicodedata.combining(ch))
-    text = _strip_latex(text)
-    out: list[str] = []
-    for ch in text:
-        if ch in _DROPPED:
-            continue
-        if _is_word_char(ch):
-            out.append(ch)
-        elif unicodedata.category(ch) == "Pd" or ch == "-":
-            out.append("-")
-        else:
-            out.append(" ")
-    text = "".join(out)
+    text = _strip_latex(text).translate(_CHAR_CLASSES)
     text = re.sub(r"-{2,}", "-", text)
     # hyphens survive only between word characters
     text = re.sub(r"(?<![^\s])-|-(?![^\s])", " ", text)

@@ -9,12 +9,18 @@ Metric choices: character-level Levenshtein scaled by the longer string
 and one minus the cosine of term-frequency vectors (abstract). A missing
 abstract contributes the neutral value 0.5 so absence neither fakes
 agreement nor vetoes a match.
+
+A TF vector is a ``{token: count}`` dict and its integer squared norm.
+Tokens are ``sys.intern``ed, so abstracts that share a token share its
+string, and no table here grows with the corpus.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import weakref
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -41,27 +47,15 @@ def family_set(authors) -> frozenset[str]:
     return frozenset(out)
 
 
-# token interning shared by every count vector; ids never leak into results
-_TOKEN_IDS: dict[str, int] = {}
-
-TFVector = tuple[np.ndarray, np.ndarray, int]
-
-
-def token_counts(text: NormalizedText) -> TFVector:
-    """(sorted token ids, counts, squared norm) for a TF vector."""
-    counts: dict[int, int] = {}
-    for tok in text.value.split():
-        tid = _TOKEN_IDS.setdefault(tok, len(_TOKEN_IDS))
-        counts[tid] = counts.get(tid, 0) + 1
-    ids = np.array(sorted(counts), dtype=np.int64)
-    cnt = np.array([counts[t] for t in ids], dtype=np.int64)
-    sq = int(np.dot(cnt, cnt)) if cnt.size else 0
-    return ids, cnt, sq
+TFVector = tuple[dict[str, int], int]
 
 
 def _tf_vector(text: NormalizedText) -> TFVector | None:
     """TF vector of a non-empty text; None stands for a missing abstract."""
-    return token_counts(text) if text.value else None
+    if not text.value:
+        return None
+    counts = Counter(map(sys.intern, text.value.split()))
+    return counts, sum(n * n for n in counts.values())
 
 
 def _edit_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -81,11 +75,8 @@ def _jaccard_distance(fa: frozenset[str], fb: frozenset[str]) -> float:
 def _cosine_distance(va: TFVector | None, vb: TFVector | None) -> float:
     if va is None or vb is None:
         return NEUTRAL_ABSTRACT_DISTANCE
-    ids_a, cnt_a, sq_a = va
-    ids_b, cnt_b, sq_b = vb
-    dot = int(_kernels.sorted_dot(ids_a, cnt_a, ids_b, cnt_b))
-    if dot == 0:
-        return 1.0
+    (counts_a, sq_a), (counts_b, sq_b) = va, vb
+    dot = _kernels.sorted_dot(counts_a, counts_b)
     if dot * dot == sq_a * sq_b:  # proportional vectors: cosine exactly 1
         return 0.0
     cos = dot / math.sqrt(sq_a * sq_b)

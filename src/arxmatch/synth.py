@@ -21,6 +21,7 @@ import numpy as np
 from .corpus import PREPRINTS_FILE, PUBLISHED_FILE, write_atomic, write_jsonl
 
 GROUNDTRUTH_FILE = "groundtruth.json"
+MAX_PAIRS = 100_000  # preprint i is numbered i; arXiv numbers have five digits
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,11 @@ class PerturbationProfile:
     abstract_edit: float = 0.2
     doi_rate: float = 0.3
     wrong_doi_rate: float = 0.01
+
+    def __post_init__(self):
+        for name, rate in vars(self).items():
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {rate}")
 
 
 _ADJECTIVES = [
@@ -188,8 +194,8 @@ def _mangle_doi(doi: str) -> str:
 def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
                          out_dir: str | Path) -> dict:
     """Write preprints.jsonl, published.jsonl, groundtruth.json; return truth."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_PAIRS:
+        raise ValueError(f"n must be in 1..{MAX_PAIRS}, got {n}")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

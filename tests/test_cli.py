@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import arxmatch
+from arxmatch import synth
 from arxmatch.cli import main
 
 from conftest import CORPUS_DIR, GOLDEN_DIR
@@ -130,9 +131,57 @@ class TestExitCodes:
                    "--store", str(tmp_path / "empty")) == 1
         assert [f.name for f in (tmp_path / "empty").iterdir()] == [".lock"]
 
+    @pytest.mark.parametrize("where", ["preprints", "published"])
+    def test_surrogate_escape_is_a_line_reject(self, small_corpus, tmp_path, capsys,
+                                               where):
+        lines = {name: (small_corpus / f"{name}.jsonl").read_text("utf-8").splitlines()
+                 for name in ("preprints", "published")}
+        store = tmp_path / "store"
+        for name in lines:
+            (tmp_path / f"{name}-0.jsonl").write_text(lines[name][0] + "\n", "utf-8")
+            new = json.loads(lines[name][1])
+            if name == where:
+                new["title"] = "On \ud800 knots"  # json.dumps writes "\\ud800"
+            (tmp_path / f"{name}-1.jsonl").write_text(json.dumps(new) + "\n", "utf-8")
+        for day in ("0", "1"):
+            capsys.readouterr()
+            assert run("ingest", "--preprints", str(tmp_path / f"preprints-{day}.jsonl"),
+                       "--published", str(tmp_path / f"published-{day}.jsonl"),
+                       "--store", str(store)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report[where]["errors"] == [{"line": 1, "reason": "unpaired surrogate escape"}]
+        assert run("stats", "--store", str(store)) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["preprints_total"], stats["published_total"]) == \
+            ((1, 2) if where == "preprints" else (2, 1))
+
     def test_eval_too_few_pairs_is_1(self, small_store, capsys):
         assert run("eval", "--store", str(small_store), "--seed", "1") == 1
         assert "too few" in capsys.readouterr().err
+
+
+class TestGenBounds:
+    @pytest.mark.parametrize("args, problem", [
+        (["--n", "100001"], "n must be in 1..100000, got 100001"),
+        (["--n", "0"], "n must be in 1..100000, got 0"),
+        (["--doi-rate", "1.5"], "doi_rate must be in [0, 1], got 1.5"),
+        (["--title-sub", "-0.1"], "title_sub must be in [0, 1]"),
+        (["--wrong-doi-rate", "nan"], "wrong_doi_rate must be in [0, 1]"),
+    ])
+    def test_out_of_range_is_1_before_anything_is_written(self, tmp_path, capsys,
+                                                          monkeypatch, args, problem):
+        def no_generation(rng):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(synth, "_make_title", no_generation)
+        out = tmp_path / "corpus"
+        assert run("gen", "--n", "5", "--seed", "1", "--out", str(out), *args) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert problem in json.loads(lines[0])["error"]
+        assert not out.exists()
 
 
 class TestCandidatesOption:

@@ -183,6 +183,29 @@ class TestIngestPreprints:
         assert report.rejected == 1
         assert store.preprints["2301.00001"].version == 2
 
+    def test_surrogate_escapes(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [preprint_obj("2301.00001", title="A \ud800 B"),
+                           preprint_obj("2301.00002", title="\udc00"),
+                           preprint_obj("2301.00003", title="Emoji \U0001f600"),
+                           preprint_obj("2301.00004", title="A \\ud800 B")])
+        assert "\\ud83d\\ude00" in path.read_text()  # a pair, escaped
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(preprint_obj("2301.00005", title="\udbff"))
+                     .replace("\\udbff", "\\uDBFF") + "\n")
+        report = CorpusStore().ingest_preprints(path)
+        assert (report.added, report.rejected) == (2, 3)
+        assert report.errors == [(1, "unpaired surrogate escape"),
+                                 (2, "unpaired surrogate escape"),
+                                 (5, "unpaired surrogate escape")]
+
+    def test_line_of_other_whitespace_rejected(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text(" \t\r\n\x1c\n\u2028\n", encoding="utf-8")
+        report = CorpusStore().ingest_preprints(path)
+        assert [n for n, _ in report.errors] == [2, 3]
+        assert report.rejected == 2
+
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(OSError):
             CorpusStore().ingest_preprints(tmp_path / "missing.jsonl")
@@ -377,6 +400,14 @@ class TestStorePersistence:
         with pytest.raises(RecordError, match="merges.jsonl:2: invalid UTF-8"):
             CorpusStore.load(tmp_path)
 
+    def test_load_rejects_surrogate_escape(self, tmp_path):
+        store_with([make_preprint()], [make_published()]).save(tmp_path)
+        with open(tmp_path / "published.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(published_obj("zbl2", title="\udfff")) + "\n")
+        with pytest.raises(RecordError,
+                           match="published.jsonl:2: unpaired surrogate escape"):
+            CorpusStore.load(tmp_path)
+
     def test_failed_write_leaves_old_file(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("old")
@@ -466,6 +497,10 @@ def _fuzz_base_store() -> dict[str, bytes]:
     store.record_decision(matched_decision("2301.00002", "zbl00000002", OUTCOME_CLASSIFIER))
     store.record_decision(MatchDecision("2301.00003", OUTCOME_UNMATCHED, None, None, TS))
     store.merge_on_publication(matched_decision("2301.00001", "zbl00000001"))
+    return _saved_files(store)
+
+
+def _saved_files(store: CorpusStore) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         store.save(tmp)
         return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
@@ -473,6 +508,9 @@ def _fuzz_base_store() -> dict[str, bytes]:
 
 FUZZ_BASE = _fuzz_base_store()
 OTHER_JSON = [None, True, 0, 2.5, "x", [], ["x"], {}, {"x": 1}]
+NOT_UTF8 = [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x80"]
+# json.dumps escapes these; the last is a valid pair
+SURROGATES = ["\ud800", "a\udfffb", ["x\udc00"], "\U0001f600"]
 
 
 def _mutate(data: bytes, op: tuple) -> bytes:
@@ -487,7 +525,10 @@ def _mutate(data: bytes, op: tuple) -> bytes:
         line = lines[i % len(lines)]
         lines.insert(j % (len(lines) + 1), line if line.endswith(b"\n") else line + b"\n")
         return b"".join(lines)
-    if kind == "swap" and lines:
+    if kind == "not_utf8":
+        at = i % (len(data) + 1)
+        return data[:at] + NOT_UTF8[j % len(NOT_UTF8)] + data[at:]
+    if kind in ("swap", "surrogate") and lines:
         at = i % len(lines)
         try:
             obj = json.loads(lines[at])
@@ -496,7 +537,8 @@ def _mutate(data: bytes, op: tuple) -> bytes:
         if not isinstance(obj, dict) or not obj:
             return data
         key = sorted(obj)[j % len(obj)]
-        others = [v for v in OTHER_JSON if type(v) is not type(obj[key])]
+        others = SURROGATES if kind == "surrogate" else \
+            [v for v in OTHER_JSON if type(v) is not type(obj[key])]
         obj[key] = others[k % len(others)]
         lines[at] = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
         return b"".join(lines)
@@ -539,3 +581,83 @@ class TestStoreFuzz:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1
             assert json.loads(lines[0])["error"].startswith("RecordError: ")
+
+
+def _dumps(objects) -> bytes:
+    return b"".join(json.dumps(o).encode() + b"\n" if o else b"\n" for o in objects)
+
+
+# a saved 1+1 store and one day's input files: every line is added, replaced
+# or rejected, and each file has a blank line
+INGEST_STORE = _saved_files(store_with([make_preprint()], [make_published(doi="10.1/1")]))
+INGEST_INPUT = {
+    "preprints": _dumps([preprint_obj("2301.00002", msc=["05A15"], doi="10.1/2"),
+                         preprint_obj("2301.00001", version=2, title="Knots II"),
+                         preprint_obj("2301.00002"), None,
+                         preprint_obj("2301.00003", authors=["Doe, Jane; Roe, John"])]),
+    "published": _dumps([published_obj("zbl00000002", doi="10.1/2"),
+                         published_obj("zbl00000001"), None,
+                         published_obj("zbl00000003", abstract=None, msc=["05A15"])]),
+}
+INGEST_OPS = st.lists(
+    st.tuples(st.sampled_from(sorted(INGEST_INPUT)),
+              st.tuples(st.sampled_from(["flip", "truncate", "duplicate", "swap",
+                                         "not_utf8", "surrogate"]),
+                        st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+                        st.integers(0, 1 << 16))),
+    min_size=1, max_size=3)
+
+
+def _non_blank_lines(data: bytes) -> list[int]:
+    """Numbers of the lines ingest reads as records, as it splits them."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    return [n for n, raw in enumerate(lines, 1) if raw.strip(b" \t\r")]
+
+
+class TestIngestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(INGEST_OPS)
+    def test_each_line_counted_once_or_ingest_fails_whole(self, ops):
+        inputs = dict(INGEST_INPUT)
+        for name, op in ops:
+            inputs[name] = _mutate(inputs[name], op)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            store = tmp / "store"
+            store.mkdir()
+            for name, data in INGEST_STORE.items():
+                (store / name).write_bytes(data)
+            for name, data in inputs.items():
+                (tmp / f"{name}.jsonl").write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["ingest", "--preprints", str(tmp / "preprints.jsonl"),
+                             "--published", str(tmp / "published.jsonl"),
+                             "--store", str(store)])
+            files = {p.name: p.read_bytes() for p in store.iterdir() if p.name != ".lock"}
+            if code == 0:
+                loaded = CorpusStore.load(store)
+                loaded.save(tmp / "resaved")
+                resaved = {p.name: p.read_bytes() for p in (tmp / "resaved").iterdir()}
+        if code == 1:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]
+            assert files == INGEST_STORE
+            return
+        assert code == 0
+        assert err.getvalue() == ""
+        report = json.loads(out.getvalue())
+        for name, records in (("preprints", loaded.preprints),
+                              ("published", loaded.published)):
+            counts = report[name]
+            lines = _non_blank_lines(inputs[name])
+            assert counts["added"] + counts["replaced"] + counts["rejected"] == len(lines)
+            rejected = [e["line"] for e in counts["errors"]]
+            assert len(set(rejected)) == len(rejected) == counts["rejected"]
+            assert set(rejected) <= set(lines)
+            assert len(records) == 1 + counts["added"]
+        assert resaved == files

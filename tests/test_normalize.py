@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import re
 import unicodedata
 
 import pytest
@@ -8,11 +10,44 @@ from hypothesis import strategies as st
 
 from arxmatch.normalize import (
     DoiError,
+    _strip_latex,
     author_key,
     normalize_doi,
     normalize_text,
     split_authors,
 )
+
+from conftest import CORPUS_DIR
+
+
+def normalize_oracle(raw: str) -> str:
+    """normalize_text with its character classes as a per-character loop."""
+    text = unicodedata.normalize("NFKD", raw)
+    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    text = _strip_latex(text)
+    out: list[str] = []
+    for ch in text:
+        if ch in "{}^_~":
+            continue
+        if ch.isalpha() or ch.isdigit():
+            out.append(ch)
+        elif unicodedata.category(ch) == "Pd" or ch == "-":
+            out.append("-")
+        else:
+            out.append(" ")
+    text = re.sub(r"-{2,}", "-", "".join(out))
+    text = re.sub(r"(?<![^\s])-|-(?![^\s])", " ", text)
+    return " ".join(text.lower().split())
+
+
+# LaTeX, dashes, combining marks (also after a backslash), non-BMP letters,
+# numeric letters and a letter whose lowercase form is two code points
+PIECES = ["\\frac{a}{b}", "$x^2$", "$$\\alpha_1$$", "\\'{e}", "\\emph{\\bf B}",
+          "\\", "{", "}", "$", "^", "_", "~", "-", "--", "\u2013", "\u2014", "\u2010",
+          "\u2e3a", "\u0301", "\u0308", "\\\u0301", "\u20dd", "\U0001d400",
+          "\U0001d538", "\U00020000", "\u00bd", "\u0bf0", "\u0130", "\u00df",
+          "\ufb01", "\u2167", "\ud800", " ", "\t", "ab", "C3", "x-y"]
+ORACLE_TEXT = st.lists(st.sampled_from(PIECES) | st.characters(), max_size=30).map("".join)
 
 
 class TestNormalizeText:
@@ -66,6 +101,18 @@ class TestNormalizeText:
             if ch.isalpha():
                 assert ch == ch.lower()
             assert not unicodedata.category(ch).startswith("C")
+
+    @given(ORACLE_TEXT)
+    @settings(max_examples=2000, deadline=None)
+    def test_equals_character_loop_oracle(self, s):
+        assert normalize_text(s).value == normalize_oracle(s)
+
+    def test_equals_oracle_on_corpus(self):
+        for name in ("preprints.jsonl", "published.jsonl"):
+            for line in (CORPUS_DIR / name).read_text(encoding="utf-8").splitlines():
+                obj = json.loads(line)
+                for raw in [obj["title"], obj["abstract"] or "", *obj["authors"]]:
+                    assert normalize_text(raw).value == normalize_oracle(raw), raw
 
     @given(st.text(max_size=60))
     @settings(max_examples=200, deadline=None)

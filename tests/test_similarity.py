@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import math
+import uuid
+from collections.abc import Collection
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arxmatch import _kernels
+from arxmatch import _kernels, similarity
 from arxmatch.candidates import query_candidates
 from arxmatch.normalize import NormalizedText, normalize_text, split_authors
 from arxmatch.similarity import (
@@ -16,6 +20,7 @@ from arxmatch.similarity import (
     feature_vector,
     feature_vector_projected,
     lex_compare,
+    project,
     projection,
     title_distance,
 )
@@ -186,6 +191,62 @@ class TestAbstractDistance:
             nb = sum(v * v for v in cb.values()) ** 0.5
             want = 1.0 - dot / (na * nb)
             assert got == pytest.approx(max(0.0, min(1.0, want)), abs=1e-12)
+
+
+def cosine_oracle(a: str, b: str) -> float:
+    """abstract_distance from integer token counts: the dot product over the
+    union of tokens, then the cosine formula with its exact 0 and 1 cases."""
+    if not a or not b:
+        return NEUTRAL_ABSTRACT_DISTANCE
+    ca = {t: a.split().count(t) for t in a.split()}
+    cb = {t: b.split().count(t) for t in b.split()}
+    dot = sum(ca.get(t, 0) * cb.get(t, 0) for t in set(ca) | set(cb))
+    sq_a = sum(n * n for n in ca.values())
+    sq_b = sum(n * n for n in cb.values())
+    if dot == 0:
+        return 1.0
+    if dot * dot == sq_a * sq_b:
+        return 0.0
+    return min(1.0, max(0.0, 1.0 - dot / math.sqrt(sq_a * sq_b)))
+
+
+ABSTRACT = st.lists(st.sampled_from(["w0", "w1", "w2", "w3", "w4", "w5"]),
+                    max_size=40).map(" ".join)
+
+
+class TestAbstractDistanceOracle:
+    @given(ABSTRACT, ABSTRACT)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_integer_count_oracle(self, a, b):
+        assert abstract_distance(nt(a), nt(b)) == cosine_oracle(a, b)
+
+    def test_equals_oracle_on_candidate_abstracts(self, corpus_store, corpus_index):
+        pairs = 0
+        for p in list(corpus_store.preprints.values())[:100]:
+            a = normalize_text(p.abstract).value
+            for accession in query_candidates(corpus_index, p):
+                b = normalize_text(corpus_store.published[accession].abstract or "").value
+                assert abstract_distance(nt(a), nt(b)) == cosine_oracle(a, b), (a, b)
+                pairs += 1
+        assert pairs > 100
+
+    def test_projection_grows_no_module_state(self):
+        def sizes():
+            return {name: len(value) for name, value in vars(similarity).items()
+                    if isinstance(value, Collection) and not isinstance(value, str)}
+
+        before = sizes()
+        for _ in range(20):
+            fresh = " ".join(uuid.uuid4().hex for _ in range(5))
+            project(f"On {fresh}", split_authors("Jane Doe"), f"We study {fresh}.")
+        assert sizes() == before
+
+    def test_abstracts_share_token_strings(self):
+        # without this a 10k corpus holds one string per token occurrence
+        fresh = uuid.uuid4().hex
+        a = project("t", (), f"on {fresh} flows").abstract_vec[0]
+        b = project("t", (), f"{fresh} flows again").abstract_vec[0]
+        assert [k for k in a if k == fresh][0] is [k for k in b if k == fresh][0]
 
 
 class TestFeatureVector:

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from arxmatch import synth
 from arxmatch.candidates import build_index
-from arxmatch.corpus import CorpusStore
+from arxmatch.corpus import CorpusStore, validate_arxiv_id
 from arxmatch.forest import bootstrap_training_set, train_forest
 from arxmatch.matcher import batch_match
-from arxmatch.synth import PerturbationProfile, gen_synthetic_corpus
+from arxmatch.synth import MAX_PAIRS, PerturbationProfile, gen_synthetic_corpus
 
 from conftest import CORPUS_DIR
 
@@ -24,6 +27,21 @@ def load_store(directory) -> CorpusStore:
 
 
 class TestGenerator:
+    def test_largest_n_passes_the_check(self, tmp_path, monkeypatch):
+        def no_generation(rng):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(synth, "_make_title", no_generation)
+        with pytest.raises(AssertionError, match="generation started"):
+            gen_synthetic_corpus(MAX_PAIRS, PerturbationProfile(), seed=1, out_dir=tmp_path)
+        with pytest.raises(ValueError, match="n must be in"):
+            gen_synthetic_corpus(MAX_PAIRS + 1, PerturbationProfile(), seed=1,
+                                 out_dir=tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    def test_largest_pair_number_is_a_valid_arxiv_id(self):
+        assert validate_arxiv_id(f"2412.{MAX_PAIRS - 1:05d}")
+
     def test_zero_perturbation_pairs_identical(self, tmp_path):
         truth = gen_synthetic_corpus(10, ZERO, seed=1, out_dir=tmp_path)
         store = load_store(tmp_path)
