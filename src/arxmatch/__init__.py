@@ -8,7 +8,7 @@ author-profile assignment.
 
 from ._kernels import BACKEND
 from .corpus import CorpusStore, MatchDecision, PreprintRecord, PublishedRecord
-from .similarity import FeatureVector, feature_vector, lex_compare
+from .similarity import FeatureVector, feature_vector
 
 __version__ = "0.1.0"
 
@@ -21,5 +21,4 @@ __all__ = [
     "PublishedRecord",
     "__version__",
     "feature_vector",
-    "lex_compare",
 ]

@@ -58,9 +58,9 @@ class ProfileTable:
     """All profiles plus the document->authors registry behind coauthor checks.
 
     ``_holders`` is the reverse index from a document to the ids of the
-    profiles holding it, so merge and withdrawal touch only those profiles
-    instead of scanning every one. Every insertion into a profile's
-    ``documents`` goes through ``_hold``, which keeps the index current.
+    profiles holding it, so a merge touches only those profiles instead of
+    scanning every one. Every insertion into a profile's ``documents`` goes
+    through ``_hold``, which keeps the index current.
     """
 
     def __init__(self) -> None:
@@ -133,7 +133,7 @@ class ProfileTable:
         doc = self.register_document(kind, key, authors)
         return [self.assign_author(n, doc, withdrawn=withdrawn) for n in authors]
 
-    # -- merge and withdrawal -------------------------------------------------------
+    # -- merge ----------------------------------------------------------------------
 
     def update_on_merge(self, decision: MatchDecision, store: CorpusStore) -> None:
         """Swap the preprint key for the published key on involved profiles.
@@ -167,12 +167,6 @@ class ProfileTable:
                 profile.documents[pre_doc].on_published_version = False
         if not holders:
             del self._holders[pre_doc]
-
-    def mark_withdrawn(self, pid: str, store: CorpusStore) -> None:
-        store.mark_withdrawn(pid)  # raises on unknown id, store untouched
-        doc = (KIND_PREPRINT, pid)
-        for holder in self._holders.get(doc, ()):
-            self.profiles[holder].documents[doc].withdrawn = True
 
     # -- consistency and export ---------------------------------------------------------
 

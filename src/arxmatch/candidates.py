@@ -56,7 +56,7 @@ _STOPWORDS = load_stopwords()
 def title_tokens(title: str) -> list[str]:
     """Unique non-stopword tokens of a normalized title, in first-seen order."""
     seen: dict[str, None] = {}
-    for tok in normalize_text(title).tokens():
+    for tok in normalize_text(title).split():
         if tok not in _STOPWORDS:
             seen.setdefault(tok)
     return list(seen)

@@ -15,6 +15,7 @@ while they read it. A store that is missing or locked fails with exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -133,7 +134,7 @@ def cmd_match(args) -> int:
         report = batch_match(store, index, model, k=args.candidates,
                              timestamp=_run_timestamp(args.timestamp))
         store.save(args.store)
-    _write_text(args.report, _report_json(report.as_dict()))
+    _write_text(args.report, _report_json(dataclasses.asdict(report)))
     return 0
 
 
@@ -197,7 +198,7 @@ def cmd_eval(args) -> int:
         report = evaluate(store, seed=args.seed, n_trees=args.trees,
                           max_depth=args.depth, neg_per_pos=args.neg_per_pos,
                           k=args.candidates, decision_threshold=args.threshold)
-    _write_text(args.report, _report_json(report.as_dict()))
+    _write_text(args.report, _report_json(dataclasses.asdict(report)))
     return 0
 
 

@@ -16,7 +16,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -454,12 +454,10 @@ class CorpusStore:
             raise IntegrityError(f"decision for unknown preprint {decision.preprint}")
         self.decisions[decision.preprint] = decision
 
-    def merge_on_publication(self, decision: MatchDecision) -> dict:
-        """Make the published record canonical for a matched preprint.
-
-        Returns the merged entry view: the published record with the arXiv
-        identifier attached as a link. Idempotent; the store is untouched
-        on error.
+    def merge_on_publication(self, decision: MatchDecision) -> None:
+        """Make the published record canonical for a matched preprint by
+        recording the merge of its arXiv identifier into the accession.
+        Idempotent; the store is untouched on error.
         """
         if decision.outcome == OUTCOME_UNMATCHED:
             raise ValueError("cannot merge an unmatched decision")
@@ -474,12 +472,6 @@ class CorpusStore:
                 f"{pid} already merged into {self.merges[pid]}, not {accession}"
             )
         self.merges[pid] = accession
-        view = published_to_json(self.published[accession])
-        view["arxiv_link"] = pid
-        return view
-
-    def is_merged(self, pid: str) -> bool:
-        return pid in self.merges
 
     def unmerged_preprints(self) -> list[str]:
         return [pid for pid in sorted(self.preprints) if pid not in self.merges]
@@ -492,15 +484,6 @@ class CorpusStore:
             if d is None or d.outcome == OUTCOME_UNMATCHED:
                 out.append(pid)
         return out
-
-    def mark_withdrawn(self, pid: str) -> PreprintRecord:
-        rec = self.preprints.get(pid)
-        if rec is None:
-            raise IntegrityError(f"unknown preprint {pid}")
-        if not rec.withdrawn:
-            rec = replace(rec, withdrawn=True)
-            self.preprints[pid] = rec
-        return rec
 
     # -- derived state ----------------------------------------------------------
 

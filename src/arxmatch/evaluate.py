@@ -45,18 +45,6 @@ class EvalReport:
     train_size: int
     seed: int
 
-    def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "holdout_size": self.holdout_size,
-            "train_size": self.train_size,
-            "seed": self.seed,
-        }
-
 
 def split_doi_pairs(store: CorpusStore, seed: int,
                     min_pairs: int = MIN_DOI_PAIRS,

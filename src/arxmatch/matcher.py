@@ -3,8 +3,9 @@
 Step one returns immediately when the preprint's DOI resolves to exactly
 one published record. Anything else (no DOI, zero hits, multiple hits)
 falls through to step two, which scores the top-k candidates with the
-forest and picks the positively-classified candidate with the smallest
-similarity vector in lexicographic order, ties broken by accession.
+forest and picks the positively-classified candidate with the highest
+forest probability; ties go to the smaller similarity vector in
+lexicographic order, then to the smaller accession.
 
 The naive baseline (exact normalized title + ordered family list, unique
 hit required) is kept alongside for the improvement accounting in the
@@ -51,19 +52,6 @@ class MatchRunReport:
             == self.total_preprints, "report conservation violated"
         assert self.new_vs_naive >= 0
 
-    def as_dict(self) -> dict:
-        return {
-            "total_preprints": self.total_preprints,
-            "doi_matches": self.doi_matches,
-            "classifier_matches": self.classifier_matches,
-            "unmatched": self.unmatched,
-            "naive_equal_title_authors": self.naive_equal_title_authors,
-            "new_vs_naive": self.new_vs_naive,
-            "run_seed": self.run_seed,
-            "candidates_k": self.candidates_k,
-            "timestamp": self.timestamp,
-        }
-
 
 def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
     """Accession of the unique DOI hit, or None (fall through to step two)."""
@@ -72,7 +60,7 @@ def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
 
 def match_by_classifier(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
                         model: ForestModel, k: int) -> tuple[str, FeatureVector] | None:
-    """Best positively-classified candidate, or None."""
+    """The most probable positively-classified candidate, or None."""
     ranked = query_candidates(index, p, k)
     if not ranked:
         return None
@@ -81,13 +69,13 @@ def match_by_classifier(p: PreprintRecord, store: CorpusStore, index: CandidateI
                for a in ranked]
     probs = predict_many(model, np.array(vectors, dtype=np.float64))
     positives = [
-        (vectors[i], ranked[i])
+        (-probs[i], vectors[i], ranked[i])
         for i in range(len(ranked))
         if probs[i] >= model.decision_threshold
     ]
     if not positives:
         return None
-    vec, accession = min(positives)
+    _, vec, accession = min(positives)
     return accession, vec
 
 
@@ -113,8 +101,8 @@ def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
 
 def _naive_key(title: str, authors) -> tuple[str, tuple[str, ...]]:
     return (
-        normalize_text(title).value,
-        tuple(normalize_text(n.family).value for n in authors),
+        normalize_text(title),
+        tuple(normalize_text(n.family) for n in authors),
     )
 
 

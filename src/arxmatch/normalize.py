@@ -32,18 +32,6 @@ class DoiError(ValueError):
 
 
 @dataclass(frozen=True)
-class NormalizedText:
-    value: str
-
-    @property
-    def token_count(self) -> int:
-        return len(self.value.split())
-
-    def tokens(self) -> list[str]:
-        return self.value.split()
-
-
-@dataclass(frozen=True)
 class AuthorName:
     family: str
     given: str
@@ -87,7 +75,7 @@ _CHAR_CLASSES = _CharClasses()
 
 
 @lru_cache(maxsize=65536)
-def normalize_text(raw: str) -> NormalizedText:
+def normalize_text(raw: str) -> str:
     """Canonical lowercase form of a title, abstract, or name fragment."""
     text = unicodedata.normalize("NFKD", raw)
     text = "".join(ch for ch in text if not unicodedata.combining(ch))
@@ -96,8 +84,7 @@ def normalize_text(raw: str) -> NormalizedText:
     # hyphens survive only between word characters
     text = re.sub(r"(?<![^\s])-|-(?![^\s])", " ", text)
     text = text.lower()
-    text = " ".join(text.split())
-    return NormalizedText(text)
+    return " ".join(text.split())
 
 
 _AND_RE = re.compile(r"\s+and\s+")
@@ -148,7 +135,7 @@ def split_authors(raw: str) -> list[AuthorName]:
             else:
                 for p in parts:
                     names.append(_parse_given_family(p, p))
-    good = [n for n in names if normalize_text(n.family).value]
+    good = [n for n in names if normalize_text(n.family)]
     if not good:
         return [AuthorName(family=raw.strip(), given="", raw=raw.strip())]
     return good
@@ -156,7 +143,7 @@ def split_authors(raw: str) -> list[AuthorName]:
 
 def author_key(name: AuthorName) -> tuple[str, str]:
     """Normalized (family, given) pair used for identity comparisons."""
-    return (normalize_text(name.family).value, normalize_text(name.given).value)
+    return (normalize_text(name.family), normalize_text(name.given))
 
 
 _DOI_PREFIXES = (
@@ -172,17 +159,10 @@ _DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
 
 def normalize_doi(raw: str) -> str:
     """Canonical lowercase DOI, or DoiError for anything that is not one."""
-    doi = raw.strip()
-    stripped = True
-    while stripped:
-        stripped = False
-        lowered = doi.lower()
-        for prefix in _DOI_PREFIXES:
-            if lowered.startswith(prefix):
-                doi = doi[len(prefix):].strip()
-                stripped = True
-                break
-    doi = doi.strip().lower()
+    doi = raw.strip().lower()
+    while doi.startswith(_DOI_PREFIXES):
+        prefix = next(p for p in _DOI_PREFIXES if doi.startswith(p))
+        doi = doi[len(prefix):].strip()
     if not _DOI_RE.match(doi):
         raise DoiError(f"not a DOI: {raw!r}")
     return doi

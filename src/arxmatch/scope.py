@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .corpus import OUTCOME_UNMATCHED, CorpusStore, MatchDecision, PreprintRecord
+from .corpus import OUTCOME_UNMATCHED, CorpusStore, MatchDecision
 
 REASON_INCLUDED = "included_subcategory"
 REASON_STANDALONE = "standalone_included"
@@ -45,7 +45,6 @@ class ScopeRules:
     excluded: frozenset[str]
     conditional: frozenset[str]
     standalone: frozenset[str]
-    nonmath_prefixes: frozenset[str]
 
     def __post_init__(self):
         if self.included & self.excluded:
@@ -56,7 +55,6 @@ class ScopeRules:
 class ScopeDecision:
     in_scope: bool
     reason: str
-    unknown_categories: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.in_scope
@@ -74,48 +72,33 @@ def load_rules(path: str | Path | None = None) -> ScopeRules:
         excluded=frozenset(obj["excluded"]),
         conditional=frozenset(obj["conditional"]),
         standalone=frozenset(obj["standalone"]),
-        nonmath_prefixes=frozenset(obj["nonmath_prefixes"]),
     )
 
 
-def _prefix(category: str) -> str:
-    return category.split(".", 1)[0]
-
-
-def _is_nonmath(category: str, rules: ScopeRules) -> tuple[bool, bool]:
-    """(non-mathematical?, unknown?) for one category code."""
+def _is_nonmath(category: str, rules: ScopeRules) -> bool:
+    """Whether one category code counts as non-mathematical: any code
+    outside the rule sets and the math and math-ph archives does."""
     if (category in rules.included or category in rules.excluded
             or category in rules.conditional or category in rules.standalone):
-        return False, False
-    prefix = _prefix(category)
-    if prefix in ("math", "math-ph"):
-        return False, False
-    if prefix in rules.nonmath_prefixes:
-        return True, False
-    return True, True  # unknown codes count as non-mathematical, flagged
-
-
-def in_scope(p: PreprintRecord, rules: ScopeRules) -> ScopeDecision:
-    return decide_categories(p.categories, rules)
+        return False
+    return category.split(".", 1)[0] not in ("math", "math-ph")
 
 
 def decide_categories(categories, rules: ScopeRules) -> ScopeDecision:
     cats = list(categories)
     if not cats:
         raise ValueError("a preprint must carry at least one category")
-    unknown = tuple(c for c in cats
-                    if _is_nonmath(c, rules) == (True, True))
     if any(c in rules.included for c in cats):
-        return ScopeDecision(True, REASON_INCLUDED, unknown)
+        return ScopeDecision(True, REASON_INCLUDED)
     if any(c in rules.standalone for c in cats):
-        return ScopeDecision(True, REASON_STANDALONE, unknown)
+        return ScopeDecision(True, REASON_STANDALONE)
     if any(c in rules.conditional for c in cats):
-        if any(_is_nonmath(c, rules)[0] for c in cats):
-            return ScopeDecision(False, REASON_CONDITIONAL_OUT, unknown)
-        return ScopeDecision(True, REASON_CONDITIONAL_IN, unknown)
+        if any(_is_nonmath(c, rules) for c in cats):
+            return ScopeDecision(False, REASON_CONDITIONAL_OUT)
+        return ScopeDecision(True, REASON_CONDITIONAL_IN)
     if any(c in rules.excluded for c in cats):
-        return ScopeDecision(False, REASON_EXCLUDED, unknown)
-    return ScopeDecision(False, REASON_NO_MATH, unknown)
+        return ScopeDecision(False, REASON_EXCLUDED)
+    return ScopeDecision(False, REASON_NO_MATH)
 
 
 def overlap_share(category: str, store: CorpusStore,

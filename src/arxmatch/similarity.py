@@ -1,8 +1,9 @@
 """Title/author/abstract distances and the three-component feature vector.
 
-All three distances live in [0, 1] with 0 meaning identical. Candidate
-ranking and tie-breaking use lexicographic order over the vector
-(title, authors, abstract), so FeatureVector is an ordered named tuple.
+All three distances live in [0, 1] with 0 meaning identical. The matcher
+picks the positive candidate the forest finds most probable and breaks
+ties by lexicographic order over the vector (title, authors, abstract),
+so FeatureVector is an ordered named tuple.
 
 Metric choices: character-level Levenshtein scaled by the longer string
 (title), one minus Jaccard overlap of normalized family names (authors),
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .corpus import PreprintRecord, PublishedRecord
-from .normalize import AuthorName, NormalizedText, normalize_text
+from .normalize import AuthorName, normalize_text
 
 NEUTRAL_ABSTRACT_DISTANCE = 0.5
 
@@ -41,7 +42,7 @@ class FeatureVector(NamedTuple):
 def family_set(authors) -> frozenset[str]:
     out = set()
     for name in authors:
-        fam = normalize_text(name.family).value
+        fam = normalize_text(name.family)
         if fam:
             out.add(fam)
     return frozenset(out)
@@ -50,11 +51,11 @@ def family_set(authors) -> frozenset[str]:
 TFVector = tuple[dict[str, int], int]
 
 
-def _tf_vector(text: NormalizedText) -> TFVector | None:
+def _tf_vector(text: str) -> TFVector | None:
     """TF vector of a non-empty text; None stands for a missing abstract."""
-    if not text.value:
+    if not text:
         return None
-    counts = Counter(map(sys.intern, text.value.split()))
+    counts = Counter(map(sys.intern, text.split()))
     return counts, sum(n * n for n in counts.values())
 
 
@@ -83,9 +84,9 @@ def _cosine_distance(va: TFVector | None, vb: TFVector | None) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-def title_distance(a: NormalizedText, b: NormalizedText) -> float:
+def title_distance(a: str, b: str) -> float:
     """Levenshtein distance over characters, scaled to [0, 1]."""
-    return _edit_distance(_kernels.str_to_codes(a.value), _kernels.str_to_codes(b.value))
+    return _edit_distance(_kernels.str_to_codes(a), _kernels.str_to_codes(b))
 
 
 def author_distance(a: list[AuthorName], b: list[AuthorName]) -> float:
@@ -93,18 +94,9 @@ def author_distance(a: list[AuthorName], b: list[AuthorName]) -> float:
     return _jaccard_distance(family_set(a), family_set(b))
 
 
-def abstract_distance(a: NormalizedText, b: NormalizedText) -> float:
+def abstract_distance(a: str, b: str) -> float:
     """1 - TF cosine similarity; 0.5 when either abstract is missing."""
     return _cosine_distance(_tf_vector(a), _tf_vector(b))
-
-
-def lex_compare(u: FeatureVector, v: FeatureVector) -> int:
-    """-1, 0, or 1: standard lexicographic order over the components."""
-    if u < v:
-        return -1
-    if u > v:
-        return 1
-    return 0
 
 
 class RecordProjection(NamedTuple):
@@ -117,7 +109,7 @@ class RecordProjection(NamedTuple):
 
 def project(title: str, authors, abstract: str | None) -> RecordProjection:
     return RecordProjection(
-        title_codes=_kernels.str_to_codes(normalize_text(title).value),
+        title_codes=_kernels.str_to_codes(normalize_text(title)),
         families=family_set(authors),
         abstract_vec=_tf_vector(normalize_text(abstract)) if abstract else None,
     )

@@ -147,27 +147,13 @@ class TestUpdateOnMerge:
 
 class TestWithdrawn:
     def test_withdrawn_still_listed_with_marker(self):
-        store = store_with([make_preprint()], [])
+        store = store_with([make_preprint(withdrawn=True),
+                            make_preprint(pid="2301.00002")], [])
         table = build_profiles(store)
-        table.mark_withdrawn("2301.00001", store)
-        entry = table.profiles["doe.jane"].documents[(KIND_PREPRINT, "2301.00001")]
-        assert entry.withdrawn
-        assert store.preprints["2301.00001"].withdrawn
-        assert store.unpublished_preprints() == ["2301.00001"]
-
-    def test_withdraw_twice_idempotent(self):
-        store = store_with([make_preprint()], [])
-        table = build_profiles(store)
-        table.mark_withdrawn("2301.00001", store)
-        table.mark_withdrawn("2301.00001", store)
-        assert store.preprints["2301.00001"].withdrawn
-
-    def test_withdraw_unknown_id_errors(self):
-        store = store_with([make_preprint()], [])
-        table = build_profiles(store)
-        with pytest.raises(IntegrityError):
-            table.mark_withdrawn("9999.99999", store)
-        assert not store.preprints["2301.00001"].withdrawn
+        documents = table.profiles["doe.jane"].documents
+        assert documents[(KIND_PREPRINT, "2301.00001")].withdrawn
+        assert not documents[(KIND_PREPRINT, "2301.00002")].withdrawn
+        assert store.unpublished_preprints() == ["2301.00001", "2301.00002"]
 
 
 class TestInvariants:
@@ -242,13 +228,6 @@ class ScanTable(ProfileTable):
             else:
                 profile.documents[pre_doc].on_published_version = False
 
-    def mark_withdrawn(self, pid, store):
-        store.mark_withdrawn(pid)
-        doc = (KIND_PREPRINT, pid)
-        for profile in self.profiles.values():
-            if doc in profile.documents:
-                profile.documents[doc].withdrawn = True
-
 
 def holders_from_documents(table):
     holders = {}
@@ -264,24 +243,24 @@ AUTHOR_LISTS = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3)
 OPS = st.lists(st.one_of(
     st.tuples(st.just("assign"), st.integers(0, 3)),
     st.tuples(st.just("merge"), st.integers(0, 3), st.integers(0, 2)),
-    st.tuples(st.just("withdraw"), st.integers(0, 4)),
 ), max_size=12)
 
 
 class TestReverseIndex:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(AUTHOR_LISTS, min_size=4, max_size=4),
-           st.lists(AUTHOR_LISTS, min_size=3, max_size=3), OPS)
-    def test_matches_scan_reference(self, pre_authors, pub_authors, ops):
+           st.lists(AUTHOR_LISTS, min_size=3, max_size=3), OPS,
+           st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_matches_scan_reference(self, pre_authors, pub_authors, ops, withdrawn):
         store = store_with(
-            [make_preprint(pid=f"2301.{i:05d}", authors=a)
-             for i, a in enumerate(pre_authors)],
+            [make_preprint(pid=f"2301.{i:05d}", authors=a, withdrawn=w)
+             for i, (a, w) in enumerate(zip(pre_authors, withdrawn))],
             [make_published(accession=f"zbl{j:08d}", authors=a)
              for j, a in enumerate(pub_authors)])
         indexed, scanned = ProfileTable(), ScanTable()
         with tempfile.TemporaryDirectory() as tmp:
             for op in ops:
-                pid = f"2301.{op[1]:05d}"  # index 4 names no stored preprint
+                pid = f"2301.{op[1]:05d}"
                 raised = []
                 for table in (indexed, scanned):
                     try:
@@ -289,11 +268,9 @@ class TestReverseIndex:
                             rec = store.preprints[pid]
                             table.assign_record(KIND_PREPRINT, pid, rec.authors,
                                                 withdrawn=rec.withdrawn)
-                        elif op[0] == "merge":
+                        else:
                             table.update_on_merge(MatchDecision(
                                 pid, OUTCOME_DOI, f"zbl{op[2]:08d}", None, TS), store)
-                        else:
-                            table.mark_withdrawn(pid, store)
                     except IntegrityError:
                         raised.append(table)
                 assert raised in ([], [indexed, scanned])

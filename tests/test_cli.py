@@ -373,6 +373,30 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert out.startswith("category,count,overlap_share,in_scope,reason")
 
+    def test_withdrawal_arrives_as_newer_version(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        preprint = {"id": "2301.00001", "version": 1, "title": "On Knot Invariants",
+                    "authors": ["Jane Doe"], "abstract": "We study knots.",
+                    "categories": ["math.GT"], "msc": [], "doi": None,
+                    "withdrawn": False}
+        for version, withdrawn in ((1, False), (2, True)):
+            path = tmp_path / f"v{version}.jsonl"
+            path.write_text(json.dumps(dict(preprint, version=version,
+                                            withdrawn=withdrawn)) + "\n")
+            assert run("ingest", "--preprints", str(path), "--store", str(store)) == 0
+        assert run("merge", "--store", str(store)) == 0
+        capsys.readouterr()
+        assert run("stats", "--store", str(store)) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["preprints_total"], stats["withdrawn"]) == (1, 1)
+        assert stats["unpublished"] == 1  # a withdrawn preprint stays listed
+        rows = [json.loads(line) for line in
+                (store / "profiles.jsonl").read_text().splitlines()]
+        assert [row["documents"] for row in rows] == [[{
+            "kind": "preprint", "key": "2301.00001",
+            "withdrawn": True, "on_published_version": True,
+        }]]
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

@@ -255,12 +255,11 @@ class TestMerge:
     def _store(self):
         return store_with([make_preprint()], [make_published()])
 
-    def test_merged_view_carries_arxiv_link(self):
+    def test_merge_links_preprint_to_accession(self):
         store = self._store()
-        view = store.merge_on_publication(matched_decision())
-        assert view["arxiv_link"] == "2301.00001"
-        assert view["accession"] == "zbl00000001"
-        assert store.is_merged("2301.00001")
+        store.merge_on_publication(matched_decision())
+        assert store.merges == {"2301.00001": "zbl00000001"}
+        assert "2301.00001" in store.preprints  # the preprint record stays
 
     def test_idempotent_byte_equal_export(self, tmp_path):
         store = self._store()
@@ -431,14 +430,20 @@ class TestStorePersistence:
             exports.append((out / "preprints.jsonl").read_bytes())
         assert exports[0] == exports[1]
 
-    def test_withdrawn_stays_listed(self):
-        store = store_with([make_preprint()], [])
-        store.mark_withdrawn("2301.00001")
+    def test_withdrawn_stays_listed(self, tmp_path):
+        # a withdrawal arrives as a newer version carrying the flag
+        v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+        write_jsonl(v1, [preprint_obj()])
+        write_jsonl(v2, [preprint_obj(version=2, withdrawn=True)])
+        store = CorpusStore()
+        store.ingest_preprints(v1)
+        report = store.ingest_preprints(v2)
+        assert (report.added, report.replaced, report.rejected) == (0, 1, 0)
         assert store.preprints["2301.00001"].withdrawn
         assert store.unpublished_preprints() == ["2301.00001"]
-        store.mark_withdrawn("2301.00001")  # idempotent
-        with pytest.raises(IntegrityError):
-            store.mark_withdrawn("0000.00000")
+        report = store.ingest_preprints(v1)  # an older version cannot undo it
+        assert report.rejected == 1
+        assert store.preprints["2301.00001"].withdrawn
 
 
 class TestStoreProperties:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
+
 from arxmatch.candidates import build_index
 from arxmatch.corpus import OUTCOME_CLASSIFIER, OUTCOME_DOI, OUTCOME_UNMATCHED
-from arxmatch.forest import ForestModel
+from arxmatch.forest import ForestModel, load_model
 from arxmatch.matcher import (
     batch_match,
     build_naive_index,
@@ -86,6 +88,31 @@ class TestMatchByClassifier:
         accession, vec = hit
         assert accession == "zbl2"
         assert vec == FeatureVector(0.0, 0.0, 0.0)
+
+    def test_most_probable_positive_wins(self, tmp_path):
+        # both candidates are positive; zbl1 has the lexicographically
+        # smaller vector (title_d 0) but the lower forest probability
+        p = make_preprint(title="On Knot Invariants", authors=("Jane Doe",))
+        store = store_with([p], [
+            make_published(accession="zbl1", title="On Knot Invariants",
+                           authors=("Al Smith",)),
+            make_published(accession="zbl2", title="On Knot Invariants II",
+                           authors=("Jane Doe",)),
+        ])
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "schema_version": 1, "n_trees": 1, "max_depth": 1, "seed": 0,
+            "decision_threshold": 0.5,
+            # author_d <= 0.5 -> 0.9, else 0.6
+            "trees": [[{"feature": 1, "threshold": 0.5, "left": 1, "right": 2},
+                       {"leaf": 0.9}, {"leaf": 0.6}]],
+        }))
+        hit = match_by_classifier(p, store, build_index(store),
+                                  load_model(model_path), 20)
+        assert hit is not None
+        accession, vec = hit
+        assert accession == "zbl2"
+        assert vec.title_d > 0.0 and vec.author_d == 0.0
 
     def test_tie_broken_by_smaller_accession(self):
         p = make_preprint()
@@ -211,7 +238,7 @@ class TestBatchMatch:
                          timestamp=TS)
         r2 = batch_match(corpus_store, corpus_index, corpus_model, 20,
                          timestamp=TS)
-        assert r1.as_dict() == r2.as_dict()
+        assert r1 == r2
 
     def test_empty_preprint_set(self):
         store = store_with([], [make_published()])

@@ -19,7 +19,6 @@ from arxmatch.scope import (
     REASON_STANDALONE,
     ScopeRules,
     decide_categories,
-    in_scope,
     load_rules,
     overlap_share,
     scope_report,
@@ -39,46 +38,45 @@ def decision(pid, accession="zbl00000001", matched=True):
 
 class TestInScope:
     def test_included_subcategory(self):
-        d = in_scope(make_preprint(categories=("math.AG",)), RULES)
+        d = decide_categories(("math.AG",), RULES)
         assert d.in_scope and d.reason == REASON_INCLUDED
 
     def test_general_mathematics_excluded(self):
-        d = in_scope(make_preprint(categories=("math.GM",)), RULES)
+        d = decide_categories(("math.GM",), RULES)
         assert not d.in_scope and d.reason == REASON_EXCLUDED
 
     def test_statistics_with_nonmath_crosslist_excluded(self):
-        d = in_scope(make_preprint(categories=("math.ST", "cs.LG")), RULES)
+        d = decide_categories(("math.ST", "cs.LG"), RULES)
         assert not d.in_scope and d.reason == REASON_CONDITIONAL_OUT
 
     def test_mathematical_physics_included_as_whole(self):
-        d = in_scope(make_preprint(categories=("math-ph",)), RULES)
+        d = decide_categories(("math-ph",), RULES)
         assert d.in_scope and d.reason == REASON_STANDALONE
 
     def test_statistics_alone_included(self):
         for cat in ("math.ST", "stat.TH"):
-            d = in_scope(make_preprint(categories=(cat,)), RULES)
+            d = decide_categories((cat,), RULES)
             assert d.in_scope and d.reason == REASON_CONDITIONAL_IN
 
     def test_statistics_with_math_crosslist_included(self):
-        d = in_scope(make_preprint(categories=("math.ST", "math.GM")), RULES)
+        d = decide_categories(("math.ST", "math.GM"), RULES)
         assert d.in_scope and d.reason == REASON_CONDITIONAL_IN
 
     def test_excluded_plus_included_is_in(self):
-        d = in_scope(make_preprint(categories=("math.GM", "math.AG")), RULES)
+        d = decide_categories(("math.GM", "math.AG"), RULES)
         assert d.in_scope and d.reason == REASON_INCLUDED
 
     def test_pure_nonmath(self):
-        d = in_scope(make_preprint(categories=("cs.LG",)), RULES)
+        d = decide_categories(("cs.LG",), RULES)
         assert not d.in_scope and d.reason == REASON_NO_MATH
 
     def test_unknown_code_flagged_nonmath(self):
-        d = in_scope(make_preprint(categories=("math.ST", "xy.ZW")), RULES)
+        d = decide_categories(("math.ST", "xy.ZW"), RULES)
         assert not d.in_scope and d.reason == REASON_CONDITIONAL_OUT
-        assert d.unknown_categories == ("xy.ZW",)
 
     def test_unlisted_math_subcategory_not_nonmath(self):
         # an unlisted math.* code is mathematical but carries no inclusion
-        d = in_scope(make_preprint(categories=("math.ST", "math.ZZ")), RULES)
+        d = decide_categories(("math.ST", "math.ZZ"), RULES)
         assert d.in_scope and d.reason == REASON_CONDITIONAL_IN
 
     def test_reason_codes_closed_enumeration(self):
@@ -111,8 +109,7 @@ class TestInScope:
         with pytest.raises(ValueError):
             ScopeRules(included=frozenset({"math.GM"}),
                        excluded=frozenset({"math.GM"}),
-                       conditional=frozenset(), standalone=frozenset(),
-                       nonmath_prefixes=frozenset())
+                       conditional=frozenset(), standalone=frozenset())
 
     def test_default_rules_shape(self):
         assert len(RULES.included) == 28
@@ -193,7 +190,7 @@ class TestScopeReport:
             "excluded": sorted(RULES.excluded - {"math.IT"}),
             "conditional": sorted(RULES.conditional),
             "standalone": sorted(RULES.standalone),
-            "nonmath_prefixes": sorted(RULES.nonmath_prefixes),
+            "nonmath_prefixes": ["cs"],  # older rule files carry it; ignored
         }
         rules_path = tmp_path / "rules.json"
         rules_path.write_text(json.dumps(custom))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from arxmatch import _kernels, similarity
 from arxmatch.candidates import query_candidates
-from arxmatch.normalize import NormalizedText, normalize_text, split_authors
+from arxmatch.normalize import normalize_text, split_authors
 from arxmatch.similarity import (
     NEUTRAL_ABSTRACT_DISTANCE,
     FeatureVector,
@@ -19,7 +19,6 @@ from arxmatch.similarity import (
     author_distance,
     feature_vector,
     feature_vector_projected,
-    lex_compare,
     project,
     projection,
     title_distance,
@@ -28,7 +27,7 @@ from arxmatch.similarity import (
 from conftest import make_preprint, make_published
 
 
-def nt(s: str) -> NormalizedText:
+def nt(s: str) -> str:
     return normalize_text(s)
 
 
@@ -70,7 +69,7 @@ class TestTitleDistance:
         for _ in range(300):
             a = "".join(rng.choice(list(alphabet), rng.integers(0, 25)))
             b = "".join(rng.choice(list(alphabet), rng.integers(0, 25)))
-            got = title_distance(NormalizedText(a), NormalizedText(b))
+            got = title_distance(a, b)
             want = edit_distance_oracle(a, b) / max(len(a), len(b)) \
                 if (a or b) else 0.0
             assert got == want
@@ -99,9 +98,9 @@ class TestTitleDistance:
     def test_kernel_vs_dp_oracle_on_candidate_titles(self, corpus_store, corpus_index):
         pairs = 0
         for p in list(corpus_store.preprints.values())[:50]:
-            a = normalize_text(p.title).value
+            a = normalize_text(p.title)
             for accession in query_candidates(corpus_index, p):
-                b = normalize_text(corpus_store.published[accession].title).value
+                b = normalize_text(corpus_store.published[accession].title)
                 got = _kernels.levenshtein(_kernels.str_to_codes(a),
                                            _kernels.str_to_codes(b))
                 assert got == edit_distance_oracle(a, b), (a, b)
@@ -121,8 +120,7 @@ class TestTitleDistance:
             prev = 0.0
             for k, pos in enumerate(positions, 1):
                 edited[pos] = sentinels[(k - 1) % 10]
-                cur = title_distance(NormalizedText(s),
-                                     NormalizedText("".join(edited)))
+                cur = title_distance(s, "".join(edited))
                 assert cur >= prev
                 assert edit_distance_oracle(s, "".join(edited)) == k
                 prev = cur
@@ -223,9 +221,9 @@ class TestAbstractDistanceOracle:
     def test_equals_oracle_on_candidate_abstracts(self, corpus_store, corpus_index):
         pairs = 0
         for p in list(corpus_store.preprints.values())[:100]:
-            a = normalize_text(p.abstract).value
+            a = normalize_text(p.abstract)
             for accession in query_candidates(corpus_index, p):
-                b = normalize_text(corpus_store.published[accession].abstract or "").value
+                b = normalize_text(corpus_store.published[accession].abstract or "")
                 assert abstract_distance(nt(a), nt(b)) == cosine_oracle(a, b), (a, b)
                 pairs += 1
         assert pairs > 100
@@ -301,26 +299,30 @@ vectors = st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)) \
 
 
 class TestLexCompare:
+    """FeatureVector compares lexicographically; the matcher breaks
+    probability ties among positives with this order."""
+
     def test_first_component_decides(self):
-        assert lex_compare(FeatureVector(0, 1, 1), FeatureVector(0.1, 0, 0)) == -1
+        assert FeatureVector(0, 1, 1) < FeatureVector(0.1, 0, 0)
 
     def test_equal(self):
-        assert lex_compare(FeatureVector(0, 0, 0), FeatureVector(0, 0, 0)) == 0
+        u, v = FeatureVector(0, 0, 0), FeatureVector(0, 0, 0)
+        assert u == v and not u < v and not v < u
 
     def test_third_component_decides(self):
-        assert lex_compare(FeatureVector(0.2, 0.1, 0),
-                           FeatureVector(0.2, 0.1, 0.3)) == -1
+        assert FeatureVector(0.2, 0.1, 0) < FeatureVector(0.2, 0.1, 0.3)
 
     @given(vectors, vectors)
     @settings(max_examples=200, deadline=None)
     def test_antisymmetric(self, u, v):
-        assert lex_compare(u, v) == -lex_compare(v, u)
+        assert (u < v) == (v > u)
+        assert not (u < v and v < u)
 
     @given(vectors, vectors, vectors)
     @settings(max_examples=200, deadline=None)
     def test_transitive(self, u, v, w):
-        if lex_compare(u, v) <= 0 and lex_compare(v, w) <= 0:
-            assert lex_compare(u, w) <= 0
+        if u <= v and v <= w:
+            assert u <= w
 
 
 norm_text = st.text(alphabet="abcde -", max_size=20).map(
