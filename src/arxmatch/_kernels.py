@@ -2,13 +2,19 @@
 
 The hot inner loops (edit distance, token-vector dot products, Gini
 split search, forest evaluation) live here, one function per operation.
-The edit distance is the Myers/Hyyrö bit-parallel recurrence over
-Python ints (G. Myers, J. ACM 46(3), 1999; H. Hyyrö, 2003), one
-fixed-size step per character of the second string; it and the dot
-product use integer arithmetic throughout. The forest walk advances all
-trees one level per numpy step. The Gini and forest kernels fix their
-floating-point operation order (the forest sums leaf values tree by tree
-in root order), so every result is reproducible bit for bit.
+The edit distance scores one string against all of its candidates at
+once: the Myers/Hyyrö bit-parallel recurrence (G. Myers, J. ACM 46(3),
+1999; H. Hyyrö, 2003) runs on Python ints that hold one candidate per
+lane, each lane topped by a zero guard bit that stops carries and shifts
+from crossing into the next (H. Hyyrö, K. Fredriksson and G. Navarro,
+ACM JEA 10, 2005). A lane's distance is read off at the end as a
+popcount of its vertical deltas, and lanes are packed into words of at
+most WORD_BITS bits, so the cost stays linear in the number of
+candidates. It and the dot product use integer arithmetic throughout.
+The forest walk advances all trees one level per numpy step. The Gini
+and forest kernels fix their floating-point operation order (the forest
+sums leaf values tree by tree in root order), so every result is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -17,47 +23,80 @@ import numpy as np
 
 BACKEND = "numpy"
 
+WORD_BITS = 4096  # lanes are packed into big ints of at most this width
 
-def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance between two int64 codepoint arrays.
+
+def levenshtein(a: np.ndarray, b: np.ndarray, ends: np.ndarray) -> list[int]:
+    """Edit distance from one int64 codepoint array to each of k others.
+
+    The k arrays come concatenated in b; ends holds their cumulative end
+    offsets, so array i is b[ends[i-1]:ends[i]]. Returns k distances.
 
     Bit-parallel over the DP column (G. Myers, J. ACM 46(3), 1999, in
-    H. Hyyrö's 2003 formulation). Bit i of a Python int stands for row
-    i + 1 of the DP column; peq[c] has bit i set where a[i] == c. pv/mv
-    hold the +1/-1 vertical deltas of the current column, ph/mh the
-    horizontal deltas into it. Each character of b advances the column
-    by a fixed handful of int operations; every ~ is masked to len(a)
-    bits, and the score follows the last row through the high bit.
+    H. Hyyrö's 2003 formulation), one pattern per lane of a Python int
+    (the multi-pattern packing of H. Hyyrö, K. Fredriksson and
+    G. Navarro, ACM JEA 10, 2005). Array i is lane i: bit t of the lane
+    stands for row t + 1 of its DP column, and one zero guard bit sits
+    above it. peq[c] has every lane's bits set where that lane holds c.
+    pv/mv hold the +1/-1 vertical deltas of the current column, ph/mh the
+    horizontal deltas into it. Each character of a advances every lane
+    by a fixed handful of int operations: the add's carry out of a lane
+    stops in its guard bit, a left shift moves each lane's top bit into
+    its guard bit, where & mask clears it, and | low injects the +1 of
+    the top row D[0][j] = j at the bottom of every lane. At the end lane
+    i's last row is D[0][n] = n plus its vertical deltas, that is
+    n + popcount(pv_i) - popcount(mv_i). Lanes are packed greedily into
+    words of at most WORD_BITS bits, so each int operation costs the same
+    however many arrays there are.
     """
-    n, m = a.size, b.size
-    if n == 0:
-        return int(m)
-    if m == 0:
-        return int(n)
-    peq: dict[int, int] = {}
-    bit = 1
+    lens = np.diff(ends, prepend=0)
+    widths = (lens + 1).tolist()  # each lane and its guard bit
+    out: list[int] = []
+    lane, k = 0, lens.size
+    while lane < k:
+        first, width = lane, widths[lane]
+        lane += 1
+        while lane < k and width + widths[lane] <= WORD_BITS:
+            width += widths[lane]
+            lane += 1
+        start = int(ends[first] - lens[first])
+        out += _word_distances(a, b[start:ends[lane - 1]], lens[first:lane], width)
+    return out
+
+
+def _word_distances(a: np.ndarray, b: np.ndarray, lens: np.ndarray,
+                    width: int) -> list[int]:
+    """Distances from a to the lanes of one packed word."""
+    lane_of = np.repeat(np.arange(lens.size), lens)
+    pos = np.arange(b.size) + lane_of  # bit of each char: its offset + lane
+    offsets = np.cumsum(lens + 1) - lens - 1
+    codes, row = np.unique(b, return_inverse=True)
+    # one row of bits per distinct code, then the mask and low rows
+    bits = np.zeros((codes.size + 2, width), dtype=np.uint8)
+    bits[row, pos] = 1
+    bits[-2, pos] = 1
+    bits[-1, offsets[lens > 0]] = 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = [int.from_bytes(r.tobytes(), "little") for r in packed]
+    peq = dict(zip(codes.tolist(), words))
+    mask, low = words[-2], words[-1]
+    pv, mv = mask, 0
     for c in a.tolist():
-        peq[c] = peq.get(c, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    high = bit >> 1
-    pv, mv, score = mask, 0, n
-    for c in b.tolist():
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (~(xh | pv) & mask)
         mh = pv & xh
-        if ph & high:
-            score += 1
-        elif mh & high:
-            score -= 1
-        # the top row D[0][j] = j adds a +1 horizontal delta on each step
-        ph = ((ph << 1) | 1) & mask
+        ph = ((ph << 1) | low) & mask
         mh = (mh << 1) & mask
         pv = mh | (~(xv | ph) & mask)
         mv = ph & xv
-    return score
+    n = a.size
+    out = []
+    for off, m in zip(offsets.tolist(), lens.tolist()):
+        ones = (1 << m) - 1
+        out.append(n + ((pv >> off) & ones).bit_count() - ((mv >> off) & ones).bit_count())
+    return out
 
 
 def sorted_dot(a: dict[str, int], b: dict[str, int]) -> int:

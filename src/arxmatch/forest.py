@@ -87,10 +87,12 @@ def training_pairs_from(store: CorpusStore, index: CandidateIndex,
     training: list[TrainingPair] = []
     for pid, accession in pairs:
         p = store.preprints[pid]
-        training.append(TrainingPair(feature_vector(p, store.published[accession]), True))
         ranked = query_candidates(index, p, k=neg_per_pos + 1)
-        for neg in [a for a in ranked if a != accession][:neg_per_pos]:
-            training.append(TrainingPair(feature_vector(p, store.published[neg]), False))
+        negatives = [a for a in ranked if a != accession][:neg_per_pos]
+        pos, *negs = feature_vector(
+            p, [store.published[a] for a in [accession] + negatives])
+        training.append(TrainingPair(pos, True))
+        training.extend(TrainingPair(v, False) for v in negs)
     return training
 
 
@@ -223,10 +225,6 @@ def predict_many(model: ForestModel, vectors: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(vectors, dtype=np.float64)
     feat, thr, left, right, prob, roots = model.packed()
     return _kernels.forest_eval(feat, thr, left, right, prob, roots, x)
-
-
-def predict(model: ForestModel, v: FeatureVector) -> float:
-    return float(predict_many(model, np.array([list(v)], dtype=np.float64))[0])
 
 
 def save_model(model: ForestModel, path: str | Path) -> None:

@@ -64,9 +64,8 @@ def match_by_classifier(p: PreprintRecord, store: CorpusStore, index: CandidateI
     ranked = query_candidates(index, p, k)
     if not ranked:
         return None
-    proj_p = projection(p)
-    vectors = [feature_vector_projected(proj_p, projection(store.published[a]))
-               for a in ranked]
+    vectors = feature_vector_projected(
+        projection(p), [projection(store.published[a]) for a in ranked])
     probs = predict_many(model, np.array(vectors, dtype=np.float64))
     positives = [
         (-probs[i], vectors[i], ranked[i])

@@ -11,6 +11,13 @@ and one minus the cosine of term-frequency vectors (abstract). A missing
 abstract contributes the neutral value 0.5 so absence neither fakes
 agreement nor vetoes a match.
 
+Pairs are scored in batches: ``feature_vector_projected`` takes one
+record and the list of records it is paired with, computes every title
+distance in one call of the lane-packed Levenshtein kernel, then the
+author and abstract distances pair by pair, and returns the vectors in
+the order of the list. The matcher passes one preprint's ranked
+candidates, training one preprint's positive and its negatives.
+
 A TF vector is a ``{token: count}`` dict and its integer squared norm.
 Tokens are ``sys.intern``ed, so abstracts that share a token share its
 string, and no table here grows with the corpus.
@@ -59,10 +66,13 @@ def _tf_vector(text: str) -> TFVector | None:
     return counts, sum(n * n for n in counts.values())
 
 
-def _edit_distance(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size == 0 and b.size == 0:
-        return 0.0
-    return _kernels.levenshtein(a, b) / max(a.size, b.size)
+def _edit_distances(a: np.ndarray, bs: list[np.ndarray]) -> list[float]:
+    """Levenshtein from a to each of bs, scaled by the longer string, in
+    one kernel call; two empty strings are at distance 0."""
+    lens = [b.size for b in bs]
+    b = np.concatenate(bs) if bs else a[:0]
+    dists = _kernels.levenshtein(a, b, np.cumsum(lens, dtype=np.int64))
+    return [d / max(a.size, m) if d else 0.0 for d, m in zip(dists, lens)]
 
 
 def _jaccard_distance(fa: frozenset[str], fb: frozenset[str]) -> float:
@@ -86,7 +96,7 @@ def _cosine_distance(va: TFVector | None, vb: TFVector | None) -> float:
 
 def title_distance(a: str, b: str) -> float:
     """Levenshtein distance over characters, scaled to [0, 1]."""
-    return _edit_distance(_kernels.str_to_codes(a), _kernels.str_to_codes(b))
+    return _edit_distances(_kernels.str_to_codes(a), [_kernels.str_to_codes(b)])[0]
 
 
 def author_distance(a: list[AuthorName], b: list[AuthorName]) -> float:
@@ -115,17 +125,22 @@ def project(title: str, authors, abstract: str | None) -> RecordProjection:
     )
 
 
-def feature_vector_projected(a: RecordProjection, b: RecordProjection) -> FeatureVector:
-    """The (title, authors, abstract) distance vector of one record pair."""
-    return FeatureVector(
-        _edit_distance(a.title_codes, b.title_codes),
-        _jaccard_distance(a.families, b.families),
-        _cosine_distance(a.abstract_vec, b.abstract_vec),
-    )
+def feature_vector_projected(a: RecordProjection,
+                             bs: list[RecordProjection]) -> list[FeatureVector]:
+    """The (title, authors, abstract) distance vector of a paired with each
+    of bs, in order; one kernel call scores all the titles."""
+    titles = _edit_distances(a.title_codes, [b.title_codes for b in bs])
+    return [
+        FeatureVector(title_d,
+                      _jaccard_distance(a.families, b.families),
+                      _cosine_distance(a.abstract_vec, b.abstract_vec))
+        for title_d, b in zip(titles, bs)
+    ]
 
 
-def feature_vector(p: PreprintRecord, c: PublishedRecord) -> FeatureVector:
-    return feature_vector_projected(projection(p), projection(c))
+def feature_vector(p: PreprintRecord, cs: list[PublishedRecord]) -> list[FeatureVector]:
+    """feature_vector_projected over the records' projections."""
+    return feature_vector_projected(projection(p), [projection(c) for c in cs])
 
 
 # records are frozen, so a projection stays valid for the record's lifetime

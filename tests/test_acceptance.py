@@ -42,7 +42,7 @@ from conftest import (
 )
 from test_candidates import brute_force_rank
 from test_forest import gini_split_oracle
-from test_similarity import edit_distance_oracle
+from test_similarity import edit_distance_oracle, levenshtein_each
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -138,15 +138,14 @@ def test_levenshtein_vs_dp_oracle_10k():
     with criterion("normalized Levenshtein == DP oracle on 10,000 pairs"):
         rng = np.random.default_rng(19)
         alphabet = list("abcdefgh -")
-        for _ in range(10_000):
+        for _ in range(2_000):  # five candidates per string
             a = "".join(rng.choice(alphabet, rng.integers(0, 24)))
-            b = "".join(rng.choice(alphabet, rng.integers(0, 24)))
-            dist = _kernels.levenshtein(_kernels.str_to_codes(a),
-                                        _kernels.str_to_codes(b))
-            want = edit_distance_oracle(a, b)
-            assert dist == want
-            if a or b:
-                assert dist / max(len(a), len(b)) == want / max(len(a), len(b))
+            bs = ["".join(rng.choice(alphabet, rng.integers(0, 24))) for _ in range(5)]
+            for dist, b in zip(levenshtein_each(a, bs), bs):
+                want = edit_distance_oracle(a, b)
+                assert dist == want
+                if a or b:
+                    assert dist / max(len(a), len(b)) == want / max(len(a), len(b))
 
 
 # -- 5. invariant property suites ----------------------------------------------------

@@ -17,7 +17,6 @@ from arxmatch.forest import (
     TrainingPair,
     bootstrap_training_set,
     load_model,
-    predict,
     predict_many,
     save_model,
     train_forest,
@@ -157,8 +156,8 @@ class TestTrainForest:
 
 class TestPredict:
     def test_fixture_extremes(self, corpus_model):
-        assert predict(corpus_model, FeatureVector(0.0, 0.0, 0.0)) > 0.9
-        assert predict(corpus_model, FeatureVector(1.0, 1.0, 1.0)) < 0.1
+        assert predict_many(corpus_model, np.array([FeatureVector(0.0, 0.0, 0.0)]))[0] > 0.9
+        assert predict_many(corpus_model, np.array([FeatureVector(1.0, 1.0, 1.0)]))[0] < 0.1
 
     def test_single_tree_equals_leaf_probability(self):
         model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=3)
@@ -175,7 +174,7 @@ class TestPredict:
         rng = np.random.default_rng(26)
         for _ in range(100):
             v = FeatureVector(*rng.random(3))
-            assert predict(model, v) == walk(v)
+            assert predict_many(model, np.array([v]))[0] == walk(v)
 
     @pytest.mark.parametrize("n_trees, n_rows, seed", [
         (1, 1, 40), (1, 30, 41), (100, 1, 42), (100, 30, 43),
@@ -223,10 +222,11 @@ class TestPredict:
         for _ in range(100):
             v = FeatureVector(*rng.random(3))
             per_tree = [
-                predict(ForestModel(trees=[t], n_trees=1, max_depth=4, seed=0), v)
+                predict_many(ForestModel(trees=[t], n_trees=1, max_depth=4, seed=0),
+                             np.array([v]))[0]
                 for t in model.trees
             ]
-            p = predict(model, v)
+            p = predict_many(model, np.array([v]))[0]
             assert min(per_tree) - 1e-12 <= p <= max(per_tree) + 1e-12
 
     def test_monotone_sweeps(self, corpus_model):
@@ -237,8 +237,8 @@ class TestPredict:
             f = int(rng.integers(0, 3))
             hi = list(base)
             hi[f] = base[f] + (1.0 - base[f]) * rng.random()
-            lo_p = predict(corpus_model, FeatureVector(*base))
-            hi_p = predict(corpus_model, FeatureVector(*hi))
+            lo_p = predict_many(corpus_model, np.array([FeatureVector(*base)]))[0]
+            hi_p = predict_many(corpus_model, np.array([FeatureVector(*hi)]))[0]
             total += 1
             ok += hi_p <= lo_p + 1e-12
         assert ok / total >= 0.95
@@ -383,7 +383,7 @@ class TestSerialization:
             model = load_model(path)
         except ModelFormatError:
             return
-        assert 0.0 <= predict(model, FeatureVector(*vector)) <= 1.0
+        assert 0.0 <= predict_many(model, np.array([FeatureVector(*vector)]))[0] <= 1.0
 
     def test_not_a_model(self, tmp_path):
         (tmp_path / "x.json").write_text("[1, 2, 3]")

@@ -1,7 +1,9 @@
-"""The benchmark's tracer must find every binding it wraps."""
+"""The benchmark's tracer must find every binding it wraps, and its kernel
+counters must count the work the matcher does."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,19 @@ from pathlib import Path
 
 import arxmatch
 
+from conftest import CORPUS_DIR
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_traced(code: str, *args: str) -> str:
+    """Run code in a fresh interpreter that sees src/ and perfbench/, since
+    spans.install rebinds module globals for the rest of the process."""
+    path = os.pathsep.join([str(Path(arxmatch.__file__).parents[1]), str(ROOT / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_tracer_install_finds_every_patch_point():
@@ -20,8 +34,60 @@ def test_tracer_install_finds_every_patch_point():
         "spans.install(rec, {})\n"
         "print(_kernels.levenshtein.span_name)\n"
     )
-    path = os.pathsep.join([str(Path(arxmatch.__file__).parents[1]), str(ROOT / "perfbench")])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["kernels.levenshtein"]
+    assert run_traced(code).split() == ["kernels.levenshtein"]
+
+
+BATCH_MATCH = """
+import json
+import sys
+import spans
+from arxmatch.candidates import build_index, query_candidates
+from arxmatch.corpus import CorpusStore
+from arxmatch.forest import bootstrap_training_set, train_forest
+from arxmatch.matcher import batch_match
+from arxmatch.normalize import normalize_text
+
+K = 20
+store = CorpusStore()
+store.ingest_preprints(sys.argv[1] + "/preprints.jsonl")
+store.ingest_published(sys.argv[1] + "/published.jsonl")
+index = build_index(store)
+model = train_forest(bootstrap_training_set(store, index), n_trees=10, seed=1)
+for pid in sorted(store.preprints)[150:]:
+    del store.preprints[pid]
+
+# the scored pairs, recomputed without the traced functions
+want = {"pairs": 0, "cells": 0, "scored": 0, "doi": 0}
+for pid in store.unmerged_preprints():
+    p = store.preprints[pid]
+    if store.doi_accession(p.doi) is not None:
+        want["doi"] += 1
+        continue
+    ranked = query_candidates(index, p, K)
+    want["scored"] += bool(ranked)
+    want["pairs"] += len(ranked)
+    n = len(normalize_text(p.title))
+    want["cells"] += sum(n * len(normalize_text(store.published[a].title))
+                         for a in ranked)
+
+rec = spans.SpanRecorder("contract")
+spans.install(rec, {})
+batch_match(store, index, model, K)
+lev = rec.names.index("kernels.levenshtein")
+got = {
+    "cells": rec.counters["kernels.levenshtein.cells"],
+    "rows": rec.counters["kernels.forest_eval.rows"],
+    "lev_spans": sum(1 for nid in rec.name if nid == lev),
+}
+print(json.dumps({"want": want, "got": got}))
+"""
+
+
+def test_tracer_counts_match_the_scored_pairs():
+    out = json.loads(run_traced(BATCH_MATCH, str(CORPUS_DIR)))
+    want, got = out["want"], out["got"]
+    assert want["doi"] > 0 and want["scored"] > 0  # both matcher steps ran
+    assert got["cells"] == want["cells"]
+    assert got["rows"] == want["pairs"]
+    # one kernel call per preprint that reached scoring, not one per pair
+    assert got["lev_spans"] == want["scored"] < want["pairs"]
