@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from importlib import resources
@@ -58,15 +59,37 @@ def _report_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
+TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+# TIMESTAMP_FORMAT's output; a regex, since strptime imports a locale
+# module that costs a third of a megabyte
+TIMESTAMP_RE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+
+
 def _run_timestamp(explicit: str | None) -> str:
-    if explicit:
+    """The decision timestamp: ``--timestamp`` in ``TIMESTAMP_FORMAT``, else
+    ``SOURCE_DATE_EPOCH`` as integer seconds, else the current time."""
+    if explicit is not None:
+        fields = TIMESTAMP_RE.fullmatch(explicit)
+        try:
+            if fields is None:
+                raise ValueError
+            datetime(*map(int, fields.groups()))  # no such date: ValueError
+        except ValueError:
+            raise CliError(f"--timestamp must look like 2024-01-01T00:00:00Z, "
+                           f"got {explicit!r}") from None
         return explicit
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch:
-        dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        dt = datetime.now(tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    if not epoch:
+        return datetime.now(tz=timezone.utc).strftime(TIMESTAMP_FORMAT)
+    try:
+        if not re.fullmatch(r"-?[0-9]+", epoch):
+            raise ValueError
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(
+            TIMESTAMP_FORMAT)
+    except (ValueError, OverflowError, OSError):  # not an integer, or no date
+        raise CliError(f"SOURCE_DATE_EPOCH must be integer seconds since "
+                       f"the epoch, got {epoch!r}") from None
 
 
 # -- commands -----------------------------------------------------------------
@@ -127,12 +150,13 @@ def cmd_train(args) -> int:
 
 def cmd_match(args) -> int:
     _require_candidates(args.candidates)
+    timestamp = _run_timestamp(args.timestamp)
     with open_store(args.store, "w") as store:
         _require_file(args.model)
         model = load_model(args.model)
         index = build_index(store)
         report = batch_match(store, index, model, k=args.candidates,
-                             timestamp=_run_timestamp(args.timestamp))
+                             timestamp=timestamp)
         store.save(args.store)
     _write_text(args.report, _report_json(dataclasses.asdict(report)))
     return 0
@@ -260,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidates per preprint (default %(default)s)")
     p.add_argument("--report", help="report JSON path (default: stdout)")
     p.add_argument("--timestamp",
-                   help="pin the decision timestamp (ISO-8601); default: "
-                        "SOURCE_DATE_EPOCH or current time")
+                   help="pin the decision timestamp, as 2024-01-01T00:00:00Z; "
+                        "default: SOURCE_DATE_EPOCH or current time")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("merge", help="merge matched preprints into published entries")

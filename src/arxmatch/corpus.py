@@ -3,7 +3,9 @@
 The store keeps three collections (preprint records, published records,
 match decisions) plus the merge assignments, persisted as one JSON Lines
 file each inside a store directory. The DOI index is derived state,
-rebuilt deterministically on load. Mutations require exclusive access;
+rebuilt deterministically on load. A store remembers which of its files
+still hold exactly its in-memory table, and ``save`` rewrites only the
+others. Mutations require exclusive access;
 between write phases the store may be read from many threads. Commands
 open a store directory only through ``open_store``.
 """
@@ -38,6 +40,7 @@ PREPRINTS_FILE = "preprints.jsonl"
 PUBLISHED_FILE = "published.jsonl"
 DECISIONS_FILE = "decisions.jsonl"
 MERGES_FILE = "merges.jsonl"
+TABLE_FILES = (PREPRINTS_FILE, PUBLISHED_FILE, DECISIONS_FILE, MERGES_FILE)
 PROFILES_FILE = "profiles.jsonl"
 LOCK_FILE = ".lock"
 
@@ -409,6 +412,10 @@ class CorpusStore:
         self.decisions: dict[str, MatchDecision] = {}
         self.merges: dict[str, str] = {}
         self.doi_index: dict[str, set[str]] = {}
+        # table file name -> the absolute path of a file that holds exactly
+        # that table. Every write to a table drops its entry; the four
+        # mutators below are the only code that writes to the tables.
+        self._clean: dict[str, Path] = {}
 
     # -- ingest ----------------------------------------------------------------
 
@@ -421,14 +428,15 @@ class CorpusStore:
                 report.reject(line_no, str(exc))
                 continue
             old = self.preprints.get(rec.id)
-            if old is None:
-                self.preprints[rec.id] = rec
-                report.added += 1
-            elif rec.version > old.version:
-                self.preprints[rec.id] = rec
-                report.replaced += 1
-            else:
+            if old is not None and rec.version <= old.version:
                 report.reject(line_no, f"{rec.id}: version {rec.version} is not newer")
+                continue
+            self.preprints[rec.id] = rec
+            self._clean.pop(PREPRINTS_FILE, None)
+            if old is None:
+                report.added += 1
+            else:
+                report.replaced += 1
         return report
 
     def ingest_published(self, path: str | Path) -> IngestReport:
@@ -443,6 +451,7 @@ class CorpusStore:
                 report.reject(line_no, f"duplicate accession {rec.accession}")
                 continue
             self.published[rec.accession] = rec
+            self._clean.pop(PUBLISHED_FILE, None)
             self._index_doi(rec)
             report.added += 1
         return report
@@ -452,6 +461,10 @@ class CorpusStore:
     def record_decision(self, decision: MatchDecision) -> None:
         if decision.preprint not in self.preprints:
             raise IntegrityError(f"decision for unknown preprint {decision.preprint}")
+        if self.decisions.get(decision.preprint) != decision:
+            self._clean.pop(DECISIONS_FILE, None)
+        # an equal decision still replaces the loaded one, whose strings no
+        # other record shares, so that they are freed
         self.decisions[decision.preprint] = decision
 
     def merge_on_publication(self, decision: MatchDecision) -> None:
@@ -471,6 +484,8 @@ class CorpusStore:
             raise IntegrityError(
                 f"{pid} already merged into {self.merges[pid]}, not {accession}"
             )
+        if pid not in self.merges:
+            self._clean.pop(MERGES_FILE, None)
         self.merges[pid] = accession
 
     def unmerged_preprints(self) -> list[str]:
@@ -505,24 +520,38 @@ class CorpusStore:
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
+        """Write the four table files into ``directory``, skipping each file
+        that already holds its table: one this store was loaded from or last
+        saved to, when the table has not changed since. Saving to another
+        directory writes all four. A skipped file keeps its bytes, so a
+        hand-edited file that load accepts but that save would have written
+        otherwise (a URL-form DOI, unsorted lines) stays as it is until its
+        table changes."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        write_jsonl(
-            directory / PREPRINTS_FILE,
-            (preprint_to_json(self.preprints[k]) for k in sorted(self.preprints)),
-        )
-        write_jsonl(
-            directory / PUBLISHED_FILE,
-            (published_to_json(self.published[k]) for k in sorted(self.published)),
-        )
-        write_jsonl(
-            directory / DECISIONS_FILE,
-            (decision_to_json(self.decisions[k]) for k in sorted(self.decisions)),
-        )
-        write_jsonl(
-            directory / MERGES_FILE,
-            ({"preprint": k, "accession": self.merges[k]} for k in sorted(self.merges)),
-        )
+        here = directory.absolute()
+        stale = [name for name in TABLE_FILES if self._clean.get(name) != here / name]
+        if PREPRINTS_FILE in stale:
+            write_jsonl(
+                directory / PREPRINTS_FILE,
+                (preprint_to_json(self.preprints[k]) for k in sorted(self.preprints)),
+            )
+        if PUBLISHED_FILE in stale:
+            write_jsonl(
+                directory / PUBLISHED_FILE,
+                (published_to_json(self.published[k]) for k in sorted(self.published)),
+            )
+        if DECISIONS_FILE in stale:
+            write_jsonl(
+                directory / DECISIONS_FILE,
+                (decision_to_json(self.decisions[k]) for k in sorted(self.decisions)),
+            )
+        if MERGES_FILE in stale:
+            write_jsonl(
+                directory / MERGES_FILE,
+                ({"preprint": k, "accession": self.merges[k]} for k in sorted(self.merges)),
+            )
+        self._clean.update((name, here / name) for name in stale)
 
     @classmethod
     def load(cls, directory: str | Path) -> "CorpusStore":
@@ -543,6 +572,7 @@ class CorpusStore:
                     add(obj)
                 except RecordError as exc:
                     raise RecordError(f"{path}:{line_no}: {exc}") from exc
+            store._clean[name] = path.absolute()
         store.rebuild_doi_index()
         return store
 

@@ -14,6 +14,7 @@ import pytest
 import arxmatch
 from arxmatch import synth
 from arxmatch.cli import main
+from arxmatch.corpus import CorpusStore
 
 from conftest import CORPUS_DIR, GOLDEN_DIR
 
@@ -184,29 +185,30 @@ class TestGenBounds:
         assert not out.exists()
 
 
+@pytest.fixture()
+def doi_only_store(tmp_path) -> tuple[Path, Path]:
+    """A store where every preprint resolves by DOI, and a model."""
+    corpus, store = tmp_path / "corpus", tmp_path / "store"
+    assert run("gen", "--n", "50", "--seed", "7", "--out", str(corpus),
+               "--doi-rate", "1.0", "--wrong-doi-rate", "0") == 0
+    assert run("ingest", "--preprints", str(corpus / "preprints.jsonl"),
+               "--published", str(corpus / "published.jsonl"),
+               "--store", str(store)) == 0
+    model = tmp_path / "model.json"
+    assert run("train", "--store", str(store), "--model", str(model),
+               "--trees", "5", "--depth", "3", "--seed", "7") == 0
+    return store, model
+
+
+def _one_error_line(capsys) -> str:
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
 class TestCandidatesOption:
-    @pytest.fixture()
-    def doi_only_store(self, tmp_path) -> tuple[Path, Path]:
-        """A store where every preprint resolves by DOI, and a model."""
-        corpus, store = tmp_path / "corpus", tmp_path / "store"
-        assert run("gen", "--n", "50", "--seed", "7", "--out", str(corpus),
-                   "--doi-rate", "1.0", "--wrong-doi-rate", "0") == 0
-        assert run("ingest", "--preprints", str(corpus / "preprints.jsonl"),
-                   "--published", str(corpus / "published.jsonl"),
-                   "--store", str(store)) == 0
-        model = tmp_path / "model.json"
-        assert run("train", "--store", str(store), "--model", str(model),
-                   "--trees", "5", "--depth", "3", "--seed", "7") == 0
-        return store, model
-
-    @staticmethod
-    def _one_error_line(capsys) -> str:
-        out, err = capsys.readouterr()
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        return json.loads(lines[0])["error"]
-
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_match_rejects_k_below_one(self, doi_only_store, tmp_path, capsys, k):
         store, model = doi_only_store
@@ -215,7 +217,7 @@ class TestCandidatesOption:
         assert run("match", "--store", str(store), "--model", str(model),
                    "--candidates", k, "--timestamp", TS,
                    "--report", str(tmp_path / "match.json")) == 1
-        assert "--candidates" in self._one_error_line(capsys)
+        assert "--candidates" in _one_error_line(capsys)
         assert not (tmp_path / "match.json").exists()
         assert {f.name: f.read_bytes() for f in store.iterdir()} == before
 
@@ -223,13 +225,63 @@ class TestCandidatesOption:
         missing = tmp_path / "missing"
         assert run("match", "--store", str(missing), "--model",
                    str(tmp_path / "model.json"), "--candidates", "0") == 1
-        assert "--candidates" in self._one_error_line(capsys)
+        assert "--candidates" in _one_error_line(capsys)
         assert not missing.exists()
 
     def test_eval_rejects_k_below_one(self, tmp_path, capsys):
         assert run("eval", "--store", str(tmp_path / "missing"), "--seed", "1",
                    "--candidates", "0") == 1
-        assert "--candidates" in self._one_error_line(capsys)
+        assert "--candidates" in _one_error_line(capsys)
+
+
+class TestTimestampOption:
+    @pytest.mark.parametrize("ts", ["next tuesday", "2024-1-1T00:00:00Z",
+                                    "2024-02-30T00:00:00Z", "2024-01-01 00:00:00", ""])
+    def test_match_rejects_a_bad_timestamp(self, doi_only_store, tmp_path, capsys, ts):
+        store, model = doi_only_store
+        before = {f.name: f.read_bytes() for f in store.iterdir()}
+        capsys.readouterr()
+        assert run("match", "--store", str(store), "--model", str(model),
+                   "--timestamp", ts, "--report", str(tmp_path / "match.json")) == 1
+        assert "--timestamp" in _one_error_line(capsys)
+        assert not (tmp_path / "match.json").exists()
+        assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", " 12", "99999999999999999999"])
+    def test_match_rejects_a_bad_source_date_epoch(self, doi_only_store, tmp_path,
+                                                   capsys, monkeypatch, epoch):
+        store, model = doi_only_store
+        before = {f.name: f.read_bytes() for f in store.iterdir()}
+        capsys.readouterr()
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert run("match", "--store", str(store), "--model", str(model),
+                   "--report", str(tmp_path / "match.json")) == 1
+        assert "SOURCE_DATE_EPOCH" in _one_error_line(capsys)
+        assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+
+    @pytest.mark.parametrize("epoch", ["abc", None])
+    def test_match_checks_the_timestamp_before_the_store(self, tmp_path, capsys,
+                                                         monkeypatch, epoch):
+        missing = tmp_path / "missing"
+        argv = ["match", "--store", str(missing), "--model", str(tmp_path / "m.json")]
+        if epoch is None:
+            argv += ["--timestamp", "next tuesday"]
+        else:
+            monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert run(*argv) == 1
+        assert "not found" not in _one_error_line(capsys)
+        assert not missing.exists()
+
+    def test_source_date_epoch_pins_the_decisions(self, doi_only_store, tmp_path,
+                                                  monkeypatch):
+        store, model = doi_only_store
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1704067200")
+        assert run("match", "--store", str(store), "--model", str(model),
+                   "--report", str(tmp_path / "match.json")) == 0
+        assert json.loads((tmp_path / "match.json").read_text())["timestamp"] == TS
+        stamps = {json.loads(line)["decided_at"] for line in
+                  (store / "decisions.jsonl").read_text().splitlines()}
+        assert stamps == {TS}
 
 
 def _python(code: str, *args: str, **kwargs) -> subprocess.Popen:
@@ -440,6 +492,115 @@ class TestGoldenRun:
         for rel, want in hashes.items():
             got = hashlib.sha256((pipeline / rel).read_bytes()).hexdigest()
             assert got == want, rel
+
+
+TABLES = ("preprints.jsonl", "published.jsonl", "decisions.jsonl", "merges.jsonl")
+
+
+def _stamps(store: Path) -> dict[str, tuple[int, int]]:
+    """(inode, mtime) of each store file; a replaced file gets a new inode."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in store.iterdir() if p.name.endswith(".jsonl")}
+
+
+# the golden corpus in two daily batches: each write command of the run, the
+# files it must leave untouched and the files it must replace
+REWRITE_STEPS = [
+    ("ingest", (), TABLES),
+    ("match", ("preprints.jsonl", "published.jsonl", "merges.jsonl"),
+     ("decisions.jsonl",)),
+    ("merge", ("preprints.jsonl", "published.jsonl", "decisions.jsonl"),
+     ("merges.jsonl",)),
+    ("ingest-preprints", ("published.jsonl", "decisions.jsonl", "merges.jsonl",
+                          "profiles.jsonl"), ("preprints.jsonl",)),
+    ("ingest-all-rejected", TABLES + ("profiles.jsonl",), ()),
+    ("match-2", ("preprints.jsonl", "published.jsonl", "merges.jsonl",
+                 "profiles.jsonl"), ("decisions.jsonl",)),
+    ("merge-2", ("preprints.jsonl", "published.jsonl", "decisions.jsonl"),
+     ("merges.jsonl",)),
+    ("merge-nothing-new", TABLES, ()),
+]
+
+
+@pytest.fixture(scope="module")
+def rewrite_run(tmp_path_factory):
+    """Run REWRITE_STEPS; per step, the file stamps before and after, whether
+    every table file equals a full rewrite of the loaded store, and the
+    profile bytes before and after."""
+    work = tmp_path_factory.mktemp("rewrites")
+    store, model = work / "store", work / "model.json"
+    lines = (CORPUS_DIR / "preprints.jsonl").read_text("utf-8").splitlines(True)
+    first, second = work / "first.jsonl", work / "second.jsonl"
+    first.write_text("".join(lines[:800]), "utf-8")
+    second.write_text("".join(lines[800:]), "utf-8")
+    match = ["match", "--store", str(store), "--model", str(model), "--timestamp", TS,
+             "--report", str(work / "match.json")]
+    merge = ["merge", "--store", str(store)]
+    later = ["ingest", "--preprints", str(second), "--store", str(store)]
+    argv = {
+        "ingest": ["ingest", "--preprints", str(first),
+                   "--published", str(CORPUS_DIR / "published.jsonl"),
+                   "--store", str(store)],
+        "match": match, "merge": merge,
+        "ingest-preprints": later, "ingest-all-rejected": later,
+        "match-2": match, "merge-2": merge, "merge-nothing-new": merge,
+    }
+    out = {}
+    for step, _, _ in REWRITE_STEPS:
+        if step == "match":
+            assert run("train", "--store", str(store), "--model", str(model),
+                       "--trees", "10", "--depth", "4", "--seed", SEED) == 0
+        before = _stamps(store) if store.exists() else {}
+        profiles = store / "profiles.jsonl"
+        old_profiles = profiles.read_bytes() if profiles.exists() else None
+        assert run(*argv[step]) == 0, step
+        after = _stamps(store)
+        fresh = work / f"fresh-{step}"
+        CorpusStore.load(store).save(fresh)
+        oracle = all((store / n).read_bytes() == (fresh / n).read_bytes()
+                     for n in TABLES)
+        new_profiles = profiles.read_bytes() if profiles.exists() else None
+        out[step] = before, after, oracle, (old_profiles, new_profiles)
+    return out
+
+
+class TestStoreRewrites:
+    """A write command replaces only the table files its run changed."""
+
+    @pytest.mark.parametrize("step", [s for s, _, _ in REWRITE_STEPS])
+    def test_every_file_equals_a_full_rewrite(self, rewrite_run, step):
+        assert rewrite_run[step][2]
+
+    @pytest.mark.parametrize("step, kept, replaced", REWRITE_STEPS,
+                             ids=[s for s, _, _ in REWRITE_STEPS])
+    def test_untouched_files_keep_their_inode(self, rewrite_run, step, kept, replaced):
+        before, after, _, _ = rewrite_run[step]
+        for name in kept:
+            assert after[name] == before[name], name
+        for name in replaced:
+            assert after[name] != before.get(name), name
+
+    def test_merge_with_nothing_new_writes_the_same_profiles(self, rewrite_run):
+        old, new = rewrite_run["merge-nothing-new"][3]
+        assert old is not None and new == old
+
+    def test_first_ingest_of_published_only_creates_every_table(self, tmp_path):
+        store = tmp_path / "store"
+        assert run("ingest", "--published", str(CORPUS_DIR / "published.jsonl"),
+                   "--store", str(store)) == 0
+        assert sorted(_stamps(store)) == sorted(TABLES)
+        for name in ("preprints.jsonl", "decisions.jsonl", "merges.jsonl"):
+            assert (store / name).read_bytes() == b""
+
+
+class TestModuleEntryPoint:
+    def test_python_m_arxmatch(self, small_store):
+        env = dict(os.environ, PYTHONPATH=str(Path(arxmatch.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "arxmatch", "stats",
+                               "--store", str(small_store)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["preprints_total"] == 60
 
 
 class TestBadModel:

@@ -446,6 +446,128 @@ class TestStorePersistence:
         assert store.preprints["2301.00001"].withdrawn
 
 
+TABLES = ("preprints.jsonl", "published.jsonl", "decisions.jsonl", "merges.jsonl")
+
+
+def _stamps(directory: Path) -> dict[str, tuple[int, int]]:
+    """(inode, mtime) per table file; a replaced file gets a new inode."""
+    return {n: ((directory / n).stat().st_ino, (directory / n).stat().st_mtime_ns)
+            for n in TABLES}
+
+
+def _change_preprints(store, tmp):
+    write_jsonl(tmp / "in.jsonl", [preprint_obj("2301.00003")])
+    assert store.ingest_preprints(tmp / "in.jsonl").added == 1
+
+
+def _replace_preprint(store, tmp):
+    write_jsonl(tmp / "in.jsonl", [preprint_obj("2301.00002", version=2)])
+    assert store.ingest_preprints(tmp / "in.jsonl").replaced == 1
+
+
+def _change_published(store, tmp):
+    write_jsonl(tmp / "in.jsonl", [published_obj("zbl3")])
+    assert store.ingest_published(tmp / "in.jsonl").added == 1
+
+
+def _change_decision(store, tmp):
+    store.record_decision(matched_decision("2301.00002", "zbl2"))
+
+
+def _restamp_decision(store, tmp):
+    store.record_decision(MatchDecision("2301.00001", OUTCOME_DOI, "zbl00000001",
+                                        None, "2024-01-02T00:00:00Z"))
+
+
+def _change_merges(store, tmp):
+    store.merge_on_publication(matched_decision("2301.00002", "zbl2"))
+
+
+class TestSaveSkipsCleanTables:
+    @pytest.fixture()
+    def saved(self, tmp_path) -> Path:
+        store = store_with([make_preprint(), make_preprint("2301.00002")],
+                           [make_published(), make_published("zbl2")])
+        store.record_decision(matched_decision())
+        store.merge_on_publication(matched_decision())
+        store.save(tmp_path / "store")
+        return tmp_path / "store"
+
+    def test_unchanged_store_writes_nothing(self, saved):
+        before = _stamps(saved)
+        store = CorpusStore.load(saved)
+        store.record_decision(matched_decision())  # equal to the stored one
+        store.merge_on_publication(matched_decision())  # already merged
+        write_jsonl(saved.parent / "old.jsonl", [preprint_obj(), published_obj()])
+        store.ingest_preprints(saved.parent / "old.jsonl")  # all rejected
+        store.ingest_published(saved.parent / "old.jsonl")
+        store.save(saved)
+        assert _stamps(saved) == before
+
+    @pytest.mark.parametrize("change, name", [
+        (_change_preprints, "preprints.jsonl"),
+        (_replace_preprint, "preprints.jsonl"),
+        (_change_published, "published.jsonl"),
+        (_change_decision, "decisions.jsonl"),
+        (_restamp_decision, "decisions.jsonl"),
+        (_change_merges, "merges.jsonl"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_a_change_rewrites_only_its_table(self, saved, change, name):
+        before = _stamps(saved)
+        store = CorpusStore.load(saved)
+        change(store, saved.parent)
+        store.save(saved)
+        after = _stamps(saved)
+        assert [n for n in TABLES if after[n] != before[n]] == [name]
+        CorpusStore.load(saved).save(saved.parent / "fresh")
+        for n in TABLES:
+            assert (saved / n).read_bytes() == (saved.parent / "fresh" / n).read_bytes()
+        again = _stamps(saved)
+        store.save(saved)  # the written file is clean now
+        assert _stamps(saved) == again
+
+    def test_save_elsewhere_writes_every_file(self, saved, tmp_path):
+        CorpusStore.load(saved).save(tmp_path / "copy")
+        for n in TABLES:
+            assert (tmp_path / "copy" / n).read_bytes() == (saved / n).read_bytes()
+
+    def test_paths_compare_as_absolute(self, saved, tmp_path, monkeypatch):
+        before = _stamps(saved)
+        monkeypatch.chdir(tmp_path)
+        store = CorpusStore.load("store")
+        store.save(saved)  # the same directory, spelled absolute
+        assert _stamps(saved) == before
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        store.save("store")  # a relative path that now names another directory
+        for n in TABLES:
+            assert (tmp_path / "elsewhere" / "store" / n).read_bytes() == \
+                (saved / n).read_bytes()
+
+    def test_missing_file_is_written(self, saved):
+        before = _stamps(saved)
+        (saved / "merges.jsonl").unlink()
+        (saved / "decisions.jsonl").unlink()
+        CorpusStore.load(saved).save(saved)
+        after = _stamps(saved)
+        for n in ("preprints.jsonl", "published.jsonl"):
+            assert after[n] == before[n]
+        assert (saved / "merges.jsonl").read_bytes() == b""
+        assert (saved / "decisions.jsonl").read_bytes() == b""
+
+    def test_hand_edited_file_keeps_its_bytes_until_its_table_changes(self, saved):
+        path = saved / "published.jsonl"
+        edited = b"".join(reversed(path.read_bytes().splitlines(True)))
+        path.write_bytes(edited)  # unsorted, but load accepts it
+        store = CorpusStore.load(saved)
+        store.save(saved)
+        assert path.read_bytes() == edited
+        _change_published(store, saved.parent)
+        store.save(saved)
+        CorpusStore.load(saved).save(saved.parent / "fresh")
+        assert path.read_bytes() == (saved.parent / "fresh" / path.name).read_bytes()
+
+
 class TestStoreProperties:
     def test_doi_index_inversion_random(self):
         rng = np.random.default_rng(11)
