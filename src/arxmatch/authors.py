@@ -3,10 +3,13 @@
 A stand-in for a full disambiguation system: exact normalized-name match
 joins an existing profile, ambiguity between same-named profiles is
 resolved through shared coauthors, and anything else creates a new
-profile with a readable slug id. Merged preprints hand their document key
-over to the published record; authors dropped from the published version
-keep the preprint key with a flag. The module boundary is narrow enough
-that a stronger disambiguator can replace it wholesale.
+profile with a readable slug id. The table is derived state:
+``build_profiles`` makes it from a store in one call, assigning every
+preprint's authors and then applying every recorded merge. A merged
+preprint hands its document key over to the published record; authors
+dropped from the published version keep the preprint key with a flag.
+The module boundary is narrow enough that a stronger disambiguator can
+replace it wholesale.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import (OUTCOME_UNMATCHED, CorpusStore, IntegrityError, MatchDecision,
-                     write_jsonl)
+from .corpus import CorpusStore, IntegrityError, PublishedRecord, write_jsonl
 from .normalize import AuthorName, author_key
 
 KIND_PREPRINT = "preprint"
@@ -55,12 +57,10 @@ def _slug(key: NameKey) -> str:
 
 
 class ProfileTable:
-    """All profiles plus the document->authors registry behind coauthor checks.
+    """All profiles plus the preprint->authors registry behind coauthor checks.
 
-    ``_holders`` is the reverse index from a document to the ids of the
-    profiles holding it, so a merge touches only those profiles instead of
-    scanning every one. Every insertion into a profile's ``documents`` goes
-    through ``_hold``, which keeps the index current.
+    ``_assigned`` maps each (preprint, author name) to the profile holding
+    that mention, so a merge touches only those profiles.
     """
 
     def __init__(self) -> None:
@@ -68,7 +68,6 @@ class ProfileTable:
         self._by_name: dict[NameKey, list[str]] = {}
         self._doc_names: dict[DocKey, set[NameKey]] = {}
         self._assigned: dict[tuple[DocKey, NameKey], str] = {}
-        self._holders: dict[DocKey, set[str]] = {}
 
     # -- profile creation ------------------------------------------------------
 
@@ -119,14 +118,9 @@ class ProfileTable:
                        for d in cand.documents):
                     profile = cand
                     break
-        self._hold(profile, doc, DocEntry(withdrawn=withdrawn))
+        profile.documents.setdefault(doc, DocEntry(withdrawn=withdrawn))
         self._assigned[(doc, key)] = profile.profile_id
         return profile.profile_id
-
-    def _hold(self, profile: AuthorProfile, doc: DocKey, entry: DocEntry) -> None:
-        """Give ``profile`` the document unless it already holds it."""
-        profile.documents.setdefault(doc, entry)
-        self._holders.setdefault(doc, set()).add(profile.profile_id)
 
     def assign_record(self, kind: str, key: str, authors,
                       withdrawn: bool = False) -> list[str]:
@@ -135,50 +129,33 @@ class ProfileTable:
 
     # -- merge ----------------------------------------------------------------------
 
-    def update_on_merge(self, decision: MatchDecision, store: CorpusStore) -> None:
-        """Swap the preprint key for the published key on involved profiles.
+    def update_on_merge(self, preprint: str, published: PublishedRecord) -> None:
+        """Swap the preprint key for the published key on the profiles
+        holding the preprint.
 
         Authors missing from the published version keep the preprint key,
-        flagged as not on the published version. Idempotent; raises
-        IntegrityError when no profile knows the preprint at all.
+        flagged as not on the published version. Each preprint is merged
+        once; raises IntegrityError when its authors were never assigned.
         """
-        if decision.outcome == OUTCOME_UNMATCHED:
-            raise ValueError("cannot apply an unmatched decision")
-        pre_doc = (KIND_PREPRINT, decision.preprint)
-        pub = store.published[decision.matched_accession]
-        pub_doc = self.register_document(KIND_PUBLISHED, pub.accession, pub.authors)
-        pub_names = self._doc_names[pub_doc]
-        holders = self._holders.get(pre_doc)
-        if not holders:
-            if pub_doc in self._holders:
-                return  # merge previously applied
-            raise IntegrityError(
-                f"no profile holds preprint {decision.preprint}")
-        for pid in sorted(holders):
-            profile = self.profiles[pid]
-            key = author_key(profile.canonical_name)
+        pre_doc = (KIND_PREPRINT, preprint)
+        names = self._doc_names.get(pre_doc)
+        if names is None:
+            raise IntegrityError(f"no profile holds preprint {preprint}")
+        pub_doc = (KIND_PUBLISHED, published.accession)
+        pub_names = {author_key(n) for n in published.authors}
+        for key in names:
+            profile = self.profiles[self._assigned[(pre_doc, key)]]
             if key in pub_names:
-                profile.documents.pop(pre_doc)
-                holders.discard(pid)
-                self._hold(profile, pub_doc, DocEntry(withdrawn=False,
-                                                      on_published_version=True))
-                self._assigned[(pub_doc, key)] = pid
+                del profile.documents[pre_doc]
+                profile.documents.setdefault(pub_doc, DocEntry())
             else:
                 profile.documents[pre_doc].on_published_version = False
-        if not holders:
-            del self._holders[pre_doc]
 
     # -- consistency and export ---------------------------------------------------------
 
     def check_invariants(self) -> None:
-        holders: dict[DocKey, set[str]] = {}
         for profile in self.profiles.values():
             assert profile.documents, f"orphan profile {profile.profile_id}"
-            assert profile.preprint_only == all(
-                kind == KIND_PREPRINT for kind, _ in profile.documents)
-            for doc in profile.documents:
-                holders.setdefault(doc, set()).add(profile.profile_id)
-        assert holders == self._holders, "reverse index differs from documents"
 
     def export_jsonl(self, path: str | Path) -> None:
         write_jsonl(path, (
@@ -200,10 +177,13 @@ class ProfileTable:
 
 
 def build_profiles(store: CorpusStore) -> ProfileTable:
-    """Assign every stored preprint's authors, in sorted id order."""
+    """Assign every stored preprint's authors in sorted id order, then
+    apply every stored merge in sorted preprint order."""
     table = ProfileTable()
     for pid in sorted(store.preprints):
         rec = store.preprints[pid]
         table.assign_record(KIND_PREPRINT, pid, rec.authors,
                             withdrawn=rec.withdrawn)
+    for pid in sorted(store.merges):
+        table.update_on_merge(pid, store.published[store.merges[pid]])
     return table

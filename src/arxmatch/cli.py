@@ -164,15 +164,14 @@ def cmd_match(args) -> int:
 
 def cmd_merge(args) -> int:
     with open_store(args.store, "w") as store:
-        profiles = build_profiles(store)
         merged = 0
         for pid in sorted(store.decisions):
             decision = store.decisions[pid]
             if decision.outcome == OUTCOME_UNMATCHED:
                 continue
             store.merge_on_publication(decision)
-            profiles.update_on_merge(decision, store)
             merged += 1
+        profiles = build_profiles(store)
         profiles.check_invariants()
         store.save(args.store)
         profiles.export_jsonl(Path(args.store) / PROFILES_FILE)

@@ -556,8 +556,9 @@ class CorpusStore:
     @classmethod
     def load(cls, directory: str | Path) -> "CorpusStore":
         """Read a saved store. A bad line raises ``RecordError`` naming its
-        file and line: every key is stored once, and every decision and merge
-        names a stored preprint and, when it has one, a stored accession."""
+        file and line: every key is stored once, every decision and merge names
+        a stored preprint, and every merge and matched decision a stored
+        accession."""
         directory = Path(directory)
         store = cls()
         for name, add in ((PREPRINTS_FILE, store._load_preprint),
@@ -586,20 +587,24 @@ class CorpusStore:
 
     def _load_decision(self, obj) -> None:
         d = decision_from_json(obj)
-        self._check_link(d.preprint, d.matched_accession)
+        self._check_preprint(d.preprint)
+        if d.matched_accession is not None:  # an unmatched decision names none
+            self._check_accession(d.matched_accession)
         _put_once(self.decisions, d.preprint, d, "decision for preprint")
 
     def _load_merge(self, obj) -> None:
         if not isinstance(obj, dict) or set(obj) != {"preprint", "accession"}:
             raise RecordError("a merge has exactly the keys preprint and accession")
-        self._check_link(obj["preprint"], obj["accession"])
+        self._check_preprint(obj["preprint"])
+        self._check_accession(obj["accession"])
         _put_once(self.merges, obj["preprint"], obj["accession"], "merge of preprint")
 
-    def _check_link(self, pid, accession) -> None:
+    def _check_preprint(self, pid) -> None:
         if not isinstance(pid, str) or pid not in self.preprints:
             raise RecordError(f"unknown preprint {pid!r}")
-        if accession is not None and (not isinstance(accession, str)
-                                      or accession not in self.published):
+
+    def _check_accession(self, accession) -> None:
+        if not isinstance(accession, str) or accession not in self.published:
             raise RecordError(f"unknown accession {accession!r}")
 
 

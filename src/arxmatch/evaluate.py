@@ -47,13 +47,12 @@ class EvalReport:
 
 
 def split_doi_pairs(store: CorpusStore, seed: int,
-                    min_pairs: int = MIN_DOI_PAIRS,
                     ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """Seeded 80/20 split of the DOI ground-truth pairs."""
     pairs = doi_pairs(store)
-    if len(pairs) < min_pairs:
-        raise EvalError(
-            f"too few DOI-matched pairs for evaluation: {len(pairs)} < {min_pairs}")
+    if len(pairs) < MIN_DOI_PAIRS:
+        raise EvalError(f"too few DOI-matched pairs for evaluation: "
+                        f"{len(pairs)} < {MIN_DOI_PAIRS}")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     perm = rng.permutation(len(pairs))
     cut = int(round(len(pairs) * (1.0 - HOLDOUT_FRACTION)))
@@ -68,11 +67,10 @@ def evaluate(store: CorpusStore, seed: int,
              neg_per_pos: int = DEFAULT_NEG_PER_POS,
              k: int = DEFAULT_K,
              decision_threshold: float = DEFAULT_THRESHOLD,
-             min_pairs: int = MIN_DOI_PAIRS,
              split: tuple[list, list] | None = None) -> EvalReport:
     """Run the harness; `split` overrides the seeded split (harness tests)."""
     if split is None:
-        train, holdout = split_doi_pairs(store, seed, min_pairs=min_pairs)
+        train, holdout = split_doi_pairs(store, seed)
     else:
         train, holdout = split
     index = build_index(store)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -61,18 +61,25 @@ class ScopeDecision:
 
 
 def load_rules(path: str | Path | None = None) -> ScopeRules:
+    """Read a rule set: a JSON object whose keys ``included``, ``excluded``,
+    ``conditional`` and ``standalone`` each hold a list of category codes.
+    Other keys are ignored. Any other file raises ValueError, naming the
+    key at fault when there is one."""
     if path is None:
         text = resources.files("arxmatch.data").joinpath("scope_rules.json") \
             .read_text("utf-8")
     else:
         text = Path(path).read_text("utf-8")
     obj = json.loads(text)
-    return ScopeRules(
-        included=frozenset(obj["included"]),
-        excluded=frozenset(obj["excluded"]),
-        conditional=frozenset(obj["conditional"]),
-        standalone=frozenset(obj["standalone"]),
-    )
+    if not isinstance(obj, dict):
+        raise ValueError("scope rules must be a JSON object")
+    sets = {}
+    for key in (f.name for f in fields(ScopeRules)):
+        codes = obj.get(key)
+        if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
+            raise ValueError(f"scope rules: {key!r} must be a list of strings")
+        sets[key] = frozenset(codes)
+    return ScopeRules(**sets)
 
 
 def _is_nonmath(category: str, rules: ScopeRules) -> bool:

@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arxmatch.authors import (
@@ -94,42 +94,24 @@ class TestAssignment:
 
 
 class TestUpdateOnMerge:
-    def _setup(self, published_authors=("Jane Doe",)):
-        store = store_with(
-            [make_preprint(authors=("Jane Doe",))],
-            [make_published(authors=published_authors)],
-        )
-        table = build_profiles(store)
-        return store, table
+    def _built(self, preprint_authors=("Jane Doe",), published_authors=("Jane Doe",),
+               merged=True):
+        store = store_with([make_preprint(authors=preprint_authors)],
+                           [make_published(authors=published_authors)])
+        if merged:
+            store.merge_on_publication(doi_decision())
+        return build_profiles(store)
 
     def test_preprint_only_flips_false(self):
-        store, table = self._setup()
-        assert table.profiles["doe.jane"].preprint_only
-        store.merge_on_publication(doi_decision())
-        table.update_on_merge(doi_decision(), store)
-        profile = table.profiles["doe.jane"]
+        assert self._built(merged=False).profiles["doe.jane"].preprint_only
+        profile = self._built().profiles["doe.jane"]
         assert not profile.preprint_only
         assert (KIND_PUBLISHED, "zbl00000001") in profile.documents
         assert (KIND_PREPRINT, "2301.00001") not in profile.documents
 
-    def test_rerun_is_noop(self):
-        store, table = self._setup()
-        table.update_on_merge(doi_decision(), store)
-        snapshot = {
-            pid: dict(p.documents) for pid, p in table.profiles.items()
-        }
-        table.update_on_merge(doi_decision(), store)
-        assert snapshot == {
-            pid: dict(p.documents) for pid, p in table.profiles.items()
-        }
-
     def test_dropped_author_keeps_arxiv_key_flagged(self):
-        store = store_with(
-            [make_preprint(authors=("Jane Doe", "John Roe"))],
-            [make_published(authors=("Jane Doe",))],  # Roe dropped in print
-        )
-        table = build_profiles(store)
-        table.update_on_merge(doi_decision(), store)
+        # Roe dropped in print
+        table = self._built(preprint_authors=("Jane Doe", "John Roe"))
         roe = table.profiles["roe.john"]
         entry = roe.documents[(KIND_PREPRINT, "2301.00001")]
         assert entry.on_published_version is False
@@ -138,11 +120,10 @@ class TestUpdateOnMerge:
         assert (KIND_PUBLISHED, "zbl00000001") in doe.documents
 
     def test_unknown_preprint_is_integrity_error(self):
-        store, table = self._setup()
-        other = MatchDecision("2301.00002", OUTCOME_DOI, "zbl00000001", None, TS)
-        store.preprints["2301.00002"] = make_preprint(pid="2301.00002")
+        store = store_with([make_preprint()], [make_published()])
+        table = build_profiles(store)
         with pytest.raises(IntegrityError):
-            table.update_on_merge(other, store)
+            table.update_on_merge("2301.00002", store.published["zbl00000001"])
 
 
 class TestWithdrawn:
@@ -205,93 +186,93 @@ class TestInvariants:
 
 
 class ScanTable(ProfileTable):
-    """The reference: find a document's holders by scanning every profile,
-    as the table did before it kept the ``_holders`` reverse index."""
+    """The reference: find a preprint's holders by scanning every profile."""
 
-    def update_on_merge(self, decision, store):
-        pre_doc = (KIND_PREPRINT, decision.preprint)
-        pub = store.published[decision.matched_accession]
-        pub_doc = self.register_document(KIND_PUBLISHED, pub.accession, pub.authors)
-        pub_names = self._doc_names[pub_doc]
+    def update_on_merge(self, preprint, published):
+        pre_doc = (KIND_PREPRINT, preprint)
+        pub_doc = (KIND_PUBLISHED, published.accession)
+        pub_names = {author_key(n) for n in published.authors}
         holders = [p for p in self.profiles.values() if pre_doc in p.documents]
         if not holders:
-            if any(pub_doc in p.documents for p in self.profiles.values()):
-                return
-            raise IntegrityError(f"no profile holds preprint {decision.preprint}")
-        for profile in sorted(holders, key=lambda p: p.profile_id):
-            key = author_key(profile.canonical_name)
-            if key in pub_names:
-                profile.documents.pop(pre_doc)
-                profile.documents.setdefault(
-                    pub_doc, DocEntry(withdrawn=False, on_published_version=True))
-                self._assigned[(pub_doc, key)] = profile.profile_id
+            raise IntegrityError(f"no profile holds preprint {preprint}")
+        for profile in holders:
+            if author_key(profile.canonical_name) in pub_names:
+                del profile.documents[pre_doc]
+                profile.documents.setdefault(pub_doc, DocEntry())
             else:
                 profile.documents[pre_doc].on_published_version = False
 
 
-def holders_from_documents(table):
-    holders = {}
-    for pid, profile in table.profiles.items():
-        for doc in profile.documents:
-            holders.setdefault(doc, set()).add(pid)
-    return holders
+def seed_same_named(table, seeds):
+    """Per (author, coauthor) in ``seeds``, give ``table`` a new profile of
+    that author holding a document written with that coauthor. Two seeds of
+    one name make same-named profiles, which assignment tells apart by
+    coauthor; no store preprint can make them."""
+    for i, (author, coauthor) in enumerate(seeds):
+        doc = table.register_document(KIND_PREPRINT, f"seed{i}",
+                                      [name(author), name(coauthor)])
+        table.new_profile(name(author)).documents[doc] = DocEntry()
 
 
-# few names, so same-named profiles, shared coauthors and dropped authors recur
+def derive(table, store):
+    """``build_profiles``' two passes, on a given table."""
+    for pid in sorted(store.preprints):
+        rec = store.preprints[pid]
+        table.assign_record(KIND_PREPRINT, pid, rec.authors, withdrawn=rec.withdrawn)
+    for pid in sorted(store.merges):
+        table.update_on_merge(pid, store.published[store.merges[pid]])
+    return table
+
+
+def exported(table, tmp):
+    path = Path(tmp, "profiles.jsonl")
+    table.export_jsonl(path)
+    return path.read_bytes()
+
+
+# few names, so shared coauthors, dropped authors and names repeated in one
+# byline recur; "Jane Doe" and "Doe, Jane" are one name
 NAMES = ("Jane Doe", "Doe, Jane", "John Roe", "Mary Moe", "J. Doe")
 AUTHOR_LISTS = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3)
-OPS = st.lists(st.one_of(
-    st.tuples(st.just("assign"), st.integers(0, 3)),
-    st.tuples(st.just("merge"), st.integers(0, 3), st.integers(0, 2)),
-), max_size=12)
+MERGES = st.dictionaries(st.integers(0, 3), st.integers(0, 2))  # preprint -> accession
+SEEDS = st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=4)
 
 
 class TestReverseIndex:
+    """``update_on_merge`` finds a preprint's holders through ``_assigned``;
+    the reference scans every profile."""
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(AUTHOR_LISTS, min_size=4, max_size=4),
-           st.lists(AUTHOR_LISTS, min_size=3, max_size=3), OPS,
-           st.lists(st.booleans(), min_size=4, max_size=4))
-    def test_matches_scan_reference(self, pre_authors, pub_authors, ops, withdrawn):
+           st.lists(st.booleans(), min_size=4, max_size=4),
+           st.lists(AUTHOR_LISTS, min_size=3, max_size=3), MERGES, SEEDS)
+    # two preprints merged into one accession, each dropping an author, a
+    # repeated name in one byline, and same-named doe.jane profiles
+    @example([["Jane Doe", "Doe, Jane", "John Roe"], ["Jane Doe", "Mary Moe"],
+              ["J. Doe"], ["John Roe"]], [False, True, False, False],
+             [["Jane Doe"], ["J. Doe"], ["John Roe"]], {0: 0, 1: 0, 3: 2},
+             [("Jane Doe", "Mary Moe"), ("Doe, Jane", "John Roe")])
+    def test_matches_scan_reference(self, pre_authors, withdrawn, pub_authors,
+                                    merges, seeds):
         store = store_with(
             [make_preprint(pid=f"2301.{i:05d}", authors=a, withdrawn=w)
              for i, (a, w) in enumerate(zip(pre_authors, withdrawn))],
             [make_published(accession=f"zbl{j:08d}", authors=a)
              for j, a in enumerate(pub_authors)])
-        indexed, scanned = ProfileTable(), ScanTable()
+        store.merges = {f"2301.{i:05d}": f"zbl{j:08d}" for i, j in merges.items()}
+        built = build_profiles(store)
+        built.check_invariants()
+        seeded = []
+        for table in (ProfileTable(), ScanTable()):
+            seed_same_named(table, seeds)
+            seeded.append(derive(table, store))
         with tempfile.TemporaryDirectory() as tmp:
-            for op in ops:
-                pid = f"2301.{op[1]:05d}"
-                raised = []
-                for table in (indexed, scanned):
-                    try:
-                        if op[0] == "assign":
-                            rec = store.preprints[pid]
-                            table.assign_record(KIND_PREPRINT, pid, rec.authors,
-                                                withdrawn=rec.withdrawn)
-                        else:
-                            table.update_on_merge(MatchDecision(
-                                pid, OUTCOME_DOI, f"zbl{op[2]:08d}", None, TS), store)
-                    except IntegrityError:
-                        raised.append(table)
-                assert raised in ([], [indexed, scanned])
-                assert indexed._holders == holders_from_documents(indexed)
-                indexed.check_invariants()
-                out = [Path(tmp, "indexed.jsonl"), Path(tmp, "scanned.jsonl")]
-                indexed.export_jsonl(out[0])
-                scanned.export_jsonl(out[1])
-                assert out[0].read_bytes() == out[1].read_bytes()
-                assert indexed._assigned == scanned._assigned
+            assert exported(built, tmp) == exported(derive(ScanTable(), store), tmp)
+            assert exported(seeded[0], tmp) == exported(seeded[1], tmp)
 
     def test_merge_before_assignment_is_integrity_error(self):
         store = store_with([make_preprint()], [make_published()])
         table = ProfileTable()
         with pytest.raises(IntegrityError):
-            table.update_on_merge(doi_decision(), store)
-        assert table._holders == {}
-
-    def test_check_invariants_catches_a_stale_index(self):
-        store = store_with([make_preprint()], [])
-        table = build_profiles(store)
-        table._holders[(KIND_PREPRINT, "2301.00001")].clear()
-        with pytest.raises(AssertionError):
-            table.check_invariants()
+            table.update_on_merge("2301.00001", store.published["zbl00000001"])
+        assert table.profiles == {}

@@ -81,6 +81,22 @@ class TestExitCodes:
         assert len(lines) == 1
         assert "unknown preprint" in json.loads(lines[0])["error"]
 
+    @pytest.mark.parametrize("rules, problem", [
+        ({"included": "math.AG", "excluded": [], "conditional": [], "standalone": []},
+         "'included' must be a list of strings"),
+        (["math.AG"], "scope rules must be a JSON object"),
+    ], ids=["string-set", "not-an-object"])
+    def test_scope_with_malformed_rules_is_1(self, small_store, tmp_path, capsys,
+                                             rules, problem):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules))
+        assert run("scope", "--store", str(small_store), "--rules", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert problem in json.loads(lines[0])["error"]
+
     def test_stats_with_repeated_preprint_is_1(self, small_store, capsys):
         path = small_store / "preprints.jsonl"
         first = path.read_bytes().splitlines(keepends=True)[0]

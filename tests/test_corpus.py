@@ -370,6 +370,8 @@ class TestStorePersistence:
         ("merges.jsonl", {"preprint": "2301.00001", "accession": "zbl9"},
          "unknown accession"),
         ("merges.jsonl", {"preprint": "2301.00001"}, "keys preprint and accession"),
+        ("merges.jsonl", {"preprint": "2301.00001", "accession": None},
+         "unknown accession None"),
     ])
     def test_load_rejects_bad_decision_or_merge(self, tmp_path, name, line, problem):
         store_with([make_preprint()], [make_published()]).save(tmp_path)

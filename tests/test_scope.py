@@ -118,6 +118,27 @@ class TestInScope:
         assert RULES.standalone == {"math-ph", "math.MP"}
 
 
+class TestLoadRules:
+    @pytest.mark.parametrize("change, problem", [
+        ({"included": "math.AG"}, "'included' must be a list of strings"),
+        ({"excluded": ["math.GM", 7]}, "'excluded' must be a list of strings"),
+        ({"standalone": None}, "'standalone' must be a list of strings"),
+    ])
+    def test_malformed_rule_set_names_the_key(self, tmp_path, change, problem):
+        rules = {f: sorted(getattr(RULES, f))
+                 for f in ("included", "excluded", "conditional", "standalone")}
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({**rules, **change}))
+        with pytest.raises(ValueError, match=problem):
+            load_rules(path)
+
+    def test_rule_set_must_be_an_object(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(sorted(RULES.included)))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_rules(path)
+
+
 class TestOverlapShare:
     def _store(self):
         preprints = [
