@@ -1,21 +1,31 @@
 from __future__ import annotations
 
+import re
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arxmatch.authors import (
     KIND_PREPRINT,
     KIND_PUBLISHED,
+    AuthorProfile,
     DocEntry,
+    DocKey,
+    NameKey,
     ProfileTable,
     build_profiles,
 )
-from arxmatch.corpus import IntegrityError, MatchDecision, OUTCOME_DOI
-from arxmatch.normalize import author_key, split_authors
+from arxmatch.corpus import (
+    OUTCOME_DOI,
+    CorpusStore,
+    IntegrityError,
+    MatchDecision,
+    PublishedRecord,
+    write_jsonl,
+)
+from arxmatch.normalize import AuthorName, author_key, split_authors
 
 from conftest import make_preprint, make_published, store_with
 
@@ -33,58 +43,38 @@ def doi_decision(pid="2301.00001", accession="zbl00000001"):
 class TestAssignment:
     def test_first_occurrence_creates_slug_profile(self):
         table = ProfileTable()
-        pids = table.assign_record(KIND_PREPRINT, "2301.00001",
-                                   [name("Doe, Jane")])
-        assert pids == ["doe.jane"]
-        assert table.profiles["doe.jane"].preprint_only
+        table.assign_record(KIND_PREPRINT, "2301.00001", [name("Doe, Jane")])
+        assert list(table.profiles) == ["doe.jane"]
+        assert list(table.profiles["doe.jane"].documents) == \
+            [(KIND_PREPRINT, "2301.00001")]
 
     def test_second_paper_reuses_profile(self):
         table = ProfileTable()
         table.assign_record(KIND_PREPRINT, "2301.00001", [name("Doe, Jane")])
-        pids = table.assign_record(KIND_PREPRINT, "2301.00002",
-                                   [name("Jane Doe")])
-        assert pids == ["doe.jane"]
-        assert len(table.profiles) == 1
+        table.assign_record(KIND_PREPRINT, "2301.00002", [name("Jane Doe")])
+        assert list(table.profiles) == ["doe.jane"]
         assert len(table.profiles["doe.jane"].documents) == 2
 
-    def test_coauthor_disambiguates_same_name(self):
-        table = ProfileTable()
-        # two pre-existing "doe.jane" profiles with distinct coauthor circles
-        table.assign_record(KIND_PREPRINT, "2301.00001",
-                            [name("Doe, Jane"), name("Roe, John")])
-        table.new_profile(name("Doe, Jane"))  # doe.jane.1, empty circle
-        table.profiles["doe.jane.1"].documents[(KIND_PREPRINT, "2301.00002")] = \
-            table.profiles["doe.jane"].documents[(KIND_PREPRINT, "2301.00001")].__class__()
-        table.register_document(KIND_PREPRINT, "2301.00002",
-                                [name("Doe, Jane"), name("Moe, Mary")])
-        # new record shares coauthor Moe with doe.jane.1's record
-        doc = table.register_document(KIND_PREPRINT, "2301.00003",
-                                      [name("Doe, Jane"), name("Moe, Mary")])
-        assert table.assign_author(name("Doe, Jane"), doc) == "doe.jane.1"
-
-    def test_ambiguous_without_coauthor_takes_smallest_id(self):
-        table = ProfileTable()
-        table.assign_record(KIND_PREPRINT, "2301.00001", [name("Doe, Jane")])
-        table.new_profile(name("Doe, Jane"))
-        doc = table.register_document(KIND_PREPRINT, "2301.00009",
-                                      [name("Doe, Jane")])
-        assert table.assign_author(name("Doe, Jane"), doc) == "doe.jane"
-
     def test_idempotent_per_name_and_key(self):
-        table = ProfileTable()
-        doc = table.register_document(KIND_PREPRINT, "2301.00001",
-                                      [name("Doe, Jane")])
-        p1 = table.assign_author(name("Doe, Jane"), doc)
-        p2 = table.assign_author(name("Doe, Jane"), doc)
-        assert p1 == p2
-        assert len(table.profiles[p1].documents) == 1
+        # one name twice in a byline is one mention of one profile
+        store = store_with([make_preprint(authors=("Jane Doe", "Doe, Jane"))], [])
+        table = build_profiles(store)
+        assert list(table.profiles) == ["doe.jane"]
+        assert list(table.profiles["doe.jane"].documents) == \
+            [(KIND_PREPRINT, "2301.00001")]
 
     def test_ordinal_suffixes(self):
-        table = ProfileTable()
-        table.new_profile(name("Doe, Jane"))
-        table.new_profile(name("Doe, Jane"))
-        table.new_profile(name("Doe, Jane"))
-        assert set(table.profiles) == {"doe.jane", "doe.jane.1", "doe.jane.2"}
+        # distinct keys "van der berg" and "van-der-berg" share a slug; the
+        # name mentioned first gets it bare, whichever key sorts first
+        spaced, hyphened = "van der Berg, Jan", "van-der-Berg, Jan"
+        for first, second in ((spaced, hyphened), (hyphened, spaced)):
+            store = store_with([make_preprint(pid="2301.00001", authors=(first,)),
+                                make_preprint(pid="2301.00002", authors=(second,))],
+                               [])
+            profiles = build_profiles(store).profiles
+            assert sorted(profiles) == ["van-der-berg.jan", "van-der-berg.jan.1"]
+            assert profiles["van-der-berg.jan"].canonical_name == name(first)
+            assert profiles["van-der-berg.jan.1"].canonical_name == name(second)
 
     def test_multitoken_slug(self):
         table = ProfileTable()
@@ -103,27 +93,20 @@ class TestUpdateOnMerge:
         return build_profiles(store)
 
     def test_preprint_only_flips_false(self):
-        assert self._built(merged=False).profiles["doe.jane"].preprint_only
-        profile = self._built().profiles["doe.jane"]
-        assert not profile.preprint_only
-        assert (KIND_PUBLISHED, "zbl00000001") in profile.documents
-        assert (KIND_PREPRINT, "2301.00001") not in profile.documents
+        pre_doc = (KIND_PREPRINT, "2301.00001")
+        unmerged = self._built(merged=False).profiles["doe.jane"]
+        assert list(unmerged.documents) == [pre_doc]
+        merged = self._built().profiles["doe.jane"]
+        assert list(merged.documents) == [(KIND_PUBLISHED, "zbl00000001")]
 
     def test_dropped_author_keeps_arxiv_key_flagged(self):
         # Roe dropped in print
         table = self._built(preprint_authors=("Jane Doe", "John Roe"))
         roe = table.profiles["roe.john"]
-        entry = roe.documents[(KIND_PREPRINT, "2301.00001")]
-        assert entry.on_published_version is False
-        assert roe.preprint_only
+        assert list(roe.documents) == [(KIND_PREPRINT, "2301.00001")]
+        assert roe.documents[(KIND_PREPRINT, "2301.00001")].on_published_version is False
         doe = table.profiles["doe.jane"]
-        assert (KIND_PUBLISHED, "zbl00000001") in doe.documents
-
-    def test_unknown_preprint_is_integrity_error(self):
-        store = store_with([make_preprint()], [make_published()])
-        table = build_profiles(store)
-        with pytest.raises(IntegrityError):
-            table.update_on_merge("2301.00002", store.published["zbl00000001"])
+        assert list(doe.documents) == [(KIND_PUBLISHED, "zbl00000001")]
 
 
 class TestWithdrawn:
@@ -185,40 +168,142 @@ class TestInvariants:
         }]
 
 
-class ScanTable(ProfileTable):
-    """The reference: find a preprint's holders by scanning every profile."""
+def _reference_slug(key: NameKey) -> str:
+    family, given = key
+    parts = [re.sub(r"\s+", "-", part) for part in (family, given) if part]
+    return ".".join(parts) or "unknown"
 
-    def update_on_merge(self, preprint, published):
+
+class ReferenceTable:
+    """The reference: the profile table as it was when same-named profiles
+    were told apart by shared coauthors, with a registry of each
+    document's names behind it. Its exports must equal ``ProfileTable``'s.
+
+    ``_assigned`` maps each (preprint, author name) to the profile holding
+    that mention, so a merge touches only those profiles.
+    """
+
+    def __init__(self) -> None:
+        self.profiles: dict[str, AuthorProfile] = {}
+        self._by_name: dict[NameKey, list[str]] = {}
+        self._doc_names: dict[DocKey, set[NameKey]] = {}
+        self._assigned: dict[tuple[DocKey, NameKey], str] = {}
+
+    # -- profile creation ------------------------------------------------------
+
+    def new_profile(self, name: AuthorName) -> AuthorProfile:
+        key = author_key(name)
+        base = _reference_slug(key)
+        pid = base
+        ordinal = 0
+        while pid in self.profiles:
+            ordinal += 1
+            pid = f"{base}.{ordinal}"
+        profile = AuthorProfile(profile_id=pid, canonical_name=name)
+        self.profiles[pid] = profile
+        self._by_name.setdefault(key, []).append(pid)
+        return profile
+
+    # -- assignment --------------------------------------------------------------
+
+    def register_document(self, kind: str, key: str, authors) -> DocKey:
+        doc = (kind, key)
+        self._doc_names[doc] = {author_key(n) for n in authors}
+        return doc
+
+    def assign_author(self, name: AuthorName, doc: DocKey,
+                      withdrawn: bool = False) -> str:
+        """Assign one author mention of a registered document to a profile.
+
+        Exact normalized-name match wins; among several same-named
+        profiles the one sharing a coauthor on any of its documents is
+        preferred (then the smallest profile id). Idempotent per
+        (name, document).
+        """
+        key = author_key(name)
+        prior = self._assigned.get((doc, key))
+        if prior is not None:
+            return prior
+        candidates = sorted(self._by_name.get(key, []))
+        if not candidates:
+            profile = self.new_profile(name)
+        elif len(candidates) == 1:
+            profile = self.profiles[candidates[0]]
+        else:
+            coauthors = self._doc_names.get(doc, set()) - {key}
+            profile = self.profiles[candidates[0]]
+            for pid in candidates:
+                cand = self.profiles[pid]
+                if any(coauthors & (self._doc_names.get(d, set()) - {key})
+                       for d in cand.documents):
+                    profile = cand
+                    break
+        profile.documents.setdefault(doc, DocEntry(withdrawn=withdrawn))
+        self._assigned[(doc, key)] = profile.profile_id
+        return profile.profile_id
+
+    def assign_record(self, kind: str, key: str, authors,
+                      withdrawn: bool = False) -> list[str]:
+        doc = self.register_document(kind, key, authors)
+        return [self.assign_author(n, doc, withdrawn=withdrawn) for n in authors]
+
+    # -- merge ----------------------------------------------------------------------
+
+    def update_on_merge(self, preprint: str, published: PublishedRecord) -> None:
+        """Swap the preprint key for the published key on the profiles
+        holding the preprint.
+
+        Authors missing from the published version keep the preprint key,
+        flagged as not on the published version. Each preprint is merged
+        once; raises IntegrityError when its authors were never assigned.
+        """
         pre_doc = (KIND_PREPRINT, preprint)
+        names = self._doc_names.get(pre_doc)
+        if names is None:
+            raise IntegrityError(f"no profile holds preprint {preprint}")
         pub_doc = (KIND_PUBLISHED, published.accession)
         pub_names = {author_key(n) for n in published.authors}
-        holders = [p for p in self.profiles.values() if pre_doc in p.documents]
-        if not holders:
-            raise IntegrityError(f"no profile holds preprint {preprint}")
-        for profile in holders:
-            if author_key(profile.canonical_name) in pub_names:
+        for key in names:
+            profile = self.profiles[self._assigned[(pre_doc, key)]]
+            if key in pub_names:
                 del profile.documents[pre_doc]
                 profile.documents.setdefault(pub_doc, DocEntry())
             else:
                 profile.documents[pre_doc].on_published_version = False
 
+    # -- consistency and export ---------------------------------------------------------
 
-def seed_same_named(table, seeds):
-    """Per (author, coauthor) in ``seeds``, give ``table`` a new profile of
-    that author holding a document written with that coauthor. Two seeds of
-    one name make same-named profiles, which assignment tells apart by
-    coauthor; no store preprint can make them."""
-    for i, (author, coauthor) in enumerate(seeds):
-        doc = table.register_document(KIND_PREPRINT, f"seed{i}",
-                                      [name(author), name(coauthor)])
-        table.new_profile(name(author)).documents[doc] = DocEntry()
+    def check_invariants(self) -> None:
+        for profile in self.profiles.values():
+            assert profile.documents, f"orphan profile {profile.profile_id}"
+
+    def export_jsonl(self, path: str | Path) -> None:
+        write_jsonl(path, (
+            {
+                "profile_id": pid,
+                "canonical_name": self.profiles[pid].display_name(),
+                "documents": [
+                    {
+                        "kind": kind,
+                        "key": key,
+                        "withdrawn": entry.withdrawn,
+                        "on_published_version": entry.on_published_version,
+                    }
+                    for (kind, key), entry in sorted(self.profiles[pid].documents.items())
+                ],
+            }
+            for pid in sorted(self.profiles)
+        ))
 
 
-def derive(table, store):
-    """``build_profiles``' two passes, on a given table."""
+def reference_build_profiles(store: CorpusStore) -> ReferenceTable:
+    """Assign every stored preprint's authors in sorted id order, then
+    apply every stored merge in sorted preprint order."""
+    table = ReferenceTable()
     for pid in sorted(store.preprints):
         rec = store.preprints[pid]
-        table.assign_record(KIND_PREPRINT, pid, rec.authors, withdrawn=rec.withdrawn)
+        table.assign_record(KIND_PREPRINT, pid, rec.authors,
+                            withdrawn=rec.withdrawn)
     for pid in sorted(store.merges):
         table.update_on_merge(pid, store.published[store.merges[pid]])
     return table
@@ -230,30 +315,30 @@ def exported(table, tmp):
     return path.read_bytes()
 
 
-# few names, so shared coauthors, dropped authors and names repeated in one
-# byline recur; "Jane Doe" and "Doe, Jane" are one name
-NAMES = ("Jane Doe", "Doe, Jane", "John Roe", "Mary Moe", "J. Doe")
+# few names, so dropped authors and names repeated in one byline recur;
+# "Jane Doe" and "Doe, Jane" are one name, and the two van der Bergs are
+# distinct names that share the slug van-der-berg.jan
+NAMES = ("Jane Doe", "Doe, Jane", "John Roe", "Mary Moe", "J. Doe",
+         "van der Berg, Jan", "van-der-Berg, Jan")
 AUTHOR_LISTS = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3)
 MERGES = st.dictionaries(st.integers(0, 3), st.integers(0, 2))  # preprint -> accession
-SEEDS = st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=4)
 
 
-class TestReverseIndex:
-    """``update_on_merge`` finds a preprint's holders through ``_assigned``;
-    the reference scans every profile."""
+class TestAgainstReference:
+    """``build_profiles`` exports the same bytes as the reference table."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(AUTHOR_LISTS, min_size=4, max_size=4),
            st.lists(st.booleans(), min_size=4, max_size=4),
-           st.lists(AUTHOR_LISTS, min_size=3, max_size=3), MERGES, SEEDS)
+           st.lists(AUTHOR_LISTS, min_size=3, max_size=3), MERGES)
     # two preprints merged into one accession, each dropping an author, a
-    # repeated name in one byline, and same-named doe.jane profiles
+    # repeated name in one byline, a withdrawn version, and a slug collision
     @example([["Jane Doe", "Doe, Jane", "John Roe"], ["Jane Doe", "Mary Moe"],
-              ["J. Doe"], ["John Roe"]], [False, True, False, False],
-             [["Jane Doe"], ["J. Doe"], ["John Roe"]], {0: 0, 1: 0, 3: 2},
-             [("Jane Doe", "Mary Moe"), ("Doe, Jane", "John Roe")])
-    def test_matches_scan_reference(self, pre_authors, withdrawn, pub_authors,
-                                    merges, seeds):
+              ["van-der-Berg, Jan"], ["van der Berg, Jan", "John Roe"]],
+             [False, True, False, True],
+             [["Jane Doe"], ["J. Doe"], ["van der Berg, Jan"]], {0: 0, 1: 0, 3: 2})
+    def test_export_matches_reference(self, pre_authors, withdrawn, pub_authors,
+                                      merges):
         store = store_with(
             [make_preprint(pid=f"2301.{i:05d}", authors=a, withdrawn=w)
              for i, (a, w) in enumerate(zip(pre_authors, withdrawn))],
@@ -262,17 +347,5 @@ class TestReverseIndex:
         store.merges = {f"2301.{i:05d}": f"zbl{j:08d}" for i, j in merges.items()}
         built = build_profiles(store)
         built.check_invariants()
-        seeded = []
-        for table in (ProfileTable(), ScanTable()):
-            seed_same_named(table, seeds)
-            seeded.append(derive(table, store))
         with tempfile.TemporaryDirectory() as tmp:
-            assert exported(built, tmp) == exported(derive(ScanTable(), store), tmp)
-            assert exported(seeded[0], tmp) == exported(seeded[1], tmp)
-
-    def test_merge_before_assignment_is_integrity_error(self):
-        store = store_with([make_preprint()], [make_published()])
-        table = ProfileTable()
-        with pytest.raises(IntegrityError):
-            table.update_on_merge("2301.00001", store.published["zbl00000001"])
-        assert table.profiles == {}
+            assert exported(built, tmp) == exported(reference_build_profiles(store), tmp)
