@@ -11,10 +11,13 @@ ACM JEA 10, 2005). A lane's distance is read off at the end as a
 popcount of its vertical deltas, and lanes are packed into words of at
 most WORD_BITS bits, so the cost stays linear in the number of
 candidates. It and the dot product use integer arithmetic throughout.
-The forest walk advances all trees one level per numpy step. The Gini
-and forest kernels fix their floating-point operation order (the forest
-sums leaf values tree by tree in root order), so every result is
-reproducible bit for bit.
+The forest is evaluated as a table lookup: a row's bin among the
+model's sorted thresholds, per feature, picks each tree's leaf from a
+precomputed grid (the threshold indexing of QuickScorer, C. Lucchese et
+al., SIGIR 2015, here as one dense grid per tree). The Gini and forest
+kernels fix their floating-point operation order (the forest sums leaf
+values tree by tree in root order), so every result is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -151,30 +154,35 @@ def best_split(values: np.ndarray, pos_w: np.ndarray, neg_w: np.ndarray,
     return best_f, best_t, best_cost
 
 
-def forest_eval(feat: np.ndarray, thr: np.ndarray, left: np.ndarray,
-                right: np.ndarray, prob: np.ndarray, roots: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
+def forest_eval(edges_0: np.ndarray, edges_1: np.ndarray, edges_2: np.ndarray,
+                cells_0: np.ndarray, cells_1: np.ndarray, cells_2: np.ndarray,
+                x: np.ndarray, leaf: np.ndarray) -> np.ndarray:
     """Mean leaf probability over all trees for each row of x.
 
-    Trees are packed in flat arrays; feat[i] < 0 marks a leaf holding
-    prob[i]. All trees are walked at once on a (n_trees, n_rows) node
-    index matrix, one level per step, so a call costs about max_depth
-    numpy steps whatever the tree and row counts. The leaf values are
-    then summed tree by tree in root order (cumsum is sequential), the
-    same float additions as a per-tree loop, so the result is
-    bit-identical to one.
+    Each tree is a piecewise-constant function on the grid of its own
+    thresholds, stored in the threshold-bin table that forest._build_table
+    makes once per model. edges_f holds every distinct threshold of
+    feature f in the model, sorted; a row's global bin on f is the count
+    of those thresholds below x[:, f] (searchsorted, side left). cells_f
+    is an (n_trees, edges_f.size + 1) table from a global bin to each
+    tree's offset for its local bin on f; cells_0 also holds each tree's
+    base offset. Their sum indexes leaf, the flat table of every tree's
+    grid of leaf values. So a call is three searchsorted, three gathers
+    and one leaf gather, whatever the tree depth.
+
+    A node sends x left when x <= thr, which holds exactly when thr's
+    rank among the tree's thresholds is at least x's local bin, so every
+    row lands in the grid cell of the leaf a walk from the root reaches.
+    A NaN sorts after every edge and so lands in the last bin, right of
+    every threshold, where a walk sends it too (NaN <= thr is false).
+    The leaf values are then summed tree by tree in root order (cumsum is
+    sequential), the same float additions as a per-tree walk, so the
+    result is bit-identical to one.
     """
-    cols = np.arange(x.shape[0])
-    idx = np.repeat(roots[:, None], x.shape[0], axis=1)
-    while True:
-        f = feat[idx]
-        inner = f >= 0
-        if not inner.any():
-            break
-        go_left = x[cols, np.where(inner, f, 0)] <= thr[idx]
-        nxt = np.where(go_left, left[idx], right[idx])
-        idx = np.where(inner, nxt, idx)
-    return np.cumsum(prob[idx], axis=0)[-1] / roots.size
+    idx = cells_0[:, np.searchsorted(edges_0, x[:, 0])]
+    idx += cells_1[:, np.searchsorted(edges_1, x[:, 1])]
+    idx += cells_2[:, np.searchsorted(edges_2, x[:, 2])]
+    return np.cumsum(leaf[idx], axis=0)[-1] / cells_0.shape[0]
 
 
 def str_to_codes(s: str) -> np.ndarray:

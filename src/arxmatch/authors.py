@@ -98,11 +98,7 @@ class ProfileTable:
             else:
                 profile.documents[pre_doc].on_published_version = False
 
-    # -- consistency and export ---------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        for profile in self.profiles.values():
-            assert profile.documents, f"orphan profile {profile.profile_id}"
+    # -- export -------------------------------------------------------------------------
 
     def export_jsonl(self, path: str | Path) -> None:
         write_jsonl(path, (

@@ -172,7 +172,6 @@ def cmd_merge(args) -> int:
             store.merge_on_publication(decision)
             merged += 1
         profiles = build_profiles(store)
-        profiles.check_invariants()
         store.save(args.store)
         profiles.export_jsonl(Path(args.store) / PROFILES_FILE)
     sys.stdout.write(_report_json({"merged": merged,

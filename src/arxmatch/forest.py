@@ -12,10 +12,21 @@ Splits minimize weighted Gini impurity over 2 of the 3 features per node
 (the rounded-up square-root rule); candidate thresholds are midpoints of
 consecutive distinct feature values; leaves hold the weighted positive
 fraction. Prediction is the mean leaf probability across trees.
+
+Each tree is a piecewise-constant function on the grid of its own
+thresholds, so prediction is a table lookup (_kernels.forest_eval) into
+a threshold-bin table that ForestModel.packed() builds once per model:
+the model's sorted thresholds per feature, a per-tree map from a global
+bin to the tree's local one, and every tree's grid of leaf values. The
+table's size depends on the trees, not on max_depth alone, so it is
+counted from the thresholds before anything is allocated; a model whose
+table would exceed MAX_TABLE_ENTRIES is refused by load_model and by
+train_forest.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,6 +47,9 @@ DEFAULT_N_TREES = 100
 DEFAULT_MAX_DEPTH = 6
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_NEG_PER_POS = 3
+# leaf cells plus bin-index entries of a model's lookup table; the
+# defaults (100 trees of depth 6) stay below 1,695,100
+MAX_TABLE_ENTRIES = 1 << 21
 
 
 class TrainingError(ValueError):
@@ -63,7 +77,7 @@ class ForestModel:
 
     def packed(self) -> tuple:
         if self._packed is None:
-            self._packed = _pack_trees(self.trees)
+            self._packed = _build_table(self.trees)
         return self._packed
 
 
@@ -194,37 +208,96 @@ def train_forest(data: list[TrainingPair], n_trees: int = DEFAULT_N_TREES,
         root = builder.build(rows, 0)
         assert root == 0
         trees.append(builder.nodes)
+    problem = _table_problem(trees)
+    if problem is not None:
+        raise TrainingError(problem)
     return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
                        seed=int(seed), decision_threshold=decision_threshold)
 
 
-def _pack_trees(trees: list[list[dict]]):
-    total = sum(len(t) for t in trees)
-    feat = np.full(total, -1, dtype=np.int64)
-    thr = np.zeros(total, dtype=np.float64)
-    left = np.full(total, -1, dtype=np.int64)
-    right = np.full(total, -1, dtype=np.int64)
-    prob = np.zeros(total, dtype=np.float64)
-    roots = np.zeros(len(trees), dtype=np.int64)
+def _edges(trees: list[list[dict]]) -> tuple[list, list[list[float]]]:
+    """Each feature's sorted distinct thresholds, per tree and over the model."""
+    local = []
+    for nodes in trees:
+        edges: list[set[float]] = [set() for _ in FEATURE_NAMES]
+        for node in nodes:
+            if "leaf" not in node:
+                edges[node["feature"]].add(float(node["threshold"]))
+        local.append([sorted(e) for e in edges])
+    model = [sorted(set().union(*(e[f] for e in local)))
+             for f in range(len(FEATURE_NAMES))]
+    return local, model
+
+
+def table_entries(trees: list[list[dict]]) -> int:
+    """Size of the model's threshold-bin table, counted before it is built:
+    every tree's grid cells (the product over features of its distinct
+    thresholds + 1) plus n_trees x sum over features of (the model's
+    distinct thresholds + 1) bin-index entries."""
+    local, model = _edges(trees)
+    cells = sum(math.prod(len(e) + 1 for e in edges) for edges in local)
+    return cells + len(trees) * sum(len(e) + 1 for e in model)
+
+
+def _table_problem(trees: list[list[dict]]) -> str | None:
+    """Why the model's threshold-bin table is too large to build, or None."""
+    entries = table_entries(trees)
+    if entries > MAX_TABLE_ENTRIES:
+        return (f"lookup table of {entries:,} entries exceeds the limit of "
+                f"{MAX_TABLE_ENTRIES:,}")
+    return None
+
+
+def _build_table(trees: list[list[dict]]) -> tuple:
+    """The threshold-bin table _kernels.forest_eval evaluates:
+    (edges_0, edges_1, edges_2, cells_0, cells_1, cells_2, leaf).
+
+    Tree t's leaves fill a dense grid over its own thresholds: a value's
+    local bin on feature f counts the tree's thresholds on f below it,
+    and the grid is split box by box from the root, so each cell holds
+    the leaf a walk would reach. A split whose threshold leaves one side
+    of the box empty (a repeated or contradictory split on a path) sends
+    the whole box the other way. cells_f[t, g] maps a global bin g of
+    edges_f to tree t's local bin times its grid stride on f.
+    """
+    local, model = _edges(trees)
+    edges = [np.array(e, dtype=np.float64) for e in model]
+    shapes = [tuple(len(e) + 1 for e in loc) for loc in local]
+    sizes = [math.prod(shape) for shape in shapes]
+    leaf = np.empty(sum(sizes), dtype=np.float64)
+    cells = [np.empty((len(trees), e.size + 1), dtype=np.int64) for e in edges]
     base = 0
-    for ti, nodes in enumerate(trees):
-        roots[ti] = base
-        for i, node in enumerate(nodes):
+    for t, (nodes, loc, shape, size) in enumerate(zip(trees, local, shapes, sizes)):
+        stride = size
+        for f, e in enumerate(edges):
+            stride //= shape[f]
+            cells[f][t] = np.searchsorted(loc[f], np.append(e, np.inf)) * stride
+        cells[0][t] += base
+        grid = leaf[base:base + size].reshape(shape)
+        stack = [(0, [(0, n) for n in shape])]
+        while stack:
+            i, box = stack.pop()
+            node = nodes[i]
             if "leaf" in node:
-                prob[base + i] = node["leaf"]
-            else:
-                feat[base + i] = node["feature"]
-                thr[base + i] = node["threshold"]
-                left[base + i] = base + node["left"]
-                right[base + i] = base + node["right"]
-        base += len(nodes)
-    return feat, thr, left, right, prob, roots
+                grid[tuple(slice(lo, hi) for lo, hi in box)] = node["leaf"]
+                continue
+            f = node["feature"]
+            lo, hi = box[f]
+            # x <= thr holds exactly for the local bins up to thr's rank
+            cut = bisect.bisect_left(loc[f], node["threshold"]) + 1
+            for child, part in ((node["left"], (lo, min(hi, cut))),
+                                (node["right"], (max(lo, cut), hi))):
+                if part[0] < part[1]:
+                    stack.append((child, box[:f] + [part] + box[f + 1:]))
+        base += size
+    return (*edges, *cells, leaf)
 
 
 def predict_many(model: ForestModel, vectors: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(vectors, dtype=np.float64)
-    feat, thr, left, right, prob, roots = model.packed()
-    return _kernels.forest_eval(feat, thr, left, right, prob, roots, x)
+    edges_0, edges_1, edges_2, cells_0, cells_1, cells_2, leaf = model.packed()
+    return _kernels.forest_eval(edges_0, edges_1, edges_2,
+                                cells_0, cells_1, cells_2, x, leaf)
 
 
 def save_model(model: ForestModel, path: str | Path) -> None:
@@ -274,6 +347,9 @@ def load_model(path: str | Path) -> ForestModel:
         problem = _tree_problem(nodes)
         if problem is not None:
             raise ModelFormatError(f"{path}: tree {t}: {problem}")
+    problem = _table_problem(model.trees)
+    if problem is not None:
+        raise ModelFormatError(f"{path}: {problem}")
     return model
 
 
@@ -300,9 +376,9 @@ def _scalar_problem(model: ForestModel, feature_names) -> str | None:
 
 
 def _tree_problem(nodes) -> str | None:
-    """Why the node list is not a tree forest_eval can walk, or None.
+    """Why the node list is not a tree _build_table can tabulate, or None.
 
-    Children must come after their parent, so every walk from the root
+    Children must come after their parent, so every path from the root
     ends at a leaf.
     """
     if not isinstance(nodes, list) or not nodes:

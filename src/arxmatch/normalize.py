@@ -12,9 +12,10 @@ exact-equality keys (the naive title+authors match) are reproducible:
 5. punctuation mapped to spaces, except hyphens joining word characters
 6. lowercased, whitespace collapsed
 
-Steps 4 and 5 are one ``str.translate`` over a table that classifies a
-code point once. Step 1 precedes step 3: a mark after a backslash would
-otherwise be read as a command name.
+Step 1's mark removal is one ``str.translate``, and steps 4 and 5 are
+another, each over a table that classifies a code point once. Step 1
+precedes step 3: a mark after a backslash would otherwise be read as a
+command name.
 
 All functions here are total and idempotent.
 """
@@ -71,18 +72,30 @@ class _CharClasses(dict):
         return out
 
 
+class _CombiningMarks(dict):
+    """Step 1's mark removal as a translate table, filled in on first sight."""
+
+    def __missing__(self, code: int) -> str | None:
+        ch = chr(code)
+        out = None if unicodedata.combining(ch) else ch
+        self[code] = out
+        return out
+
+
 _CHAR_CLASSES = _CharClasses()
+_COMBINING_MARKS = _CombiningMarks()
+_HYPHEN_RUN_RE = re.compile(r"-{2,}")
+# hyphens survive only between word characters
+_FREE_HYPHEN_RE = re.compile(r"(?<![^\s])-|-(?![^\s])")
 
 
 @lru_cache(maxsize=65536)
 def normalize_text(raw: str) -> str:
     """Canonical lowercase form of a title, abstract, or name fragment."""
-    text = unicodedata.normalize("NFKD", raw)
-    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    text = unicodedata.normalize("NFKD", raw).translate(_COMBINING_MARKS)
     text = _strip_latex(text).translate(_CHAR_CLASSES)
-    text = re.sub(r"-{2,}", "-", text)
-    # hyphens survive only between word characters
-    text = re.sub(r"(?<![^\s])-|-(?![^\s])", " ", text)
+    text = _HYPHEN_RUN_RE.sub("-", text)
+    text = _FREE_HYPHEN_RE.sub(" ", text)
     text = text.lower()
     return " ".join(text.split())
 

@@ -129,7 +129,7 @@ class TestInvariants:
             [],
         )
         table = build_profiles(store)
-        table.check_invariants()
+        assert all(p.documents for p in table.profiles.values())  # no orphans
         mentions = sum(len(r.authors) for r in store.preprints.values())
         held = sum(
             1 for p in table.profiles.values() for _ in p.documents
@@ -271,11 +271,7 @@ class ReferenceTable:
             else:
                 profile.documents[pre_doc].on_published_version = False
 
-    # -- consistency and export ---------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        for profile in self.profiles.values():
-            assert profile.documents, f"orphan profile {profile.profile_id}"
+    # -- export -------------------------------------------------------------------------
 
     def export_jsonl(self, path: str | Path) -> None:
         write_jsonl(path, (
@@ -346,6 +342,6 @@ class TestAgainstReference:
              for j, a in enumerate(pub_authors)])
         store.merges = {f"2301.{i:05d}": f"zbl{j:08d}" for i, j in merges.items()}
         built = build_profiles(store)
-        built.check_invariants()
+        assert all(p.documents for p in built.profiles.values())  # no orphans
         with tempfile.TemporaryDirectory() as tmp:
             assert exported(built, tmp) == exported(reference_build_profiles(store), tmp)

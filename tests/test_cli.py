@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import arxmatch
-from arxmatch import synth
+from arxmatch import forest, synth
 from arxmatch.cli import main
 from arxmatch.corpus import CorpusStore
 
 from conftest import CORPUS_DIR, GOLDEN_DIR
+from test_forest import wide_tree
 
 SEED = "42"
 TS = "2024-01-01T00:00:00Z"
@@ -647,3 +648,24 @@ class TestBadModel:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert "left child" in json.loads(lines[0])["error"]
+
+    def test_model_over_the_table_bound_is_1(self, small_store, tmp_path, capsys,
+                                             monkeypatch):
+        model = tmp_path / "wide.json"
+        model.write_text(json.dumps({
+            "schema_version": 1, "n_trees": 1, "max_depth": 400, "seed": 0,
+            "decision_threshold": 0.5, "trees": [wide_tree(130)],
+        }))
+        before = {f.name: f.read_bytes() for f in small_store.iterdir()}
+        assert run("match", "--store", str(small_store), "--model", str(model)) == 1
+        monkeypatch.setattr(forest, "MAX_TABLE_ENTRIES", 10)
+        assert run("train", "--store", str(small_store), "--model",
+                   str(tmp_path / "m.json"), "--seed", SEED) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert "lookup table of 2,248,484 entries" in json.loads(lines[0])["error"]
+        assert "exceeds the limit of 10" in json.loads(lines[1])["error"]
+        assert not (tmp_path / "m.json").exists()
+        assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from arxmatch import _kernels
+from arxmatch import _kernels, forest
 from arxmatch.candidates import build_index
 from arxmatch.forest import (
     FEATURE_NAMES,
+    MAX_TABLE_ENTRIES,
     ForestModel,
     ModelFormatError,
     TrainingError,
@@ -19,6 +20,7 @@ from arxmatch.forest import (
     load_model,
     predict_many,
     save_model,
+    table_entries,
     train_forest,
 )
 from arxmatch.similarity import FeatureVector
@@ -54,6 +56,78 @@ def gini_split_oracle(x: np.ndarray, labels, weights):
             if cost < best[2]:
                 best = (f, t, cost)
     return best
+
+
+GRID = np.linspace(0.0, 1.0, 9)  # shared by rows and thresholds: exact ties
+# rows on the grid, between its points, outside it, -0.0 (ties 0.0) and NaN
+ROW_VALUES = st.sampled_from([*GRID.tolist(), -0.0, 0.3, 0.9, -1.0, 2.0, float("nan")])
+
+
+def random_tree(rng, depth: int, features=(0, 1, 2)) -> list[dict]:
+    """Node dicts in pre-order, thresholds on GRID or -0.0, so one path
+    often splits one feature again, the same way or the opposite one."""
+    nodes: list[dict] = []
+
+    def node(d):
+        i = len(nodes)
+        nodes.append({"leaf": float(rng.random())})
+        if d > 0 and rng.random() < 0.8:
+            f = int(rng.choice(features))
+            thr = float(rng.choice([*GRID, -0.0]))
+            left, right = node(d - 1), node(d - 1)
+            nodes[i] = {"feature": f, "threshold": thr, "left": left, "right": right}
+        return i
+
+    node(depth)
+    return nodes
+
+
+def contradictory_tree(f: int) -> list[dict]:
+    """Splits on f whose repeats leave one child of each inner node below
+    the root unreachable (the leaves 0.125 and 0.0625 and node 7)."""
+    return [
+        {"feature": f, "threshold": 0.5, "left": 1, "right": 4},
+        {"feature": f, "threshold": 0.75, "left": 2, "right": 3},
+        {"leaf": 0.25}, {"leaf": 0.125},
+        {"feature": f, "threshold": 0.25, "left": 5, "right": 6},
+        {"leaf": 0.0625},
+        {"feature": f, "threshold": 0.5, "left": 7, "right": 8},
+        {"leaf": 1.0}, {"leaf": 0.75},
+    ]
+
+
+def walk_oracle(trees: list[list[dict]], x: np.ndarray) -> np.ndarray:
+    """Each row walked down every tree from its root, the leaf values
+    summed tree by tree in root order."""
+    want = []
+    for row in x:
+        acc = 0.0
+        for nodes in trees:
+            i = 0
+            while "leaf" not in nodes[i]:
+                node = nodes[i]
+                i = node["left"] if row[node["feature"]] <= node["threshold"] \
+                    else node["right"]
+            acc += nodes[i]["leaf"]
+        want.append(acc / len(trees))
+    return np.array(want, dtype=np.float64)
+
+
+def forest_of(trees: list[list[dict]]) -> ForestModel:
+    return ForestModel(trees=trees, n_trees=len(trees), max_depth=6, seed=0)
+
+
+def wide_tree(per_feature: int) -> list[dict]:
+    """A chain of splits with per_feature distinct thresholds on each
+    feature, so its grid has (per_feature + 1) ** 3 cells."""
+    nodes: list[dict] = []
+    for k in range(3 * per_feature):
+        i = len(nodes)
+        nodes.append({"feature": k % 3, "threshold": (k // 3 + 1) / (per_feature + 1),
+                      "left": i + 1, "right": i + 2})
+        nodes.append({"leaf": 0.5})
+    nodes.append({"leaf": 0.5})
+    return nodes
 
 
 STUMP_DATA = [
@@ -182,37 +256,28 @@ class TestPredict:
     ])
     def test_forest_eval_bit_exact_vs_per_tree_walk(self, n_trees, n_rows, seed):
         rng = np.random.default_rng(seed)
-        grid = np.linspace(0.0, 1.0, 9)  # shared by x and thresholds: exact ties
-        feat, thr, left, right, prob, roots = [], [], [], [], [], []
+        trees = [random_tree(rng, 0 if t == 0 else int(rng.integers(0, 7)))
+                 for t in range(n_trees)]
+        assert set(trees[0][0]) == {"leaf"}  # the first tree is a bare leaf
+        x = rng.choice(GRID, size=(n_rows, 3))
+        assert np.array_equal(predict_many(forest_of(trees), x), walk_oracle(trees, x))
 
-        def node(depth):
-            i = len(feat)
-            feat.append(-1), thr.append(0.0), left.append(-1), right.append(-1)
-            prob.append(float(rng.random()))
-            if depth > 0 and rng.random() < 0.8:
-                feat[i] = int(rng.integers(0, 3))
-                thr[i] = float(rng.choice(grid))
-                left[i] = node(depth - 1)
-                right[i] = node(depth - 1)
-            return i
-
-        for t in range(n_trees):
-            roots.append(node(0 if t == 0 else int(rng.integers(0, 7))))
-        packed = (np.array(feat, dtype=np.int64), np.array(thr),
-                  np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
-                  np.array(prob), np.array(roots, dtype=np.int64))
-        x = rng.choice(grid, size=(n_rows, 3))
-
-        want = []
-        for row in x:
-            acc = 0.0
-            for i in roots:
-                while feat[i] >= 0:
-                    i = left[i] if row[feat[i]] <= thr[i] else right[i]
-                acc += prob[i]
-            want.append(acc / len(roots))
-        assert feat[roots[0]] < 0  # the first tree is a bare leaf
-        assert np.array_equal(_kernels.forest_eval(*packed, x), np.array(want))
+    @settings(max_examples=200, deadline=None)
+    @given(n_trees=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
+           unused=st.sampled_from([None, 0, 1, 2]),
+           rows=st.lists(st.tuples(ROW_VALUES, ROW_VALUES, ROW_VALUES), max_size=30),
+           slots=st.tuples(st.integers(0, 101), st.integers(0, 101)))
+    def test_property_table_lookup_matches_walk(self, n_trees, seed, unused, rows, slots):
+        rng = np.random.default_rng(seed)
+        features = [f for f in range(3) if f != unused]
+        trees = [random_tree(rng, int(rng.integers(0, 7)), features)
+                 for _ in range(n_trees)]
+        trees.insert(slots[0] % (len(trees) + 1), [{"leaf": float(rng.random())}])
+        trees.insert(slots[1] % (len(trees) + 1), contradictory_tree(features[-1]))
+        x = np.array(rows, dtype=np.float64).reshape(-1, 3)
+        model = forest_of(trees)
+        assert np.array_equal(predict_many(model, x), walk_oracle(trees, x))
+        assert table_entries(trees) == sum(a.size for a in model.packed()[3:])
 
     def test_forest_within_tree_range(self):
         rng = np.random.default_rng(27)
@@ -389,6 +454,39 @@ class TestSerialization:
         (tmp_path / "x.json").write_text("[1, 2, 3]")
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "x.json")
+
+
+class TestTableBound:
+    """A model whose lookup table would exceed MAX_TABLE_ENTRIES is refused
+    before the table is built."""
+
+    def test_entries_count_cells_and_index(self):
+        assert table_entries([wide_tree(4)]) == 5**3 + 3 * 5
+        assert table_entries([wide_tree(4), [{"leaf": 0.5}]]) == 5**3 + 1 + 2 * 3 * 5
+
+    def test_model_file_over_the_bound(self, tmp_path):
+        payload = {"schema_version": 1, "n_trees": 1, "max_depth": 400, "seed": 0,
+                   "decision_threshold": 0.5, "feature_names": list(FEATURE_NAMES),
+                   "trees": [wide_tree(130)]}
+        assert table_entries(payload["trees"]) == 131**3 + 3 * 131 > MAX_TABLE_ENTRIES
+        (tmp_path / "wide.json").write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="lookup table of 2,248,484 entries"):
+            load_model(tmp_path / "wide.json")
+        payload["trees"] = [wide_tree(126)]  # 127**3 + 3 * 127 entries
+        (tmp_path / "ok.json").write_text(json.dumps(payload))
+        assert load_model(tmp_path / "ok.json").trees == payload["trees"]
+
+    def test_training_over_the_bound(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        data = [tp(*rng.random(3), bool(rng.random() < 0.5)) for _ in range(200)]
+        model = train_forest(data, n_trees=3, max_depth=10, seed=2)
+        entries = table_entries(model.trees)
+        assert entries > 1000  # noisy labels make wide trees
+        monkeypatch.setattr(forest, "MAX_TABLE_ENTRIES", entries)
+        assert train_forest(data, n_trees=3, max_depth=10, seed=2).trees == model.trees
+        monkeypatch.setattr(forest, "MAX_TABLE_ENTRIES", entries - 1)
+        with pytest.raises(TrainingError, match="exceeds the limit"):
+            train_forest(data, n_trees=3, max_depth=10, seed=2)
 
 
 class TestBootstrapTrainingSet:
