@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import CorpusStore, PreprintRecord, PublishedRecord, write_jsonl
-from .normalize import AuthorName, author_key
+from .normalize import AuthorName
 
 KIND_PREPRINT = "preprint"
 KIND_PUBLISHED = "published"
 
 DocKey = tuple[str, str]  # (kind, key)
-NameKey = tuple[str, str]  # normalized (family, given)
+NameKey = tuple[str, str]  # AuthorName.key: normalized (family, given)
 
 
 @dataclass
@@ -66,7 +66,7 @@ class ProfileTable:
         creating a profile on a name's first mention."""
         doc = (kind, key)
         for name in authors:
-            name_key = author_key(name)
+            name_key = name.key
             profile = self._by_name.get(name_key)
             if profile is None:
                 base = pid = _slug(name_key)
@@ -89,8 +89,8 @@ class ProfileTable:
         """
         pre_doc = (KIND_PREPRINT, preprint.id)
         pub_doc = (KIND_PUBLISHED, published.accession)
-        pub_names = {author_key(n) for n in published.authors}
-        for name_key in {author_key(n) for n in preprint.authors}:
+        pub_names = {n.key for n in published.authors}
+        for name_key in {n.key for n in preprint.authors}:
             profile = self._by_name[name_key]
             if name_key in pub_names:
                 del profile.documents[pre_doc]

@@ -331,9 +331,9 @@ def write_jsonl(path: str | Path, objects) -> None:
 def _read_jsonl(path: str | Path, reject=None):
     """Yield ``(line number, value)`` per non-blank line of ``path``. A line
     that is not UTF-8 raises ``RecordError`` naming it, and so does one that
-    is not JSON or holds an unpaired surrogate escape such as ``\\ud800``
-    (no UTF-8 file can store it), unless ``reject(line_no, reason)`` is
-    given to take it."""
+    is not JSON, nests deeper than the parser's recursion limit or holds an
+    unpaired surrogate escape such as ``\\ud800`` (no UTF-8 file can store
+    it), unless ``reject(line_no, reason)`` is given to take it."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
@@ -350,6 +350,8 @@ def _read_jsonl(path: str | Path, reject=None):
                     json.dumps(value, ensure_ascii=False).encode("utf-8")
             except json.JSONDecodeError as exc:
                 reason = f"malformed JSON: {exc.msg}"
+            except RecursionError:
+                reason = "malformed JSON: nested too deeply"
             except UnicodeEncodeError:
                 reason = "unpaired surrogate escape"
             else:

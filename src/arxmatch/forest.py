@@ -284,7 +284,7 @@ def _build_table(trees: list[list[dict]]) -> tuple:
             f = node["feature"]
             lo, hi = box[f]
             # x <= thr holds exactly for the local bins up to thr's rank
-            cut = bisect.bisect_left(loc[f], node["threshold"]) + 1
+            cut = bisect.bisect_left(loc[f], float(node["threshold"])) + 1
             for child, part in ((node["left"], (lo, min(hi, cut))),
                                 (node["right"], (max(lo, cut), hi))):
                 if part[0] < part[1]:
@@ -319,7 +319,7 @@ def load_model(path: str | Path) -> ForestModel:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelFormatError(f"{path}: not a forest model file")
@@ -357,7 +357,11 @@ _INNER_KEYS = {"feature", "threshold", "left", "right"}
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite float, or an int that converts to one."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _scalar_problem(model: ForestModel, feature_names) -> str | None:

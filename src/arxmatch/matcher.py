@@ -101,7 +101,7 @@ def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
 def _naive_key(title: str, authors) -> tuple[str, tuple[str, ...]]:
     return (
         normalize_text(title),
-        tuple(normalize_text(n.family) for n in authors),
+        tuple(n.key[0] for n in authors),
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -34,9 +34,19 @@ class DoiError(ValueError):
 
 @dataclass(frozen=True)
 class AuthorName:
+    """One byline name as written. ``key``, its normalized (family, given)
+    pair, is what profiles, the family-name sets and the naive match
+    compare; it is derived at construction, so equality, hashing and the
+    stored form ignore it."""
+
     family: str
     given: str
     raw: str
+    key: tuple[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (normalize_text(self.family),
+                                         normalize_text(self.given)))
 
 
 _MATH_RE = re.compile(r"\$\$?(.*?)\$\$?", re.DOTALL)
@@ -148,15 +158,10 @@ def split_authors(raw: str) -> list[AuthorName]:
             else:
                 for p in parts:
                     names.append(_parse_given_family(p, p))
-    good = [n for n in names if normalize_text(n.family)]
+    good = [n for n in names if n.key[0]]
     if not good:
         return [AuthorName(family=raw.strip(), given="", raw=raw.strip())]
     return good
-
-
-def author_key(name: AuthorName) -> tuple[str, str]:
-    """Normalized (family, given) pair used for identity comparisons."""
-    return (normalize_text(name.family), normalize_text(name.given))
 
 
 _DOI_PREFIXES = (

@@ -11,12 +11,13 @@ and one minus the cosine of term-frequency vectors (abstract). A missing
 abstract contributes the neutral value 0.5 so absence neither fakes
 agreement nor vetoes a match.
 
-Pairs are scored in batches: ``feature_vector_projected`` takes one
-record and the list of records it is paired with, computes every title
+Pairs are scored in batches of projections, each a record's normalized
+text: ``feature_vector_projected`` encodes the one title and the joined
+titles of the list to code points once each, computes every title
 distance in one call of the lane-packed Levenshtein kernel, then the
-author and abstract distances pair by pair, and returns the vectors in
-the order of the list. The matcher passes one preprint's ranked
-candidates, training one preprint's positive and its negatives.
+author and abstract distances pair by pair. The matcher passes one
+preprint's ranked candidates, training one preprint's positive and its
+negatives.
 
 A TF vector is a ``{token: count}`` dict and its integer squared norm.
 Tokens are ``sys.intern``ed, so abstracts that share a token share its
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .corpus import PreprintRecord, PublishedRecord
-from .normalize import AuthorName, normalize_text
+from .normalize import normalize_text
 
 NEUTRAL_ABSTRACT_DISTANCE = 0.5
 
@@ -47,12 +48,8 @@ class FeatureVector(NamedTuple):
 
 
 def family_set(authors) -> frozenset[str]:
-    out = set()
-    for name in authors:
-        fam = normalize_text(name.family)
-        if fam:
-            out.add(fam)
-    return frozenset(out)
+    """The non-empty normalized family names of a list of AuthorName."""
+    return frozenset(name.key[0] for name in authors if name.key[0])
 
 
 TFVector = tuple[dict[str, int], int]
@@ -66,13 +63,15 @@ def _tf_vector(text: str) -> TFVector | None:
     return counts, sum(n * n for n in counts.values())
 
 
-def _edit_distances(a: np.ndarray, bs: list[np.ndarray]) -> list[float]:
+def _edit_distances(a: str, bs: list[str]) -> list[float]:
     """Levenshtein from a to each of bs, scaled by the longer string, in
-    one kernel call; two empty strings are at distance 0."""
-    lens = [b.size for b in bs]
-    b = np.concatenate(bs) if bs else a[:0]
-    dists = _kernels.levenshtein(a, b, np.cumsum(lens, dtype=np.int64))
-    return [d / max(a.size, m) if d else 0.0 for d, m in zip(dists, lens)]
+    one kernel call; two empty strings are at distance 0. bs is encoded
+    joined and cut at each ``len``: one code point, one UTF-32 unit."""
+    lens = [len(b) for b in bs]
+    dists = _kernels.levenshtein(_kernels.str_to_codes(a),
+                                 _kernels.str_to_codes("".join(bs)),
+                                 np.cumsum(lens, dtype=np.int64))
+    return [d / max(len(a), m) if d else 0.0 for d, m in zip(dists, lens)]
 
 
 def _jaccard_distance(fa: frozenset[str], fb: frozenset[str]) -> float:
@@ -94,32 +93,18 @@ def _cosine_distance(va: TFVector | None, vb: TFVector | None) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-def title_distance(a: str, b: str) -> float:
-    """Levenshtein distance over characters, scaled to [0, 1]."""
-    return _edit_distances(_kernels.str_to_codes(a), [_kernels.str_to_codes(b)])[0]
-
-
-def author_distance(a: list[AuthorName], b: list[AuthorName]) -> float:
-    """1 - Jaccard overlap of the normalized family-name sets."""
-    return _jaccard_distance(family_set(a), family_set(b))
-
-
-def abstract_distance(a: str, b: str) -> float:
-    """1 - TF cosine similarity; 0.5 when either abstract is missing."""
-    return _cosine_distance(_tf_vector(a), _tf_vector(b))
-
-
 class RecordProjection(NamedTuple):
-    """Precomputed normalized views of one record, reused across pairings."""
+    """One record's normalized text, reused across pairings: the title as
+    a string (encoded with its batch), family names and abstract TF."""
 
-    title_codes: np.ndarray
+    title: str
     families: frozenset[str]
     abstract_vec: TFVector | None
 
 
 def project(title: str, authors, abstract: str | None) -> RecordProjection:
     return RecordProjection(
-        title_codes=_kernels.str_to_codes(normalize_text(title)),
+        title=normalize_text(title),
         families=family_set(authors),
         abstract_vec=_tf_vector(normalize_text(abstract)) if abstract else None,
     )
@@ -129,7 +114,7 @@ def feature_vector_projected(a: RecordProjection,
                              bs: list[RecordProjection]) -> list[FeatureVector]:
     """The (title, authors, abstract) distance vector of a paired with each
     of bs, in order; one kernel call scores all the titles."""
-    titles = _edit_distances(a.title_codes, [b.title_codes for b in bs])
+    titles = _edit_distances(a.title, [b.title for b in bs])
     return [
         FeatureVector(title_d,
                       _jaccard_distance(a.families, b.families),

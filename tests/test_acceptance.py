@@ -24,12 +24,7 @@ from arxmatch.scope import (
     decide_categories,
     load_rules,
 )
-from arxmatch.similarity import (
-    FeatureVector,
-    abstract_distance,
-    author_distance,
-    title_distance,
-)
+from arxmatch.similarity import FeatureVector
 from arxmatch.synth import PerturbationProfile, gen_synthetic_corpus
 
 from conftest import (
@@ -42,7 +37,7 @@ from conftest import (
 )
 from test_candidates import brute_force_rank
 from test_forest import gini_split_oracle
-from test_similarity import edit_distance_oracle, levenshtein_each
+from test_similarity import edit_distance_oracle, levenshtein_each, scored
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -184,15 +179,13 @@ def test_property_similarity_bounds_symmetry_reflexivity():
                   for f in rng.choice(fams, rng.integers(1, 4))]
             ab = [make_preprint(authors=(f"B {f}",)).authors[0]
                   for f in rng.choice(fams, rng.integers(1, 4))]
-            for d, x, y in ((title_distance, ta, tb),
-                            (abstract_distance, ta, tb),
-                            (author_distance, aa, ab)):
-                v = d(x, y)
-                assert 0.0 <= v <= 1.0
-                assert v == d(y, x)
-            assert title_distance(ta, ta) == 0.0
-            assert author_distance(aa, aa) == 0.0
-            assert abstract_distance(ta, ta) in (0.0, 0.5)
+            # the titles double as abstracts
+            v = scored(ta, tb, aa, ab, ta, tb)
+            assert all(0.0 <= d <= 1.0 for d in v)
+            assert v == scored(tb, ta, ab, aa, tb, ta)
+            same = scored(ta, ta, aa, aa, ta, ta)
+            assert same.title_d == 0.0 and same.author_d == 0.0
+            assert same.abstract_d in (0.0, 0.5)
 
 
 def test_property_lexicographic_total_order():

@@ -25,7 +25,7 @@ from arxmatch.corpus import (
     PublishedRecord,
     write_jsonl,
 )
-from arxmatch.normalize import AuthorName, author_key, split_authors
+from arxmatch.normalize import AuthorName, normalize_text, split_authors
 
 from conftest import make_preprint, make_published, store_with
 
@@ -166,6 +166,12 @@ class TestInvariants:
             "kind": "preprint", "key": "2301.00001",
             "withdrawn": True, "on_published_version": True,
         }]
+
+
+def author_key(name: AuthorName) -> NameKey:
+    """The reference's name key, normalized here rather than read from
+    ``AuthorName.key``."""
+    return (normalize_text(name.family), normalize_text(name.given))
 
 
 def _reference_slug(key: NameKey) -> str:

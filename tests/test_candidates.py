@@ -15,8 +15,7 @@ from arxmatch.candidates import (
     title_tokens,
 )
 from arxmatch.corpus import CorpusStore
-from arxmatch.normalize import normalize_text
-from arxmatch.similarity import family_set, title_distance
+from arxmatch.similarity import family_set, feature_vector
 
 from conftest import make_preprint, make_published, store_with
 
@@ -280,8 +279,7 @@ class TestBlockingRecall:
         for pid, accession in corpus_truth["pairs"].items():
             p = corpus_store.preprints[pid]
             c = corpus_store.published[accession]
-            td = title_distance(normalize_text(p.title), normalize_text(c.title))
-            if td > 0.4:
+            if feature_vector(p, [c])[0].title_d > 0.4:
                 continue
             total += 1
             if accession in query_candidates(corpus_index, p, 20):

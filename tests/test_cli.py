@@ -17,7 +17,7 @@ from arxmatch.cli import main
 from arxmatch.corpus import CorpusStore
 
 from conftest import CORPUS_DIR, GOLDEN_DIR
-from test_forest import wide_tree
+from test_forest import stump_payload, wide_tree
 
 SEED = "42"
 TS = "2024-01-01T00:00:00Z"
@@ -172,6 +172,17 @@ class TestExitCodes:
         stats = json.loads(capsys.readouterr().out)
         assert (stats["preprints_total"], stats["published_total"]) == \
             ((1, 2) if where == "preprints" else (2, 1))
+
+    def test_line_nested_past_the_recursion_limit_is_a_line_reject(
+            self, small_corpus, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_bytes(b"[" * 100_000 + b"\n"
+                         + (small_corpus / "preprints.jsonl").read_bytes())
+        assert run("ingest", "--preprints", str(path),
+                   "--store", str(tmp_path / "store")) == 0
+        report = json.loads(capsys.readouterr().out)["preprints"]
+        assert (report["added"], report["rejected"]) == (60, 1)
+        assert report["errors"] == [{"line": 1, "reason": "malformed JSON: nested too deeply"}]
 
     def test_eval_too_few_pairs_is_1(self, small_store, capsys):
         assert run("eval", "--store", str(small_store), "--seed", "1") == 1
@@ -648,6 +659,18 @@ class TestBadModel:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert "left child" in json.loads(lines[0])["error"]
+
+    def test_integer_beyond_the_float_range_is_1(self, small_store, tmp_path, capsys):
+        model = tmp_path / "huge.json"
+        payload = stump_payload()
+        payload["trees"][0][0]["threshold"] = 10**400
+        model.write_text(json.dumps(payload))
+        assert run("match", "--store", str(small_store), "--model", str(model)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == \
+            f"ModelFormatError: {model}: tree 0: node 0: threshold is not a finite number"
 
     def test_model_over_the_table_bound_is_1(self, small_store, tmp_path, capsys,
                                              monkeypatch):

@@ -161,6 +161,15 @@ class TestIngestPreprints:
         assert (report.added, report.rejected) == (1, 1)
         assert report.errors[0][0] == 1
 
+    def test_line_nested_past_the_recursion_limit_rejected(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("[" * 100_000 + "\n")
+            fh.write(json.dumps(preprint_obj()) + "\n")
+        report = CorpusStore().ingest_preprints(path)
+        assert (report.added, report.rejected) == (1, 1)
+        assert report.errors == [(1, "malformed JSON: nested too deeply")]
+
     def test_higher_version_replaces(self, tmp_path):
         store = CorpusStore()
         p1 = tmp_path / "v1.jsonl"
@@ -407,6 +416,14 @@ class TestStorePersistence:
             fh.write(json.dumps(published_obj("zbl2", title="\udfff")) + "\n")
         with pytest.raises(RecordError,
                            match="published.jsonl:2: unpaired surrogate escape"):
+            CorpusStore.load(tmp_path)
+
+    def test_load_rejects_line_nested_past_the_recursion_limit(self, tmp_path):
+        store_with([make_preprint()], [make_published()]).save(tmp_path)
+        with open(tmp_path / "published.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{\"a\": " * 100_000 + "\n")
+        with pytest.raises(RecordError,
+                           match="published.jsonl:2: malformed JSON: nested too deeply"):
             CorpusStore.load(tmp_path)
 
     def test_failed_write_leaves_old_file(self, tmp_path):

@@ -117,6 +117,14 @@ def forest_of(trees: list[list[dict]]) -> ForestModel:
     return ForestModel(trees=trees, n_trees=len(trees), max_depth=6, seed=0)
 
 
+def stump_payload() -> dict:
+    """A valid one-tree model file's contents: one split and two leaves."""
+    return {"schema_version": 1, "n_trees": 1, "max_depth": 1, "seed": 0,
+            "decision_threshold": 0.5, "feature_names": list(FEATURE_NAMES),
+            "trees": [[{"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+                       {"leaf": 1.0}, {"leaf": 0.0}]]}
+
+
 def wide_tree(per_feature: int) -> list[dict]:
     """A chain of splits with per_feature distinct thresholds on each
     feature, so its grid has (per_feature + 1) ** 3 cells."""
@@ -392,6 +400,10 @@ class TestSerialization:
         [{"feature": 0, "left": 1, "right": 2}, {"leaf": 1.0}, {"leaf": 0.0}],
         [{"leaf": 1.5}],
         [[0.5]],
+        # integers beyond the float range
+        [{"feature": 0, "threshold": 10**400, "left": 1, "right": 2},
+         {"leaf": 1.0}, {"leaf": 0.0}],
+        [{"leaf": 10**400}],
     ])
     def test_malformed_tree(self, tmp_path, nodes):
         model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=1)
@@ -414,6 +426,7 @@ class TestSerialization:
         ("max_depth", 2.0),
         ("feature_names", 5),
         ("feature_names", ["abstract_d", "author_d", "title_d"]),
+        pytest.param("decision_threshold", 10**400, id="decision_threshold-10**400"),
     ])
     def test_bad_scalar_field(self, tmp_path, name, value):
         model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=1)
@@ -454,6 +467,25 @@ class TestSerialization:
         (tmp_path / "x.json").write_text("[1, 2, 3]")
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "x.json")
+
+    def test_nested_past_the_recursion_limit(self, tmp_path):
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        with pytest.raises(ModelFormatError, match="unreadable model file .*deep.json"):
+            load_model(tmp_path / "deep.json")
+
+    def test_integer_thresholds_predict_as_the_walk(self, tmp_path):
+        # integers a float64 cannot hold exactly: each split is tabulated at
+        # the float its threshold converts to, as the edges are
+        payload = stump_payload()
+        payload["trees"] = [[{"feature": f, "threshold": thr, "left": 1, "right": 2},
+                             {"leaf": 1.0}, {"leaf": 0.0}]
+                            for f, thr in ((0, -10**300), (1, 2**53 + 1), (2, 10**300))]
+        payload["n_trees"] = 3
+        (tmp_path / "ints.json").write_text(json.dumps(payload))
+        model = load_model(tmp_path / "ints.json")
+        x = np.array([[0.5, 0.5, 0.5], [-1e301, 2.0**53, 1e301],
+                      [0.5, 2.0**53 + 2, 0.5], [-1e300, -1.0, 1e300]])
+        assert np.array_equal(predict_many(model, x), walk_oracle(payload["trees"], x))
 
 
 class TestTableBound:

@@ -3,15 +3,16 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arxmatch.normalize import (
+    AuthorName,
     DoiError,
     _strip_latex,
-    author_key,
     normalize_doi,
     normalize_text,
     split_authors,
@@ -215,9 +216,22 @@ class TestSplitAuthors:
     def test_author_key_idempotent(self):
         for raw, _ in AUTHOR_FIXTURE:
             for name in split_authors(raw):
-                fam, giv = author_key(name)
+                fam, giv = name.key
+                assert (fam, giv) == (normalize_text(name.family),
+                                      normalize_text(name.given))
                 assert (normalize_text(fam), normalize_text(giv)) \
                     == (fam, giv)
+
+    def test_key_is_derived_and_not_compared(self):
+        name = AuthorName(family="Núñez", given="Ana", raw="Núñez, Ana")
+        assert name.key == ("nunez", "ana")
+        assert replace(name, family="Roe").key == ("roe", "ana")
+        # equality, hashing and repr see the parsed fields only
+        twin = AuthorName(family="Núñez", given="Ana", raw="Núñez, Ana")
+        object.__setattr__(twin, "key", ("other", "key"))
+        assert twin == name and hash(twin) == hash(name)
+        assert "key" not in repr(name)
+        assert [f.name for f in fields(name) if f.compare] == ["family", "given", "raw"]
 
 
 class TestNormalizeDoi:

@@ -15,13 +15,10 @@ from arxmatch.normalize import normalize_text, split_authors
 from arxmatch.similarity import (
     NEUTRAL_ABSTRACT_DISTANCE,
     FeatureVector,
-    abstract_distance,
-    author_distance,
     feature_vector,
     feature_vector_projected,
     project,
     projection,
-    title_distance,
 )
 
 from conftest import make_preprint, make_published
@@ -49,6 +46,26 @@ def edit_distance_oracle(a: str, b: str) -> int:
     return d[n][m]
 
 
+def scored(title_a="", title_b="", authors_a=(), authors_b=(),
+           abstract_a=None, abstract_b=None) -> FeatureVector:
+    """The vector of one pair, through project and feature_vector_projected."""
+    [v] = feature_vector_projected(project(title_a, authors_a, abstract_a),
+                                   [project(title_b, authors_b, abstract_b)])
+    return v
+
+
+def title_oracle(a: str, b: str) -> float:
+    """The DP edit distance scaled by the longer string; 0 for two empties."""
+    return edit_distance_oracle(a, b) / max(len(a), len(b)) if (a or b) else 0.0
+
+
+def jaccard_oracle(a, b) -> float:
+    """1 - set Jaccard over the non-empty normalized family names."""
+    fa = {normalize_text(n.family) for n in a} - {""}
+    fb = {normalize_text(n.family) for n in b} - {""}
+    return 1.0 - len(fa & fb) / len(fa | fb) if (fa or fb) else 0.0
+
+
 def levenshtein_each(a: str, bs: list[str]) -> list[int]:
     """The packed kernel on strings: distance from a to each of bs."""
     codes = [_kernels.str_to_codes(b) for b in bs]
@@ -59,28 +76,29 @@ def levenshtein_each(a: str, bs: list[str]) -> list[int]:
 
 class TestTitleDistance:
     def test_identity(self):
-        assert title_distance(nt("abc"), nt("abc")) == 0.0
+        assert scored("abc", "abc").title_d == 0.0
 
     def test_single_substitution(self):
-        assert title_distance(nt("abc"), nt("abd")) == pytest.approx(1 / 3)
+        assert scored("abc", "abd").title_d == pytest.approx(1 / 3)
         assert edit_distance_oracle("abc", "abd") == 1
 
     def test_empty_vs_full(self):
-        assert title_distance(nt(""), nt("xyz")) == 1.0
+        assert scored("", "xyz").title_d == 1.0
 
     def test_both_empty(self):
-        assert title_distance(nt(""), nt("")) == 0.0
+        assert scored("", "").title_d == 0.0
 
     def test_against_dp_oracle(self):
+        # batches of 1-5 titles, so each batch is one joined encode
         rng = np.random.default_rng(7)
-        alphabet = "abcdef -"
-        for _ in range(300):
-            a = "".join(rng.choice(list(alphabet), rng.integers(0, 25)))
-            b = "".join(rng.choice(list(alphabet), rng.integers(0, 25)))
-            got = title_distance(a, b)
-            want = edit_distance_oracle(a, b) / max(len(a), len(b)) \
-                if (a or b) else 0.0
-            assert got == want
+        alphabet = list("abcdef -")
+        for _ in range(100):
+            a = "".join(rng.choice(alphabet, rng.integers(0, 25)))
+            bs = ["".join(rng.choice(alphabet, rng.integers(0, 25)))
+                  for _ in range(int(rng.integers(1, 6)))]
+            got = feature_vector_projected(project(a, (), None),
+                                           [project(b, (), None) for b in bs])
+            assert [v.title_d for v in got] == [title_oracle(nt(a), nt(b)) for b in bs]
 
     def test_kernel_vs_dp_oracle_long_unicode(self):
         # lengths up to 300 make the bit-parallel column several machine
@@ -128,7 +146,7 @@ class TestTitleDistance:
             prev = 0.0
             for k, pos in enumerate(positions, 1):
                 edited[pos] = sentinels[(k - 1) % 10]
-                cur = title_distance(s, "".join(edited))
+                cur = scored(s, "".join(edited)).title_d
                 assert cur >= prev
                 assert edit_distance_oracle(s, "".join(edited)) == k
                 prev = cur
@@ -138,46 +156,50 @@ class TestAuthorDistance:
     def _names(self, *raw):
         return [split_authors(r)[0] for r in raw]
 
+    def _distance(self, a, b) -> float:
+        return scored(authors_a=a, authors_b=b).author_d
+
     def test_identity(self):
         a = self._names("Jane Doe")
-        assert author_distance(a, a) == 0.0
+        assert self._distance(a, a) == 0.0
 
     def test_half_overlap(self):
         a = self._names("Jane Doe", "John Roe")
         b = self._names("Jane Doe")
-        assert author_distance(a, b) == 0.5
+        assert self._distance(a, b) == 0.5
 
     def test_disjoint(self):
-        assert author_distance(self._names("Jane Doe"),
-                               self._names("Al Smith")) == 1.0
+        assert self._distance(self._names("Jane Doe"), self._names("Al Smith")) == 1.0
 
     def test_both_empty(self):
-        assert author_distance([], []) == 0.0
+        assert self._distance([], []) == 0.0
 
     def test_one_empty(self):
-        assert author_distance([], self._names("Jane Doe")) == 1.0
+        assert self._distance([], self._names("Jane Doe")) == 1.0
 
     def test_case_and_diacritics_fold(self):
-        assert author_distance(self._names("Ana Núñez"),
-                               self._names("ana nunez")) == 0.0
+        assert self._distance(self._names("Ana Núñez"), self._names("ana nunez")) == 0.0
+
+
+def abstract_d(a: str, b: str) -> float:
+    return scored(abstract_a=a, abstract_b=b).abstract_d
 
 
 class TestAbstractDistance:
     def test_identical(self):
-        assert abstract_distance(nt("we study things"), nt("we study things")) == 0.0
+        assert abstract_d("we study things", "we study things") == 0.0
 
     def test_disjoint_tokens(self):
-        assert abstract_distance(nt("alpha beta"), nt("gamma delta")) == 1.0
+        assert abstract_d("alpha beta", "gamma delta") == 1.0
 
     def test_half_cosine(self):
         # hand-computed: dot=1, |a|=|b|=sqrt(2) -> cos=1/2
-        assert abstract_distance(nt("a b"), nt("a c")) == 0.5
+        assert abstract_d("a b", "a c") == 0.5
 
     def test_neutral_when_missing(self):
-        assert abstract_distance(nt(""), nt("something")) == \
-            NEUTRAL_ABSTRACT_DISTANCE
-        assert abstract_distance(nt("something"), nt("")) == \
-            NEUTRAL_ABSTRACT_DISTANCE
+        assert abstract_d("", "something") == NEUTRAL_ABSTRACT_DISTANCE
+        assert abstract_d("something", "") == NEUTRAL_ABSTRACT_DISTANCE
+        assert abstract_d("something", None) == NEUTRAL_ABSTRACT_DISTANCE
 
     def test_brute_force_cosine_oracle(self):
         rng = np.random.default_rng(9)
@@ -185,7 +207,7 @@ class TestAbstractDistance:
         for _ in range(200):
             a = " ".join(rng.choice(vocab, rng.integers(1, 30)))
             b = " ".join(rng.choice(vocab, rng.integers(1, 30)))
-            got = abstract_distance(nt(a), nt(b))
+            got = abstract_d(a, b)
             ca: dict[str, int] = {}
             cb: dict[str, int] = {}
             for t in a.split():
@@ -200,7 +222,7 @@ class TestAbstractDistance:
 
 
 def cosine_oracle(a: str, b: str) -> float:
-    """abstract_distance from integer token counts: the dot product over the
+    """The abstract distance from integer token counts: the dot product over the
     union of tokens, then the cosine formula with its exact 0 and 1 cases."""
     if not a or not b:
         return NEUTRAL_ABSTRACT_DISTANCE
@@ -224,15 +246,16 @@ class TestAbstractDistanceOracle:
     @given(ABSTRACT, ABSTRACT)
     @settings(max_examples=500, deadline=None)
     def test_equals_integer_count_oracle(self, a, b):
-        assert abstract_distance(nt(a), nt(b)) == cosine_oracle(a, b)
+        assert abstract_d(a, b) == cosine_oracle(a, b)
 
     def test_equals_oracle_on_candidate_abstracts(self, corpus_store, corpus_index):
         pairs = 0
         for p in list(corpus_store.preprints.values())[:100]:
             a = normalize_text(p.abstract)
-            for accession in query_candidates(corpus_index, p):
-                b = normalize_text(corpus_store.published[accession].abstract or "")
-                assert abstract_distance(nt(a), nt(b)) == cosine_oracle(a, b), (a, b)
+            cs = [corpus_store.published[acc] for acc in query_candidates(corpus_index, p)]
+            for v, c in zip(feature_vector(p, cs), cs):
+                b = normalize_text(c.abstract or "")
+                assert v.abstract_d == cosine_oracle(a, b), (a, b)
                 pairs += 1
         assert pairs > 100
 
@@ -282,24 +305,45 @@ class TestFeatureVector:
         c = make_published(authors=("Jane Doe", "John Roe"))
         assert feature_vector(p1, [c]) == feature_vector(p2, [c])
 
+    @staticmethod
+    def _check_against_oracles(p, cs):
+        vectors = feature_vector_projected(projection(p), [projection(c) for c in cs])
+        assert len(vectors) == len(cs)
+        for v, c in zip(vectors, cs):
+            assert v.title_d == title_oracle(nt(p.title), nt(c.title)), c.title
+            assert v.author_d == jaccard_oracle(p.authors, c.authors)
+            assert v.abstract_d == cosine_oracle(nt(p.abstract), nt(c.abstract or ""))
+
     def test_projected_path_matches_plain(self):
         rng = np.random.default_rng(10)
         words = ["zeta", "curve", "group", "flow", "bound", "sharp"]
+        people = ["Jane Doe", "John Roe", "Ana Núñez", "Al Smith"]
         for _ in range(50):
             p = make_preprint(
                 title=" ".join(rng.choice(words, 4)),
-                authors=("Jane Doe", "John Roe"),
+                authors=tuple(map(str, rng.choice(people, rng.integers(1, 4)))),
                 abstract=" ".join(rng.choice(words, 12)) if rng.random() < 0.8 else "",
             )
-            c = make_published(
-                title=" ".join(rng.choice(words, 4)),
-                authors=("Jane Doe",),
+            cs = [make_published(
+                accession=f"zbl{i}",
+                title=" ".join(rng.choice(words, rng.integers(1, 6))),
+                authors=tuple(map(str, rng.choice(people, rng.integers(1, 4)))),
                 abstract=" ".join(rng.choice(words, 12)) if rng.random() < 0.8 else None,
-            )
-            [v] = feature_vector_projected(projection(p), [projection(c)])
-            assert v.title_d == title_distance(nt(p.title), nt(c.title))
-            assert v.author_d == author_distance(list(p.authors), list(c.authors))
-            assert v.abstract_d == abstract_distance(nt(p.abstract), nt(c.abstract or ""))
+            ) for i in range(int(rng.integers(1, 6)))]
+            self._check_against_oracles(p, cs)
+
+    def test_batch_of_empty_and_astral_titles(self):
+        # the batch's titles are encoded as one string and cut by their code
+        # point counts. "{}" normalizes to an empty title; NFKD folds the
+        # double-struck F of "𝔽_q-points" to "f", so the batch also holds
+        # titles whose astral-plane CJK letters survive normalization
+        p = make_preprint(title="Points of 𠀀𠁁 over 𝔽_q")
+        titles = ["{}", "𝔽_q-points", "𠀀𠁁-points", "{}", "On 𠀀 curves",
+                  "points of 𠀀𠁁 over fq"]
+        cs = [make_published(accession=f"zbl{i}", title=t) for i, t in enumerate(titles)]
+        assert [nt(c.title) for c in cs][:3] == ["", "fq-points", "𠀀𠁁-points"]
+        self._check_against_oracles(p, cs)
+        assert feature_vector(p, cs)[-1].title_d == 0.0
 
 
 vectors = st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)) \
@@ -341,15 +385,15 @@ class TestDistanceProperties:
     @given(norm_text, norm_text)
     @settings(max_examples=200, deadline=None)
     def test_title_symmetric_bounded(self, a, b):
-        d = title_distance(a, b)
+        d = scored(a, b).title_d
         assert 0.0 <= d <= 1.0
-        assert d == title_distance(b, a)
-        assert title_distance(a, a) == 0.0
+        assert d == scored(b, a).title_d
+        assert scored(a, a).title_d == 0.0
 
     @given(norm_text, norm_text)
     @settings(max_examples=200, deadline=None)
     def test_abstract_symmetric_bounded(self, a, b):
-        d = abstract_distance(a, b)
+        d = abstract_d(a, b)
         assert 0.0 <= d <= 1.0
-        assert d == abstract_distance(b, a)
-        assert abstract_distance(a, a) in (0.0, NEUTRAL_ABSTRACT_DISTANCE)
+        assert d == abstract_d(b, a)
+        assert abstract_d(a, a) in (0.0, NEUTRAL_ABSTRACT_DISTANCE)
