@@ -179,12 +179,12 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _subject_table(store: CorpusStore) -> list[dict]:
+def _subject_table(store: CorpusStore, unpublished: list[str]) -> list[dict]:
     names = json.loads(
         resources.files("arxmatch.data").joinpath("msc_sections.json")
         .read_text("utf-8"))
     counts: dict[str, int] = {}
-    for pid in store.unpublished_preprints():
+    for pid in unpublished:
         rec = store.preprints[pid]
         if rec.msc:
             area = rec.msc[0][:2]
@@ -208,7 +208,7 @@ def cmd_stats(args) -> int:
             "merged": len(store.merges),
             "withdrawn": sum(1 for r in store.preprints.values() if r.withdrawn),
             "with_msc": with_msc,
-            "subjects": _subject_table(store),
+            "subjects": _subject_table(store, unpublished),
         }
     _write_text(args.report, _report_json(stats))
     return 0

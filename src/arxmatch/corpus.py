@@ -19,13 +19,13 @@ import os
 import re
 import shutil
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 from .normalize import AuthorName, DoiError, normalize_doi, split_authors
 
-ARXIV_ID_RE = re.compile(r"^\d{4}\.\d{4,5}$|^[a-z-]+(\.[A-Z]{2})?/\d{7}$")
-MSC_RE = re.compile(r"^\d{2}[A-Z-][0-9X-]{2}$")
+# matched with fullmatch: a $ anchor would also match before a final newline
+ARXIV_ID_RE = re.compile(r"\d{4}\.\d{4,5}|[a-z-]+(\.[A-Z]{2})?/\d{7}")
+MSC_RE = re.compile(r"\d{2}[A-Z-][0-9X-]{2}")
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")  # \ud800 to \udfff
 
 DOCUMENT_TYPES = ("journal_article", "collection_article", "book")
@@ -58,7 +58,7 @@ class StoreError(RuntimeError):
 
 
 def validate_arxiv_id(value: str) -> str:
-    if not isinstance(value, str) or not ARXIV_ID_RE.match(value):
+    if not isinstance(value, str) or not ARXIV_ID_RE.fullmatch(value):
         raise RecordError(f"invalid arXiv identifier: {value!r}")
     return value
 
@@ -133,18 +133,10 @@ def _parse_authors(items, where: str) -> tuple[AuthorName, ...]:
     for entry in items:
         if not isinstance(entry, str) or not entry.strip():
             raise RecordError(f"{where}: author entries must be non-empty strings")
-        names.extend(_split_entry(entry))
+        names.extend(split_authors(entry))
     if not names:
         raise RecordError(f"{where}: no parseable author names")
     return tuple(names)
-
-
-@lru_cache(maxsize=65536)
-def _split_entry(entry: str) -> tuple[AuthorName, ...]:
-    """``split_authors`` once per distinct entry string: a store repeats
-    its authors' bylines across records, and the names are frozen, so
-    records may share them. A tuple, so no caller can change a cached value."""
-    return tuple(split_authors(entry))
 
 
 def _parse_msc(items, where: str) -> tuple[str, ...]:
@@ -153,7 +145,7 @@ def _parse_msc(items, where: str) -> tuple[str, ...]:
     if not isinstance(items, list):
         raise RecordError(f"{where}: msc must be a list")
     for code in items:
-        if not isinstance(code, str) or not MSC_RE.match(code):
+        if not isinstance(code, str) or not MSC_RE.fullmatch(code):
             raise RecordError(f"{where}: invalid MSC code {code!r}")
     return tuple(items)
 
@@ -331,7 +323,8 @@ def write_jsonl(path: str | Path, objects) -> None:
 def _read_jsonl(path: str | Path, reject=None):
     """Yield ``(line number, value)`` per non-blank line of ``path``. A line
     that is not UTF-8 raises ``RecordError`` naming it, and so does one that
-    is not JSON, nests deeper than the parser's recursion limit or holds an
+    is not JSON, nests deeper than the parser's recursion limit, holds an
+    integer literal past Python's 4,300-digit conversion limit or holds an
     unpaired surrogate escape such as ``\\ud800`` (no UTF-8 file can store
     it), unless ``reject(line_no, reason)`` is given to take it."""
     with open(path, "rb") as fh:
@@ -354,6 +347,8 @@ def _read_jsonl(path: str | Path, reject=None):
                 reason = "malformed JSON: nested too deeply"
             except UnicodeEncodeError:
                 reason = "unpaired surrogate escape"
+            except ValueError as exc:  # after its subclasses above
+                reason = f"malformed JSON: {exc}"
             else:
                 yield line_no, value
                 continue

@@ -319,7 +319,8 @@ def load_model(path: str | Path) -> ForestModel:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # ValueError: not JSON, not UTF-8, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelFormatError(f"{path}: not a forest model file")

@@ -8,14 +8,17 @@ exact-equality keys (the naive title+authors match) are reproducible:
 1. NFKD decomposition, combining marks dropped
 2. math segments ``$...$`` reduced to their content with ``\\commands`` removed
 3. ``\\command{arg}`` reduced to ``arg``, bare ``\\command`` removed
-4. structural markers ``{ } ^ _ ~`` deleted
-5. punctuation mapped to spaces, except hyphens joining word characters
-6. lowercased, whitespace collapsed
+4. structural markers ``{ } ^ _ ~`` deleted, dashes mapped to ``-``,
+   other punctuation to spaces
+5. lowercased
+6. per whitespace token, hyphens kept only between non-empty parts
+   (``--a-b--`` becomes ``a-b``; a token of dashes alone is dropped)
 
-Step 1's mark removal is one ``str.translate``, and steps 4 and 5 are
-another, each over a table that classifies a code point once. Step 1
-precedes step 3: a mark after a backslash would otherwise be read as a
-command name.
+Step 1's mark removal and step 4 are each one ``str.translate`` over a
+table that classifies a code point once. Step 1 precedes step 3: a mark
+after a backslash would otherwise be read as a command name. Step 5 may
+precede step 6 because hyphen and space are neither cased nor
+case-ignorable, so no final sigma changes.
 
 All functions here are total and idempotent.
 """
@@ -65,62 +68,54 @@ def _strip_latex(text: str) -> str:
     return _CMD_RE.sub("", text)
 
 
-class _CharClasses(dict):
-    """Steps 4 and 5 as a translate table, filled in on first sight."""
+class _TranslateTable(dict):
+    """A ``str.translate`` table that asks ``classify`` for a code point's
+    replacement (a string, or None to delete it) the first time the code
+    point is seen, and remembers the answer."""
+
+    def __init__(self, classify) -> None:
+        super().__init__()
+        self.classify = classify
 
     def __missing__(self, code: int) -> str | None:
-        ch = chr(code)
-        if ch in _DROPPED:
-            out = None
-        elif ch.isalpha() or ch.isdigit():
-            out = ch
-        elif unicodedata.category(ch) == "Pd" or ch == "-":
-            out = "-"
-        else:
-            out = " "
-        self[code] = out
+        out = self[code] = self.classify(chr(code))
         return out
 
 
-class _CombiningMarks(dict):
-    """Step 1's mark removal as a translate table, filled in on first sight."""
+def _char_class(ch: str) -> str | None:
+    if ch in _DROPPED:
+        return None
+    if ch.isalpha() or ch.isdigit():
+        return ch
+    if unicodedata.category(ch) == "Pd" or ch == "-":
+        return "-"
+    return " "
 
-    def __missing__(self, code: int) -> str | None:
-        ch = chr(code)
-        out = None if unicodedata.combining(ch) else ch
-        self[code] = out
-        return out
 
-
-_CHAR_CLASSES = _CharClasses()
-_COMBINING_MARKS = _CombiningMarks()
-_HYPHEN_RUN_RE = re.compile(r"-{2,}")
-# hyphens survive only between word characters
-_FREE_HYPHEN_RE = re.compile(r"(?<![^\s])-|-(?![^\s])")
+_COMBINING_MARKS = _TranslateTable(lambda ch: None if unicodedata.combining(ch) else ch)
+_CHAR_CLASSES = _TranslateTable(_char_class)
 
 
 @lru_cache(maxsize=65536)
 def normalize_text(raw: str) -> str:
     """Canonical lowercase form of a title, abstract, or name fragment."""
     text = unicodedata.normalize("NFKD", raw).translate(_COMBINING_MARKS)
-    text = _strip_latex(text).translate(_CHAR_CLASSES)
-    text = _HYPHEN_RUN_RE.sub("-", text)
-    text = _FREE_HYPHEN_RE.sub(" ", text)
-    text = text.lower()
-    return " ".join(text.split())
+    text = _strip_latex(text).translate(_CHAR_CLASSES).lower()
+    tokens = ("-".join(filter(None, token.split("-"))) if "-" in token else token
+              for token in text.split())
+    return " ".join(filter(None, tokens))
 
 
 _AND_RE = re.compile(r"\s+and\s+")
 
 
-def _parse_given_family(part: str, raw: str) -> AuthorName:
+def _parse_given_family(part: str) -> AuthorName:
     tokens = part.split()
-    if len(tokens) == 1:
-        return AuthorName(family=tokens[0], given="", raw=raw)
-    return AuthorName(family=tokens[-1], given=" ".join(tokens[:-1]), raw=raw)
+    return AuthorName(family=tokens[-1], given=" ".join(tokens[:-1]), raw=part)
 
 
-def split_authors(raw: str) -> list[AuthorName]:
+@lru_cache(maxsize=65536)
+def split_authors(raw: str) -> tuple[AuthorName, ...]:
     """Split an author byline into individual names.
 
     Separators are ";", " and ", and commas. A single comma reads as
@@ -130,37 +125,27 @@ def split_authors(raw: str) -> list[AuthorName]:
     even and every given slot is a single token; otherwise commas separate
     whole names in "Given Family" order. A string that yields no parseable
     name comes back as a single family-only entry so no mention is lost.
+
+    Cached per byline: a store repeats bylines, and records may share the
+    frozen names; a tuple, so no caller can change a cached value.
     """
     if not raw.strip():
-        return []
+        return ()
     names: list[AuthorName] = []
     for chunk in raw.split(";"):
         for piece in _AND_RE.split(chunk):
-            piece = piece.strip()
-            if not piece:
-                continue
-            parts = [p.strip() for p in piece.split(",")]
-            parts = [p for p in parts if p]
-            if not parts:
-                continue
-            if len(parts) == 1:
-                names.append(_parse_given_family(parts[0], parts[0]))
-            elif len(parts) == 2 and (len(parts[0].split()) == 1
-                                      or len(parts[1].split()) == 1):
-                names.append(AuthorName(family=parts[0], given=parts[1],
-                                        raw=f"{parts[0]}, {parts[1]}"))
-            elif len(parts) % 2 == 0 and all(
-                len(parts[i].split()) == 1 for i in range(1, len(parts), 2)
-            ):
-                for i in range(0, len(parts), 2):
-                    names.append(AuthorName(family=parts[i], given=parts[i + 1],
-                                            raw=f"{parts[i]}, {parts[i + 1]}"))
+            parts = [p for p in map(str.strip, piece.split(",")) if p]
+            if len(parts) % 2 == 0 and (
+                    all(len(given.split()) == 1 for given in parts[1::2])
+                    or len(parts) == 2 and len(parts[0].split()) == 1):
+                names.extend(AuthorName(family=family, given=given,
+                                        raw=f"{family}, {given}")
+                             for family, given in zip(parts[::2], parts[1::2]))
             else:
-                for p in parts:
-                    names.append(_parse_given_family(p, p))
-    good = [n for n in names if n.key[0]]
+                names.extend(map(_parse_given_family, parts))
+    good = tuple(n for n in names if n.key[0])
     if not good:
-        return [AuthorName(family=raw.strip(), given="", raw=raw.strip())]
+        return (AuthorName(family=raw.strip(), given="", raw=raw.strip()),)
     return good
 
 

@@ -64,13 +64,13 @@ def load_rules(path: str | Path | None = None) -> ScopeRules:
     """Read a rule set: a JSON object whose keys ``included``, ``excluded``,
     ``conditional`` and ``standalone`` each hold a list of category codes.
     Other keys are ignored. Any other file raises ValueError, naming the
-    key at fault when there is one."""
-    if path is None:
-        text = resources.files("arxmatch.data").joinpath("scope_rules.json") \
-            .read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    obj = json.loads(text)
+    file when it is not JSON and the key at fault when there is one."""
+    source = resources.files("arxmatch.data").joinpath("scope_rules.json") \
+        if path is None else Path(path)
+    try:
+        obj = json.loads(source.read_text("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: also not UTF-8
+        raise ValueError(f"unreadable scope rules {source}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("scope rules must be a JSON object")
     sets = {}

@@ -98,6 +98,18 @@ class TestExitCodes:
         assert len(lines) == 1
         assert problem in json.loads(lines[0])["error"]
 
+    def test_scope_with_unparseable_rules_names_the_file(self, small_store, tmp_path,
+                                                         capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"included":\n\n')
+        assert run("scope", "--store", str(small_store), "--rules", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert f"unreadable scope rules {path}: Expecting value" in error
+
     def test_stats_with_repeated_preprint_is_1(self, small_store, capsys):
         path = small_store / "preprints.jsonl"
         first = path.read_bytes().splitlines(keepends=True)[0]
@@ -183,6 +195,18 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)["preprints"]
         assert (report["added"], report["rejected"]) == (60, 1)
         assert report["errors"] == [{"line": 1, "reason": "malformed JSON: nested too deeply"}]
+
+    def test_integer_past_the_digit_limit_is_a_line_reject(self, small_corpus, tmp_path,
+                                                           capsys):
+        path = tmp_path / "long.jsonl"
+        path.write_bytes(b'{"id": 1' + b"9" * 5000 + b"}\n"
+                         + (small_corpus / "preprints.jsonl").read_bytes())
+        assert run("ingest", "--preprints", str(path),
+                   "--store", str(tmp_path / "store")) == 0
+        report = json.loads(capsys.readouterr().out)["preprints"]
+        assert (report["added"], report["rejected"]) == (60, 1)
+        assert report["errors"][0]["line"] == 1
+        assert report["errors"][0]["reason"].startswith("malformed JSON: Exceeds the limit")
 
     def test_eval_too_few_pairs_is_1(self, small_store, capsys):
         assert run("eval", "--store", str(small_store), "--seed", "1") == 1
@@ -447,6 +471,20 @@ class TestPipeline:
         assert counts == sorted(counts, reverse=True)
         for row in stats["subjects"]:
             assert set(row) == {"msc", "area", "count"}
+
+    def test_stats_lists_the_unpublished_preprints_once(self, small_store, capsys,
+                                                         monkeypatch):
+        calls = []
+        listing = CorpusStore.unpublished_preprints
+
+        def counted(store):
+            calls.append(1)
+            return listing(store)
+
+        monkeypatch.setattr(CorpusStore, "unpublished_preprints", counted)
+        assert run("stats", "--store", str(small_store)) == 0
+        assert json.loads(capsys.readouterr().out)["subjects"]
+        assert len(calls) == 1
 
     def test_scope_stdout(self, small_store, capsys):
         assert run("scope", "--store", str(small_store)) == 0

@@ -21,7 +21,6 @@ from arxmatch.corpus import (
     MatchDecision,
     RecordError,
     _parse_authors,
-    _split_entry,
     preprint_from_json,
     published_from_json,
     validate_arxiv_id,
@@ -79,7 +78,8 @@ class TestValidation:
         assert validate_arxiv_id(good) == good
 
     @pytest.mark.parametrize("bad", ["", "2312.123", "12.01234", "MATH/0501001",
-                                     "math/05001", "2312.01234v2", None])
+                                     "math/05001", "2312.01234v2", None,
+                                     "2301.00001\n", "math.GT/0501001\n"])
     def test_arxiv_ids_rejected(self, bad):
         with pytest.raises(RecordError):
             validate_arxiv_id(bad)
@@ -104,6 +104,8 @@ class TestValidation:
         assert rec.msc == ("05A15", "11-XX")
         with pytest.raises(RecordError):
             preprint_from_json(preprint_obj(msc=["5A15"]))
+        with pytest.raises(RecordError, match="invalid MSC code"):
+            preprint_from_json(preprint_obj(msc=["14H52\n"]))
 
     def test_invalid_doi_treated_as_absent(self):
         rec = preprint_from_json(preprint_obj(doi="not a doi"))
@@ -169,6 +171,34 @@ class TestIngestPreprints:
         report = CorpusStore().ingest_preprints(path)
         assert (report.added, report.rejected) == (1, 1)
         assert report.errors == [(1, "malformed JSON: nested too deeply")]
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"id": 1' + "9" * 5000 + "}\n")
+            fh.write(json.dumps(preprint_obj()) + "\n")
+        report = CorpusStore().ingest_preprints(path)
+        assert (report.added, report.rejected) == (1, 1)
+        assert report.errors[0][0] == 1
+        assert report.errors[0][1].startswith("malformed JSON: Exceeds the limit")
+
+    def test_trailing_newline_in_id_or_msc_rejected(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [preprint_obj(), preprint_obj(pid="2301.00001\n"),
+                           preprint_obj(pid="2301.00002", msc=["14H52\n"])])
+        store = CorpusStore()
+        report = store.ingest_preprints(path)
+        assert (report.added, report.rejected) == (1, 2)
+        assert report.errors == [(2, "invalid arXiv identifier: '2301.00001\\n'"),
+                                 (3, "2301.00002: invalid MSC code '14H52\\n'")]
+        assert list(store.preprints) == ["2301.00001"]
+
+    def test_trailing_newline_in_doi_is_stripped(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [preprint_obj(doi="10.1/X\n")])
+        store = CorpusStore()
+        assert store.ingest_preprints(path).added == 1
+        assert store.preprints["2301.00001"].doi == "10.1/x"
 
     def test_higher_version_replaces(self, tmp_path):
         store = CorpusStore()
@@ -326,12 +356,12 @@ class TestAuthorSplitMemo:
         entries = list(self._entries())
         assert len(entries) > len(set(entries))  # bylines repeat, so hits occur
         for entry in entries:
-            assert _parse_authors([entry], "x") == tuple(split_authors(entry))
+            assert _parse_authors([entry], "x") == split_authors.__wrapped__(entry)
 
     def test_cached_value_is_a_tuple(self):
         entry = next(self._entries())
-        assert type(_split_entry(entry)) is tuple
-        assert _split_entry(entry) is _split_entry(entry)
+        assert type(split_authors(entry)) is tuple
+        assert split_authors(entry) is split_authors(entry)
 
     def test_two_loads_give_equal_records(self, tmp_path):
         store = CorpusStore()
@@ -424,6 +454,25 @@ class TestStorePersistence:
             fh.write("{\"a\": " * 100_000 + "\n")
         with pytest.raises(RecordError,
                            match="published.jsonl:2: malformed JSON: nested too deeply"):
+            CorpusStore.load(tmp_path)
+
+    def test_load_rejects_integer_past_the_digit_limit(self, tmp_path):
+        store_with([make_preprint()], [make_published()]).save(tmp_path)
+        with open(tmp_path / "preprints.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"id": 1' + "9" * 5000 + "}\n")
+        with pytest.raises(RecordError,
+                           match="preprints.jsonl:2: malformed JSON: Exceeds the limit"):
+            CorpusStore.load(tmp_path)
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("id", "2301.00002\n", "invalid arXiv identifier"),
+        ("msc", ["14H52\n"], "invalid MSC code"),
+    ])
+    def test_load_rejects_trailing_newline(self, tmp_path, field, value, problem):
+        store_with([make_preprint()], [make_published()]).save(tmp_path)
+        with open(tmp_path / "preprints.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(preprint_obj(pid="2301.00002", **{field: value})) + "\n")
+        with pytest.raises(RecordError, match=f"preprints.jsonl:2: .*{problem}"):
             CorpusStore.load(tmp_path)
 
     def test_failed_write_leaves_old_file(self, tmp_path):

@@ -473,6 +473,13 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="unreadable model file .*deep.json"):
             load_model(tmp_path / "deep.json")
 
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        text = json.dumps(stump_payload()).replace('"seed": 0', '"seed": 1' + "9" * 5000)
+        (tmp_path / "long.json").write_text(text)
+        with pytest.raises(ModelFormatError,
+                           match="unreadable model file .*long.json: Exceeds the limit"):
+            load_model(tmp_path / "long.json")
+
     def test_integer_thresholds_predict_as_the_walk(self, tmp_path):
         # integers a float64 cannot hold exactly: each split is tabulated at
         # the float its threshold converts to, as the edges are

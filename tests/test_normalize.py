@@ -82,6 +82,19 @@ class TestNormalizeText:
     def test_free_hyphen_becomes_space(self):
         assert normalize_text("a - b -c d-") == "a b c d"
 
+    # hyphen cases the random oracle input rarely draws: runs at both ends of
+    # a token, tokens of dashes alone, a mark after a hyphen and final sigma
+    # beside hyphens, which the oracle lowercases only after they are settled
+    @pytest.mark.parametrize("raw, expected", [
+        ("--a-b--", "a-b"),
+        ("a---b", "a-b"),
+        ("- – —", ""),
+        ("x-\u0301y", "x-y"),
+        ("ΑΣ-Β ΑΣ -Β Α-ΣΒ --ΟΔΟΣ--", "ας-β ας β α-σβ οδος"),
+    ])
+    def test_hyphen_edge_cases_equal_oracle(self, raw, expected):
+        assert normalize_text(raw) == normalize_oracle(raw) == expected
+
     def test_token_count(self):
         assert normalize_text("On the zeta function").split() == \
             ["on", "the", "zeta", "function"]

@@ -132,6 +132,15 @@ class TestLoadRules:
         with pytest.raises(ValueError, match=problem):
             load_rules(path)
 
+    @pytest.mark.parametrize("data", [b'{"included":\n\n', b"[" * 100_000,
+                                      b'{"included": 1' + b"9" * 5000 + b"}",
+                                      b'{"included": ["math.\xff"]}'])
+    def test_unparseable_file_names_the_file(self, tmp_path, data):
+        path = tmp_path / "rules.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"unreadable scope rules {path}: "):
+            load_rules(path)
+
     def test_rule_set_must_be_an_object(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(sorted(RULES.included)))
