@@ -8,7 +8,7 @@ author-profile assignment.
 
 from ._kernels import BACKEND
 from .corpus import CorpusStore, MatchDecision, PreprintRecord, PublishedRecord
-from .similarity import FeatureVector, feature_vector
+from .similarity import FeatureVector, ScoringTable, feature_vector
 
 __version__ = "0.1.0"
 
@@ -19,6 +19,7 @@ __all__ = [
     "MatchDecision",
     "PreprintRecord",
     "PublishedRecord",
+    "ScoringTable",
     "__version__",
     "feature_vector",
 ]

@@ -10,7 +10,9 @@ from crossing into the next (H. Hyyrö, K. Fredriksson and G. Navarro,
 ACM JEA 10, 2005). A lane's distance is read off at the end as a
 popcount of its vertical deltas, and lanes are packed into words of at
 most WORD_BITS bits, so the cost stays linear in the number of
-candidates. It and the dot product use integer arithmetic throughout.
+candidates. The sparse dot products of one vector with all of the
+candidates' take one scatter into a dense lookup, one gather and one
+cumulative sum. Both kernels use integer arithmetic throughout.
 The forest is evaluated as a table lookup: a row's bin among the
 model's sorted thresholds, per feature, picks each tree's leaf from a
 precomputed grid (the threshold indexing of QuickScorer, C. Lucchese et
@@ -102,13 +104,38 @@ def _word_distances(a: np.ndarray, b: np.ndarray, lens: np.ndarray,
     return out
 
 
-def sorted_dot(a: dict[str, int], b: dict[str, int]) -> int:
-    """Dot product of two ``{token: count}`` vectors over the smaller one.
-    The name dates from sorted id arrays; perfbench traces it by name."""
-    if len(a) > len(b):
-        a, b = b, a
-    get = b.get
-    return sum(n * get(tok, 0) for tok, n in a.items())
+def sorted_dot(lookup: np.ndarray, a: np.ndarray, b: np.ndarray,
+               ends: np.ndarray) -> np.ndarray:
+    """Dot products of one sparse int64 vector with each of k others.
+
+    a is a (2, m) array of unique keys over their counts; the k others
+    come the same way, concatenated along axis 1 in b, and ends holds
+    their cumulative end offsets, so vector i is b[:, ends[i-1]:ends[i]].
+    Returns the k dots as int64. (The name dates from a merge of sorted
+    keys.)
+
+    lookup is an all-zero int64 scratch array that every key indexes, a
+    negative one from the end, so it is longer than twice the largest
+    key magnitude. a's counts are written into it at a's keys, one
+    gather at b's keys reads them (0 where a lacks the key), and lookup
+    is zeroed again before the call returns. A cumulative sum of the
+    products, read at the ends, then totals each segment: it may wrap
+    around in int64, but its differences are exact modulo 2**64, so
+    every dot below 2**63 comes out exact; callers keep each side's
+    count total below 2**31, which bounds every dot below 2**62.
+    """
+    keys = a[0]
+    try:
+        lookup[keys] = a[1]
+        products = lookup[b[0]]
+    finally:
+        lookup[keys] = 0
+    products *= b[1]
+    totals = np.zeros(b.shape[1] + 1, dtype=np.int64)
+    np.cumsum(products, out=totals[1:])
+    dots = totals[ends]
+    dots[1:] -= totals[ends[:-1]]
+    return dots
 
 
 def best_split(values: np.ndarray, pos_w: np.ndarray, neg_w: np.ndarray,

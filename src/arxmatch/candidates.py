@@ -9,15 +9,18 @@ score first and ties by accession.
 Representation: the published accessions are sorted once, and a record's
 ordinal is its position in that list (ordinal i is ``accessions[i]``). A
 posting is an int64 array of ordinals, strictly increasing because the
-records are indexed in ordinal order.
+records are indexed in ordinal order. The index also owns the records'
+scoring rows (``similarity.ScoringTable``) by the same ordinals, each
+filled the first time a query's candidates reach its record; ``ordinals``
+maps returned accessions back to them by bisection.
 
 Query: the postings of the query's title tokens (in ``title_tokens``
 order), then of its family names (in sorted order), are concatenated,
-each with its weight repeated alongside. ``np.unique`` maps the hit
-ordinals onto dense bins and ``np.bincount`` sums each bin's weights, so
-the cost follows the number of hits and not the corpus size. Hits tied at
-the k-th score are all kept through ``np.partition``, and the survivors
-are ordered by ``np.lexsort`` on (-score, ordinal).
+each with its weight repeated alongside, and one dense ``np.bincount``
+over all ordinals sums the weights per record, so a query costs
+O(hits + n). Hits tied at the k-th score are all kept through
+``np.partition``, and the survivors are ordered by ``np.lexsort`` on
+(-score, ordinal).
 
 The scores and the order equal those of scoring hits one at a time in a
 dict and sorting by (-score, accession), bit for bit: ``np.bincount``
@@ -32,6 +35,7 @@ The index is immutable once built; rebuild it after corpus changes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 
@@ -39,7 +43,7 @@ import numpy as np
 
 from .corpus import CorpusStore, PreprintRecord
 from .normalize import normalize_text
-from .similarity import family_set
+from .similarity import ScoringTable, family_set
 
 AUTHOR_BOOST = 2.0
 DEFAULT_K = 20
@@ -68,6 +72,11 @@ class CandidateIndex:
     token_postings: dict[str, np.ndarray]
     author_postings: dict[str, np.ndarray]
     idf: dict[str, float]
+    table: ScoringTable
+
+    def ordinals(self, accessions: list[str]) -> list[int]:
+        """The ordinals of indexed accessions."""
+        return [bisect_left(self.accessions, a) for a in accessions]
 
 
 def _as_postings(lists: dict[str, list[int]]) -> dict[str, np.ndarray]:
@@ -78,8 +87,8 @@ def build_index(store: CorpusStore) -> CandidateIndex:
     accessions = sorted(store.published)
     token_lists: dict[str, list[int]] = {}
     author_lists: dict[str, list[int]] = {}
-    for ordinal, accession in enumerate(accessions):
-        rec = store.published[accession]
+    records = [store.published[accession] for accession in accessions]
+    for ordinal, rec in enumerate(records):
         for tok in title_tokens(rec.title):
             token_lists.setdefault(tok, []).append(ordinal)
         for fam in sorted(family_set(rec.authors)):
@@ -91,6 +100,7 @@ def build_index(store: CorpusStore) -> CandidateIndex:
         token_postings=_as_postings(token_lists),
         author_postings=_as_postings(author_lists),
         idf=idf,
+        table=ScoringTable(records),
     )
 
 
@@ -114,10 +124,10 @@ def query_candidates(index: CandidateIndex, p: PreprintRecord,
     if not postings:
         return []
     w = np.repeat(weights, [len(ords) for ords in postings])
-    hits, inv = np.unique(np.concatenate(postings), return_inverse=True)
-    scores = np.bincount(inv, weights=w)
-    keep = scores > 0.0
-    hits, scores = hits[keep], scores[keep]
+    scores = np.bincount(np.concatenate(postings), weights=w,
+                         minlength=len(index.accessions))
+    hits = np.flatnonzero(scores > 0.0)
+    scores = scores[hits]
     if len(hits) > k:
         kth = np.partition(scores, len(scores) - k)[len(scores) - k]
         keep = scores >= kth

@@ -79,7 +79,7 @@ def evaluate(store: CorpusStore, seed: int,
                          decision_threshold=decision_threshold)
     tp = fp = 0
     for pid, truth in holdout:
-        hit = match_by_classifier(store.preprints[pid], store, index, model, k)
+        hit = match_by_classifier(store.preprints[pid], index, model, k)
         if hit is None:
             continue
         if hit[0] == truth:

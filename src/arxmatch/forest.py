@@ -103,8 +103,8 @@ def training_pairs_from(store: CorpusStore, index: CandidateIndex,
         p = store.preprints[pid]
         ranked = query_candidates(index, p, k=neg_per_pos + 1)
         negatives = [a for a in ranked if a != accession][:neg_per_pos]
-        pos, *negs = feature_vector(
-            p, [store.published[a] for a in [accession] + negatives])
+        pos, *negs = feature_vector(index.table, p,
+                                    index.ordinals([accession] + negatives))
         training.append(TrainingPair(pos, True))
         training.extend(TrainingPair(v, False) for v in negs)
     return training

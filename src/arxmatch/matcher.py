@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .forest import ForestModel, predict_many
 from .normalize import normalize_text
-from .similarity import FeatureVector, feature_vector_projected, projection
+from .similarity import FeatureVector, feature_vector_projected
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -58,14 +58,15 @@ def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
     return store.doi_accession(p.doi)
 
 
-def match_by_classifier(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
+def match_by_classifier(p: PreprintRecord, index: CandidateIndex,
                         model: ForestModel, k: int) -> tuple[str, FeatureVector] | None:
     """The most probable positively-classified candidate, or None."""
     ranked = query_candidates(index, p, k)
     if not ranked:
         return None
-    vectors = feature_vector_projected(
-        projection(p), [projection(store.published[a]) for a in ranked])
+    table = index.table
+    vectors = feature_vector_projected(table, table.query_row(p),
+                                       table.rows(index.ordinals(ranked)))
     probs = predict_many(model, np.array(vectors, dtype=np.float64))
     positives = [
         (-probs[i], vectors[i], ranked[i])
@@ -86,7 +87,7 @@ def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
         return MatchDecision(preprint=p.id, outcome=OUTCOME_DOI,
                              matched_accession=accession, vector=None,
                              decided_at=timestamp)
-    hit = match_by_classifier(p, store, index, model, k)
+    hit = match_by_classifier(p, index, model, k)
     if hit is not None:
         accession, vec = hit
         return MatchDecision(preprint=p.id, outcome=OUTCOME_CLASSIFIER,

@@ -11,25 +11,37 @@ and one minus the cosine of term-frequency vectors (abstract). A missing
 abstract contributes the neutral value 0.5 so absence neither fakes
 agreement nor vetoes a match.
 
-Pairs are scored in batches of projections, each a record's normalized
-text: ``feature_vector_projected`` encodes the one title and the joined
-titles of the list to code points once each, computes every title
-distance in one call of the lane-packed Levenshtein kernel, then the
-author and abstract distances pair by pair. The matcher passes one
+A record is scored through its ``Row``: the normalized title as text,
+and its family names and abstract tokens as one (2, n) int64 array of
+keys over counts, with ids from a vocabulary. A family name with id v
+has key -1 - v and count 1, an abstract token key v and its count, and
+the families come first; the row also carries the integer squared norm
+of the abstract counts, 0 for a missing abstract. A ``ScoringTable``
+holds the rows of a fixed list of published records by ordinal and owns
+their vocabulary; a row is filled the first time a batch scores its
+record. The candidate index keeps one table over the whole published
+corpus, so no table here is module state.
+
+``feature_vector_projected`` scores one row against a list of rows: the
+titles are encoded to code points once per batch and scored in one call
+of the lane-packed Levenshtein kernel, and the family intersection sizes
+and abstract dot products come from one call of the ``sorted_dot``
+kernel over the concatenated rows, two segments per row. The kernel
+writes the one row's counts into a dense lookup by key, which the table
+keeps all-zero between batches, so a batch costs the length of its rows
+and not the size of the vocabulary. The Jaccard and cosine formulas then
+run on those exact Python ints, the same float operations as comparing
+two name sets and two ``{token: count}`` dicts, so every distance is
+bit-identical to a pair-by-pair computation. The matcher passes one
 preprint's ranked candidates, training one preprint's positive and its
 negatives.
-
-A TF vector is a ``{token: count}`` dict and its integer squared norm.
-Tokens are ``sys.intern``ed, so abstracts that share a token share its
-string, and no table here grows with the corpus.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import weakref
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +51,9 @@ from .corpus import PreprintRecord, PublishedRecord
 from .normalize import normalize_text
 
 NEUTRAL_ABSTRACT_DISTANCE = 0.5
+# an abstract's token total below this keeps every count, product and
+# dot of the sorted_dot kernel below 2**62
+TOKEN_TOTAL_LIMIT = 1 << 31
 
 
 class FeatureVector(NamedTuple):
@@ -52,15 +67,63 @@ def family_set(authors) -> frozenset[str]:
     return frozenset(name.key[0] for name in authors if name.key[0])
 
 
-TFVector = tuple[dict[str, int], int]
+class Row(NamedTuple):
+    """One record's scoring row over a vocabulary."""
+
+    title: str
+    terms: np.ndarray  # (2, n) int64: unique keys over their counts
+    families: int  # the first `families` keys are family names
+    sq: int  # squared norm of the abstract counts; 0 for a missing abstract
 
 
-def _tf_vector(text: str) -> TFVector | None:
-    """TF vector of a non-empty text; None stands for a missing abstract."""
-    if not text:
-        return None
-    counts = Counter(map(sys.intern, text.split()))
-    return counts, sum(n * n for n in counts.values())
+def project(title: str, authors, abstract: str | None,
+            vocab: dict[str, int]) -> Row:
+    """The row of one record; names and tokens new to vocab get its next ids."""
+    keys = [-1 - v for v in {vocab.setdefault(name.key[0], len(vocab))
+                             for name in authors if name.key[0]}]
+    families = len(keys)
+    tf = Counter(normalize_text(abstract).split()) if abstract else Counter()
+    if tf.total() >= TOKEN_TOTAL_LIMIT:
+        raise OverflowError(f"an abstract of {tf.total()} tokens is too long to score")
+    keys += [vocab.setdefault(tok, len(vocab)) for tok in tf]
+    terms = np.array((keys, [1] * families + list(tf.values())), dtype=np.int64)
+    return Row(normalize_text(title), terms, families, sum(n * n for n in tf.values()))
+
+
+class ScoringTable:
+    """The rows of a fixed list of published records, by ordinal, over a
+    vocabulary of the table's own. A row is filled the first time it is
+    asked for, so a table built over a corpus normalizes only the
+    abstracts that some batch scores. Query rows add their new names and
+    tokens to the vocabulary too, so it grows with what was scored."""
+
+    def __init__(self, records: Sequence[PublishedRecord]) -> None:
+        self.records = records
+        self.vocab: dict[str, int] = {}
+        self._rows: dict[int, Row] = {}
+        self._lookup = np.zeros(0, dtype=np.int64)
+
+    def rows(self, ordinals: Iterable[int]) -> list[Row]:
+        out = []
+        for ordinal in ordinals:
+            row = self._rows.get(ordinal)
+            if row is None:
+                rec = self.records[ordinal]
+                row = self._rows[ordinal] = project(rec.title, rec.authors,
+                                                    rec.abstract, self.vocab)
+            out.append(row)
+        return out
+
+    def query_row(self, p: PreprintRecord) -> Row:
+        """p's row over the table's vocabulary; the table does not keep it."""
+        return project(p.title, p.authors, p.abstract, self.vocab)
+
+    def lookup(self) -> np.ndarray:
+        """The all-zero scratch array of the dot kernel, long enough for
+        every key of the vocabulary as it stands."""
+        if self._lookup.size <= 2 * len(self.vocab):
+            self._lookup = np.zeros(4 * len(self.vocab) + 2, dtype=np.int64)
+        return self._lookup
 
 
 def _edit_distances(a: str, bs: list[str]) -> list[float]:
@@ -74,67 +137,41 @@ def _edit_distances(a: str, bs: list[str]) -> list[float]:
     return [d / max(len(a), m) if d else 0.0 for d, m in zip(dists, lens)]
 
 
-def _jaccard_distance(fa: frozenset[str], fb: frozenset[str]) -> float:
-    if not fa and not fb:
-        return 0.0
-    if not fa or not fb:
-        return 1.0
-    return 1.0 - len(fa & fb) / len(fa | fb)
+def _jaccard_distance(shared: int, na: int, nb: int) -> float:
+    """One minus shared / union for name sets of sizes na and nb."""
+    union = na + nb - shared
+    return 1.0 - shared / union if union else 0.0
 
 
-def _cosine_distance(va: TFVector | None, vb: TFVector | None) -> float:
-    if va is None or vb is None:
+def _cosine_distance(dot: int, sq_a: int, sq_b: int) -> float:
+    if not sq_a or not sq_b:
         return NEUTRAL_ABSTRACT_DISTANCE
-    (counts_a, sq_a), (counts_b, sq_b) = va, vb
-    dot = _kernels.sorted_dot(counts_a, counts_b)
     if dot * dot == sq_a * sq_b:  # proportional vectors: cosine exactly 1
         return 0.0
     cos = dot / math.sqrt(sq_a * sq_b)
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-class RecordProjection(NamedTuple):
-    """One record's normalized text, reused across pairings: the title as
-    a string (encoded with its batch), family names and abstract TF."""
-
-    title: str
-    families: frozenset[str]
-    abstract_vec: TFVector | None
-
-
-def project(title: str, authors, abstract: str | None) -> RecordProjection:
-    return RecordProjection(
-        title=normalize_text(title),
-        families=family_set(authors),
-        abstract_vec=_tf_vector(normalize_text(abstract)) if abstract else None,
-    )
-
-
-def feature_vector_projected(a: RecordProjection,
-                             bs: list[RecordProjection]) -> list[FeatureVector]:
-    """The (title, authors, abstract) distance vector of a paired with each
-    of bs, in order; one kernel call scores all the titles."""
+def feature_vector_projected(table: ScoringTable, a: Row,
+                             bs: list[Row]) -> list[FeatureVector]:
+    """The (title, authors, abstract) distance vector of row a paired with
+    each of bs (at least one), in order, all over the table's vocabulary:
+    one kernel call scores all the titles, one all the name sets and
+    abstracts."""
     titles = _edit_distances(a.title, [b.title for b in bs])
+    sizes = [n for b in bs for n in (b.families, b.terms.shape[1] - b.families)]
+    sums = _kernels.sorted_dot(table.lookup(), a.terms,
+                               np.concatenate([b.terms for b in bs], axis=1),
+                               np.cumsum(sizes, dtype=np.int64)).tolist()
     return [
         FeatureVector(title_d,
-                      _jaccard_distance(a.families, b.families),
-                      _cosine_distance(a.abstract_vec, b.abstract_vec))
-        for title_d, b in zip(titles, bs)
+                      _jaccard_distance(shared, a.families, b.families),
+                      _cosine_distance(dot, a.sq, b.sq))
+        for title_d, shared, dot, b in zip(titles, sums[0::2], sums[1::2], bs)
     ]
 
 
-def feature_vector(p: PreprintRecord, cs: list[PublishedRecord]) -> list[FeatureVector]:
-    """feature_vector_projected over the records' projections."""
-    return feature_vector_projected(projection(p), [projection(c) for c in cs])
-
-
-# records are frozen, so a projection stays valid for the record's lifetime
-_PROJECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def projection(rec: PreprintRecord | PublishedRecord) -> RecordProjection:
-    """The record's projection, computed once per record."""
-    proj = _PROJECTIONS.get(rec)
-    if proj is None:
-        proj = _PROJECTIONS[rec] = project(rec.title, rec.authors, rec.abstract)
-    return proj
+def feature_vector(table: ScoringTable, p: PreprintRecord,
+                   ordinals: Iterable[int]) -> list[FeatureVector]:
+    """feature_vector_projected of p against the table's records at ordinals."""
+    return feature_vector_projected(table, table.query_row(p), table.rows(ordinals))

@@ -9,6 +9,7 @@ import pytest
 from arxmatch.candidates import build_index
 from arxmatch.corpus import CorpusStore, preprint_from_json, published_from_json
 from arxmatch.forest import bootstrap_training_set, train_forest
+from arxmatch.similarity import ScoringTable, feature_vector
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus1000"
@@ -45,6 +46,11 @@ def make_published(accession="zbl00000001", title="On Knot Invariants",
         "document_type": document_type,
         "msc": list(msc),
     })
+
+
+def score_records(p, cs) -> list:
+    """feature_vector of p against the records cs, through a table of their own."""
+    return feature_vector(ScoringTable(cs), p, range(len(cs)))
 
 
 def store_with(preprints=(), published=()) -> CorpusStore:

@@ -15,9 +15,9 @@ from arxmatch.candidates import (
     title_tokens,
 )
 from arxmatch.corpus import CorpusStore
-from arxmatch.similarity import family_set, feature_vector
+from arxmatch.similarity import family_set
 
-from conftest import make_preprint, make_published, store_with
+from conftest import make_preprint, make_published, score_records, store_with
 
 
 def brute_force_rank(store: CorpusStore, p, k: int) -> list[str]:
@@ -279,7 +279,7 @@ class TestBlockingRecall:
         for pid, accession in corpus_truth["pairs"].items():
             p = corpus_store.preprints[pid]
             c = corpus_store.published[accession]
-            if feature_vector(p, [c])[0].title_d > 0.4:
+            if score_records(p, [c])[0].title_d > 0.4:
                 continue
             total += 1
             if accession in query_candidates(corpus_index, p, 20):

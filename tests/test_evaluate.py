@@ -103,9 +103,9 @@ class TestSharedProjections:
         calls = Counter()
         project = similarity.project
 
-        def counting(title, authors, abstract):
+        def counting(title, authors, abstract, vocab):
             calls[(title, authors, abstract)] += 1
-            return project(title, authors, abstract)
+            return project(title, authors, abstract, vocab)
 
         monkeypatch.setattr(similarity, "project", counting)
         evaluate(store, seed=9)

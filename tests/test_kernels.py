@@ -162,3 +162,51 @@ short_text = st.text(alphabet="ab c\u0301\U0001d538", max_size=40)
 @settings(max_examples=200, deadline=None)
 def test_property_random_lanes_match_the_dp_oracle(a, bs):
     assert_matches_oracle(a, bs)
+
+
+def sparse(counts: dict[int, int]) -> np.ndarray:
+    """A (2, n) sorted_dot vector: keys over counts."""
+    return np.array((list(counts), list(counts.values())), dtype=np.int64).reshape(2, -1)
+
+
+def dots_of(a: dict[int, int], bs: list[dict[int, int]]) -> list[int]:
+    """sorted_dot of a with each of bs, concatenated with their ends; the
+    lookup it borrows must come back all zero."""
+    ends = np.cumsum([len(b) for b in bs], dtype=np.int64)
+    b = np.concatenate([sparse(b) for b in bs], axis=1) if bs else sparse({})
+    lookup = np.zeros(2 * 31 + 2, dtype=np.int64)
+    dots = K.sorted_dot(lookup, sparse(a), b, ends).tolist()
+    assert not lookup.any()
+    return dots
+
+
+class TestSortedDot:
+    def test_basics(self):
+        a = {5: 2, -1: 1, 9: 3}
+        assert dots_of(a, [{5: 4}, {}, {9: 1, -1: 1, 7: 8}, {-2: 1}]) == [8, 0, 4, 0]
+        assert dots_of({}, [{1: 1}, {}]) == [0, 0]
+        assert dots_of(a, []) == []
+
+    @given(st.dictionaries(st.integers(-30, 30), st.integers(1, 10**6)),
+           st.lists(st.dictionaries(st.integers(-30, 30), st.integers(1, 10**6)),
+                    max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dict_dot(self, a, bs):
+        assert dots_of(a, bs) == [sum(n * a.get(key, 0) for key, n in b.items())
+                                  for b in bs]
+
+    def test_exact_where_the_running_sum_wraps(self):
+        # each dot is just below 2**63 - 1, so the int64 running sum wraps
+        # several times; every segment's difference is still exact
+        big = 2**31 - 1
+        a = {0: big, 1: big}
+        bs = [{0: big, 1: big}] * 6 + [{1: 1}, {}, {0: big}]
+        want = [2 * big * big] * 6 + [big, 0, big * big]
+        assert max(want) < 2**63
+        assert dots_of(a, bs) == want
+
+    def test_lookup_zeroed_when_a_key_is_out_of_range(self):
+        lookup = np.zeros(8, dtype=np.int64)
+        with pytest.raises(IndexError):
+            K.sorted_dot(lookup, sparse({1: 5, -2: 1}), sparse({9: 1}), np.array([1]))
+        assert not lookup.any()

@@ -66,7 +66,7 @@ class TestMatchByClassifier:
                             authors=("Al Smith",))],
         )
         index = build_index(store)
-        hit = match_by_classifier(store.preprints["2301.00001"], store, index,
+        hit = match_by_classifier(store.preprints["2301.00001"], index,
                                   title_stump_model(), 20)
         assert hit is not None and hit[0] == "zbl1"
 
@@ -83,7 +83,7 @@ class TestMatchByClassifier:
         ]
         store = store_with([p], published)
         index = build_index(store)
-        hit = match_by_classifier(p, store, index, always_match_model(), 20)
+        hit = match_by_classifier(p, index, always_match_model(), 20)
         assert hit is not None
         accession, vec = hit
         assert accession == "zbl2"
@@ -107,7 +107,7 @@ class TestMatchByClassifier:
             "trees": [[{"feature": 1, "threshold": 0.5, "left": 1, "right": 2},
                        {"leaf": 0.9}, {"leaf": 0.6}]],
         }))
-        hit = match_by_classifier(p, store, build_index(store),
+        hit = match_by_classifier(p, build_index(store),
                                   load_model(model_path), 20)
         assert hit is not None
         accession, vec = hit
@@ -120,7 +120,7 @@ class TestMatchByClassifier:
                      make_published(accession="zbl3")]
         store = store_with([p], published)
         index = build_index(store)
-        hit = match_by_classifier(p, store, index, always_match_model(), 20)
+        hit = match_by_classifier(p, index, always_match_model(), 20)
         assert hit is not None and hit[0] == "zbl3"
 
     def test_no_candidates(self):
@@ -130,7 +130,7 @@ class TestMatchByClassifier:
             [make_published(title="Different world", authors=("Al Smith",))],
         )
         index = build_index(store)
-        assert match_by_classifier(store.preprints["2301.00001"], store, index,
+        assert match_by_classifier(store.preprints["2301.00001"], index,
                                    always_match_model(), 20) is None
 
     def test_no_positive_candidates(self):
@@ -140,7 +140,7 @@ class TestMatchByClassifier:
                             authors=("Al Smith",))],
         )
         index = build_index(store)
-        hit = match_by_classifier(store.preprints["2301.00001"], store, index,
+        hit = match_by_classifier(store.preprints["2301.00001"], index,
                                   title_stump_model(threshold=0.01), 20)
         assert hit is None
 

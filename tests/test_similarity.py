@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import uuid
+from collections import Counter
 from collections.abc import Collection
 
 import numpy as np
@@ -10,18 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arxmatch import _kernels, similarity
-from arxmatch.candidates import query_candidates
+from arxmatch.candidates import build_index, query_candidates
+from arxmatch.forest import ForestModel
+from arxmatch.matcher import match_by_classifier
 from arxmatch.normalize import normalize_text, split_authors
 from arxmatch.similarity import (
     NEUTRAL_ABSTRACT_DISTANCE,
     FeatureVector,
+    ScoringTable,
+    family_set,
     feature_vector,
     feature_vector_projected,
     project,
-    projection,
 )
 
-from conftest import make_preprint, make_published
+from conftest import make_preprint, make_published, score_records, store_with
 
 
 def nt(s: str) -> str:
@@ -49,8 +53,9 @@ def edit_distance_oracle(a: str, b: str) -> int:
 def scored(title_a="", title_b="", authors_a=(), authors_b=(),
            abstract_a=None, abstract_b=None) -> FeatureVector:
     """The vector of one pair, through project and feature_vector_projected."""
-    [v] = feature_vector_projected(project(title_a, authors_a, abstract_a),
-                                   [project(title_b, authors_b, abstract_b)])
+    table = ScoringTable([])
+    [v] = feature_vector_projected(table, project(title_a, authors_a, abstract_a, table.vocab),
+                                   [project(title_b, authors_b, abstract_b, table.vocab)])
     return v
 
 
@@ -96,8 +101,9 @@ class TestTitleDistance:
             a = "".join(rng.choice(alphabet, rng.integers(0, 25)))
             bs = ["".join(rng.choice(alphabet, rng.integers(0, 25)))
                   for _ in range(int(rng.integers(1, 6)))]
-            got = feature_vector_projected(project(a, (), None),
-                                           [project(b, (), None) for b in bs])
+            table = ScoringTable([])
+            got = feature_vector_projected(table, project(a, (), None, table.vocab),
+                                           [project(b, (), None, table.vocab) for b in bs])
             assert [v.title_d for v in got] == [title_oracle(nt(a), nt(b)) for b in bs]
 
     def test_kernel_vs_dp_oracle_long_unicode(self):
@@ -252,8 +258,10 @@ class TestAbstractDistanceOracle:
         pairs = 0
         for p in list(corpus_store.preprints.values())[:100]:
             a = normalize_text(p.abstract)
-            cs = [corpus_store.published[acc] for acc in query_candidates(corpus_index, p)]
-            for v, c in zip(feature_vector(p, cs), cs):
+            ranked = query_candidates(corpus_index, p)
+            cs = [corpus_store.published[acc] for acc in ranked]
+            vectors = feature_vector(corpus_index.table, p, corpus_index.ordinals(ranked))
+            for v, c in zip(vectors, cs):
                 b = normalize_text(c.abstract or "")
                 assert v.abstract_d == cosine_oracle(a, b), (a, b)
                 pairs += 1
@@ -267,27 +275,204 @@ class TestAbstractDistanceOracle:
         before = sizes()
         for _ in range(20):
             fresh = " ".join(uuid.uuid4().hex for _ in range(5))
-            project(f"On {fresh}", split_authors("Jane Doe"), f"We study {fresh}.")
+            project(f"On {fresh}", split_authors("Jane Doe"), f"We study {fresh}.", {})
+            p = make_preprint(title=f"On {fresh}", abstract=f"We study {fresh}.")
+            feature_vector(ScoringTable([make_published(title=f"On {fresh}")]), p, [0])
         assert sizes() == before
 
-    def test_abstracts_share_token_strings(self):
-        # without this a 10k corpus holds one string per token occurrence
+    def test_indexes_share_no_vocabulary(self):
         fresh = uuid.uuid4().hex
-        a = project("t", (), f"on {fresh} flows").abstract_vec[0]
-        b = project("t", (), f"{fresh} flows again").abstract_vec[0]
-        assert [k for k in a if k == fresh][0] is [k for k in b if k == fresh][0]
+        store = store_with([], [make_published(abstract=f"On {fresh} flows.")])
+        first, second = build_index(store), build_index(store)
+        assert first.table.vocab is not second.table.vocab
+        p = make_preprint(abstract=f"{fresh} flows again.")
+        assert feature_vector(first.table, p, [0]) == feature_vector(second.table, p, [0])
+        assert fresh in first.table.vocab and fresh in second.table.vocab
+        third = build_index(store)
+        assert third.table.vocab == {}
+
+    def test_query_fills_at_most_k_plus_one_rows(self, corpus_store, monkeypatch):
+        # a query fills its preprint's row and its candidates' missing rows,
+        # and a candidate's row, once filled, serves every later query
+        index = build_index(corpus_store)
+        model = ForestModel(trees=[[{"leaf": 1.0}]], n_trees=1, max_depth=1, seed=0)
+        fills = []
+
+        def counting(*args):
+            fills.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(similarity, "project", counting)
+        k = 5
+        reached: set[str] = set()
+        for pid in sorted(corpus_store.preprints)[:20]:
+            p = corpus_store.preprints[pid]
+            fills.clear()
+            match_by_classifier(p, index, model, k)
+            ranked = query_candidates(index, p, k)
+            assert 1 <= len(fills) <= k + 1
+            assert len(fills) == 1 + len(set(ranked) - reached)
+            reached.update(ranked)
+        assert len(reached) > k
+
+
+def tf_oracle(text: str):
+    """The pairwise TF vector: a ``{token: count}`` dict and its integer
+    squared norm; None stands for a missing abstract."""
+    if not text:
+        return None
+    counts = Counter(text.split())
+    return counts, sum(n * n for n in counts.values())
+
+
+def dict_dot(a: dict[str, int], b: dict[str, int]) -> int:
+    """The pairwise dot product of two ``{token: count}`` dicts."""
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(n * b.get(tok, 0) for tok, n in a.items())
+
+
+def jaccard_pair_oracle(fa: frozenset[str], fb: frozenset[str]) -> float:
+    """The pairwise author distance over two family-name sets."""
+    if not fa and not fb:
+        return 0.0
+    if not fa or not fb:
+        return 1.0
+    return 1.0 - len(fa & fb) / len(fa | fb)
+
+
+def cosine_pair_oracle(va, vb) -> float:
+    """The pairwise abstract distance over two tf_oracle vectors."""
+    if va is None or vb is None:
+        return NEUTRAL_ABSTRACT_DISTANCE
+    (counts_a, sq_a), (counts_b, sq_b) = va, vb
+    dot = dict_dot(counts_a, counts_b)
+    if dot * dot == sq_a * sq_b:
+        return 0.0
+    cos = dot / math.sqrt(sq_a * sq_b)
+    return min(1.0, max(0.0, 1.0 - cos))
+
+
+def pair_oracle_hex(p, c) -> tuple[str, str, str]:
+    """The vector of one (preprint, published) pair from the pairwise
+    oracles, as float.hex strings."""
+    def tf(abstract):
+        return tf_oracle(normalize_text(abstract)) if abstract else None
+
+    return (title_oracle(nt(p.title), nt(c.title)).hex(),
+            jaccard_pair_oracle(family_set(p.authors), family_set(c.authors)).hex(),
+            cosine_pair_oracle(tf(p.abstract), tf(c.abstract)).hex())
+
+
+def as_hex(v: FeatureVector) -> tuple[str, str, str]:
+    return tuple(x.hex() for x in v)
+
+
+# "{}" and "--" normalize to no family name at all
+NAMES = st.sampled_from(["Jane Doe", "John Roe", "Ana Núñez", "ana nunez", "Al Smith",
+                         "Jan van-der-Berg", "Jan van der Berg", "{}", "--", "$x$"])
+BYLINES = st.lists(NAMES, min_size=1, max_size=3).map(tuple)
+WORDS = st.sampled_from(["w0", "w1", "W1", "w2", "flow", "x-y", "x--y", "-", "--",
+                         "–", "—", "{}", "$a$", "nuñez", "nun\u0303ez"])
+TEXT = st.lists(WORDS, max_size=30).map(" ".join)
+# missing, empty and normalize-to-empty abstracts, and one 10**5-fold token
+ABSTRACTS = st.one_of(TEXT, st.sampled_from(["", "{} -- $ $", "w1 " * 10**5]))
+TITLES = st.lists(WORDS, min_size=1, max_size=8).map(" ".join).filter(str.strip)
+
+
+@st.composite
+def scoring_case(draw):
+    """Published records over a table, and two preprints scored through it
+    in turn, so the second meets a vocabulary the first has grown."""
+    published = [make_published(accession=f"zbl{i}", title=draw(TITLES),
+                                authors=draw(BYLINES),
+                                abstract=draw(st.one_of(st.none(), ABSTRACTS)))
+                 for i in range(draw(st.integers(1, 5)))]
+    preprints = [make_preprint(title=draw(TITLES),
+                               authors=draw(BYLINES), abstract=draw(ABSTRACTS))
+                 for _ in range(2)]
+    ordinals = [draw(st.lists(st.integers(0, len(published) - 1), min_size=1, max_size=6))
+                for _ in preprints]
+    return published, preprints, ordinals
+
+
+class TestTableAgainstPairwiseOracles:
+    """The table's array scores equal the pairwise set and dict functions
+    bit for bit."""
+
+    @given(scoring_case())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_pairwise_oracles(self, case):
+        published, preprints, ordinals = case
+        table = ScoringTable(published)
+        for p, ords in zip(preprints, ordinals):
+            got = feature_vector(table, p, ords)
+            assert [as_hex(v) for v in got] == \
+                [pair_oracle_hex(p, published[o]) for o in ords]
+
+    def test_repeated_token(self):
+        # 10**5 copies of one token: counts, squares and the dot stay exact
+        many = "zeta " * 10**5
+        p = make_preprint(abstract=many + "flow")
+        cs = [make_published(accession=f"zbl{i}", abstract=abstract)
+              for i, abstract in enumerate([many, many + many + "flow", "zeta flow",
+                                            "flow " * 10**5, None, ""])]
+        got = score_records(p, cs)
+        assert [as_hex(v) for v in got] == [pair_oracle_hex(p, c) for c in cs]
+        assert got[4].abstract_d == got[5].abstract_d == NEUTRAL_ABSTRACT_DISTANCE
+
+    def test_empty_family_sets(self):
+        # a byline whose names all normalize to nothing has no family name
+        p = make_preprint(authors=("{}",))
+        cs = [make_published(accession="zbl1", authors=("--", "$ $")),
+              make_published(accession="zbl2", authors=("{}",)),
+              make_published(accession="zbl3", authors=("Jane Doe", "{}"))]
+        assert family_set(p.authors) == frozenset()
+        got = score_records(p, cs)
+        assert [v.author_d for v in got] == [0.0, 0.0, 1.0]
+        assert [as_hex(v) for v in got] == [pair_oracle_hex(p, c) for c in cs]
+
+    def test_token_total_bound(self, monkeypatch):
+        # the kernel's int64 sums are exact only below the bound
+        monkeypatch.setattr(similarity, "TOKEN_TOTAL_LIMIT", 3)
+        assert project("t", (), "a b", {}).sq == 2
+        with pytest.raises(OverflowError):
+            project("t", (), "a b a", {})
+
+    def test_tokens_new_to_the_vocabulary(self):
+        table = ScoringTable([make_published(abstract="known words here")])
+        p = make_preprint(abstract="known unseen words unseen")
+        [v] = feature_vector(table, p, [0])
+        assert {"unseen", "known"} <= set(table.vocab)
+        assert as_hex(v) == pair_oracle_hex(p, table.records[0])
+
+    @pytest.mark.parametrize("text", [
+        "self-similar sets", "self--similar sets", "self–similar sets",
+        "self—similar sets", "self - similar sets", "self -- similar sets",
+        "– — - --", "-self-similar- sets--", "self–-—similar sets",
+        "x-y x–y x—y x--y", "- only", "—",
+    ])
+    def test_dashes(self, text):
+        # every dash form normalizes to one hyphen inside a token and drops
+        # out as a token of its own; the table scores the normalized text
+        p = make_preprint(title="On " + text, abstract=text)
+        cs = [make_published(accession=f"zbl{i}", title=t, abstract=t)
+              for i, t in enumerate(["On self-similar sets", "On self similar sets",
+                                     "self–similar sets x-y", "On -- —", "On x-y"])]
+        got = score_records(p, cs)
+        assert [as_hex(v) for v in got] == [pair_oracle_hex(p, c) for c in cs]
 
 
 class TestFeatureVector:
     def test_identical_metadata(self):
         p = make_preprint()
         c = make_published()
-        assert feature_vector(p, [c]) == [FeatureVector(0.0, 0.0, 0.0)]
+        assert score_records(p, [c]) == [FeatureVector(0.0, 0.0, 0.0)]
 
     def test_missing_abstract_neutral(self):
         p = make_preprint()
         c = make_published(abstract=None)
-        assert feature_vector(p, [c]) == [FeatureVector(0.0, 0.0, 0.5)]
+        assert score_records(p, [c]) == [FeatureVector(0.0, 0.0, 0.5)]
 
     def test_unrelated_records(self):
         p = make_preprint(title="On elliptic curves over finite fields",
@@ -296,18 +481,18 @@ class TestFeatureVector:
         c = make_published(title="Spectral gaps of random graph Laplacians",
                            authors=("Al Smith",),
                            abstract="Expansion properties of sparse matrices.")
-        [v] = feature_vector(p, [c])
+        [v] = score_records(p, [c])
         assert v.title_d >= 0.7 and v.author_d == 1.0 and v.abstract_d >= 0.9
 
     def test_author_order_invariant(self):
         p1 = make_preprint(authors=("Jane Doe", "John Roe"))
         p2 = make_preprint(authors=("John Roe", "Jane Doe"))
         c = make_published(authors=("Jane Doe", "John Roe"))
-        assert feature_vector(p1, [c]) == feature_vector(p2, [c])
+        assert score_records(p1, [c]) == score_records(p2, [c])
 
     @staticmethod
     def _check_against_oracles(p, cs):
-        vectors = feature_vector_projected(projection(p), [projection(c) for c in cs])
+        vectors = score_records(p, cs)
         assert len(vectors) == len(cs)
         for v, c in zip(vectors, cs):
             assert v.title_d == title_oracle(nt(p.title), nt(c.title)), c.title
@@ -343,7 +528,7 @@ class TestFeatureVector:
         cs = [make_published(accession=f"zbl{i}", title=t) for i, t in enumerate(titles)]
         assert [nt(c.title) for c in cs][:3] == ["", "fq-points", "𠀀𠁁-points"]
         self._check_against_oracles(p, cs)
-        assert feature_vector(p, cs)[-1].title_d == 0.0
+        assert score_records(p, cs)[-1].title_d == 0.0
 
 
 vectors = st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)) \
