@@ -8,14 +8,13 @@ author-profile assignment.
 
 from ._kernels import BACKEND
 from .corpus import CorpusStore, MatchDecision, PreprintRecord, PublishedRecord
-from .similarity import FeatureVector, ScoringTable, feature_vector
+from .similarity import ScoringTable, feature_vector
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
     "CorpusStore",
-    "FeatureVector",
     "MatchDecision",
     "PreprintRecord",
     "PublishedRecord",

@@ -132,15 +132,16 @@ def cmd_scope(args) -> int:
 def cmd_train(args) -> int:
     with open_store(args.store) as store:
         index = build_index(store)
-        data = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
-    model = train_forest(data, n_trees=args.trees, max_depth=args.depth,
+        x, labels = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
+    positives = int(labels.sum())
+    model = train_forest(x, labels, n_trees=args.trees, max_depth=args.depth,
                          seed=args.seed, decision_threshold=args.threshold)
     save_model(model, args.model)
     sys.stdout.write(_report_json({
         "model": args.model,
-        "training_pairs": len(data),
-        "positives": sum(1 for p in data if p.label),
-        "negatives": sum(1 for p in data if not p.label),
+        "training_pairs": len(labels),
+        "positives": positives,
+        "negatives": len(labels) - positives,
         "n_trees": model.n_trees,
         "max_depth": model.max_depth,
         "seed": model.seed,

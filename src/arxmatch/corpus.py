@@ -110,6 +110,7 @@ class MatchDecision:
 class IngestReport:
     added: int = 0
     replaced: int = 0
+    unchanged: int = 0  # equal to the stored record, as on a rerun
     rejected: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)
 
@@ -121,6 +122,7 @@ class IngestReport:
         return {
             "added": self.added,
             "replaced": self.replaced,
+            "unchanged": self.unchanged,
             "rejected": self.rejected,
             "errors": [{"line": n, "reason": r} for n, r in self.errors],
         }
@@ -425,6 +427,9 @@ class CorpusStore:
                 report.reject(line_no, str(exc))
                 continue
             old = self.preprints.get(rec.id)
+            if rec == old:
+                report.unchanged += 1
+                continue
             if old is not None and rec.version <= old.version:
                 report.reject(line_no, f"{rec.id}: version {rec.version} is not newer")
                 continue
@@ -444,7 +449,11 @@ class CorpusStore:
             except RecordError as exc:
                 report.reject(line_no, str(exc))
                 continue
-            if rec.accession in self.published:
+            old = self.published.get(rec.accession)
+            if rec == old:
+                report.unchanged += 1
+                continue
+            if old is not None:
                 report.reject(line_no, f"duplicate accession {rec.accession}")
                 continue
             self.published[rec.accession] = rec

@@ -74,8 +74,8 @@ def evaluate(store: CorpusStore, seed: int,
     else:
         train, holdout = split
     index = build_index(store)
-    data = training_pairs_from(store, index, train, neg_per_pos)
-    model = train_forest(data, n_trees=n_trees, max_depth=max_depth, seed=seed,
+    x, labels = training_pairs_from(store, index, train, neg_per_pos)
+    model = train_forest(x, labels, n_trees=n_trees, max_depth=max_depth, seed=seed,
                          decision_threshold=decision_threshold)
     tp = fp = 0
     for pid, truth in holdout:

@@ -1,12 +1,14 @@
 """Random-forest classifier over similarity vectors, built from scratch.
 
-Training is fully deterministic: the dataset is first canonicalized into
-sorted unique (vector, label) rows with integer multiplicities, so the
-model depends only on the empirical distribution of the training pairs,
-never on their order or duplication. Each tree draws its bootstrap sample
-and per-node feature subsets from an independent PRNG stream keyed by
-(seed, tree index), which makes tree-parallel training equivalent to the
-serial loop.
+A training set is two arrays as similarity scores them: x, an (n, 3)
+float64 row of (title, authors, abstract) distances per pair, and labels,
+an (n,) bool array. Training is fully deterministic: the rows are first
+canonicalized into sorted unique (vector, label) rows with integer
+multiplicities, so the model depends only on the empirical distribution
+of the training pairs, never on their order or duplication. Each tree
+draws its bootstrap sample and per-node feature subsets from an
+independent PRNG stream keyed by (seed, tree index), which makes
+tree-parallel training equivalent to the serial loop.
 
 Splits minimize weighted Gini impurity over 2 of the 3 features per node
 (the rounded-up square-root rule); candidate thresholds are midpoints of
@@ -37,7 +39,7 @@ import numpy as np
 from . import _kernels
 from .candidates import CandidateIndex, query_candidates
 from .corpus import CorpusStore, write_atomic
-from .similarity import FeatureVector, feature_vector
+from .similarity import feature_vector
 
 SCHEMA_VERSION = 1
 FEATURE_NAMES = ("title_d", "author_d", "abstract_d")
@@ -58,12 +60,6 @@ class TrainingError(ValueError):
 
 class ModelFormatError(ValueError):
     """A model file is unreadable, truncated, or has the wrong schema."""
-
-
-@dataclass(frozen=True)
-class TrainingPair:
-    vector: FeatureVector
-    label: bool
 
 
 @dataclass
@@ -93,25 +89,27 @@ def doi_pairs(store: CorpusStore) -> list[tuple[str, str]]:
 
 def training_pairs_from(store: CorpusStore, index: CandidateIndex,
                         pairs: list[tuple[str, str]],
-                        neg_per_pos: int) -> list[TrainingPair]:
-    """Positives from the given (preprint, accession) pairs, plus the up-to
-    neg_per_pos highest-ranked non-matching candidates of each preprint."""
+                        neg_per_pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, labels): positives from the given (preprint, accession) pairs,
+    each followed by the up-to neg_per_pos highest-ranked non-matching
+    candidates of its preprint."""
     if neg_per_pos < 1:
         raise TrainingError("neg_per_pos must be >= 1")
-    training: list[TrainingPair] = []
+    vectors = [np.empty((0, len(FEATURE_NAMES)))]
+    labels = [np.empty(0, dtype=bool)]
     for pid, accession in pairs:
         p = store.preprints[pid]
         ranked = query_candidates(index, p, k=neg_per_pos + 1)
         negatives = [a for a in ranked if a != accession][:neg_per_pos]
-        pos, *negs = feature_vector(index.table, p,
-                                    index.ordinals([accession] + negatives))
-        training.append(TrainingPair(pos, True))
-        training.extend(TrainingPair(v, False) for v in negs)
-    return training
+        vectors.append(feature_vector(index.table, p,
+                                      index.ordinals([accession] + negatives)))
+        labels.append(np.arange(1 + len(negatives)) == 0)
+    return np.concatenate(vectors), np.concatenate(labels)
 
 
 def bootstrap_training_set(store: CorpusStore, index: CandidateIndex,
-                           neg_per_pos: int = DEFAULT_NEG_PER_POS) -> list[TrainingPair]:
+                           neg_per_pos: int = DEFAULT_NEG_PER_POS,
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Label pairs from DOI matches plus hard negatives from the candidate list.
 
     Every unique DOI pair becomes a positive. Wrong DOIs are accepted
@@ -127,16 +125,10 @@ def _mask_seed(seed: int) -> int:
     return int(seed) & 0xFFFFFFFFFFFFFFFF
 
 
-def _canonicalize(data: list[TrainingPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = np.array(
-        [[p.vector.title_d, p.vector.author_d, p.vector.abstract_d, float(p.label)]
-         for p in data],
-        dtype=np.float64,
-    )
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    values = uniq[:, :3]
-    labels = uniq[:, 3] > 0.5
-    return values, labels, counts.astype(np.float64)
+def _canonicalize(x: np.ndarray, labels: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    uniq, counts = np.unique(np.column_stack((x, labels)), axis=0, return_counts=True)
+    return uniq[:, :3], uniq[:, 3] > 0.5, counts.astype(np.float64)
 
 
 @dataclass
@@ -174,7 +166,7 @@ class _Builder:
         return len(self.nodes) - 1
 
 
-def train_forest(data: list[TrainingPair], n_trees: int = DEFAULT_N_TREES,
+def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TREES,
                  max_depth: int = DEFAULT_MAX_DEPTH, seed: int = 0,
                  decision_threshold: float = DEFAULT_THRESHOLD) -> ForestModel:
     if n_trees < 1:
@@ -183,13 +175,12 @@ def train_forest(data: list[TrainingPair], n_trees: int = DEFAULT_N_TREES,
         raise TrainingError("max_depth must be >= 1")
     if not 0.0 < decision_threshold < 1.0:
         raise TrainingError("decision_threshold must be in (0, 1)")
-    if not data:
+    if labels.size == 0:
         raise TrainingError("empty training set")
-    labels = {p.label for p in data}
-    if len(labels) < 2:
+    if labels.all() or not labels.any():
         raise TrainingError("training data must contain both labels")
 
-    values, is_pos, weights = _canonicalize(data)
+    values, is_pos, weights = _canonicalize(x, labels)
     n = values.shape[0]
     probs = weights / weights.sum()
     trees: list[list[dict]] = []

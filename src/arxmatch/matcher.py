@@ -5,7 +5,7 @@ one published record. Anything else (no DOI, zero hits, multiple hits)
 falls through to step two, which scores the top-k candidates with the
 forest and picks the positively-classified candidate with the highest
 forest probability; ties go to the smaller similarity vector in
-lexicographic order, then to the smaller accession.
+lexicographic order, then to the smaller accession (``pick_positive``).
 
 The naive baseline (exact normalized title + ordered family list, unique
 hit required) is kept alongside for the improvement accounting in the
@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .forest import ForestModel, predict_many
 from .normalize import normalize_text
-from .similarity import FeatureVector, feature_vector_projected
+from .similarity import feature_vector_projected
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -58,25 +58,29 @@ def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
     return store.doi_accession(p.doi)
 
 
-def match_by_classifier(p: PreprintRecord, index: CandidateIndex,
-                        model: ForestModel, k: int) -> tuple[str, FeatureVector] | None:
-    """The most probable positively-classified candidate, or None."""
+def pick_positive(probs: np.ndarray, x: np.ndarray, ordinals: list[int],
+                  threshold: float) -> int | None:
+    """The row of the most probable candidate with probability at least
+    threshold, or None. Ties go to the lexicographically smaller vector,
+    then to the smaller ordinal, which is the smaller accession."""
+    i = int(np.lexsort((ordinals, x[:, 2], x[:, 1], x[:, 0], -probs))[0])
+    return i if probs[i] >= threshold else None
+
+
+def match_by_classifier(p: PreprintRecord, index: CandidateIndex, model: ForestModel,
+                        k: int) -> tuple[str, tuple[float, float, float]] | None:
+    """The most probable positively-classified candidate and its vector, or None."""
     ranked = query_candidates(index, p, k)
     if not ranked:
         return None
     table = index.table
-    vectors = feature_vector_projected(table, table.query_row(p),
-                                       table.rows(index.ordinals(ranked)))
-    probs = predict_many(model, np.array(vectors, dtype=np.float64))
-    positives = [
-        (-probs[i], vectors[i], ranked[i])
-        for i in range(len(ranked))
-        if probs[i] >= model.decision_threshold
-    ]
-    if not positives:
+    ordinals = index.ordinals(ranked)
+    x = feature_vector_projected(table, table.query_row(p), table.rows(ordinals))
+    probs = predict_many(model, x)
+    i = pick_positive(probs, x, ordinals, model.decision_threshold)
+    if i is None:
         return None
-    _, vec, accession = min(positives)
-    return accession, vec
+    return ranked[i], tuple(x[i].tolist())
 
 
 def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
@@ -92,7 +96,7 @@ def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
         accession, vec = hit
         return MatchDecision(preprint=p.id, outcome=OUTCOME_CLASSIFIER,
                              matched_accession=accession,
-                             vector=(vec.title_d, vec.author_d, vec.abstract_d),
+                             vector=vec,
                              decided_at=timestamp)
     return MatchDecision(preprint=p.id, outcome=OUTCOME_UNMATCHED,
                          matched_accession=None, vector=None,

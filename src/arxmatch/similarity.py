@@ -1,9 +1,9 @@
 """Title/author/abstract distances and the three-component feature vector.
 
-All three distances live in [0, 1] with 0 meaning identical. The matcher
-picks the positive candidate the forest finds most probable and breaks
-ties by lexicographic order over the vector (title, authors, abstract),
-so FeatureVector is an ordered named tuple.
+All three distances live in [0, 1] with 0 meaning identical. A batch of
+pairs is scored into one (k, 3) float64 array, a row per pair, with the
+columns in ``forest.FEATURE_NAMES`` order (title, authors, abstract);
+that array goes on to the forest unchanged, in training and in matching.
 
 Metric choices: character-level Levenshtein scaled by the longer string
 (title), one minus Jaccard overlap of normalized family names (authors),
@@ -29,12 +29,13 @@ and abstract dot products come from one call of the ``sorted_dot``
 kernel over the concatenated rows, two segments per row. The kernel
 writes the one row's counts into a dense lookup by key, which the table
 keeps all-zero between batches, so a batch costs the length of its rows
-and not the size of the vocabulary. The Jaccard and cosine formulas then
-run on those exact Python ints, the same float operations as comparing
-two name sets and two ``{token: count}`` dicts, so every distance is
-bit-identical to a pair-by-pair computation. The matcher passes one
-preprint's ranked candidates, training one preprint's positive and its
-negatives.
+and not the size of the vocabulary. The title and Jaccard columns are
+numpy divisions of those exact integers, and each cosine runs on Python
+ints (a product of two squared norms can pass 2**63): the same float
+operations as comparing two name sets and two ``{token: count}`` dicts,
+so every distance is bit-identical to a pair-by-pair computation. The
+matcher passes one preprint's ranked candidates, training one preprint's
+positive and its negatives.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ NEUTRAL_ABSTRACT_DISTANCE = 0.5
 # an abstract's token total below this keeps every count, product and
 # dot of the sorted_dot kernel below 2**62
 TOKEN_TOTAL_LIMIT = 1 << 31
-
-
-class FeatureVector(NamedTuple):
-    title_d: float
-    author_d: float
-    abstract_d: float
 
 
 def family_set(authors) -> frozenset[str]:
@@ -126,21 +121,16 @@ class ScoringTable:
         return self._lookup
 
 
-def _edit_distances(a: str, bs: list[str]) -> list[float]:
+def _edit_distances(a: str, bs: list[str]) -> np.ndarray:
     """Levenshtein from a to each of bs, scaled by the longer string, in
     one kernel call; two empty strings are at distance 0. bs is encoded
     joined and cut at each ``len``: one code point, one UTF-32 unit."""
-    lens = [len(b) for b in bs]
-    dists = _kernels.levenshtein(_kernels.str_to_codes(a),
-                                 _kernels.str_to_codes("".join(bs)),
-                                 np.cumsum(lens, dtype=np.int64))
-    return [d / max(len(a), m) if d else 0.0 for d, m in zip(dists, lens)]
-
-
-def _jaccard_distance(shared: int, na: int, nb: int) -> float:
-    """One minus shared / union for name sets of sizes na and nb."""
-    union = na + nb - shared
-    return 1.0 - shared / union if union else 0.0
+    lens = np.array([len(b) for b in bs], dtype=np.int64)
+    dists = np.array(_kernels.levenshtein(_kernels.str_to_codes(a),
+                                          _kernels.str_to_codes("".join(bs)),
+                                          np.cumsum(lens)), dtype=np.int64)
+    return np.divide(dists, np.maximum(len(a), lens), out=np.zeros(len(bs)),
+                     where=dists > 0)
 
 
 def _cosine_distance(dot: int, sq_a: int, sq_b: int) -> float:
@@ -153,25 +143,28 @@ def _cosine_distance(dot: int, sq_a: int, sq_b: int) -> float:
 
 
 def feature_vector_projected(table: ScoringTable, a: Row,
-                             bs: list[Row]) -> list[FeatureVector]:
-    """The (title, authors, abstract) distance vector of row a paired with
-    each of bs (at least one), in order, all over the table's vocabulary:
-    one kernel call scores all the titles, one all the name sets and
-    abstracts."""
-    titles = _edit_distances(a.title, [b.title for b in bs])
-    sizes = [n for b in bs for n in (b.families, b.terms.shape[1] - b.families)]
+                             bs: list[Row]) -> np.ndarray:
+    """The (k, 3) array of (title, authors, abstract) distances of row a
+    paired with each of bs (k >= 1), in order, all over the table's
+    vocabulary: one kernel call scores all the titles, one all the name
+    sets and abstracts."""
+    families = np.array([b.families for b in bs], dtype=np.int64)
+    lengths = np.array([b.terms.shape[1] for b in bs], dtype=np.int64)
+    # two segments per row: its family names, then its abstract tokens
+    ends = np.cumsum(np.column_stack((families, lengths - families)))
     sums = _kernels.sorted_dot(table.lookup(), a.terms,
-                               np.concatenate([b.terms for b in bs], axis=1),
-                               np.cumsum(sizes, dtype=np.int64)).tolist()
-    return [
-        FeatureVector(title_d,
-                      _jaccard_distance(shared, a.families, b.families),
-                      _cosine_distance(dot, a.sq, b.sq))
-        for title_d, shared, dot, b in zip(titles, sums[0::2], sums[1::2], bs)
-    ]
+                               np.concatenate([b.terms for b in bs], axis=1), ends)
+    shared = sums[0::2]
+    union = a.families + families - shared
+    x = np.empty((len(bs), 3))
+    x[:, 0] = _edit_distances(a.title, [b.title for b in bs])
+    x[:, 1] = 1.0 - np.divide(shared, union, out=np.ones(len(bs)), where=union > 0)
+    x[:, 2] = [_cosine_distance(dot, a.sq, b.sq)
+               for dot, b in zip(sums[1::2].tolist(), bs)]
+    return x
 
 
 def feature_vector(table: ScoringTable, p: PreprintRecord,
-                   ordinals: Iterable[int]) -> list[FeatureVector]:
+                   ordinals: Iterable[int]) -> np.ndarray:
     """feature_vector_projected of p against the table's records at ordinals."""
     return feature_vector_projected(table, table.query_row(p), table.rows(ordinals))

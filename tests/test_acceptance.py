@@ -24,7 +24,6 @@ from arxmatch.scope import (
     decide_categories,
     load_rules,
 )
-from arxmatch.similarity import FeatureVector
 from arxmatch.synth import PerturbationProfile, gen_synthetic_corpus
 
 from conftest import (
@@ -37,7 +36,7 @@ from conftest import (
 )
 from test_candidates import brute_force_rank
 from test_forest import gini_split_oracle
-from test_similarity import edit_distance_oracle, levenshtein_each, scored
+from test_similarity import edit_distance_oracle, levenshtein_each, picked, scored
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -184,23 +183,21 @@ def test_property_similarity_bounds_symmetry_reflexivity():
             assert all(0.0 <= d <= 1.0 for d in v)
             assert v == scored(tb, ta, ab, aa, tb, ta)
             same = scored(ta, ta, aa, aa, ta, ta)
-            assert same.title_d == 0.0 and same.author_d == 0.0
-            assert same.abstract_d in (0.0, 0.5)
+            assert same[0] == 0.0 and same[1] == 0.0
+            assert same[2] in (0.0, 0.5)
 
 
 def test_property_lexicographic_total_order():
     with criterion("property: lexicographic total-order laws (1,000 cases)"):
         rng = np.random.default_rng(22)
+        # the matcher's pick among equally probable positives
         for _ in range(1000):
-            u, v, w = (FeatureVector(*np.round(rng.random(3), 2))
-                       for _ in range(3))
-            assert sum(map(bool, (u < v, u == v, u > v))) == 1  # trichotomy
-            assert (u < v) == (v > u)
-            assert u == u and not u < u
-            if u <= v and v <= w:
-                assert u <= w
-            if u <= v and v <= u:
-                assert u == v  # antisymmetry
+            u, v, w = (tuple(np.round(rng.random(3), 2).tolist()) for _ in range(3))
+            assert picked(u, v) == picked(v, u) == min(u, v)  # total, rank-blind
+            assert picked(u, u) == u
+            if picked(u, v) == u and picked(v, w) == v:
+                assert picked(u, w) == u  # transitive
+            assert picked(u, v, w) == picked(picked(u, v), w) == min(u, v, w)
 
 
 def _stub_model() -> ForestModel:

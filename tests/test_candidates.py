@@ -279,7 +279,7 @@ class TestBlockingRecall:
         for pid, accession in corpus_truth["pairs"].items():
             p = corpus_store.preprints[pid]
             c = corpus_store.published[accession]
-            if score_records(p, [c])[0].title_d > 0.4:
+            if score_records(p, [c])[0, 0] > 0.4:
                 continue
             total += 1
             if accession in query_candidates(corpus_index, p, 20):

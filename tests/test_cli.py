@@ -524,8 +524,10 @@ def pipeline(tmp_path_factory):
     assert run("ingest", "--preprints", str(CORPUS_DIR / "preprints.jsonl"),
                "--published", str(CORPUS_DIR / "published.jsonl"),
                "--store", str(store)) == 0
-    assert run("train", "--store", str(store), "--model", str(model),
-               "--seed", SEED) == 0
+    with open(work / "train.json", "w", encoding="utf-8") as out, \
+            contextlib.redirect_stdout(out):
+        assert run("train", "--store", str(store), "--model", str(model),
+                   "--seed", SEED) == 0
     assert run("match", "--store", str(store), "--model", str(model),
                "--timestamp", TS,
                "--report", str(work / "match_report.json")) == 0
@@ -547,6 +549,13 @@ class TestGoldenRun:
     def test_reports_match_golden(self, pipeline, name):
         assert (pipeline / name).read_bytes() == \
             (GOLDEN_DIR / name).read_bytes()
+
+    def test_train_report(self, pipeline):
+        report = json.loads((pipeline / "train.json").read_text("utf-8"))
+        assert {k: report[k] for k in ("training_pairs", "positives", "negatives",
+                                       "n_trees", "max_depth", "seed")} == {
+            "training_pairs": 1220, "positives": 305, "negatives": 915,
+            "n_trees": 100, "max_depth": 6, "seed": 42}
 
     def test_no_tmp_file_left(self, pipeline):
         assert not list(pipeline.rglob("*.tmp"))
@@ -579,7 +588,7 @@ REWRITE_STEPS = [
      ("merges.jsonl",)),
     ("ingest-preprints", ("published.jsonl", "decisions.jsonl", "merges.jsonl",
                           "profiles.jsonl"), ("preprints.jsonl",)),
-    ("ingest-all-rejected", TABLES + ("profiles.jsonl",), ()),
+    ("ingest-all-unchanged", TABLES + ("profiles.jsonl",), ()),
     ("match-2", ("preprints.jsonl", "published.jsonl", "merges.jsonl",
                  "profiles.jsonl"), ("decisions.jsonl",)),
     ("merge-2", ("preprints.jsonl", "published.jsonl", "decisions.jsonl"),
@@ -608,7 +617,7 @@ def rewrite_run(tmp_path_factory):
                    "--published", str(CORPUS_DIR / "published.jsonl"),
                    "--store", str(store)],
         "match": match, "merge": merge,
-        "ingest-preprints": later, "ingest-all-rejected": later,
+        "ingest-preprints": later, "ingest-all-unchanged": later,
         "match-2": match, "merge-2": merge, "merge-nothing-new": merge,
     }
     out = {}
@@ -657,6 +666,76 @@ class TestStoreRewrites:
         assert sorted(_stamps(store)) == sorted(TABLES)
         for name in ("preprints.jsonl", "decisions.jsonl", "merges.jsonl"):
             assert (store / name).read_bytes() == b""
+
+
+class TestInterruptedIngest:
+    """Rerunning an ingest that died between two file replacements reports
+    every line it already stored as unchanged, with no errors, and leaves
+    the bytes an uninterrupted run leaves."""
+
+    @staticmethod
+    def _ingest(corpus: Path, store: Path) -> list[str]:
+        return ["ingest", "--preprints", str(corpus / "preprints.jsonl"),
+                "--published", str(corpus / "published.jsonl"), "--store", str(store)]
+
+    @staticmethod
+    def _files(store: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in store.iterdir()}
+
+    def _rerun_matches_a_clean_run(self, small_corpus, tmp_path, capsys, store):
+        assert run(*self._ingest(small_corpus, tmp_path / "clean")) == 0
+        capsys.readouterr()
+        assert run(*self._ingest(small_corpus, store)) == 0
+        report = json.loads(capsys.readouterr().out)
+        for name in ("preprints", "published"):
+            assert report[name]["rejected"] == 0 and report[name]["errors"] == []
+        assert report["preprints"]["unchanged"] == 60
+        assert self._files(store) == self._files(tmp_path / "clean")
+
+    @pytest.mark.parametrize("fail_at", [2, 3, 4])
+    def test_rerun_after_a_failed_replace(self, small_corpus, tmp_path, capsys,
+                                          monkeypatch, fail_at):
+        # a store directory that exists stays when the ingest fails, with
+        # the files replaced before the failure
+        store = tmp_path / "store"
+        store.mkdir()
+        replace, calls = os.replace, []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == fail_at:
+                raise OSError(28, "No space left on device")
+            replace(src, dst)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", failing_replace)
+            assert run(*self._ingest(small_corpus, store)) == 1
+        assert [Path(c).name for c in calls] == ["preprints.jsonl", "published.jsonl",
+                                                 "decisions.jsonl", "merges.jsonl"][:fail_at]
+        assert not list(store.glob("*.tmp"))
+        self._rerun_matches_a_clean_run(small_corpus, tmp_path, capsys, store)
+
+    def test_rerun_after_a_kill_after_the_first_replace(self, small_corpus, tmp_path,
+                                                       capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        child = (
+            "import os, sys\n"
+            "from arxmatch.cli import main\n"
+            "replace = os.replace\n"
+            "def replace_then_die(src, dst):\n"
+            "    replace(src, dst)\n"
+            "    os._exit(9)\n"
+            "os.replace = replace_then_die\n"
+            "main(sys.argv[1:])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(arxmatch.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", child,
+                               *self._ingest(small_corpus, store)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 9, proc.stderr
+        assert sorted(p.name for p in store.iterdir()) == [".lock", "preprints.jsonl"]
+        self._rerun_matches_a_clean_run(small_corpus, tmp_path, capsys, store)
 
 
 class TestModuleEntryPoint:

@@ -136,13 +136,37 @@ class TestIngestPreprints:
         report = store.ingest_preprints(path)
         assert (report.added, report.replaced, report.rejected) == (3, 0, 0)
 
-    def test_reingest_same_file_rejects_all(self, tmp_path):
+    def test_reingest_same_file_counts_all_unchanged(self, tmp_path):
         path = tmp_path / "p.jsonl"
         write_jsonl(path, [preprint_obj(f"2301.0000{i}") for i in range(1, 4)])
         store = CorpusStore()
         store.ingest_preprints(path)
         report = store.ingest_preprints(path)
-        assert (report.added, report.replaced, report.rejected) == (0, 0, 3)
+        assert (report.added, report.replaced, report.unchanged, report.rejected) \
+            == (0, 0, 3, 0)
+        assert report.errors == []
+
+    def test_same_version_with_other_fields_rejected(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [preprint_obj(), preprint_obj(title="Knots, revised"),
+                           preprint_obj()])
+        store = CorpusStore()
+        report = store.ingest_preprints(path)
+        assert (report.added, report.unchanged, report.rejected) == (1, 1, 1)
+        assert report.errors == [(2, "2301.00001: version 1 is not newer")]
+        assert store.preprints["2301.00001"].title == "On Knot Invariants"
+
+    def test_unchanged_keeps_the_loaded_file_clean(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_jsonl(path, [preprint_obj()])
+        store = CorpusStore()
+        store.ingest_preprints(path)
+        store.save(tmp_path / "store")
+        loaded = CorpusStore.load(tmp_path / "store")
+        assert loaded.ingest_preprints(path).unchanged == 1
+        before = (tmp_path / "store" / "preprints.jsonl").stat().st_ino
+        loaded.save(tmp_path / "store")
+        assert (tmp_path / "store" / "preprints.jsonl").stat().st_ino == before
 
     def test_missing_title_rejected_with_line_number(self, tmp_path):
         obj = preprint_obj()
@@ -282,6 +306,15 @@ class TestIngestPublished:
         report = store.ingest_published(path)
         assert (report.added, report.rejected) == (1, 1)
         assert store.published["zbl1"].title == "First"
+
+    def test_equal_record_under_a_stored_accession_unchanged(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [published_obj("zbl1", doi="10.1/a"),
+                           published_obj("zbl1", doi="https://doi.org/10.1/A")])
+        store = CorpusStore()
+        report = store.ingest_published(path)
+        assert (report.added, report.unchanged, report.rejected) == (1, 1, 0)
+        assert store.doi_index == {"10.1/a": {"zbl1"}}
 
 
 def matched_decision(pid="2301.00001", accession="zbl00000001",
@@ -850,7 +883,8 @@ class TestIngestFuzz:
                               ("published", loaded.published)):
             counts = report[name]
             lines = _non_blank_lines(inputs[name])
-            assert counts["added"] + counts["replaced"] + counts["rejected"] == len(lines)
+            assert counts["added"] + counts["replaced"] + counts["unchanged"] \
+                + counts["rejected"] == len(lines)
             rejected = [e["line"] for e in counts["errors"]]
             assert len(set(rejected)) == len(rejected) == counts["rejected"]
             assert set(rejected) <= set(lines)

@@ -15,21 +15,27 @@ from arxmatch.forest import (
     ForestModel,
     ModelFormatError,
     TrainingError,
-    TrainingPair,
     bootstrap_training_set,
     load_model,
     predict_many,
     save_model,
     table_entries,
     train_forest,
+    training_pairs_from,
 )
-from arxmatch.similarity import FeatureVector
 
 from conftest import make_preprint, make_published, store_with
 
 
 def tp(t, a, b, label):
-    return TrainingPair(FeatureVector(t, a, b), label)
+    """One training pair: its (title, authors, abstract) vector and label."""
+    return (t, a, b), label
+
+
+def arrays(data) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, labels) arrays train_forest takes, from a list of tp pairs."""
+    x = np.array([v for v, _ in data], dtype=np.float64).reshape(-1, 3)
+    return x, np.array([label for _, label in data], dtype=bool)
 
 
 def gini_split_oracle(x: np.ndarray, labels, weights):
@@ -138,17 +144,17 @@ def wide_tree(per_feature: int) -> list[dict]:
     return nodes
 
 
-STUMP_DATA = [
+STUMP_DATA = arrays([
     tp(0.1, 0.5, 0.5, True),
     tp(0.2, 0.5, 0.5, True),
     tp(0.7, 0.5, 0.5, False),
     tp(0.9, 0.5, 0.5, False),
-]
+])
 
 
 class TestSplitSearch:
     def test_stump_on_separable_data(self):
-        model = train_forest(STUMP_DATA, n_trees=1, max_depth=1, seed=0)
+        model = train_forest(*STUMP_DATA, n_trees=1, max_depth=1, seed=0)
         root = model.trees[0][0]
         assert root["feature"] == 0
         assert 0.2 < root["threshold"] < 0.7
@@ -181,8 +187,8 @@ class TestTrainForest:
                 for _ in range(30)]
         data += [tp(0.5 + rng.random() * 0.5, 0.5 + rng.random() * 0.5,
                     rng.random(), False) for _ in range(30)]
-        m1 = train_forest(data, n_trees=20, max_depth=4, seed=5)
-        m2 = train_forest(data + data, n_trees=20, max_depth=4, seed=5)
+        m1 = train_forest(*arrays(data), n_trees=20, max_depth=4, seed=5)
+        m2 = train_forest(*arrays(data + data), n_trees=20, max_depth=4, seed=5)
         save_model(m1, tmp_path / "m1.json")
         save_model(m2, tmp_path / "m2.json")
         assert (tmp_path / "m1.json").read_bytes() == \
@@ -195,8 +201,8 @@ class TestTrainForest:
         data = [tp(rng.random(), rng.random(), rng.random(), bool(i % 2))
                 for i in range(40)]
         shuffled = [data[i] for i in rng.permutation(len(data))]
-        m1 = train_forest(data, n_trees=5, max_depth=3, seed=1)
-        m2 = train_forest(shuffled, n_trees=5, max_depth=3, seed=1)
+        m1 = train_forest(*arrays(data), n_trees=5, max_depth=3, seed=1)
+        m2 = train_forest(*arrays(shuffled), n_trees=5, max_depth=3, seed=1)
         assert m1.trees == m2.trees
 
     def test_seed_changes_accuracy_stays_close(self):
@@ -207,42 +213,42 @@ class TestTrainForest:
                            rng.random() * 0.5, True))
             data.append(tp(0.45 + rng.random() * 0.55, 0.5 + rng.random() * 0.5,
                            0.4 + rng.random() * 0.6, False))
-        x = np.array([list(p.vector) for p in data])
-        y = np.array([p.label for p in data])
+        x, y = arrays(data)
         accs = []
         for seed in (1, 2, 3, 4, 5):
-            m = train_forest(data, n_trees=30, max_depth=5, seed=seed)
+            m = train_forest(x, y, n_trees=30, max_depth=5, seed=seed)
             accs.append(np.mean((predict_many(m, x) >= 0.5) == y))
         assert max(accs) - min(accs) <= 0.02
 
     def test_byte_identical_retrain(self, tmp_path):
-        m1 = train_forest(STUMP_DATA, n_trees=7, max_depth=3, seed=9)
-        m2 = train_forest(list(STUMP_DATA), n_trees=7, max_depth=3, seed=9)
+        m1 = train_forest(*STUMP_DATA, n_trees=7, max_depth=3, seed=9)
+        m2 = train_forest(*(a.copy() for a in STUMP_DATA), n_trees=7, max_depth=3, seed=9)
         save_model(m1, tmp_path / "a.json")
         save_model(m2, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_errors(self):
         with pytest.raises(TrainingError):
-            train_forest([], n_trees=1, max_depth=1, seed=0)
+            train_forest(*arrays([]), n_trees=1, max_depth=1, seed=0)
         with pytest.raises(TrainingError):
-            train_forest([tp(0.1, 0.1, 0.1, True)], n_trees=1, max_depth=1, seed=0)
+            train_forest(*arrays([tp(0.1, 0.1, 0.1, True)]), n_trees=1, max_depth=1,
+                         seed=0)
         with pytest.raises(TrainingError):
-            train_forest(STUMP_DATA, n_trees=0, max_depth=1, seed=0)
+            train_forest(*STUMP_DATA, n_trees=0, max_depth=1, seed=0)
         with pytest.raises(TrainingError):
-            train_forest(STUMP_DATA, n_trees=1, max_depth=0, seed=0)
+            train_forest(*STUMP_DATA, n_trees=1, max_depth=0, seed=0)
         with pytest.raises(TrainingError):
-            train_forest(STUMP_DATA, n_trees=1, max_depth=1, seed=0,
+            train_forest(*STUMP_DATA, n_trees=1, max_depth=1, seed=0,
                          decision_threshold=1.5)
 
 
 class TestPredict:
     def test_fixture_extremes(self, corpus_model):
-        assert predict_many(corpus_model, np.array([FeatureVector(0.0, 0.0, 0.0)]))[0] > 0.9
-        assert predict_many(corpus_model, np.array([FeatureVector(1.0, 1.0, 1.0)]))[0] < 0.1
+        assert predict_many(corpus_model, np.array([[0.0, 0.0, 0.0]]))[0] > 0.9
+        assert predict_many(corpus_model, np.array([[1.0, 1.0, 1.0]]))[0] < 0.1
 
     def test_single_tree_equals_leaf_probability(self):
-        model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=3)
+        model = train_forest(*STUMP_DATA, n_trees=1, max_depth=2, seed=3)
 
         def walk(v):
             nodes = model.trees[0]
@@ -255,7 +261,7 @@ class TestPredict:
 
         rng = np.random.default_rng(26)
         for _ in range(100):
-            v = FeatureVector(*rng.random(3))
+            v = rng.random(3)
             assert predict_many(model, np.array([v]))[0] == walk(v)
 
     @pytest.mark.parametrize("n_trees, n_rows, seed", [
@@ -291,9 +297,9 @@ class TestPredict:
         rng = np.random.default_rng(27)
         data = [tp(rng.random(), rng.random(), rng.random(), bool(i % 2))
                 for i in range(60)]
-        model = train_forest(data, n_trees=15, max_depth=4, seed=4)
+        model = train_forest(*arrays(data), n_trees=15, max_depth=4, seed=4)
         for _ in range(100):
-            v = FeatureVector(*rng.random(3))
+            v = rng.random(3)
             per_tree = [
                 predict_many(ForestModel(trees=[t], n_trees=1, max_depth=4, seed=0),
                              np.array([v]))[0]
@@ -310,8 +316,8 @@ class TestPredict:
             f = int(rng.integers(0, 3))
             hi = list(base)
             hi[f] = base[f] + (1.0 - base[f]) * rng.random()
-            lo_p = predict_many(corpus_model, np.array([FeatureVector(*base)]))[0]
-            hi_p = predict_many(corpus_model, np.array([FeatureVector(*hi)]))[0]
+            lo_p = predict_many(corpus_model, np.array([base]))[0]
+            hi_p = predict_many(corpus_model, np.array([hi]))[0]
             total += 1
             ok += hi_p <= lo_p + 1e-12
         assert ok / total >= 0.95
@@ -362,7 +368,7 @@ def model_payloads(draw):
 
 class TestSerialization:
     def test_roundtrip_identical_predictions(self, tmp_path):
-        model = train_forest(STUMP_DATA, n_trees=10, max_depth=3, seed=11)
+        model = train_forest(*STUMP_DATA, n_trees=10, max_depth=3, seed=11)
         save_model(model, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
         assert loaded.decision_threshold == model.decision_threshold
@@ -371,7 +377,7 @@ class TestSerialization:
                               predict_many(loaded, vectors))
 
     def test_truncated_file(self, tmp_path):
-        model = train_forest(STUMP_DATA, n_trees=2, max_depth=2, seed=1)
+        model = train_forest(*STUMP_DATA, n_trees=2, max_depth=2, seed=1)
         save_model(model, tmp_path / "m.json")
         raw = (tmp_path / "m.json").read_bytes()
         (tmp_path / "broken.json").write_bytes(raw[: len(raw) // 2])
@@ -379,7 +385,7 @@ class TestSerialization:
             load_model(tmp_path / "broken.json")
 
     def test_unknown_schema_version(self, tmp_path):
-        model = train_forest(STUMP_DATA, n_trees=2, max_depth=2, seed=1)
+        model = train_forest(*STUMP_DATA, n_trees=2, max_depth=2, seed=1)
         save_model(model, tmp_path / "m.json")
         payload = json.loads((tmp_path / "m.json").read_text())
         payload["schema_version"] = 99
@@ -406,7 +412,7 @@ class TestSerialization:
         [{"leaf": 10**400}],
     ])
     def test_malformed_tree(self, tmp_path, nodes):
-        model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=1)
+        model = train_forest(*STUMP_DATA, n_trees=1, max_depth=2, seed=1)
         save_model(model, tmp_path / "m.json")
         payload = json.loads((tmp_path / "m.json").read_text())
         payload["trees"] = [nodes]
@@ -429,7 +435,7 @@ class TestSerialization:
         pytest.param("decision_threshold", 10**400, id="decision_threshold-10**400"),
     ])
     def test_bad_scalar_field(self, tmp_path, name, value):
-        model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=1)
+        model = train_forest(*STUMP_DATA, n_trees=1, max_depth=2, seed=1)
         save_model(model, tmp_path / "m.json")
         payload = json.loads((tmp_path / "m.json").read_text())
         payload[name] = value
@@ -439,7 +445,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("version", [True, 1.0])  # both == 1 in Python
     def test_schema_version_not_an_int(self, tmp_path, version):
-        model = train_forest(STUMP_DATA, n_trees=1, max_depth=2, seed=1)
+        model = train_forest(*STUMP_DATA, n_trees=1, max_depth=2, seed=1)
         save_model(model, tmp_path / "m.json")
         payload = json.loads((tmp_path / "m.json").read_text())
         payload["schema_version"] = version
@@ -461,7 +467,7 @@ class TestSerialization:
             model = load_model(path)
         except ModelFormatError:
             return
-        assert 0.0 <= predict_many(model, np.array([FeatureVector(*vector)]))[0] <= 1.0
+        assert 0.0 <= predict_many(model, np.array([vector]))[0] <= 1.0
 
     def test_not_a_model(self, tmp_path):
         (tmp_path / "x.json").write_text("[1, 2, 3]")
@@ -517,15 +523,15 @@ class TestTableBound:
 
     def test_training_over_the_bound(self, monkeypatch):
         rng = np.random.default_rng(47)
-        data = [tp(*rng.random(3), bool(rng.random() < 0.5)) for _ in range(200)]
-        model = train_forest(data, n_trees=3, max_depth=10, seed=2)
+        data = arrays([tp(*rng.random(3), bool(rng.random() < 0.5)) for _ in range(200)])
+        model = train_forest(*data, n_trees=3, max_depth=10, seed=2)
         entries = table_entries(model.trees)
         assert entries > 1000  # noisy labels make wide trees
         monkeypatch.setattr(forest, "MAX_TABLE_ENTRIES", entries)
-        assert train_forest(data, n_trees=3, max_depth=10, seed=2).trees == model.trees
+        assert train_forest(*data, n_trees=3, max_depth=10, seed=2).trees == model.trees
         monkeypatch.setattr(forest, "MAX_TABLE_ENTRIES", entries - 1)
         with pytest.raises(TrainingError, match="exceeds the limit"):
-            train_forest(data, n_trees=3, max_depth=10, seed=2)
+            train_forest(*data, n_trees=3, max_depth=10, seed=2)
 
 
 class TestBootstrapTrainingSet:
@@ -548,9 +554,19 @@ class TestBootstrapTrainingSet:
     def test_counts_one_pos_two_neg(self):
         store = self._paired_store()
         index = build_index(store)
-        data = bootstrap_training_set(store, index, neg_per_pos=2)
-        assert sum(1 for p in data if p.label) == 1
-        assert sum(1 for p in data if not p.label) == 2
+        x, labels = bootstrap_training_set(store, index, neg_per_pos=2)
+        # the positive first, then its preprint's negatives
+        assert labels.tolist() == [True, False, False]
+        assert x.shape == (3, 3) and x.dtype == np.float64
+        assert x[0].tolist() == [0.0, 0.0, 0.0]
+
+    def test_no_pairs_gives_empty_arrays(self):
+        store = self._paired_store()
+        x, labels = training_pairs_from(store, build_index(store), [], 3)
+        assert x.shape == (0, 3) and x.dtype == np.float64
+        assert labels.shape == (0,) and labels.dtype == bool
+        with pytest.raises(TrainingError, match="empty training set"):
+            train_forest(x, labels)
 
     def test_only_candidate_is_doi_match(self):
         preprint = make_preprint(title="Unique words nobody shares",
@@ -562,9 +578,8 @@ class TestBootstrapTrainingSet:
                            authors=("Al Smith",)),
         ]
         store = store_with([preprint], published)
-        data = bootstrap_training_set(store, build_index(store), neg_per_pos=3)
-        assert sum(1 for p in data if p.label) == 1
-        assert sum(1 for p in data if not p.label) == 0
+        _, labels = bootstrap_training_set(store, build_index(store), neg_per_pos=3)
+        assert labels.tolist() == [True]
 
     def test_two_preprints_sharing_doi_both_positive(self):
         preprints = [
@@ -577,8 +592,8 @@ class TestBootstrapTrainingSet:
                                     authors=("Jane Doe",), doi="10.1/book",
                                     document_type="book")]
         store = store_with(preprints, published)
-        data = bootstrap_training_set(store, build_index(store), neg_per_pos=2)
-        assert sum(1 for p in data if p.label) == 2
+        _, labels = bootstrap_training_set(store, build_index(store), neg_per_pos=2)
+        assert labels.sum() == 2
 
     def test_no_training_signal(self):
         store = store_with([make_preprint()], [make_published()])

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from arxmatch.candidates import build_index
 from arxmatch.corpus import OUTCOME_CLASSIFIER, OUTCOME_DOI, OUTCOME_UNMATCHED
 from arxmatch.forest import ForestModel, load_model
@@ -13,8 +17,8 @@ from arxmatch.matcher import (
     match_preprint,
     naive_match,
     pair_has_equal_title_authors,
+    pick_positive,
 )
-from arxmatch.similarity import FeatureVector
 
 from conftest import make_preprint, make_published, store_with
 
@@ -87,7 +91,8 @@ class TestMatchByClassifier:
         assert hit is not None
         accession, vec = hit
         assert accession == "zbl2"
-        assert vec == FeatureVector(0.0, 0.0, 0.0)
+        assert vec == (0.0, 0.0, 0.0)
+        assert all(type(d) is float for d in vec)  # Python floats, not numpy
 
     def test_most_probable_positive_wins(self, tmp_path):
         # both candidates are positive; zbl1 has the lexicographically
@@ -112,7 +117,7 @@ class TestMatchByClassifier:
         assert hit is not None
         accession, vec = hit
         assert accession == "zbl2"
-        assert vec.title_d > 0.0 and vec.author_d == 0.0
+        assert vec[0] > 0.0 and vec[1] == 0.0
 
     def test_tie_broken_by_smaller_accession(self):
         p = make_preprint()
@@ -143,6 +148,44 @@ class TestMatchByClassifier:
         hit = match_by_classifier(store.preprints["2301.00001"], index,
                                   title_stump_model(threshold=0.01), 20)
         assert hit is None
+
+
+# few distinct values, so probabilities and every vector column often tie
+PROBS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+DISTANCES = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+CANDIDATES = st.lists(st.tuples(PROBS, st.tuples(DISTANCES, DISTANCES, DISTANCES)),
+                      min_size=1, max_size=12)
+
+
+def pick(candidates, threshold=0.5, ordinals=None):
+    """pick_positive over (probability, vector) candidates, whose ordinals
+    default to their positions."""
+    probs = np.array([prob for prob, _ in candidates])
+    x = np.array([v for _, v in candidates], dtype=np.float64)
+    if ordinals is None:
+        ordinals = list(range(len(candidates)))
+    return pick_positive(probs, x, ordinals, threshold)
+
+
+class TestPickPositive:
+    @given(CANDIDATES, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_property_equals_min_over_positives(self, candidates, data):
+        # the candidates come in rank order; ordinal order is accession order
+        ordinals = data.draw(st.permutations(range(100)))[:len(candidates)]
+        accessions = [f"zbl{o:08d}" for o in ordinals]
+        positives = [(-prob, v, accession)
+                     for (prob, v), accession in zip(candidates, accessions)
+                     if prob >= 0.5]
+        i = pick(candidates, ordinals=ordinals)
+        if not positives:
+            assert i is None
+        else:
+            assert (-candidates[i][0], candidates[i][1], accessions[i]) == min(positives)
+
+    def test_below_threshold_is_none(self):
+        assert pick([(0.49, (0.0, 0.0, 0.0))]) is None
+        assert pick([(0.5, (1.0, 1.0, 1.0))]) == 0
 
 
 class TestMatchPreprint:

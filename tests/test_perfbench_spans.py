@@ -52,7 +52,7 @@ store = CorpusStore()
 store.ingest_preprints(sys.argv[1] + "/preprints.jsonl")
 store.ingest_published(sys.argv[1] + "/published.jsonl")
 index = build_index(store)
-model = train_forest(bootstrap_training_set(store, index), n_trees=10, seed=1)
+model = train_forest(*bootstrap_training_set(store, index), n_trees=10, seed=1)
 for pid in sorted(store.preprints)[150:]:
     del store.preprints[pid]
 

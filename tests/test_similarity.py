@@ -17,7 +17,6 @@ from arxmatch.matcher import match_by_classifier
 from arxmatch.normalize import normalize_text, split_authors
 from arxmatch.similarity import (
     NEUTRAL_ABSTRACT_DISTANCE,
-    FeatureVector,
     ScoringTable,
     family_set,
     feature_vector,
@@ -26,6 +25,7 @@ from arxmatch.similarity import (
 )
 
 from conftest import make_preprint, make_published, score_records, store_with
+from test_matcher import pick
 
 
 def nt(s: str) -> str:
@@ -51,12 +51,12 @@ def edit_distance_oracle(a: str, b: str) -> int:
 
 
 def scored(title_a="", title_b="", authors_a=(), authors_b=(),
-           abstract_a=None, abstract_b=None) -> FeatureVector:
+           abstract_a=None, abstract_b=None) -> tuple[float, float, float]:
     """The vector of one pair, through project and feature_vector_projected."""
     table = ScoringTable([])
     [v] = feature_vector_projected(table, project(title_a, authors_a, abstract_a, table.vocab),
                                    [project(title_b, authors_b, abstract_b, table.vocab)])
-    return v
+    return tuple(v.tolist())
 
 
 def title_oracle(a: str, b: str) -> float:
@@ -81,17 +81,17 @@ def levenshtein_each(a: str, bs: list[str]) -> list[int]:
 
 class TestTitleDistance:
     def test_identity(self):
-        assert scored("abc", "abc").title_d == 0.0
+        assert scored("abc", "abc")[0] == 0.0
 
     def test_single_substitution(self):
-        assert scored("abc", "abd").title_d == pytest.approx(1 / 3)
+        assert scored("abc", "abd")[0] == pytest.approx(1 / 3)
         assert edit_distance_oracle("abc", "abd") == 1
 
     def test_empty_vs_full(self):
-        assert scored("", "xyz").title_d == 1.0
+        assert scored("", "xyz")[0] == 1.0
 
     def test_both_empty(self):
-        assert scored("", "").title_d == 0.0
+        assert scored("", "")[0] == 0.0
 
     def test_against_dp_oracle(self):
         # batches of 1-5 titles, so each batch is one joined encode
@@ -104,7 +104,7 @@ class TestTitleDistance:
             table = ScoringTable([])
             got = feature_vector_projected(table, project(a, (), None, table.vocab),
                                            [project(b, (), None, table.vocab) for b in bs])
-            assert [v.title_d for v in got] == [title_oracle(nt(a), nt(b)) for b in bs]
+            assert got[:, 0].tolist() == [title_oracle(nt(a), nt(b)) for b in bs]
 
     def test_kernel_vs_dp_oracle_long_unicode(self):
         # lengths up to 300 make the bit-parallel column several machine
@@ -152,7 +152,7 @@ class TestTitleDistance:
             prev = 0.0
             for k, pos in enumerate(positions, 1):
                 edited[pos] = sentinels[(k - 1) % 10]
-                cur = scored(s, "".join(edited)).title_d
+                cur = scored(s, "".join(edited))[0]
                 assert cur >= prev
                 assert edit_distance_oracle(s, "".join(edited)) == k
                 prev = cur
@@ -163,7 +163,7 @@ class TestAuthorDistance:
         return [split_authors(r)[0] for r in raw]
 
     def _distance(self, a, b) -> float:
-        return scored(authors_a=a, authors_b=b).author_d
+        return scored(authors_a=a, authors_b=b)[1]
 
     def test_identity(self):
         a = self._names("Jane Doe")
@@ -188,7 +188,7 @@ class TestAuthorDistance:
 
 
 def abstract_d(a: str, b: str) -> float:
-    return scored(abstract_a=a, abstract_b=b).abstract_d
+    return scored(abstract_a=a, abstract_b=b)[2]
 
 
 class TestAbstractDistance:
@@ -263,7 +263,7 @@ class TestAbstractDistanceOracle:
             vectors = feature_vector(corpus_index.table, p, corpus_index.ordinals(ranked))
             for v, c in zip(vectors, cs):
                 b = normalize_text(c.abstract or "")
-                assert v.abstract_d == cosine_oracle(a, b), (a, b)
+                assert v[2] == cosine_oracle(a, b), (a, b)
                 pairs += 1
         assert pairs > 100
 
@@ -286,7 +286,8 @@ class TestAbstractDistanceOracle:
         first, second = build_index(store), build_index(store)
         assert first.table.vocab is not second.table.vocab
         p = make_preprint(abstract=f"{fresh} flows again.")
-        assert feature_vector(first.table, p, [0]) == feature_vector(second.table, p, [0])
+        assert np.array_equal(feature_vector(first.table, p, [0]),
+                              feature_vector(second.table, p, [0]))
         assert fresh in first.table.vocab and fresh in second.table.vocab
         third = build_index(store)
         assert third.table.vocab == {}
@@ -364,8 +365,8 @@ def pair_oracle_hex(p, c) -> tuple[str, str, str]:
             cosine_pair_oracle(tf(p.abstract), tf(c.abstract)).hex())
 
 
-def as_hex(v: FeatureVector) -> tuple[str, str, str]:
-    return tuple(x.hex() for x in v)
+def as_hex(v: np.ndarray) -> tuple[str, str, str]:
+    return tuple(x.hex() for x in v.tolist())
 
 
 # "{}" and "--" normalize to no family name at all
@@ -419,7 +420,7 @@ class TestTableAgainstPairwiseOracles:
                                             "flow " * 10**5, None, ""])]
         got = score_records(p, cs)
         assert [as_hex(v) for v in got] == [pair_oracle_hex(p, c) for c in cs]
-        assert got[4].abstract_d == got[5].abstract_d == NEUTRAL_ABSTRACT_DISTANCE
+        assert got[4, 2] == got[5, 2] == NEUTRAL_ABSTRACT_DISTANCE
 
     def test_empty_family_sets(self):
         # a byline whose names all normalize to nothing has no family name
@@ -429,7 +430,7 @@ class TestTableAgainstPairwiseOracles:
               make_published(accession="zbl3", authors=("Jane Doe", "{}"))]
         assert family_set(p.authors) == frozenset()
         got = score_records(p, cs)
-        assert [v.author_d for v in got] == [0.0, 0.0, 1.0]
+        assert got[:, 1].tolist() == [0.0, 0.0, 1.0]
         assert [as_hex(v) for v in got] == [pair_oracle_hex(p, c) for c in cs]
 
     def test_token_total_bound(self, monkeypatch):
@@ -467,12 +468,23 @@ class TestFeatureVector:
     def test_identical_metadata(self):
         p = make_preprint()
         c = make_published()
-        assert score_records(p, [c]) == [FeatureVector(0.0, 0.0, 0.0)]
+        assert score_records(p, [c]).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_missing_abstract_neutral(self):
         p = make_preprint()
         c = make_published(abstract=None)
-        assert score_records(p, [c]) == [FeatureVector(0.0, 0.0, 0.5)]
+        assert score_records(p, [c]).tolist() == [[0.0, 0.0, 0.5]]
+
+    def test_one_float64_row_per_candidate(self):
+        # columns in FEATURE_NAMES order: title, authors, abstract
+        p = make_preprint()
+        cs = [make_published(accession="zbl1", authors=("Al Smith",)),
+              make_published(accession="zbl2", abstract=None),
+              make_published(accession="zbl3", title="On knot")]
+        x = score_records(p, cs)
+        assert x.shape == (3, 3) and x.dtype == np.float64
+        assert x[:, 1:].tolist() == [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]
+        assert x[:, 0].tolist() == [0.0, 0.0, title_oracle(nt(p.title), "on knot")]
 
     def test_unrelated_records(self):
         p = make_preprint(title="On elliptic curves over finite fields",
@@ -482,22 +494,22 @@ class TestFeatureVector:
                            authors=("Al Smith",),
                            abstract="Expansion properties of sparse matrices.")
         [v] = score_records(p, [c])
-        assert v.title_d >= 0.7 and v.author_d == 1.0 and v.abstract_d >= 0.9
+        assert v[0] >= 0.7 and v[1] == 1.0 and v[2] >= 0.9
 
     def test_author_order_invariant(self):
         p1 = make_preprint(authors=("Jane Doe", "John Roe"))
         p2 = make_preprint(authors=("John Roe", "Jane Doe"))
         c = make_published(authors=("Jane Doe", "John Roe"))
-        assert score_records(p1, [c]) == score_records(p2, [c])
+        assert np.array_equal(score_records(p1, [c]), score_records(p2, [c]))
 
     @staticmethod
     def _check_against_oracles(p, cs):
         vectors = score_records(p, cs)
         assert len(vectors) == len(cs)
         for v, c in zip(vectors, cs):
-            assert v.title_d == title_oracle(nt(p.title), nt(c.title)), c.title
-            assert v.author_d == jaccard_oracle(p.authors, c.authors)
-            assert v.abstract_d == cosine_oracle(nt(p.abstract), nt(c.abstract or ""))
+            assert v[0] == title_oracle(nt(p.title), nt(c.title)), c.title
+            assert v[1] == jaccard_oracle(p.authors, c.authors)
+            assert v[2] == cosine_oracle(nt(p.abstract), nt(c.abstract or ""))
 
     def test_projected_path_matches_plain(self):
         rng = np.random.default_rng(10)
@@ -528,38 +540,45 @@ class TestFeatureVector:
         cs = [make_published(accession=f"zbl{i}", title=t) for i, t in enumerate(titles)]
         assert [nt(c.title) for c in cs][:3] == ["", "fq-points", "𠀀𠁁-points"]
         self._check_against_oracles(p, cs)
-        assert score_records(p, cs)[-1].title_d == 0.0
+        assert score_records(p, cs)[-1, 0] == 0.0
 
 
-vectors = st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)) \
-    .map(lambda t: FeatureVector(*t))
+vectors = st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
+
+
+def picked(*vs):
+    """The vector the matcher picks among equally probable positive
+    candidates with these vectors, in this rank order."""
+    return vs[pick([(1.0, v) for v in vs])]
 
 
 class TestLexCompare:
-    """FeatureVector compares lexicographically; the matcher breaks
-    probability ties among positives with this order."""
+    """The matcher breaks probability ties among positives by the
+    lexicographic order of their (title, authors, abstract) vectors."""
 
     def test_first_component_decides(self):
-        assert FeatureVector(0, 1, 1) < FeatureVector(0.1, 0, 0)
+        assert picked((0.1, 0, 0), (0, 1, 1)) == (0, 1, 1)
 
     def test_equal(self):
-        u, v = FeatureVector(0, 0, 0), FeatureVector(0, 0, 0)
-        assert u == v and not u < v and not v < u
+        # equal vectors: the smaller ordinal wins, wherever it ranks
+        tied = [(1.0, (0.0, 0.0, 0.0))] * 2
+        assert pick(tied, ordinals=[7, 3]) == 1
+        assert pick(tied, ordinals=[3, 7]) == 0
 
     def test_third_component_decides(self):
-        assert FeatureVector(0.2, 0.1, 0) < FeatureVector(0.2, 0.1, 0.3)
+        assert picked((0.2, 0.1, 0.3), (0.2, 0.1, 0)) == (0.2, 0.1, 0)
 
     @given(vectors, vectors)
     @settings(max_examples=200, deadline=None)
     def test_antisymmetric(self, u, v):
-        assert (u < v) == (v > u)
-        assert not (u < v and v < u)
+        # the rank order does not decide, the tuple order does
+        assert picked(u, v) == picked(v, u) == min(u, v)
 
     @given(vectors, vectors, vectors)
     @settings(max_examples=200, deadline=None)
     def test_transitive(self, u, v, w):
-        if u <= v and v <= w:
-            assert u <= w
+        if picked(u, v) == u and picked(v, w) == v:
+            assert picked(u, w) == u
 
 
 norm_text = st.text(alphabet="abcde -", max_size=20).map(
@@ -570,10 +589,10 @@ class TestDistanceProperties:
     @given(norm_text, norm_text)
     @settings(max_examples=200, deadline=None)
     def test_title_symmetric_bounded(self, a, b):
-        d = scored(a, b).title_d
+        d = scored(a, b)[0]
         assert 0.0 <= d <= 1.0
-        assert d == scored(b, a).title_d
-        assert scored(a, a).title_d == 0.0
+        assert d == scored(b, a)[0]
+        assert scored(a, a)[0] == 0.0
 
     @given(norm_text, norm_text)
     @settings(max_examples=200, deadline=None)
