@@ -1,18 +1,20 @@
-"""Numeric kernels of the matcher, in numpy and Python ints.
+"""Numeric kernels of the matcher, in numpy.
 
 The hot inner loops (edit distance, token-vector dot products, Gini
 split search, forest evaluation) live here, one function per operation.
-The edit distance scores one string against all of its candidates at
-once: the Myers/Hyyrö bit-parallel recurrence (G. Myers, J. ACM 46(3),
-1999; H. Hyyrö, 2003) runs on Python ints that hold one candidate per
-lane, each lane topped by a zero guard bit that stops carries and shifts
-from crossing into the next (H. Hyyrö, K. Fredriksson and G. Navarro,
-ACM JEA 10, 2005). A lane's distance is read off at the end as a
-popcount of its vertical deltas, and lanes are packed into words of at
-most WORD_BITS bits, so the cost stays linear in the number of
-candidates. The sparse dot products of one vector with all of the
-candidates' take one scatter into a dense lookup, one gather and one
-cumulative sum. Both kernels use integer arithmetic throughout.
+The edit distance scores a whole chunk of (pattern, text) pairs in one
+call: the Myers/Hyyrö bit-parallel recurrence (G. Myers, J. ACM 46(3),
+1999; H. Hyyrö, 2003) runs on numpy uint64 words with one lane per pair,
+so every numpy operation advances all the pairs of the chunk by one text
+position. A pattern longer than 64 symbols spans several words, and the
+horizontal delta out of each word's top row is carried into the next
+word, as in Myers' blocked form. A lane's distance is read off at the
+end as a popcount of its vertical deltas, through a byte table. The
+strings come in as symbols of the run's own alphabet (``encode``), so a
+pattern's match masks take one row per symbol of the run. The sparse dot
+products of one vector with all of the candidates' take one scatter
+into a dense lookup, one gather and one cumulative sum. Both kernels use
+integer arithmetic throughout.
 The forest is evaluated as a table lookup: a row's bin among the
 model's sorted thresholds, per feature, picks each tree's leaf from a
 precomputed grid (the threshold indexing of QuickScorer, C. Lucchese et
@@ -28,80 +30,160 @@ import numpy as np
 
 BACKEND = "numpy"
 
-WORD_BITS = 4096  # lanes are packed into big ints of at most this width
+# bits set in each byte value: numpy 1.24, the floor, has no bitwise_count
+_BYTE_BITS = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# explicit uint64 scalars: numpy 1.x turns a uint64 plus a Python int into
+# float64
+_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_ONE = np.uint64(1)
+_TOP = np.uint64(63)
 
 
-def levenshtein(a: np.ndarray, b: np.ndarray, ends: np.ndarray) -> list[int]:
-    """Edit distance from one int64 codepoint array to each of k others.
+class _Alphabet(dict):
+    """A str.translate table that numbers each code point the first time
+    it is seen: the symbols of a run's own alphabet."""
 
-    The k arrays come concatenated in b; ends holds their cumulative end
-    offsets, so array i is b[ends[i-1]:ends[i]]. Returns k distances.
+    def __missing__(self, code: int) -> int:
+        symbol = self[code] = len(self)
+        return symbol
+
+
+def encode(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The strings as one array of symbols, and their cumulative end offsets.
+
+    A symbol numbers a distinct character of the strings in order of first
+    appearance, so the alphabet is the run's own: one str.translate maps
+    the joined strings onto it, a byte per symbol up to 256 symbols and
+    four beyond. One code point is one symbol (combining marks and non-BMP
+    letters included), so string i is symbols[ends[i-1]:ends[i]].
+    """
+    alphabet = _Alphabet()
+    text = "".join(strings).translate(alphabet)
+    if len(alphabet) <= 256:
+        symbols = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+    else:
+        symbols = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return symbols, np.cumsum([len(s) for s in strings], dtype=np.int64)
+
+
+def levenshtein(a: np.ndarray, b: np.ndarray, a_ends: np.ndarray,
+                b_ends: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Edit distance of each of k texts to its pattern, as k int64.
+
+    a holds the patterns concatenated and a_ends their cumulative end
+    offsets, so pattern p is a[a_ends[p-1]:a_ends[p]]; b and b_ends hold
+    the k texts the same way, and text i is scored against pattern
+    pattern[i]. Symbols are small non-negative ints, as encode makes them.
 
     Bit-parallel over the DP column (G. Myers, J. ACM 46(3), 1999, in
-    H. Hyyrö's 2003 formulation), one pattern per lane of a Python int
-    (the multi-pattern packing of H. Hyyrö, K. Fredriksson and
-    G. Navarro, ACM JEA 10, 2005). Array i is lane i: bit t of the lane
-    stands for row t + 1 of its DP column, and one zero guard bit sits
-    above it. peq[c] has every lane's bits set where that lane holds c.
-    pv/mv hold the +1/-1 vertical deltas of the current column, ph/mh the
-    horizontal deltas into it. Each character of a advances every lane
-    by a fixed handful of int operations: the add's carry out of a lane
-    stops in its guard bit, a left shift moves each lane's top bit into
-    its guard bit, where & mask clears it, and | low injects the +1 of
-    the top row D[0][j] = j at the bottom of every lane. At the end lane
-    i's last row is D[0][n] = n plus its vertical deltas, that is
-    n + popcount(pv_i) - popcount(mv_i). Lanes are packed greedily into
-    words of at most WORD_BITS bits, so each int operation costs the same
-    however many arrays there are.
+    H. Hyyrö's 2003 formulation), one lane per (pattern, text) pair: bit t
+    of word r of a lane stands for row 64 r + t + 1 of its DP column, over
+    its pattern. pv/mv hold the +1/-1 vertical deltas of the current
+    column, ph/mh the horizontal deltas into it. A pattern of more than 64
+    symbols spans several words; the lanes are grouped by word count and
+    run word by word, each word's horizontal delta out of its top row
+    (hp/hm) carried into the next word's bottom row, as in Myers' blocked
+    form. Bits above a pattern's last row only ever move upwards, so they
+    never touch the rows below and are masked off at the end.
+
+    peq[pattern base + symbol] has a word's bits set where the pattern
+    holds that symbol; it is built once per pattern, and each text
+    position costs one gather from it over all lanes. Lanes are sorted by
+    text length, longest first, so the lanes still running at a position
+    are a prefix. At the end a lane's last row is D[n][m] = m plus its
+    vertical deltas, m + popcount(pv) - popcount(mv); an empty pattern
+    scores m.
     """
-    lens = np.diff(ends, prepend=0)
-    widths = (lens + 1).tolist()  # each lane and its guard bit
-    out: list[int] = []
-    lane, k = 0, lens.size
-    while lane < k:
-        first, width = lane, widths[lane]
-        lane += 1
-        while lane < k and width + widths[lane] <= WORD_BITS:
-            width += widths[lane]
-            lane += 1
-        start = int(ends[first] - lens[first])
-        out += _word_distances(a, b[start:ends[lane - 1]], lens[first:lane], width)
+    n = np.diff(a_ends, prepend=0)
+    m = np.diff(b_ends, prepend=0)
+    out = m.copy()
+    words = (n[pattern] + 63) // 64
+    n_symbols = int(max(a.max(initial=0), b.max(initial=0))) + 1
+    a_start = a_ends - n
+    for w in np.unique(words[words > 0]).tolist():
+        lanes = np.flatnonzero(words == w)
+        out[lanes] = _block_distances(a, b, a_start, n, b_ends[lanes] - m[lanes],
+                                      m[lanes], pattern[lanes], w, n_symbols)
     return out
 
 
-def _word_distances(a: np.ndarray, b: np.ndarray, lens: np.ndarray,
-                    width: int) -> list[int]:
-    """Distances from a to the lanes of one packed word."""
-    lane_of = np.repeat(np.arange(lens.size), lens)
-    pos = np.arange(b.size) + lane_of  # bit of each char: its offset + lane
-    offsets = np.cumsum(lens + 1) - lens - 1
-    codes, row = np.unique(b, return_inverse=True)
-    # one row of bits per distinct code, then the mask and low rows
-    bits = np.zeros((codes.size + 2, width), dtype=np.uint8)
-    bits[row, pos] = 1
-    bits[-2, pos] = 1
-    bits[-1, offsets[lens > 0]] = 1
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = [int.from_bytes(r.tobytes(), "little") for r in packed]
-    peq = dict(zip(codes.tolist(), words))
-    mask, low = words[-2], words[-1]
-    pv, mv = mask, 0
-    for c in a.tolist():
-        eq = peq.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        ph = ((ph << 1) | low) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    n = a.size
-    out = []
-    for off, m in zip(offsets.tolist(), lens.tolist()):
-        ones = (1 << m) - 1
-        out.append(n + ((pv >> off) & ones).bit_count() - ((mv >> off) & ones).bit_count())
-    return out
+def _block_distances(a: np.ndarray, b: np.ndarray, a_start: np.ndarray,
+                     n: np.ndarray, start: np.ndarray, m: np.ndarray,
+                     pattern: np.ndarray, w: int, n_symbols: int) -> np.ndarray:
+    """Distances of the lanes whose patterns span w words each."""
+    pats, local = np.unique(pattern, return_inverse=True)
+    peq = _peq(a, a_start[pats], n[pats], w, n_symbols)
+
+    order = np.argsort(-m, kind="stable")
+    m, start, base = m[order], start[order], local[order] * n_symbols
+    k = m.size
+    live = k - np.searchsorted(m[::-1], np.arange(m[0]), side="right")
+    pv = np.full((w, k), _ONES)
+    mv = np.zeros((w, k), dtype=np.uint64)
+    idx = np.empty(k, dtype=np.intp)
+    for j, alive in enumerate(live.tolist()):
+        ix = idx[:alive]
+        np.add(start[:alive], j, out=ix)
+        np.add(base[:alive], b.take(ix), out=ix)
+        eqs = peq.take(ix, axis=0)
+        for r in range(w):
+            eq, p, q = eqs[:, r], pv[r, :alive], mv[r, :alive]
+            xv = eq | q
+            if r:
+                eq |= hm
+            xh = eq & p
+            xh += p
+            xh ^= p
+            xh |= eq
+            ph = xh | p
+            np.invert(ph, out=ph)
+            ph |= q
+            mh = np.bitwise_and(p, xh, out=xh)
+            if r < w - 1:
+                hp_out, hm_out = ph >> _TOP, mh >> _TOP
+            ph <<= _ONE
+            mh <<= _ONE
+            if r:
+                ph |= hp
+                mh |= hm
+            else:
+                ph |= _ONE  # the top row: D[0][j] = j
+            np.bitwise_or(xv, ph, out=p)
+            np.invert(p, out=p)
+            p |= mh
+            np.bitwise_and(ph, xv, out=q)
+            if r < w - 1:
+                hp, hm = hp_out, hm_out
+    rows_in = np.full((w, k), _ONES)
+    rows_in[-1] >>= (64 * w - n[pattern[order]]).astype(np.uint64)
+    pv &= rows_in
+    mv &= rows_in
+    dist = np.empty(k, dtype=np.int64)
+    dist[order] = m + _popcount(pv) - _popcount(mv)
+    return dist
+
+
+def _peq(a: np.ndarray, start: np.ndarray, n: np.ndarray, w: int,
+         n_symbols: int) -> np.ndarray:
+    """The (len(n) * n_symbols, w) uint64 match masks of the patterns at
+    start with lengths n: row q * n_symbols + s has bit t of word r set
+    where pattern q holds symbol s at position 64 r + t. The patterns run
+    longest first, so those reaching a position are a prefix, and their
+    rows at it are distinct."""
+    order = np.argsort(-n, kind="stable")
+    n, start, base = n[order], start[order], order * n_symbols
+    peq = np.zeros((n.size * n_symbols, w), dtype=np.uint64)
+    live = n.size - np.searchsorted(n[::-1], np.arange(n[0]), side="right")
+    for i, alive in enumerate(live.tolist()):
+        rows = base[:alive] + a.take(start[:alive] + i)
+        peq[rows, i // 64] |= _ONE << np.uint64(i % 64)
+    return peq
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per column of a (w, k) uint64 array, as int64."""
+    w, k = words.shape
+    return _BYTE_BITS[words.view(np.uint8)].reshape(w, k, 8).sum(axis=(0, 2), dtype=np.int64)
 
 
 def sorted_dot(lookup: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -210,8 +292,3 @@ def forest_eval(edges_0: np.ndarray, edges_1: np.ndarray, edges_2: np.ndarray,
     idx += cells_1[:, np.searchsorted(edges_1, x[:, 1])]
     idx += cells_2[:, np.searchsorted(edges_2, x[:, 2])]
     return np.cumsum(leaf[idx], axis=0)[-1] / cells_0.shape[0]
-
-
-def str_to_codes(s: str) -> np.ndarray:
-    """Codepoint array used by the Levenshtein kernels."""
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)

@@ -21,7 +21,7 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .normalize import AuthorName, DoiError, normalize_doi, split_authors
+from .normalize import _DOI_RE, AuthorName, DoiError, normalize_doi, split_authors
 
 # matched with fullmatch: a $ anchor would also match before a final newline
 ARXIV_ID_RE = re.compile(r"\d{4}\.\d{4,5}|[a-z-]+(\.[A-Z]{2})?/\d{7}")
@@ -153,14 +153,22 @@ def _parse_msc(items, where: str) -> tuple[str, ...]:
 
 
 def _parse_doi(value) -> str | None:
-    if value is None:
-        return None
     if not isinstance(value, str):
         return None
     try:
-        return normalize_doi(value)
+        return _canonical_doi(value)
     except DoiError:
         return None  # unusable DOI is treated as absent
+
+
+def _canonical_doi(value: str) -> str:
+    """normalize_doi(value). A DOI already in canonical form, as the store
+    writes it, is its own result, so a reload skips the prefix and case
+    passes; fullmatch, since the pattern's $ also matches before a final
+    newline, which normalize_doi strips."""
+    if _DOI_RE.fullmatch(value) and value == value.lower():
+        return value
+    return normalize_doi(value)
 
 
 def preprint_from_json(obj: dict) -> PreprintRecord:

@@ -1,10 +1,12 @@
 """Precision/recall harness over DOI-derived ground truth.
 
 The DOI pairs are split 80/20 into train and holdout by a seeded shuffle.
-A forest is trained on the train split only; each holdout preprint then
-runs the classifier step with its DOI hidden, and the prediction is
-scored against the DOI pair. A wrong prediction counts as both a false
-positive and a missed pair, the usual record-linkage convention.
+A forest is trained on the train split only (its pairs scored in chunks,
+as ``train`` scores them); the holdout preprints then run the classifier
+step together with their DOIs hidden, through the matcher's
+``classify_preprints``, and each prediction is scored against the DOI
+pair. A wrong prediction counts as both a false positive and a missed
+pair, the usual record-linkage convention.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .forest import (
     train_forest,
     training_pairs_from,
 )
-from .matcher import match_by_classifier
+# match_by_classifier stays bound here for the benchmark's tracer
+# (perfbench/spans.py), which rebinds it in this module
+from .matcher import classify_preprints, match_by_classifier  # noqa: F401
 
 MIN_DOI_PAIRS = 200
 HOLDOUT_FRACTION = 0.2
@@ -77,9 +81,10 @@ def evaluate(store: CorpusStore, seed: int,
     x, labels = training_pairs_from(store, index, train, neg_per_pos)
     model = train_forest(x, labels, n_trees=n_trees, max_depth=max_depth, seed=seed,
                          decision_threshold=decision_threshold)
+    hits = classify_preprints([store.preprints[pid] for pid, _ in holdout],
+                              index, model, k)
     tp = fp = 0
-    for pid, truth in holdout:
-        hit = match_by_classifier(store.preprints[pid], index, model, k)
+    for (_, truth), hit in zip(holdout, hits):
         if hit is None:
             continue
         if hit[0] == truth:

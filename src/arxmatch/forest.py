@@ -39,7 +39,7 @@ import numpy as np
 from . import _kernels
 from .candidates import CandidateIndex, query_candidates
 from .corpus import CorpusStore, write_atomic
-from .similarity import feature_vector
+from .similarity import chunked, feature_vector
 
 SCHEMA_VERSION = 1
 FEATURE_NAMES = ("title_d", "author_d", "abstract_d")
@@ -97,14 +97,21 @@ def training_pairs_from(store: CorpusStore, index: CandidateIndex,
         raise TrainingError("neg_per_pos must be >= 1")
     vectors = [np.empty((0, len(FEATURE_NAMES)))]
     labels = [np.empty(0, dtype=bool)]
+    for chunk in chunked(_labelled_candidates(store, index, pairs, neg_per_pos)):
+        vectors.append(feature_vector(index.table, [p for p, _ in chunk],
+                                      [ords for _, ords in chunk]))
+        labels += [np.arange(len(ords)) == 0 for _, ords in chunk]
+    return np.concatenate(vectors), np.concatenate(labels)
+
+
+def _labelled_candidates(store: CorpusStore, index: CandidateIndex,
+                         pairs: list[tuple[str, str]], neg_per_pos: int):
+    """(preprint, ordinals) per pair: its accession's, then its negatives'."""
     for pid, accession in pairs:
         p = store.preprints[pid]
         ranked = query_candidates(index, p, k=neg_per_pos + 1)
         negatives = [a for a in ranked if a != accession][:neg_per_pos]
-        vectors.append(feature_vector(index.table, p,
-                                      index.ordinals([accession] + negatives)))
-        labels.append(np.arange(1 + len(negatives)) == 0)
-    return np.concatenate(vectors), np.concatenate(labels)
+        yield p, index.ordinals([accession] + negatives)
 
 
 def bootstrap_training_set(store: CorpusStore, index: CandidateIndex,

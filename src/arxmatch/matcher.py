@@ -7,6 +7,14 @@ forest and picks the positively-classified candidate with the highest
 forest probability; ties go to the smaller similarity vector in
 lexicographic order, then to the smaller accession (``pick_positive``).
 
+A run classifies its preprints together (``classify_preprints``): every
+preprint the DOI step leaves is queried on its own, and the pairs of
+about ``similarity.CHUNK_PAIRS`` of them are scored in one
+``feature_vector_projected`` call, one title kernel call for the chunk;
+each preprint's slice of the chunk's vectors then goes through the
+forest and the pick on its own, so a decision does not depend on the
+chunk it fell in. ``match_by_classifier`` is the run of one preprint.
+
 The naive baseline (exact normalized title + ordered family list, unique
 hit required) is kept alongside for the improvement accounting in the
 batch report.
@@ -14,6 +22,7 @@ batch report.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +39,7 @@ from .corpus import (
 )
 from .forest import ForestModel, predict_many
 from .normalize import normalize_text
-from .similarity import feature_vector_projected
+from .similarity import chunked, feature_vector_projected
 
 DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -67,15 +76,8 @@ def pick_positive(probs: np.ndarray, x: np.ndarray, ordinals: list[int],
     return i if probs[i] >= threshold else None
 
 
-def match_by_classifier(p: PreprintRecord, index: CandidateIndex, model: ForestModel,
-                        k: int) -> tuple[str, tuple[float, float, float]] | None:
-    """The most probable positively-classified candidate and its vector, or None."""
-    ranked = query_candidates(index, p, k)
-    if not ranked:
-        return None
-    table = index.table
-    ordinals = index.ordinals(ranked)
-    x = feature_vector_projected(table, table.query_row(p), table.rows(ordinals))
+def _pick(model: ForestModel, x: np.ndarray, ranked: list[str],
+          ordinals: list[int]) -> tuple[str, tuple[float, float, float]] | None:
     probs = predict_many(model, x)
     i = pick_positive(probs, x, ordinals, model.decision_threshold)
     if i is None:
@@ -83,15 +85,45 @@ def match_by_classifier(p: PreprintRecord, index: CandidateIndex, model: ForestM
     return ranked[i], tuple(x[i].tolist())
 
 
-def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
-                   model: ForestModel, k: int,
-                   timestamp: str = DEFAULT_TIMESTAMP) -> MatchDecision:
-    accession = match_by_doi(p, store)
+def classify_preprints(preprints: Iterable[PreprintRecord], index: CandidateIndex,
+                       model: ForestModel, k: int,
+                       ) -> list[tuple[str, tuple[float, float, float]] | None]:
+    """match_by_classifier of each preprint, in order. Each preprint is
+    queried, classified and picked on its own; the pairs of a chunk of
+    about CHUNK_PAIRS are scored in one feature_vector_projected call."""
+    table = index.table
+    hits = []
+    for chunk in chunked((p, query_candidates(index, p, k)) for p in preprints):
+        ordinals = [index.ordinals(ranked) for _, ranked in chunk]
+        queries, rows = [], []
+        for (p, _), ords in zip(chunk, ordinals):
+            if ords:
+                queries.append(table.query_row(p))
+                rows.append(table.rows(ords))
+        if queries:
+            x = feature_vector_projected(table, queries, rows)
+        end = 0
+        for (_, ranked), ords in zip(chunk, ordinals):
+            end += len(ords)
+            hits.append(_pick(model, x[end - len(ords):end], ranked, ords)
+                        if ranked else None)
+    return hits
+
+
+def match_by_classifier(p: PreprintRecord, index: CandidateIndex, model: ForestModel,
+                        k: int) -> tuple[str, tuple[float, float, float]] | None:
+    """The most probable positively-classified candidate and its vector, or None."""
+    return classify_preprints([p], index, model, k)[0]
+
+
+def _decision(p: PreprintRecord, accession: str | None,
+              hit: tuple[str, tuple[float, float, float]] | None,
+              timestamp: str) -> MatchDecision:
+    """The decision of a DOI hit's accession, else of a classifier hit."""
     if accession is not None:
         return MatchDecision(preprint=p.id, outcome=OUTCOME_DOI,
                              matched_accession=accession, vector=None,
                              decided_at=timestamp)
-    hit = match_by_classifier(p, index, model, k)
     if hit is not None:
         accession, vec = hit
         return MatchDecision(preprint=p.id, outcome=OUTCOME_CLASSIFIER,
@@ -101,6 +133,14 @@ def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
     return MatchDecision(preprint=p.id, outcome=OUTCOME_UNMATCHED,
                          matched_accession=None, vector=None,
                          decided_at=timestamp)
+
+
+def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
+                   model: ForestModel, k: int,
+                   timestamp: str = DEFAULT_TIMESTAMP) -> MatchDecision:
+    accession = match_by_doi(p, store)
+    hit = None if accession is not None else match_by_classifier(p, index, model, k)
+    return _decision(p, accession, hit, timestamp)
 
 
 def _naive_key(title: str, authors) -> tuple[str, tuple[str, ...]]:
@@ -142,11 +182,16 @@ def batch_match(store: CorpusStore, index: CandidateIndex, model: ForestModel,
     the baseline a naive matcher could also have found.
     """
     pids = store.unmerged_preprints()
+    preprints = [store.preprints[pid] for pid in pids]
+    dois = [match_by_doi(p, store) for p in preprints]
+    hits = iter(classify_preprints(
+        [p for p, accession in zip(preprints, dois) if accession is None],
+        index, model, k))
     decisions = []
     doi_n = cls_n = naive_eq = 0
-    for pid in pids:
-        p = store.preprints[pid]
-        decision = match_preprint(p, store, index, model, k, timestamp=timestamp)
+    for p, accession in zip(preprints, dois):
+        hit = next(hits) if accession is None else None
+        decision = _decision(p, accession, hit, timestamp)
         decisions.append(decision)
         if decision.outcome == OUTCOME_DOI:
             doi_n += 1

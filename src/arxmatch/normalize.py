@@ -96,14 +96,18 @@ _COMBINING_MARKS = _TranslateTable(lambda ch: None if unicodedata.combining(ch) 
 _CHAR_CLASSES = _TranslateTable(_char_class)
 
 
-@lru_cache(maxsize=65536)
-def normalize_text(raw: str) -> str:
+def normalize_uncached(raw: str) -> str:
     """Canonical lowercase form of a title, abstract, or name fragment."""
     text = unicodedata.normalize("NFKD", raw).translate(_COMBINING_MARKS)
     text = _strip_latex(text).translate(_CHAR_CLASSES).lower()
     tokens = ("-".join(filter(None, token.split("-"))) if "-" in token else token
               for token in text.split())
     return " ".join(filter(None, tokens))
+
+
+# titles and names repeat across a run, so their forms are cached; an
+# abstract is normalized once per record, through normalize_uncached
+normalize_text = lru_cache(maxsize=65536)(normalize_uncached)
 
 
 _AND_RE = re.compile(r"\s+and\s+")

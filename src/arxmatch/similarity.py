@@ -22,39 +22,66 @@ their vocabulary; a row is filled the first time a batch scores its
 record. The candidate index keeps one table over the whole published
 corpus, so no table here is module state.
 
-``feature_vector_projected`` scores one row against a list of rows: the
-titles are encoded to code points once per batch and scored in one call
-of the lane-packed Levenshtein kernel, and the family intersection sizes
-and abstract dot products come from one call of the ``sorted_dot``
-kernel over the concatenated rows, two segments per row. The kernel
-writes the one row's counts into a dense lookup by key, which the table
-keeps all-zero between batches, so a batch costs the length of its rows
-and not the size of the vocabulary. The title and Jaccard columns are
-numpy divisions of those exact integers, and each cosine runs on Python
-ints (a product of two squared norms can pass 2**63): the same float
-operations as comparing two name sets and two ``{token: count}`` dicts,
-so every distance is bit-identical to a pair-by-pair computation. The
-matcher passes one preprint's ranked candidates, training one preprint's
-positive and its negatives.
+``feature_vector_projected`` scores a chunk: several query rows, each
+against its list of rows. All the titles of the chunk are encoded over
+the chunk's own alphabet at once and scored in one call of the run
+Levenshtein kernel, a lane per pair with the query title as the
+pattern. Per query, the family intersection sizes and abstract dot
+products come from one call of the ``sorted_dot`` kernel over the
+concatenated rows, two segments per row; the kernel writes the query's
+counts into a dense lookup by key, which the table keeps all-zero
+between calls, so a query costs the length of its rows and not the size
+of the vocabulary. The title and Jaccard columns are numpy divisions of
+those exact integers, and each cosine runs on Python ints (a product of
+two squared norms can pass 2**63): the same float operations as
+comparing two name sets and two ``{token: count}`` dicts, so every
+distance is bit-identical to a pair-by-pair computation, whatever the
+chunk. The matcher and ``eval`` pass preprints with their ranked
+candidates, training each preprint with its positive and its negatives,
+``chunked`` into about CHUNK_PAIRS pairs a call: enough lanes that the
+title kernel's per-position cost is shared by thousands of pairs, and a
+bound on its arrays however many candidates a query keeps.
+
+Abstracts are normalized through ``normalize_uncached``: each is
+normalized once per record, so keeping them would only crowd the titles
+and names out of the ``normalize_text`` cache.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .corpus import PreprintRecord, PublishedRecord
-from .normalize import normalize_text
+from .normalize import normalize_text, normalize_uncached
 
 NEUTRAL_ABSTRACT_DISTANCE = 0.5
 # an abstract's token total below this keeps every count, product and
 # dot of the sorted_dot kernel below 2**62
 TOKEN_TOTAL_LIMIT = 1 << 31
+# pairs per call of feature_vector_projected, about: enough lanes that the
+# title kernel's per-position cost is shared, few enough to bound its arrays
+CHUNK_PAIRS = 4096
+
+
+def chunked(batches: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """(key, candidates) batches in order, grouped into chunks of at least
+    CHUNK_PAIRS candidates; the last chunk may hold fewer."""
+    chunk: list[tuple] = []
+    pairs = 0
+    for batch in batches:
+        chunk.append(batch)
+        pairs += len(batch[1])
+        if pairs >= CHUNK_PAIRS:
+            yield chunk
+            chunk, pairs = [], 0
+    if chunk:
+        yield chunk
 
 
 def family_set(authors) -> frozenset[str]:
@@ -77,7 +104,7 @@ def project(title: str, authors, abstract: str | None,
     keys = [-1 - v for v in {vocab.setdefault(name.key[0], len(vocab))
                              for name in authors if name.key[0]}]
     families = len(keys)
-    tf = Counter(normalize_text(abstract).split()) if abstract else Counter()
+    tf = Counter(normalize_uncached(abstract).split()) if abstract else Counter()
     if tf.total() >= TOKEN_TOTAL_LIMIT:
         raise OverflowError(f"an abstract of {tf.total()} tokens is too long to score")
     keys += [vocab.setdefault(tok, len(vocab)) for tok in tf]
@@ -121,16 +148,18 @@ class ScoringTable:
         return self._lookup
 
 
-def _edit_distances(a: str, bs: list[str]) -> np.ndarray:
-    """Levenshtein from a to each of bs, scaled by the longer string, in
-    one kernel call; two empty strings are at distance 0. bs is encoded
-    joined and cut at each ``len``: one code point, one UTF-32 unit."""
-    lens = np.array([len(b) for b in bs], dtype=np.int64)
-    dists = np.array(_kernels.levenshtein(_kernels.str_to_codes(a),
-                                          _kernels.str_to_codes("".join(bs)),
-                                          np.cumsum(lens)), dtype=np.int64)
-    return np.divide(dists, np.maximum(len(a), lens), out=np.zeros(len(bs)),
-                     where=dists > 0)
+def _title_distances(queries: list[str], titles: list[str],
+                     owner: np.ndarray) -> np.ndarray:
+    """Levenshtein from queries[owner[i]] to titles[i] for every i, scaled
+    by the longer string, in one kernel call; two empty strings are at
+    distance 0. The queries are the patterns and the titles the texts."""
+    symbols, ends = _kernels.encode(queries + titles)
+    cut = int(ends[len(queries) - 1])
+    dists = _kernels.levenshtein(symbols[:cut], symbols[cut:], ends[:len(queries)],
+                                 ends[len(queries):] - cut, owner)
+    lens = np.diff(ends, prepend=0)
+    return np.divide(dists, np.maximum(lens[owner], lens[len(queries):]),
+                     out=np.zeros(len(titles)), where=dists > 0)
 
 
 def _cosine_distance(dot: int, sq_a: int, sq_b: int) -> float:
@@ -142,29 +171,38 @@ def _cosine_distance(dot: int, sq_a: int, sq_b: int) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-def feature_vector_projected(table: ScoringTable, a: Row,
-                             bs: list[Row]) -> np.ndarray:
-    """The (k, 3) array of (title, authors, abstract) distances of row a
-    paired with each of bs (k >= 1), in order, all over the table's
-    vocabulary: one kernel call scores all the titles, one all the name
-    sets and abstracts."""
-    families = np.array([b.families for b in bs], dtype=np.int64)
-    lengths = np.array([b.terms.shape[1] for b in bs], dtype=np.int64)
-    # two segments per row: its family names, then its abstract tokens
-    ends = np.cumsum(np.column_stack((families, lengths - families)))
-    sums = _kernels.sorted_dot(table.lookup(), a.terms,
-                               np.concatenate([b.terms for b in bs], axis=1), ends)
-    shared = sums[0::2]
-    union = a.families + families - shared
-    x = np.empty((len(bs), 3))
-    x[:, 0] = _edit_distances(a.title, [b.title for b in bs])
-    x[:, 1] = 1.0 - np.divide(shared, union, out=np.ones(len(bs)), where=union > 0)
-    x[:, 2] = [_cosine_distance(dot, a.sq, b.sq)
-               for dot, b in zip(sums[1::2].tolist(), bs)]
+def feature_vector_projected(table: ScoringTable, queries: list[Row],
+                             rows: list[list[Row]]) -> np.ndarray:
+    """The (k, 3) array of (title, authors, abstract) distances of each
+    query row paired with each of its rows (at least one per query), in
+    order, all over the table's vocabulary: one kernel call scores all
+    the titles, and one per query all its name sets and abstracts."""
+    flat = [b for bs in rows for b in bs]
+    owner = np.repeat(np.arange(len(queries)), [len(bs) for bs in rows])
+    lookup = table.lookup()
+    sums = []
+    for a, bs in zip(queries, rows):
+        families = np.array([b.families for b in bs], dtype=np.int64)
+        lengths = np.array([b.terms.shape[1] for b in bs], dtype=np.int64)
+        # two segments per row: its family names, then its abstract tokens
+        ends = np.cumsum(np.column_stack((families, lengths - families)))
+        sums.append(_kernels.sorted_dot(lookup, a.terms,
+                                        np.concatenate([b.terms for b in bs], axis=1),
+                                        ends))
+    shared, dots = np.concatenate(sums).reshape(-1, 2).T
+    union = np.array([a.families for a in queries])[owner] \
+        + np.array([b.families for b in flat]) - shared
+    x = np.empty((len(flat), 3))
+    x[:, 0] = _title_distances([a.title for a in queries], [b.title for b in flat], owner)
+    x[:, 1] = 1.0 - np.divide(shared, union, out=np.ones(len(flat)), where=union > 0)
+    x[:, 2] = [_cosine_distance(dot, queries[i].sq, b.sq)
+               for dot, i, b in zip(dots.tolist(), owner.tolist(), flat)]
     return x
 
 
-def feature_vector(table: ScoringTable, p: PreprintRecord,
-                   ordinals: Iterable[int]) -> np.ndarray:
-    """feature_vector_projected of p against the table's records at ordinals."""
-    return feature_vector_projected(table, table.query_row(p), table.rows(ordinals))
+def feature_vector(table: ScoringTable, ps: list[PreprintRecord],
+                   ordinals: list[list[int]]) -> np.ndarray:
+    """feature_vector_projected of each of ps against the table's records
+    at its ordinals."""
+    return feature_vector_projected(table, [table.query_row(p) for p in ps],
+                                    [table.rows(ords) for ords in ordinals])

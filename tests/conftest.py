@@ -50,7 +50,7 @@ def make_published(accession="zbl00000001", title="On Knot Invariants",
 
 def score_records(p, cs) -> list:
     """feature_vector of p against the records cs, through a table of their own."""
-    return feature_vector(ScoringTable(cs), p, range(len(cs)))
+    return feature_vector(ScoringTable(cs), [p], [range(len(cs))])
 
 
 def store_with(preprints=(), published=()) -> CorpusStore:

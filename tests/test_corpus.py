@@ -20,13 +20,14 @@ from arxmatch.corpus import (
     IntegrityError,
     MatchDecision,
     RecordError,
+    _canonical_doi,
     _parse_authors,
     preprint_from_json,
     published_from_json,
     validate_arxiv_id,
     write_atomic,
 )
-from arxmatch.normalize import split_authors
+from arxmatch.normalize import DoiError, normalize_doi, split_authors
 
 from conftest import CORPUS_DIR, make_preprint, make_published, store_with
 
@@ -126,6 +127,49 @@ class TestValidation:
             MatchDecision("2301.00001", OUTCOME_DOI, "zbl1", (0, 0, 0), TS)
         with pytest.raises(RecordError):
             MatchDecision("2301.00001", OUTCOME_CLASSIFIER, "zbl1", None, TS)
+
+
+def doi_outcome(parse, value: str):
+    """parse(value), or the message of the DoiError it raises."""
+    try:
+        return parse(value)
+    except DoiError as exc:
+        return ("DoiError", str(exc))
+
+
+# mostly DOI characters; a few of them whitespace to strip, or letters
+# whose case mapping changes length or form
+DOI_PART = st.text(st.sampled_from(list("0123456789abcxyzX.-_()/") * 3
+                                   + [" ", "\n", "\t", "\x1c", "\x85", "\u2028",
+                                      "\u00a0", "\u0130", "\u212a", "\u00df"]),
+                   min_size=1, max_size=12)
+
+
+@st.composite
+def doi_like(draw):
+    """DOIs, some with resolver prefixes, padding or in upper case."""
+    doi = "10." + draw(DOI_PART) + "/" + draw(DOI_PART)
+    if draw(st.booleans()):
+        doi = draw(st.sampled_from(["doi:", "https://doi.org/", "DOI: ",
+                                    "http://dx.doi.org/", "doi.org/", " "])) + doi
+    if draw(st.booleans()):
+        doi += draw(st.sampled_from(["\n", "\n", " ", "\u2028"]))
+    return doi.upper() if draw(st.booleans()) else doi
+
+
+class TestCanonicalDoi:
+    """The reload shortcut gives what normalize_doi gives, value or error."""
+
+    @given(st.one_of(st.text(max_size=30), doi_like()))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_normalize_doi(self, value):
+        assert doi_outcome(_canonical_doi, value) == doi_outcome(normalize_doi, value)
+
+    def test_cases(self):
+        for value in ["10.1/x", "10.1/x\n", "10.1/X", " 10.1/x", "doi:10.1/x",
+                      "10.1/x\u2028", "10.1\x1c/x", "10.1/\u0130", "11.1/x", ""]:
+            assert doi_outcome(_canonical_doi, value) == doi_outcome(normalize_doi, value)
+        assert _canonical_doi("10.1/x\n") == "10.1/x"
 
 
 class TestIngestPreprints:

@@ -1,5 +1,5 @@
-"""Kernel basics and the lane-packed Levenshtein against its oracles; the
-oracle suites in test_similarity and test_forest cover the rest."""
+"""Kernel basics and the run Levenshtein against its oracles; the oracle
+suites in test_similarity and test_forest cover the rest."""
 
 from __future__ import annotations
 
@@ -10,30 +10,30 @@ from hypothesis import strategies as st
 
 import arxmatch._kernels as K
 
-from test_similarity import edit_distance_oracle, levenshtein_each
+from test_similarity import edit_distance_oracle, levenshtein_each, levenshtein_run
 
 
-def scalar_levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """One pair at a time: the single-lane form of the packed kernel.
+def scalar_levenshtein(a: str, b: str) -> int:
+    """One pair at a time: the single-lane form of the run kernel.
 
     Bit i of a Python int stands for row i + 1 of the DP column; peq[c]
     has bit i set where a[i] == c, and the score follows the last row
     through the high bit.
     """
-    n, m = a.size, b.size
+    n, m = len(a), len(b)
     if n == 0:
-        return int(m)
+        return m
     if m == 0:
-        return int(n)
-    peq: dict[int, int] = {}
+        return n
+    peq: dict[str, int] = {}
     bit = 1
-    for c in a.tolist():
+    for c in a:
         peq[c] = peq.get(c, 0) | bit
         bit <<= 1
     mask = bit - 1
     high = bit >> 1
     pv, mv, score = mask, 0, n
-    for c in b.tolist():
+    for c in b:
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
@@ -54,10 +54,23 @@ def assert_matches_oracle(a: str, bs: list[str]) -> None:
     assert levenshtein_each(a, bs) == [edit_distance_oracle(a, b) for b in bs], (a, bs)
 
 
-def test_str_to_codes_roundtrip():
-    codes = K.str_to_codes("abc-δ 1")
-    assert codes.tolist() == [ord(c) for c in "abc-δ 1"]
-    assert K.str_to_codes("").size == 0
+# 300 CJK letters and an astral one: a run over them has more than 255 symbols
+WIDE = "".join(chr(0x4E00 + i) for i in range(300)) + "\U0001d538"
+
+
+def test_encode_roundtrip():
+    strings = ["abc-δ 1", "", "δx\U0001d538"]
+    symbols, ends = K.encode(strings)
+    assert symbols.dtype == np.uint8
+    assert ends.tolist() == [7, 7, 10]
+    # symbols number the characters in order of first appearance
+    chars = list(dict.fromkeys("".join(strings)))
+    assert symbols.max() == len(chars) - 1
+    assert "".join(chars[s] for s in symbols.tolist()) == "".join(strings)
+    symbols, ends = K.encode(["ab", WIDE])
+    assert symbols.dtype == np.uint32 and symbols.max() == 302
+    assert ends.tolist() == [2, 303]
+    assert K.encode([])[0].size == 0
 
 
 def test_levenshtein_numpy_basics():
@@ -65,6 +78,8 @@ def test_levenshtein_numpy_basics():
     assert levenshtein_each("", ["xyz"]) == [3]
     assert levenshtein_each("kitten", ["sitting"]) == [3]
     assert levenshtein_each("abc", []) == []
+    assert levenshtein_run(["abc", "", "kitten"], ["sitting", "ab", "abd", "x"],
+                           [2, 0, 0, 1]) == [3, 1, 1, 1]
 
 
 def test_scalar_oracle_vs_dp():
@@ -72,8 +87,7 @@ def test_scalar_oracle_vs_dp():
     for _ in range(300):
         a, b = ("".join(rng.choice(list("abc -"), rng.integers(0, 90)))
                 for _ in range(2))
-        assert scalar_levenshtein(K.str_to_codes(a), K.str_to_codes(b)) \
-            == edit_distance_oracle(a, b)
+        assert scalar_levenshtein(a, b) == edit_distance_oracle(a, b)
 
 
 class TestLanes:
@@ -94,14 +108,15 @@ class TestLanes:
         assert levenshtein_each("", ["a", "", "x" * 65, "ab" * 100]) == [1, 0, 65, 200]
 
     def test_carry_stops_at_guard_bit(self):
-        # a long run of matches in a lane makes the add carry up through
-        # the lane's top bit; without the guard bit it would land in the
-        # next lane's first row
+        # a long run of matches makes the add carry up through a word's top
+        # bit: it must reach the next word of its own lane, through the
+        # horizontal delta carried between words, and no other lane
         a = "a" * 70
         bs = ["a" * 64, "b", "a" * 3, "", "b" * 5, "a" * 129, "ba", "a"]
         assert_matches_oracle(a, bs)
         assert_matches_oracle("b" + a, bs)
         assert_matches_oracle(a + "b", bs[::-1])
+        assert_matches_oracle("a" * 200, bs)
 
     def test_mixed_long_and_short_lanes(self):
         rng = np.random.default_rng(32)
@@ -128,30 +143,20 @@ class TestLanes:
 
 class TestWords:
     def test_lanes_spill_over_the_word_width(self):
-        # 200 lanes of up to 100 characters fill several words
+        # 200 lanes against patterns of one to four 64-bit words
         rng = np.random.default_rng(34)
-        a = "".join(rng.choice(list("abcde "), 60))
-        bs = ["".join(rng.choice(list("abcde "), rng.integers(0, 100)))
-              for _ in range(200)]
-        assert sum(len(b) + 1 for b in bs) > 2 * K.WORD_BITS
-        want = [scalar_levenshtein(K.str_to_codes(a), K.str_to_codes(b)) for b in bs]
-        assert levenshtein_each(a, bs) == want
+        patterns = ["".join(rng.choice(list("abcde "), n)) for n in (60, 64, 65, 130, 250)]
+        texts = ["".join(rng.choice(list("abcde "), rng.integers(0, 100)))
+                 for _ in range(200)]
+        owner = rng.integers(0, len(patterns), len(texts)).tolist()
+        want = [scalar_levenshtein(patterns[o], t) for o, t in zip(owner, texts)]
+        assert levenshtein_run(patterns, texts, owner) == want
 
     def test_lane_wider_than_a_word(self):
         a = "ab" * 40
         bs = ["ba" * 2500, "a", "ab" * 2100, ""]
-        assert len(bs[0]) > K.WORD_BITS
-        want = [scalar_levenshtein(K.str_to_codes(a), K.str_to_codes(b)) for b in bs]
-        assert levenshtein_each(a, bs) == want
-
-    @pytest.mark.parametrize("word_bits", [1, 2, 8, 65, 130])
-    def test_any_word_width_gives_the_same_distances(self, monkeypatch, word_bits):
-        rng = np.random.default_rng(35)
-        a = "".join(rng.choice(list("abc"), 50))
-        bs = ["".join(rng.choice(list("abc"), rng.choice([0, 1, 7, 64, 65])))
-              for _ in range(30)]
-        want = levenshtein_each(a, bs)
-        monkeypatch.setattr(K, "WORD_BITS", word_bits)
+        assert len(a) > 64
+        want = [scalar_levenshtein(a, b) for b in bs]
         assert levenshtein_each(a, bs) == want
 
 
@@ -162,6 +167,58 @@ short_text = st.text(alphabet="ab c\u0301\U0001d538", max_size=40)
 @settings(max_examples=200, deadline=None)
 def test_property_random_lanes_match_the_dp_oracle(a, bs):
     assert_matches_oracle(a, bs)
+
+
+LANE_LENGTHS = st.sampled_from([0, 1, 63, 64, 65, 128, 129, 200])
+ALPHABETS = st.sampled_from(["ab", "ab c\u0301\U0001d538\u00e9", WIDE[:40] + "a "])
+
+
+@st.composite
+def runs(draw):
+    """Patterns of mixed word counts and the texts scored against them:
+    random strings, and near copies of their pattern (long runs of
+    carries); a run may hold every character of WIDE as well."""
+    alphabet = draw(ALPHABETS)
+
+    def text(n: int) -> str:
+        return draw(st.text(alphabet=alphabet, min_size=n, max_size=n))
+
+    patterns = [text(draw(LANE_LENGTHS)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        patterns.append(WIDE)
+    texts, owner = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        o = draw(st.integers(0, len(patterns) - 1))
+        if draw(st.booleans()):
+            t = list(patterns[o][:draw(LANE_LENGTHS)])
+            for i in draw(st.lists(st.integers(0, 199), max_size=4)):
+                if i < len(t):
+                    t[i] = draw(st.sampled_from(alphabet))
+            texts.append("".join(t))
+        else:
+            texts.append(text(draw(LANE_LENGTHS)))
+        owner.append(o)
+    return patterns, texts, owner
+
+
+@given(runs())
+@settings(max_examples=300, deadline=None)
+def test_property_run_matches_the_scalar_oracle(run):
+    patterns, texts, owner = run
+    assert levenshtein_run(patterns, texts, owner) == \
+        [scalar_levenshtein(patterns[o], t) for o, t in zip(owner, texts)]
+
+
+def test_run_alphabet_of_more_than_255_symbols():
+    rng = np.random.default_rng(36)
+    letters = list(WIDE) + list("abc ")
+    patterns = ["".join(rng.choice(letters, n)) for n in (0, 1, 63, 64, 65, 129, 200)]
+    texts = ["".join(rng.choice(letters, rng.integers(0, 210))) for _ in range(30)]
+    texts += [p[::-1] for p in patterns]
+    owner = rng.integers(0, len(patterns), len(texts)).tolist()
+    assert K.encode(patterns + texts)[0].dtype == np.uint32
+    assert levenshtein_run(patterns, texts, owner) == \
+        [edit_distance_oracle(patterns[o], t) for o, t in zip(owner, texts)]
 
 
 def sparse(counts: dict[int, int]) -> np.ndarray:

@@ -41,13 +41,14 @@ BATCH_MATCH = """
 import json
 import sys
 import spans
+from arxmatch import similarity
 from arxmatch.candidates import build_index, query_candidates
 from arxmatch.corpus import CorpusStore
 from arxmatch.forest import bootstrap_training_set, train_forest
 from arxmatch.matcher import batch_match
-from arxmatch.normalize import normalize_text
 
 K = 20
+similarity.CHUNK_PAIRS = 500  # several chunks out of 150 preprints
 store = CorpusStore()
 store.ingest_preprints(sys.argv[1] + "/preprints.jsonl")
 store.ingest_published(sys.argv[1] + "/published.jsonl")
@@ -56,8 +57,9 @@ model = train_forest(*bootstrap_training_set(store, index), n_trees=10, seed=1)
 for pid in sorted(store.preprints)[150:]:
     del store.preprints[pid]
 
-# the scored pairs, recomputed without the traced functions
-want = {"pairs": 0, "cells": 0, "scored": 0, "doi": 0}
+# the scored pairs and their chunks, recomputed without the traced functions
+want = {"pairs": 0, "scored": 0, "doi": 0, "chunks": 0}
+chunk = 0
 for pid in store.unmerged_preprints():
     p = store.preprints[pid]
     if store.doi_accession(p.doi) is not None:
@@ -66,19 +68,18 @@ for pid in store.unmerged_preprints():
     ranked = query_candidates(index, p, K)
     want["scored"] += bool(ranked)
     want["pairs"] += len(ranked)
-    n = len(normalize_text(p.title))
-    want["cells"] += sum(n * len(normalize_text(store.published[a].title))
-                         for a in ranked)
+    chunk += len(ranked)
+    if chunk >= similarity.CHUNK_PAIRS:
+        want["chunks"] += 1
+        chunk = 0
+want["chunks"] += chunk > 0
 
 rec = spans.SpanRecorder("contract")
 spans.install(rec, {})
 batch_match(store, index, model, K)
-lev = rec.names.index("kernels.levenshtein")
-got = {
-    "cells": rec.counters["kernels.levenshtein.cells"],
-    "rows": rec.counters["kernels.forest_eval.rows"],
-    "lev_spans": sum(1 for nid in rec.name if nid == lev),
-}
+spans_of = {name: sum(1 for nid in rec.name if nid == rec.names.index(name))
+            for name in ("kernels.levenshtein", "similarity.feature_vector_projected")}
+got = {"rows": rec.counters["kernels.forest_eval.rows"], **spans_of}
 print(json.dumps({"want": want, "got": got}))
 """
 
@@ -87,7 +88,8 @@ def test_tracer_counts_match_the_scored_pairs():
     out = json.loads(run_traced(BATCH_MATCH, str(CORPUS_DIR)))
     want, got = out["want"], out["got"]
     assert want["doi"] > 0 and want["scored"] > 0  # both matcher steps ran
-    assert got["cells"] == want["cells"]
     assert got["rows"] == want["pairs"]
-    # one kernel call per preprint that reached scoring, not one per pair
-    assert got["lev_spans"] == want["scored"] < want["pairs"]
+    # one title kernel call per chunk of pairs, not one per preprint
+    assert got["kernels.levenshtein"] == got["similarity.feature_vector_projected"] \
+        == want["chunks"]
+    assert 1 < want["chunks"] < want["scored"]

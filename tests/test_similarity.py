@@ -54,8 +54,8 @@ def scored(title_a="", title_b="", authors_a=(), authors_b=(),
            abstract_a=None, abstract_b=None) -> tuple[float, float, float]:
     """The vector of one pair, through project and feature_vector_projected."""
     table = ScoringTable([])
-    [v] = feature_vector_projected(table, project(title_a, authors_a, abstract_a, table.vocab),
-                                   [project(title_b, authors_b, abstract_b, table.vocab)])
+    [v] = feature_vector_projected(table, [project(title_a, authors_a, abstract_a, table.vocab)],
+                                   [[project(title_b, authors_b, abstract_b, table.vocab)]])
     return tuple(v.tolist())
 
 
@@ -71,12 +71,18 @@ def jaccard_oracle(a, b) -> float:
     return 1.0 - len(fa & fb) / len(fa | fb) if (fa or fb) else 0.0
 
 
+def levenshtein_run(patterns: list[str], texts: list[str], owner: list[int]) -> list[int]:
+    """The run kernel on strings: distance from patterns[owner[i]] to texts[i]."""
+    symbols, ends = _kernels.encode(patterns + texts)
+    cut = int(ends[len(patterns) - 1])
+    return _kernels.levenshtein(symbols[:cut], symbols[cut:], ends[:len(patterns)],
+                                ends[len(patterns):] - cut,
+                                np.array(owner, dtype=np.intp)).tolist()
+
+
 def levenshtein_each(a: str, bs: list[str]) -> list[int]:
-    """The packed kernel on strings: distance from a to each of bs."""
-    codes = [_kernels.str_to_codes(b) for b in bs]
-    ends = np.cumsum([c.size for c in codes], dtype=np.int64)
-    b = np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64)
-    return _kernels.levenshtein(_kernels.str_to_codes(a), b, ends)
+    """The run kernel with one pattern: distance from a to each of bs."""
+    return levenshtein_run([a], bs, [0] * len(bs))
 
 
 class TestTitleDistance:
@@ -94,17 +100,20 @@ class TestTitleDistance:
         assert scored("", "")[0] == 0.0
 
     def test_against_dp_oracle(self):
-        # batches of 1-5 titles, so each batch is one joined encode
+        # 100 queries of 1-5 titles each, scored as one chunk
         rng = np.random.default_rng(7)
         alphabet = list("abcdef -")
+        table = ScoringTable([])
+        queries, rows, want = [], [], []
         for _ in range(100):
             a = "".join(rng.choice(alphabet, rng.integers(0, 25)))
             bs = ["".join(rng.choice(alphabet, rng.integers(0, 25)))
                   for _ in range(int(rng.integers(1, 6)))]
-            table = ScoringTable([])
-            got = feature_vector_projected(table, project(a, (), None, table.vocab),
-                                           [project(b, (), None, table.vocab) for b in bs])
-            assert got[:, 0].tolist() == [title_oracle(nt(a), nt(b)) for b in bs]
+            queries.append(project(a, (), None, table.vocab))
+            rows.append([project(b, (), None, table.vocab) for b in bs])
+            want += [title_oracle(nt(a), nt(b)) for b in bs]
+        got = feature_vector_projected(table, queries, rows)
+        assert got[:, 0].tolist() == want
 
     def test_kernel_vs_dp_oracle_long_unicode(self):
         # lengths up to 300 make the bit-parallel column several machine
@@ -260,7 +269,7 @@ class TestAbstractDistanceOracle:
             a = normalize_text(p.abstract)
             ranked = query_candidates(corpus_index, p)
             cs = [corpus_store.published[acc] for acc in ranked]
-            vectors = feature_vector(corpus_index.table, p, corpus_index.ordinals(ranked))
+            vectors = feature_vector(corpus_index.table, [p], [corpus_index.ordinals(ranked)])
             for v, c in zip(vectors, cs):
                 b = normalize_text(c.abstract or "")
                 assert v[2] == cosine_oracle(a, b), (a, b)
@@ -277,7 +286,7 @@ class TestAbstractDistanceOracle:
             fresh = " ".join(uuid.uuid4().hex for _ in range(5))
             project(f"On {fresh}", split_authors("Jane Doe"), f"We study {fresh}.", {})
             p = make_preprint(title=f"On {fresh}", abstract=f"We study {fresh}.")
-            feature_vector(ScoringTable([make_published(title=f"On {fresh}")]), p, [0])
+            feature_vector(ScoringTable([make_published(title=f"On {fresh}")]), [p], [[0]])
         assert sizes() == before
 
     def test_indexes_share_no_vocabulary(self):
@@ -286,8 +295,8 @@ class TestAbstractDistanceOracle:
         first, second = build_index(store), build_index(store)
         assert first.table.vocab is not second.table.vocab
         p = make_preprint(abstract=f"{fresh} flows again.")
-        assert np.array_equal(feature_vector(first.table, p, [0]),
-                              feature_vector(second.table, p, [0]))
+        assert np.array_equal(feature_vector(first.table, [p], [[0]]),
+                              feature_vector(second.table, [p], [[0]]))
         assert fresh in first.table.vocab and fresh in second.table.vocab
         third = build_index(store)
         assert third.table.vocab == {}
@@ -407,7 +416,7 @@ class TestTableAgainstPairwiseOracles:
         published, preprints, ordinals = case
         table = ScoringTable(published)
         for p, ords in zip(preprints, ordinals):
-            got = feature_vector(table, p, ords)
+            got = feature_vector(table, [p], [ords])
             assert [as_hex(v) for v in got] == \
                 [pair_oracle_hex(p, published[o]) for o in ords]
 
@@ -443,7 +452,7 @@ class TestTableAgainstPairwiseOracles:
     def test_tokens_new_to_the_vocabulary(self):
         table = ScoringTable([make_published(abstract="known words here")])
         p = make_preprint(abstract="known unseen words unseen")
-        [v] = feature_vector(table, p, [0])
+        [v] = feature_vector(table, [p], [[0]])
         assert {"unseen", "known"} <= set(table.vocab)
         assert as_hex(v) == pair_oracle_hex(p, table.records[0])
 
