@@ -5,9 +5,10 @@ match decisions) plus the merge assignments, persisted as one JSON Lines
 file each inside a store directory. The DOI index is derived state,
 rebuilt deterministically on load. A store remembers which of its files
 still hold exactly its in-memory table, and ``save`` rewrites only the
-others. Mutations require exclusive access;
-between write phases the store may be read from many threads. Commands
-open a store directory only through ``open_store``.
+others, in two phases: it writes every such table to its ``.tmp`` file
+first, then renames them in ``TABLE_FILES`` order. Mutations require
+exclusive access. Commands open a store directory only through
+``open_store``.
 """
 
 from __future__ import annotations
@@ -321,13 +322,18 @@ def write_atomic(path: str | Path):
         raise
 
 
+def _write_lines(fh, objects) -> None:
+    """Write one compact, key-sorted JSON object per line."""
+    for obj in objects:
+        fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                            separators=(",", ":")))
+        fh.write("\n")
+
+
 def write_jsonl(path: str | Path, objects) -> None:
     """Replace ``path`` with one compact, key-sorted JSON object per line."""
     with write_atomic(path) as fh:
-        for obj in objects:
-            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                                separators=(",", ":")))
-            fh.write("\n")
+        _write_lines(fh, objects)
 
 
 def _read_jsonl(path: str | Path, reject=None):
@@ -545,26 +551,24 @@ class CorpusStore:
         directory.mkdir(parents=True, exist_ok=True)
         here = directory.absolute()
         stale = [name for name in TABLE_FILES if self._clean.get(name) != here / name]
-        if PREPRINTS_FILE in stale:
-            write_jsonl(
-                directory / PREPRINTS_FILE,
-                (preprint_to_json(self.preprints[k]) for k in sorted(self.preprints)),
-            )
-        if PUBLISHED_FILE in stale:
-            write_jsonl(
-                directory / PUBLISHED_FILE,
-                (published_to_json(self.published[k]) for k in sorted(self.published)),
-            )
-        if DECISIONS_FILE in stale:
-            write_jsonl(
-                directory / DECISIONS_FILE,
-                (decision_to_json(self.decisions[k]) for k in sorted(self.decisions)),
-            )
-        if MERGES_FILE in stale:
-            write_jsonl(
-                directory / MERGES_FILE,
-                ({"preprint": k, "accession": self.merges[k]} for k in sorted(self.merges)),
-            )
+        encoded = {  # called only for a stale table: sorted() runs as a generator is made
+            PREPRINTS_FILE: lambda: (preprint_to_json(self.preprints[k])
+                                     for k in sorted(self.preprints)),
+            PUBLISHED_FILE: lambda: (published_to_json(self.published[k])
+                                     for k in sorted(self.published)),
+            DECISIONS_FILE: lambda: (decision_to_json(self.decisions[k])
+                                     for k in sorted(self.decisions)),
+            MERGES_FILE: lambda: ({"preprint": k, "accession": self.merges[k]}
+                                  for k in sorted(self.merges)),
+        }
+        # entered last to first, so the stack renames first to last, and
+        # only once every stale table is in its .tmp file; an error removes
+        # every .tmp file not yet renamed and renames no more
+        with contextlib.ExitStack() as renames:
+            for name in reversed(stale):
+                fh = renames.enter_context(write_atomic(directory / name))
+                _write_lines(fh, encoded[name]())
+                fh.flush()  # a run killed between renames leaves whole .tmp files
         self._clean.update((name, here / name) for name in stale)
 
     @classmethod

@@ -13,7 +13,8 @@ about ``similarity.CHUNK_PAIRS`` of them are scored in one
 ``feature_vector_projected`` call, one title kernel call for the chunk;
 each preprint's slice of the chunk's vectors then goes through the
 forest and the pick on its own, so a decision does not depend on the
-chunk it fell in. ``match_by_classifier`` is the run of one preprint.
+chunk it fell in. ``match_by_classifier`` is that run for one
+preprint; no command calls it, only tests and the benchmark's tracer.
 
 The naive baseline (exact normalized title + ordered family list, unique
 hit required) is kept alongside for the improvement accounting in the
@@ -112,7 +113,9 @@ def classify_preprints(preprints: Iterable[PreprintRecord], index: CandidateInde
 
 def match_by_classifier(p: PreprintRecord, index: CandidateIndex, model: ForestModel,
                         k: int) -> tuple[str, tuple[float, float, float]] | None:
-    """The most probable positively-classified candidate and its vector, or None."""
+    """The most probable positively-classified candidate and its vector, or
+    None. This is ``classify_preprints`` of ``p`` alone; ``batch_match`` and
+    evaluation classify a run's preprints together and give each the same."""
     return classify_preprints([p], index, model, k)[0]
 
 
@@ -133,14 +136,6 @@ def _decision(p: PreprintRecord, accession: str | None,
     return MatchDecision(preprint=p.id, outcome=OUTCOME_UNMATCHED,
                          matched_accession=None, vector=None,
                          decided_at=timestamp)
-
-
-def match_preprint(p: PreprintRecord, store: CorpusStore, index: CandidateIndex,
-                   model: ForestModel, k: int,
-                   timestamp: str = DEFAULT_TIMESTAMP) -> MatchDecision:
-    accession = match_by_doi(p, store)
-    hit = None if accession is not None else match_by_classifier(p, index, model, k)
-    return _decision(p, accession, hit, timestamp)
 
 
 def _naive_key(title: str, authors) -> tuple[str, tuple[str, ...]]:

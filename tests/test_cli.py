@@ -734,8 +734,13 @@ class TestInterruptedIngest:
                                *self._ingest(small_corpus, store)],
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 9, proc.stderr
-        assert sorted(p.name for p in store.iterdir()) == [".lock", "preprints.jsonl"]
+        # every stale table was encoded in full before the first rename
+        assert sorted(p.name for p in store.iterdir()) == [
+            ".lock", "decisions.jsonl.tmp", "merges.jsonl.tmp", "preprints.jsonl",
+            "published.jsonl.tmp"]
+        tmps = {p.name.removesuffix(".tmp"): p.read_bytes() for p in store.glob("*.tmp")}
         self._rerun_matches_a_clean_run(small_corpus, tmp_path, capsys, store)
+        assert tmps == {name: (tmp_path / "clean" / name).read_bytes() for name in tmps}
 
 
 class TestModuleEntryPoint:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arxmatch import corpus
 from arxmatch.cli import main
 from arxmatch.corpus import (
     OUTCOME_CLASSIFIER,
@@ -711,6 +712,32 @@ class TestSaveSkipsCleanTables:
         store.save(saved)
         CorpusStore.load(saved).save(saved.parent / "fresh")
         assert path.read_bytes() == (saved.parent / "fresh" / path.name).read_bytes()
+
+    def test_failed_encoding_renames_nothing(self, saved, monkeypatch):
+        # published.jsonl is encoded before preprints.jsonl is renamed, so an
+        # encoder that fails leaves every file as it was and no .tmp file
+        before = {n: (saved / n).read_bytes() for n in TABLES}
+        store = CorpusStore.load(saved)
+        _change_preprints(store, saved.parent)
+        _change_published(store, saved.parent)
+
+        def fail(rec):
+            raise RuntimeError("cannot encode")
+
+        fresh = saved.parent / "fresh"
+        with monkeypatch.context() as m:
+            m.setattr(corpus, "published_to_json", fail)
+            for directory in (saved, fresh):
+                with pytest.raises(RuntimeError, match="cannot encode"):
+                    store.save(directory)
+        assert {p.name: p.read_bytes() for p in saved.iterdir()} == before
+        assert list(fresh.iterdir()) == []
+        store.save(saved)  # both tables are still stale
+        assert [n for n in TABLES if (saved / n).read_bytes() != before[n]] == \
+            ["preprints.jsonl", "published.jsonl"]
+        CorpusStore.load(saved).save(fresh)
+        for n in TABLES:
+            assert (saved / n).read_bytes() == (fresh / n).read_bytes()
 
 
 class TestStoreProperties:

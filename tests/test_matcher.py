@@ -14,7 +14,6 @@ from arxmatch.matcher import (
     build_naive_index,
     match_by_classifier,
     match_by_doi,
-    match_preprint,
     naive_match,
     pair_has_equal_title_authors,
     pick_positive,
@@ -189,6 +188,14 @@ class TestPickPositive:
 
 
 class TestMatchPreprint:
+    """batch_match on a store of one preprint."""
+
+    @staticmethod
+    def _match(store):
+        [pid] = store.preprints
+        batch_match(store, build_index(store), always_match_model(), 20, timestamp=TS)
+        return store.decisions[pid]
+
     def test_doi_short_circuits_classifier(self):
         # the classifier would prefer zbl1 (identical metadata), but the DOI
         # resolves to zbl2 and must win with no vector recorded
@@ -199,9 +206,7 @@ class TestMatchPreprint:
                            doi="10.1/a"),
         ]
         store = store_with([p], published)
-        index = build_index(store)
-        d = match_preprint(p, store, index, always_match_model(), 20,
-                           timestamp=TS)
+        d = self._match(store)
         assert d.outcome == OUTCOME_DOI
         assert d.matched_accession == "zbl2"
         assert d.vector is None
@@ -210,9 +215,7 @@ class TestMatchPreprint:
     def test_classifier_records_vector(self):
         p = make_preprint()
         store = store_with([p], [make_published()])
-        index = build_index(store)
-        d = match_preprint(p, store, index, always_match_model(), 20,
-                           timestamp=TS)
+        d = self._match(store)
         assert d.outcome == OUTCOME_CLASSIFIER
         assert d.matched_accession == "zbl00000001"
         assert d.vector == (0.0, 0.0, 0.0)
@@ -222,9 +225,7 @@ class TestMatchPreprint:
                           authors=("Xo Yz",))
         store = store_with([p], [make_published(title="Different world",
                                                 authors=("Al Smith",))])
-        index = build_index(store)
-        d = match_preprint(p, store, index, always_match_model(), 20,
-                           timestamp=TS)
+        d = self._match(store)
         assert d.outcome == OUTCOME_UNMATCHED
         assert d.matched_accession is None and d.vector is None
 
