@@ -226,13 +226,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    profile = PerturbationProfile(
-        title_sub=args.title_sub,
-        author_change=args.author_change,
-        abstract_edit=args.abstract_edit,
-        doi_rate=args.doi_rate,
-        wrong_doi_rate=args.wrong_doi_rate,
-    )
+    profile = PerturbationProfile(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(PerturbationProfile)})
     truth = gen_synthetic_corpus(args.n, profile, args.seed, args.out)
     sys.stdout.write(_report_json({
         "out": args.out,
@@ -311,11 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of pairs")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--title-sub", type=float, default=0.1)
-    p.add_argument("--author-change", type=float, default=0.05)
-    p.add_argument("--abstract-edit", type=float, default=0.2)
-    p.add_argument("--doi-rate", type=float, default=0.3)
-    p.add_argument("--wrong-doi-rate", type=float, default=0.01)
+    for field in dataclasses.fields(PerturbationProfile):  # --title-sub, ...
+        p.add_argument("--" + field.name.replace("_", "-"), type=float,
+                       default=field.default)
     p.set_defaults(func=cmd_gen)
 
     return parser

@@ -8,12 +8,22 @@ fraction of those DOIs is mangled so they resolve to nothing, exercising
 the fall-through into the classifier step. Output is deterministic for a
 given seed and knob setting, and the ground-truth map is written next to
 the corpus files.
+
+The corpus is the scalar stream of ``np.random.default_rng(seed)``:
+``integers(low, high)``, ``random()`` and the document-type
+``choice(3, p=...)``. ``_Draws`` rebuilds those three calls bit for bit
+from PCG64 raw output, which numpy keeps stable across versions, read in
+blocks so that a draw is a few integer operations instead of a numpy call.
+A new kind of draw needs its emulation in ``_Draws`` and a case in the
+oracle tests that compare it with numpy's Generator call for call.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +32,7 @@ from .corpus import PREPRINTS_FILE, PUBLISHED_FILE, write_atomic, write_jsonl
 
 GROUNDTRUTH_FILE = "groundtruth.json"
 MAX_PAIRS = 100_000  # preprint i is numbered i; arXiv numbers have five digits
+RAW_BLOCK = 4096  # PCG64 outputs fetched per numpy call
 
 
 @dataclass(frozen=True)
@@ -113,13 +124,72 @@ _SENTENCE_SHAPES = [
 ]
 
 
-def _pick(rng: np.random.Generator, pool: list[str]) -> str:
-    return pool[int(rng.integers(0, len(pool)))]
+_TITLE_WORDS = _ADJECTIVES + _NOUNS
 
 
-def _make_title(rng: np.random.Generator) -> str:
+class _Draws:
+    """``np.random.default_rng(seed)``'s ``integers(low, high)`` and ``random()``.
+
+    Both read the PCG64 raw 64-bit outputs in order. ``integers`` is numpy's
+    bounded draw for spans up to 2**32, Lemire's method on 32-bit halves: a
+    fresh output serves its low half and keeps its high half for the next
+    32-bit draw, as PCG64's own buffer does. ``random`` takes the top 53 bits
+    of a fresh output and leaves a kept half alone.
+    """
+
+    __slots__ = ("_next64", "_half")
+
+    def __init__(self, seed: int):
+        bitgen = np.random.PCG64(seed)
+        # iter(f, None) calls f until it returns None, which a list never is
+        blocks = iter(lambda: bitgen.random_raw(RAW_BLOCK).tolist(), None)
+        self._next64 = chain.from_iterable(blocks).__next__
+        self._half: int | None = None
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            raw = self._next64()
+            self._half = raw >> 32
+            return raw & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if span == 1:
+            return low  # numpy draws nothing for a one-value range
+        if not 1 < span <= 1 << 32:
+            raise ValueError(f"high - low must be in 1..2**32, got {span}")
+        m = self._next32() * span
+        if m & 0xFFFFFFFF < span:  # only then can it fall below the threshold
+            threshold = ((1 << 32) - span) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+
+def _choice_cdf(p: list[float]) -> list[float]:
+    """``Generator.choice(len(p), p=p)``'s table: the running sum of p over
+    its last entry. The choice is ``bisect_right(table, rng.random())``."""
+    cdf = np.cumsum(p)
+    return (cdf / cdf[-1]).tolist()
+
+
+_DOCUMENT_TYPES = ["journal_article", "collection_article", "book"]
+_DOCUMENT_TYPE_CDF = _choice_cdf([0.9, 0.08, 0.02])
+
+
+def _pick(rng: _Draws, pool: list[str]) -> str:
+    return pool[rng.integers(0, len(pool))]
+
+
+def _make_title(rng: _Draws) -> str:
     words = ["On", "the", _pick(rng, _ADJECTIVES), _pick(rng, _NOUNS), "of"]
-    extra = int(rng.integers(2, 5))
+    extra = rng.integers(2, 5)
     for _ in range(extra):
         words.append(_pick(rng, _ADJECTIVES) if rng.random() < 0.5
                      else _pick(rng, _NOUNS))
@@ -127,19 +197,19 @@ def _make_title(rng: np.random.Generator) -> str:
     return " ".join(words)
 
 
-def _make_sentence(rng: np.random.Generator) -> str:
+def _make_sentence(rng: _Draws) -> str:
     shape = _pick(rng, _SENTENCE_SHAPES)
     return shape.format(a=_pick(rng, _ADJECTIVES), n=_pick(rng, _NOUNS),
                         a2=_pick(rng, _ADJECTIVES), n2=_pick(rng, _NOUNS))
 
 
-def _make_abstract(rng: np.random.Generator) -> str:
-    n = int(rng.integers(3, 7))
+def _make_abstract(rng: _Draws) -> str:
+    n = rng.integers(3, 7)
     return ". ".join(_make_sentence(rng).capitalize() for _ in range(n)) + "."
 
 
-def _make_authors(rng: np.random.Generator) -> list[str]:
-    n = int(rng.integers(1, 5))
+def _make_authors(rng: _Draws) -> list[str]:
+    n = rng.integers(1, 5)
     seen: set[str] = set()
     out = []
     while len(out) < n:
@@ -150,35 +220,35 @@ def _make_authors(rng: np.random.Generator) -> list[str]:
     return out
 
 
-def _make_msc(rng: np.random.Generator) -> list[str]:
-    k = int(rng.integers(1, 4))
+def _make_msc(rng: _Draws) -> list[str]:
+    k = rng.integers(1, 4)
     out = []
     for _ in range(k):
         area = _pick(rng, _MSC_AREAS)
-        letter = chr(ord("A") + int(rng.integers(0, 8)))
-        out.append(f"{area}{letter}{int(rng.integers(10, 100)):02d}")
+        letter = chr(ord("A") + rng.integers(0, 8))
+        out.append(f"{area}{letter}{rng.integers(10, 100):02d}")
     return out
 
 
-def _perturb_title(rng: np.random.Generator, title: str, rate: float) -> str:
+def _perturb_title(rng: _Draws, title: str, rate: float) -> str:
     words = title.split()
     for i in range(len(words)):
         if rng.random() < rate:
-            words[i] = _pick(rng, _ADJECTIVES + _NOUNS)
+            words[i] = _pick(rng, _TITLE_WORDS)
     return " ".join(words)
 
 
-def _perturb_authors(rng: np.random.Generator, authors: list[str],
+def _perturb_authors(rng: _Draws, authors: list[str],
                      rate: float) -> list[str]:
     out = list(authors)
     if rng.random() < rate and len(out) > 1:
-        out.pop(int(rng.integers(0, len(out))))
+        out.pop(rng.integers(0, len(out)))
     if rng.random() < rate:
         out.append(f"{_pick(rng, _GIVENS)} {_pick(rng, _FAMILIES)}")
     return out
 
 
-def _perturb_abstract(rng: np.random.Generator, abstract: str,
+def _perturb_abstract(rng: _Draws, abstract: str,
                       rate: float) -> str:
     sentences = [s for s in abstract.rstrip(".").split(". ") if s]
     for i in range(len(sentences)):
@@ -196,7 +266,7 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
     """Write preprints.jsonl, published.jsonl, groundtruth.json; return truth."""
     if not 1 <= n <= MAX_PAIRS:
         raise ValueError(f"n must be in 1..{MAX_PAIRS}, got {n}")
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    rng = _Draws(int(seed) & 0xFFFFFFFFFFFFFFFF)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -251,11 +321,11 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
             "authors": pub_authors,
             "abstract": pub_abstract,
             "doi": doi,
-            "source": f"{journal} {int(rng.integers(1, 90))}, No. "
-                      f"{int(rng.integers(1, 13))}, {int(rng.integers(1, 400))}-"
-                      f"{int(rng.integers(400, 900))} ({year})",
-            "document_type": ["journal_article", "collection_article", "book"][
-                int(rng.choice(3, p=[0.9, 0.08, 0.02]))],
+            "source": f"{journal} {rng.integers(1, 90)}, No. "
+                      f"{rng.integers(1, 13)}, {rng.integers(1, 400)}-"
+                      f"{rng.integers(400, 900)} ({year})",
+            "document_type": _DOCUMENT_TYPES[
+                bisect_right(_DOCUMENT_TYPE_CDF, rng.random())],
             "msc": _make_msc(rng),
         })
         pairs[pid] = accession
@@ -272,9 +342,9 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
             "authors": _make_authors(rng),
             "abstract": _make_abstract(rng),
             "doi": f"10.{2000 + j % len(_JOURNALS)}/{slug}.{year}.d{j:05d}",
-            "source": f"{journal} {int(rng.integers(1, 90))}, No. "
-                      f"{int(rng.integers(1, 13))}, {int(rng.integers(1, 400))}-"
-                      f"{int(rng.integers(400, 900))} ({year})",
+            "source": f"{journal} {rng.integers(1, 90)}, No. "
+                      f"{rng.integers(1, 13)}, {rng.integers(1, 400)}-"
+                      f"{rng.integers(400, 900)} ({year})",
             "document_type": "journal_article",
             "msc": _make_msc(rng),
         })

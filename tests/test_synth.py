@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from arxmatch import synth
 from arxmatch.candidates import build_index
+from arxmatch.cli import main
 from arxmatch.corpus import CorpusStore, validate_arxiv_id
 from arxmatch.forest import bootstrap_training_set, train_forest
 from arxmatch.matcher import batch_match
@@ -17,6 +22,10 @@ TS = "2024-01-01T00:00:00Z"
 
 ZERO = PerturbationProfile(title_sub=0.0, author_change=0.0, abstract_edit=0.0,
                            doi_rate=0.3, wrong_doi_rate=0.0)
+CORPUS_FILES = ("preprints.jsonl", "published.jsonl", "groundtruth.json")
+# the spans above 2**31 reject a quarter to a half of their 32-bit draws, a
+# loop that the generator's small spans almost never enter
+SPANS = (1, 2, 3, 7, 66, 100, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32)
 
 
 def load_store(directory) -> CorpusStore:
@@ -71,7 +80,7 @@ class TestGenerator:
         b = tmp_path / "b"
         gen_synthetic_corpus(40, PerturbationProfile(), seed=3, out_dir=a)
         gen_synthetic_corpus(40, PerturbationProfile(), seed=3, out_dir=b)
-        for fname in ("preprints.jsonl", "published.jsonl", "groundtruth.json"):
+        for fname in CORPUS_FILES:
             assert (a / fname).read_bytes() == (b / fname).read_bytes()
 
     def test_structure_counts(self, tmp_path):
@@ -101,3 +110,71 @@ class TestGenerator:
                 (CORPUS_DIR / fname).read_bytes(), fname
         committed = json.loads((CORPUS_DIR / "groundtruth.json").read_text())
         assert committed == truth
+
+
+class TestDrawOracle:
+    """synth._Draws against np.random.default_rng, call for call."""
+
+    @pytest.mark.parametrize("block", [synth.RAW_BLOCK, 1, 7])
+    def test_interleaved_draws_match_numpy(self, monkeypatch, block):
+        monkeypatch.setattr(synth, "RAW_BLOCK", block)
+        for seed in range(60):
+            ours = synth._Draws(seed)
+            oracle = np.random.default_rng(seed)
+            plan = random.Random(seed)  # the sequence of calls, not the draws
+            for call in range(300):
+                kind = plan.random()
+                if kind < 0.6:
+                    low = plan.randrange(-1000, 1000)
+                    high = low + plan.choice(SPANS)
+                    got = ours.integers(low, high)
+                    assert type(got) is int
+                    assert got == oracle.integers(low, high), (seed, call, low, high)
+                elif kind < 0.85:
+                    assert ours.random() == oracle.random(), (seed, call)
+                else:
+                    got = bisect_right(synth._DOCUMENT_TYPE_CDF, ours.random())
+                    assert got == oracle.choice(3, p=[0.9, 0.08, 0.02]), (seed, call)
+
+    @pytest.mark.parametrize("low, high", [(0, 2**32 + 1), (-1, 2**32), (3, 3), (3, 2)])
+    def test_span_outside_one_to_two_pow_32_is_refused(self, low, high):
+        with pytest.raises(ValueError, match="high - low must be in 1..2"):
+            synth._Draws(1).integers(low, high)
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("profile", [
+        PerturbationProfile(),
+        ZERO,
+        PerturbationProfile(doi_rate=1.0, wrong_doi_rate=0.0),
+        PerturbationProfile(1.0, 1.0, 1.0, 1.0, 1.0),
+    ], ids=["default", "zero", "all-doi", "all-ones"])
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 17])
+    def test_corpus_equals_numpy_generators(self, tmp_path, monkeypatch, profile, seed):
+        gen_synthetic_corpus(300, profile, seed=seed, out_dir=tmp_path / "ours")
+        monkeypatch.setattr(synth, "_Draws", np.random.default_rng)
+        gen_synthetic_corpus(300, profile, seed=seed, out_dir=tmp_path / "numpy")
+        for fname in CORPUS_FILES:
+            assert (tmp_path / "ours" / fname).read_bytes() == \
+                (tmp_path / "numpy" / fname).read_bytes(), fname
+
+
+# the 10k corpora that the classify-10k and daily-10k benchmark workloads
+# build with seed 1; the benchmark's pinned store hashes follow from these
+@pytest.mark.parametrize("args, digests", [
+    (["--n", "10000"], {
+        "preprints.jsonl": "c281f0108bdfdcca1a865dc6cae1002b6ff9256971123e24358258b3b62efe69",
+        "published.jsonl": "230f4e9d806ba10d14b0fc459601187886eeb0e00694578fbd288bba6b3efd8a",
+        "groundtruth.json": "23ad11ea7ee0a5fdb1f9277aaaa001687e47661f0b29f9b7ab1948e25d6a2aac",
+    }),
+    (["--n", "11500", "--doi-rate", "1.0", "--wrong-doi-rate", "0"], {
+        "preprints.jsonl": "40f832c370ef9080c5d8a2eb20ca529a45115619283851f495522b3a6ce929e1",
+        "published.jsonl": "50826359dd435da7ab2b3a79676ee3ae09313737b30f1c0608f5d09f56946b5d",
+        "groundtruth.json": "16b96eabcd8b62821210669d1af94780fd04c3046bc5c481ac8003f50bb76866",
+    }),
+], ids=["classify-10k", "daily-10k"])
+def test_benchmark_corpora_pinned(tmp_path, args, digests):
+    assert main(["gen", "--seed", "1", "--out", str(tmp_path), *args]) == 0
+    for fname in CORPUS_FILES:
+        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == \
+            digests[fname], fname
