@@ -2,8 +2,12 @@
 
 The store keeps three collections (preprint records, published records,
 match decisions) plus the merge assignments, persisted as one JSON Lines
-file each inside a store directory. The DOI index is derived state,
-rebuilt deterministically on load. A store remembers which of its files
+file each inside a store directory. A record is stored as its fields,
+with its authors as written. One reader parses every line, so a line
+that breaks the schema is reported like one that is not JSON: as
+``path:line`` on load, as a rejected line on ingest. The DOI index is
+derived state, rebuilt deterministically on load; ingest adds to it
+record by record. A store remembers which of its files
 still hold exactly its in-memory table, and ``save`` rewrites only the
 others, in two phases: it writes every such table to its ``.tmp`` file
 first, then renames them in ``TABLE_FILES`` order. Mutations require
@@ -22,7 +26,7 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .normalize import _DOI_RE, AuthorName, DoiError, normalize_doi, split_authors
+from .normalize import AuthorName, DoiError, normalize_doi, split_authors
 
 # matched with fullmatch: a $ anchor would also match before a final newline
 ARXIV_ID_RE = re.compile(r"\d{4}\.\d{4,5}|[a-z-]+(\.[A-Z]{2})?/\d{7}")
@@ -157,19 +161,9 @@ def _parse_doi(value) -> str | None:
     if not isinstance(value, str):
         return None
     try:
-        return _canonical_doi(value)
+        return normalize_doi(value)
     except DoiError:
         return None  # unusable DOI is treated as absent
-
-
-def _canonical_doi(value: str) -> str:
-    """normalize_doi(value). A DOI already in canonical form, as the store
-    writes it, is its own result, so a reload skips the prefix and case
-    passes; fullmatch, since the pattern's $ also matches before a final
-    newline, which normalize_doi strips."""
-    if _DOI_RE.fullmatch(value) and value == value.lower():
-        return value
-    return normalize_doi(value)
 
 
 def preprint_from_json(obj: dict) -> PreprintRecord:
@@ -244,45 +238,12 @@ def published_from_json(obj: dict) -> PublishedRecord:
     )
 
 
-def _authors_to_json(authors: tuple[AuthorName, ...]) -> list[str]:
-    return [n.raw for n in authors]
-
-
-def preprint_to_json(rec: PreprintRecord) -> dict:
-    return {
-        "id": rec.id,
-        "version": rec.version,
-        "title": rec.title,
-        "authors": _authors_to_json(rec.authors),
-        "abstract": rec.abstract,
-        "categories": list(rec.categories),
-        "msc": list(rec.msc),
-        "doi": rec.doi,
-        "withdrawn": rec.withdrawn,
-    }
-
-
-def published_to_json(rec: PublishedRecord) -> dict:
-    return {
-        "accession": rec.accession,
-        "title": rec.title,
-        "authors": _authors_to_json(rec.authors),
-        "abstract": rec.abstract,
-        "doi": rec.doi,
-        "source": rec.source,
-        "document_type": rec.document_type,
-        "msc": list(rec.msc),
-    }
-
-
-def decision_to_json(d: MatchDecision) -> dict:
-    return {
-        "preprint": d.preprint,
-        "outcome": d.outcome,
-        "matched_accession": d.matched_accession,
-        "vector": list(d.vector) if d.vector is not None else None,
-        "decided_at": d.decided_at,
-    }
+def record_to_json(rec: PreprintRecord | PublishedRecord | MatchDecision) -> dict:
+    """A record's stored form: its fields, each author as written."""
+    obj = dict(vars(rec))
+    if "authors" in obj:
+        obj["authors"] = [name.raw for name in rec.authors]
+    return obj
 
 
 def decision_from_json(obj: dict) -> MatchDecision:
@@ -336,13 +297,14 @@ def write_jsonl(path: str | Path, objects) -> None:
         _write_lines(fh, objects)
 
 
-def _read_jsonl(path: str | Path, reject=None):
-    """Yield ``(line number, value)`` per non-blank line of ``path``. A line
-    that is not UTF-8 raises ``RecordError`` naming it, and so does one that
-    is not JSON, nests deeper than the parser's recursion limit, holds an
-    integer literal past Python's 4,300-digit conversion limit or holds an
-    unpaired surrogate escape such as ``\\ud800`` (no UTF-8 file can store
-    it), unless ``reject(line_no, reason)`` is given to take it."""
+def _read_jsonl(path: str | Path, parse, reject=None):
+    """Yield ``(line number, parse(value))`` per non-blank line of ``path``.
+    A line that is not UTF-8 raises ``RecordError`` naming it, and so does
+    one that is not JSON, nests deeper than the parser's recursion limit,
+    holds an integer literal past Python's 4,300-digit conversion limit or
+    an unpaired surrogate escape such as ``\\ud800`` (no UTF-8 file can
+    store it), or whose value ``parse`` refuses with ``RecordError``,
+    unless ``reject(line_no, reason)`` is given to take it."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
@@ -357,6 +319,9 @@ def _read_jsonl(path: str | Path, reject=None):
                 # regex; a match may be a valid pair, which encodes fine
                 if "\\" in line and _SURROGATE_ESCAPE_RE.search(line):
                     json.dumps(value, ensure_ascii=False).encode("utf-8")
+                rec = parse(value)
+            except RecordError as exc:  # a ValueError, so first
+                reason = str(exc)
             except json.JSONDecodeError as exc:
                 reason = f"malformed JSON: {exc.msg}"
             except RecursionError:
@@ -366,7 +331,7 @@ def _read_jsonl(path: str | Path, reject=None):
             except ValueError as exc:  # after its subclasses above
                 reason = f"malformed JSON: {exc}"
             else:
-                yield line_no, value
+                yield line_no, rec
                 continue
             if reject is None:
                 raise RecordError(f"{path}:{line_no}: {reason}")
@@ -434,12 +399,7 @@ class CorpusStore:
 
     def ingest_preprints(self, path: str | Path) -> IngestReport:
         report = IngestReport()
-        for line_no, obj in _read_jsonl(path, report.reject):
-            try:
-                rec = preprint_from_json(obj)
-            except RecordError as exc:
-                report.reject(line_no, str(exc))
-                continue
+        for line_no, rec in _read_jsonl(path, preprint_from_json, report.reject):
             old = self.preprints.get(rec.id)
             if rec == old:
                 report.unchanged += 1
@@ -457,12 +417,7 @@ class CorpusStore:
 
     def ingest_published(self, path: str | Path) -> IngestReport:
         report = IngestReport()
-        for line_no, obj in _read_jsonl(path, report.reject):
-            try:
-                rec = published_from_json(obj)
-            except RecordError as exc:
-                report.reject(line_no, str(exc))
-                continue
+        for line_no, rec in _read_jsonl(path, published_from_json, report.reject):
             old = self.published.get(rec.accession)
             if rec == old:
                 report.unchanged += 1
@@ -552,11 +507,11 @@ class CorpusStore:
         here = directory.absolute()
         stale = [name for name in TABLE_FILES if self._clean.get(name) != here / name]
         encoded = {  # called only for a stale table: sorted() runs as a generator is made
-            PREPRINTS_FILE: lambda: (preprint_to_json(self.preprints[k])
+            PREPRINTS_FILE: lambda: (record_to_json(self.preprints[k])
                                      for k in sorted(self.preprints)),
-            PUBLISHED_FILE: lambda: (published_to_json(self.published[k])
+            PUBLISHED_FILE: lambda: (record_to_json(self.published[k])
                                      for k in sorted(self.published)),
-            DECISIONS_FILE: lambda: (decision_to_json(self.decisions[k])
+            DECISIONS_FILE: lambda: (record_to_json(self.decisions[k])
                                      for k in sorted(self.decisions)),
             MERGES_FILE: lambda: ({"preprint": k, "accession": self.merges[k]}
                                   for k in sorted(self.merges)),
@@ -586,11 +541,8 @@ class CorpusStore:
             path = directory / name
             if not path.exists():
                 continue
-            for line_no, obj in _read_jsonl(path):
-                try:
-                    add(obj)
-                except RecordError as exc:
-                    raise RecordError(f"{path}:{line_no}: {exc}") from exc
+            for _ in _read_jsonl(path, add):  # add parses and stores a line
+                pass
             store._clean[name] = path.absolute()
         store.rebuild_doi_index()
         return store

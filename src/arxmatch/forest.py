@@ -128,10 +128,6 @@ def bootstrap_training_set(store: CorpusStore, index: CandidateIndex,
     return training_pairs_from(store, index, pairs, neg_per_pos)
 
 
-def _mask_seed(seed: int) -> int:
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
-
-
 def _canonicalize(x: np.ndarray, labels: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     uniq, counts = np.unique(np.column_stack((x, labels)), axis=0, return_counts=True)
@@ -176,12 +172,11 @@ class _Builder:
 def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TREES,
                  max_depth: int = DEFAULT_MAX_DEPTH, seed: int = 0,
                  decision_threshold: float = DEFAULT_THRESHOLD) -> ForestModel:
-    if n_trees < 1:
-        raise TrainingError("n_trees must be >= 1")
-    if max_depth < 1:
-        raise TrainingError("max_depth must be >= 1")
-    if not 0.0 < decision_threshold < 1.0:
-        raise TrainingError("decision_threshold must be in (0, 1)")
+    seed = int(seed)
+    problem = _scalar_problem(n_trees, max_depth, seed, decision_threshold,
+                              list(FEATURE_NAMES))
+    if problem is not None:
+        raise TrainingError(problem)
     if labels.size == 0:
         raise TrainingError("empty training set")
     if labels.all() or not labels.any():
@@ -192,7 +187,7 @@ def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TRE
     probs = weights / weights.sum()
     trees: list[list[dict]] = []
     for t in range(n_trees):
-        rng = np.random.default_rng([_mask_seed(seed), t])
+        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, t])
         draw = rng.choice(n, size=n, replace=True, p=probs)
         sample_w = np.bincount(draw, minlength=n).astype(np.float64)
         rows = np.nonzero(sample_w > 0)[0]
@@ -210,7 +205,7 @@ def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TRE
     if problem is not None:
         raise TrainingError(problem)
     return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
-                       seed=int(seed), decision_threshold=decision_threshold)
+                       seed=seed, decision_threshold=decision_threshold)
 
 
 def _edges(trees: list[list[dict]]) -> tuple[list, list[list[float]]]:
@@ -337,7 +332,9 @@ def load_model(path: str | Path) -> ForestModel:
         )
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc.args[0]!r}") from exc
-    problem = _scalar_problem(model, payload.get("feature_names", list(FEATURE_NAMES)))
+    problem = _scalar_problem(model.n_trees, model.max_depth, model.seed,
+                              model.decision_threshold,
+                              payload.get("feature_names", list(FEATURE_NAMES)))
     if problem is not None:
         raise ModelFormatError(f"{path}: {problem}")
     if not isinstance(model.trees, list) or len(model.trees) != model.n_trees:
@@ -363,15 +360,16 @@ def _is_number(x) -> bool:
         return False
 
 
-def _scalar_problem(model: ForestModel, feature_names) -> str | None:
-    """Why the hyperparameters are not ones train_forest accepts, or None."""
-    for name in ("n_trees", "max_depth"):
-        value = getattr(model, name)
+def _scalar_problem(n_trees, max_depth, seed, decision_threshold,
+                    feature_names) -> str | None:
+    """Why the hyperparameters are not ones a model holds, or None: the
+    one check of train_forest's arguments and of a model file's fields."""
+    for name, value in (("n_trees", n_trees), ("max_depth", max_depth)):
         if type(value) is not int or value < 1:
             return f"{name} must be an integer >= 1"
-    if type(model.seed) is not int:
+    if type(seed) is not int:
         return "seed must be an integer"
-    if not (_is_number(model.decision_threshold) and 0.0 < model.decision_threshold < 1.0):
+    if not (_is_number(decision_threshold) and 0.0 < decision_threshold < 1.0):
         return "decision_threshold must be a number in (0, 1)"
     if feature_names != list(FEATURE_NAMES):
         return f"feature_names must be {list(FEATURE_NAMES)}"

@@ -165,7 +165,14 @@ _DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
 
 
 def normalize_doi(raw: str) -> str:
-    """Canonical lowercase DOI, or DoiError for anything that is not one."""
+    """Canonical lowercase DOI, or DoiError for anything that is not one.
+
+    A DOI already canonical, as the store writes it, is its own result, so
+    a reload skips the prefix and case passes; fullmatch, since the
+    pattern's $ also matches before a final newline, which strip removes.
+    """
+    if _DOI_RE.fullmatch(raw) and raw == raw.lower():
+        return raw
     doi = raw.strip().lower()
     while doi.startswith(_DOI_PREFIXES):
         prefix = next(p for p in _DOI_PREFIXES if doi.startswith(p))

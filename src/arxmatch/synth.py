@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import PREPRINTS_FILE, PUBLISHED_FILE, write_atomic, write_jsonl
+from .corpus import DOCUMENT_TYPES, PREPRINTS_FILE, PUBLISHED_FILE, write_atomic, write_jsonl
 
 GROUNDTRUTH_FILE = "groundtruth.json"
 MAX_PAIRS = 100_000  # preprint i is numbered i; arXiv numbers have five digits
@@ -179,8 +179,7 @@ def _choice_cdf(p: list[float]) -> list[float]:
     return (cdf / cdf[-1]).tolist()
 
 
-_DOCUMENT_TYPES = ["journal_article", "collection_article", "book"]
-_DOCUMENT_TYPE_CDF = _choice_cdf([0.9, 0.08, 0.02])
+_DOCUMENT_TYPE_CDF = _choice_cdf([0.9, 0.08, 0.02])  # in DOCUMENT_TYPES order
 
 
 def _pick(rng: _Draws, pool: list[str]) -> str:
@@ -324,7 +323,7 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
             "source": f"{journal} {rng.integers(1, 90)}, No. "
                       f"{rng.integers(1, 13)}, {rng.integers(1, 400)}-"
                       f"{rng.integers(400, 900)} ({year})",
-            "document_type": _DOCUMENT_TYPES[
+            "document_type": DOCUMENT_TYPES[
                 bisect_right(_DOCUMENT_TYPE_CDF, rng.random())],
             "msc": _make_msc(rng),
         })

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,10 +22,11 @@ from arxmatch.corpus import (
     IntegrityError,
     MatchDecision,
     RecordError,
-    _canonical_doi,
     _parse_authors,
+    decision_from_json,
     preprint_from_json,
     published_from_json,
+    record_to_json,
     validate_arxiv_id,
     write_atomic,
 )
@@ -158,19 +160,35 @@ def doi_like(draw):
     return doi.upper() if draw(st.booleans()) else doi
 
 
+def full_path_doi(raw: str) -> str:
+    """normalize_doi without its shortcut for a DOI already canonical."""
+    doi = raw.strip().lower()
+    prefixes = ("https://doi.org/", "http://doi.org/", "https://dx.doi.org/",
+                "http://dx.doi.org/", "doi.org/", "doi:")
+    while doi.startswith(prefixes):
+        prefix = next(p for p in prefixes if doi.startswith(p))
+        doi = doi[len(prefix):].strip()
+    if not re.match(r"^10\.[^/\s]+/\S+$", doi):
+        raise DoiError(f"not a DOI: {raw!r}")
+    return doi
+
+
 class TestCanonicalDoi:
-    """The reload shortcut gives what normalize_doi gives, value or error."""
+    """normalize_doi's shortcut for a canonical DOI, which a reload takes,
+    gives what the full path gives, value or error."""
 
     @given(st.one_of(st.text(max_size=30), doi_like()))
     @settings(max_examples=500, deadline=None)
     def test_equals_normalize_doi(self, value):
-        assert doi_outcome(_canonical_doi, value) == doi_outcome(normalize_doi, value)
+        assert doi_outcome(normalize_doi, value) == doi_outcome(full_path_doi, value)
 
     def test_cases(self):
         for value in ["10.1/x", "10.1/x\n", "10.1/X", " 10.1/x", "doi:10.1/x",
                       "10.1/x\u2028", "10.1\x1c/x", "10.1/\u0130", "11.1/x", ""]:
-            assert doi_outcome(_canonical_doi, value) == doi_outcome(normalize_doi, value)
-        assert _canonical_doi("10.1/x\n") == "10.1/x"
+            assert doi_outcome(normalize_doi, value) == doi_outcome(full_path_doi, value)
+        assert normalize_doi("10.1/x\n") == "10.1/x"
+        doi = "10.1/x"
+        assert normalize_doi(doi) is doi  # canonical: returned as it is
 
 
 class TestIngestPreprints:
@@ -445,10 +463,27 @@ class TestAuthorSplitMemo:
         store = CorpusStore()
         store.ingest_preprints(CORPUS_DIR / "preprints.jsonl")
         store.ingest_published(CORPUS_DIR / "published.jsonl")
+        pids, accessions = sorted(store.preprints), sorted(store.published)
+        classified = MatchDecision(pids[0], OUTCOME_CLASSIFIER, accessions[0],
+                                   (0.125, 1.0, 1 / 3), TS)
+        for decision in (classified,
+                         MatchDecision(pids[1], OUTCOME_UNMATCHED, None, None, TS),
+                         MatchDecision(pids[2], OUTCOME_DOI, accessions[2], None, TS)):
+            store.record_decision(decision)
+        store.merge_on_publication(classified)
         store.save(tmp_path)
         first, second = CorpusStore.load(tmp_path), CorpusStore.load(tmp_path)
         assert first.preprints == second.preprints == store.preprints
         assert first.published == second.published == store.published
+        assert first.decisions == second.decisions == store.decisions
+        assert first.merges == second.merges == store.merges
+        # each record's stored form, through JSON as in a store file, parses
+        # back to the record
+        for parse, table in ((preprint_from_json, store.preprints),
+                             (published_from_json, store.published),
+                             (decision_from_json, store.decisions)):
+            for rec in table.values():
+                assert parse(json.loads(json.dumps(record_to_json(rec)))) == rec
 
 
 class TestStorePersistence:
@@ -721,12 +756,16 @@ class TestSaveSkipsCleanTables:
         _change_preprints(store, saved.parent)
         _change_published(store, saved.parent)
 
+        encode = corpus.record_to_json
+
         def fail(rec):
-            raise RuntimeError("cannot encode")
+            if isinstance(rec, corpus.PublishedRecord):
+                raise RuntimeError("cannot encode")
+            return encode(rec)
 
         fresh = saved.parent / "fresh"
         with monkeypatch.context() as m:
-            m.setattr(corpus, "published_to_json", fail)
+            m.setattr(corpus, "record_to_json", fail)
             for directory in (saved, fresh):
                 with pytest.raises(RuntimeError, match="cannot encode"):
                     store.save(directory)

@@ -151,6 +151,22 @@ STUMP_DATA = arrays([
     tp(0.9, 0.5, 0.5, False),
 ])
 
+# (field, value) pairs that load_model refuses in a model file
+BAD_SCALARS = [
+    ("decision_threshold", float("nan")),
+    ("decision_threshold", 5.0),
+    ("decision_threshold", 0.0),
+    ("decision_threshold", "0.5"),
+    ("seed", "s"),
+    ("seed", 1.5),
+    ("n_trees", True),
+    ("max_depth", 0),
+    ("max_depth", 2.0),
+    ("feature_names", 5),
+    ("feature_names", ["abstract_d", "author_d", "title_d"]),
+    pytest.param("decision_threshold", 10**400, id="decision_threshold-10**400"),
+]
+
 
 class TestSplitSearch:
     def test_stump_on_separable_data(self):
@@ -240,6 +256,17 @@ class TestTrainForest:
         with pytest.raises(TrainingError):
             train_forest(*STUMP_DATA, n_trees=1, max_depth=1, seed=0,
                          decision_threshold=1.5)
+
+    # train_forest stores int(seed) and takes no feature names, so the seed
+    # and feature_names cases do not apply
+    @pytest.mark.parametrize("name, value", [
+        case for case in BAD_SCALARS
+        if getattr(case, "values", case)[0] not in ("seed", "feature_names")
+    ] + [("n_trees", 2.0)])
+    def test_refuses_what_load_model_refuses(self, name, value):
+        with pytest.raises(TrainingError, match=name):
+            train_forest(*STUMP_DATA, **{"n_trees": 1, "max_depth": 2, "seed": 1,
+                                         name: value})
 
 
 class TestPredict:
@@ -420,20 +447,7 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="tree 0"):
             load_model(tmp_path / "bad.json")
 
-    @pytest.mark.parametrize("name, value", [
-        ("decision_threshold", float("nan")),
-        ("decision_threshold", 5.0),
-        ("decision_threshold", 0.0),
-        ("decision_threshold", "0.5"),
-        ("seed", "s"),
-        ("seed", 1.5),
-        ("n_trees", True),
-        ("max_depth", 0),
-        ("max_depth", 2.0),
-        ("feature_names", 5),
-        ("feature_names", ["abstract_d", "author_d", "title_d"]),
-        pytest.param("decision_threshold", 10**400, id="decision_threshold-10**400"),
-    ])
+    @pytest.mark.parametrize("name, value", BAD_SCALARS)
     def test_bad_scalar_field(self, tmp_path, name, value):
         model = train_forest(*STUMP_DATA, n_trees=1, max_depth=2, seed=1)
         save_model(model, tmp_path / "m.json")
