@@ -18,10 +18,10 @@ integer arithmetic throughout.
 The forest is evaluated as a table lookup: a row's bin among the
 model's sorted thresholds, per feature, picks each tree's leaf from a
 precomputed grid (the threshold indexing of QuickScorer, C. Lucchese et
-al., SIGIR 2015, here as one dense grid per tree). The Gini and forest
-kernels fix their floating-point operation order (the forest sums leaf
-values tree by tree in root order), so every result is reproducible bit
-for bit.
+al., SIGIR 2015, here as one dense grid per tree), the leaf values added
+into one total per row tree by tree, in O(rows) memory. The Gini and
+forest kernels fix their floating-point operation order, so every result
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -276,19 +276,23 @@ def forest_eval(edges_0: np.ndarray, edges_1: np.ndarray, edges_2: np.ndarray,
     is an (n_trees, edges_f.size + 1) table from a global bin to each
     tree's offset for its local bin on f; cells_0 also holds each tree's
     base offset. Their sum indexes leaf, the flat table of every tree's
-    grid of leaf values. So a call is three searchsorted, three gathers
-    and one leaf gather, whatever the tree depth.
+    grid of leaf values. So a call is three searchsorted, then per tree
+    three gathers and one leaf gather added into a (rows,) total: O(rows)
+    memory, not O(trees x rows), whatever the tree depth.
 
     A node sends x left when x <= thr, which holds exactly when thr's
     rank among the tree's thresholds is at least x's local bin, so every
     row lands in the grid cell of the leaf a walk from the root reaches.
     A NaN sorts after every edge and so lands in the last bin, right of
     every threshold, where a walk sends it too (NaN <= thr is false).
-    The leaf values are then summed tree by tree in root order (cumsum is
-    sequential), the same float additions as a per-tree walk, so the
-    result is bit-identical to one.
+    The leaf values are summed tree by tree in root order, starting from
+    0.0 (0.0 + v is v), the same float additions as a per-tree walk, so
+    the result is bit-identical to one.
     """
-    idx = cells_0[:, np.searchsorted(edges_0, x[:, 0])]
-    idx += cells_1[:, np.searchsorted(edges_1, x[:, 1])]
-    idx += cells_2[:, np.searchsorted(edges_2, x[:, 2])]
-    return np.cumsum(leaf[idx], axis=0)[-1] / cells_0.shape[0]
+    b0 = np.searchsorted(edges_0, x[:, 0])
+    b1 = np.searchsorted(edges_1, x[:, 1])
+    b2 = np.searchsorted(edges_2, x[:, 2])
+    total = np.zeros(x.shape[0])
+    for c0, c1, c2 in zip(cells_0, cells_1, cells_2):
+        total += leaf[c0[b0] + c1[b1] + c2[b2]]
+    return total / cells_0.shape[0]

@@ -9,11 +9,12 @@ lexicographic order, then to the smaller accession (``pick_positive``).
 
 A run classifies its preprints together (``classify_preprints``): every
 preprint the DOI step leaves is queried on its own, and the pairs of
-about ``similarity.CHUNK_PAIRS`` of them are scored in one
-``feature_vector_projected`` call, one title kernel call for the chunk;
-each preprint's slice of the chunk's vectors then goes through the
-forest and the pick on its own, so a decision does not depend on the
-chunk it fell in. ``match_by_classifier`` is that run for one
+about ``similarity.CHUNK_PAIRS`` of them are decided together: one
+``feature_vector_projected`` call scores them (one title kernel call for
+the chunk), one forest call classifies them and one sort picks each
+preprint's candidate. The forest scores each row on its own and the
+sort keys rows by their preprint first, so a decision does not depend
+on the chunk it fell in. ``match_by_classifier`` is that run for one
 preprint; no command calls it, only tests and the benchmark's tracer.
 
 The naive baseline (exact normalized title + ordered family list, unique
@@ -68,46 +69,40 @@ def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
     return store.doi_accession(p.doi)
 
 
-def pick_positive(probs: np.ndarray, x: np.ndarray, ordinals: list[int],
-                  threshold: float) -> int | None:
-    """The row of the most probable candidate with probability at least
-    threshold, or None. Ties go to the lexicographically smaller vector,
-    then to the smaller ordinal, which is the smaller accession."""
-    i = int(np.lexsort((ordinals, x[:, 2], x[:, 1], x[:, 0], -probs))[0])
-    return i if probs[i] >= threshold else None
-
-
-def _pick(model: ForestModel, x: np.ndarray, ranked: list[str],
-          ordinals: list[int]) -> tuple[str, tuple[float, float, float]] | None:
-    probs = predict_many(model, x)
-    i = pick_positive(probs, x, ordinals, model.decision_threshold)
-    if i is None:
-        return None
-    return ranked[i], tuple(x[i].tolist())
+def pick_positive(probs: np.ndarray, x: np.ndarray, ordinals: np.ndarray,
+                  owner: np.ndarray, threshold: float) -> np.ndarray:
+    """Per owner, the row of its most probable candidate with probability
+    at least threshold, or -1. owner numbers each row's preprint 0..n-1,
+    in order, and every owner has at least one row. Ties go to the
+    lexicographically smaller vector, then to the smaller ordinal, which
+    is the smaller accession."""
+    order = np.lexsort((ordinals, x[:, 2], x[:, 1], x[:, 0], -probs, owner))
+    first = order[np.diff(owner[order], prepend=-1) != 0]
+    return np.where(probs[first] >= threshold, first, -1)
 
 
 def classify_preprints(preprints: Iterable[PreprintRecord], index: CandidateIndex,
                        model: ForestModel, k: int,
                        ) -> list[tuple[str, tuple[float, float, float]] | None]:
     """match_by_classifier of each preprint, in order. Each preprint is
-    queried, classified and picked on its own; the pairs of a chunk of
-    about CHUNK_PAIRS are scored in one feature_vector_projected call."""
+    queried on its own; the pairs of a chunk of about CHUNK_PAIRS are
+    scored in one feature_vector_projected call, classified in one
+    predict_many call and picked in one pick_positive call."""
     table = index.table
     hits = []
     for chunk in chunked((p, query_candidates(index, p, k)) for p in preprints):
-        ordinals = [index.ordinals(ranked) for _, ranked in chunk]
-        queries, rows = [], []
-        for (p, _), ords in zip(chunk, ordinals):
-            if ords:
-                queries.append(table.query_row(p))
-                rows.append(table.rows(ords))
-        if queries:
-            x = feature_vector_projected(table, queries, rows)
-        end = 0
-        for (_, ranked), ords in zip(chunk, ordinals):
-            end += len(ords)
-            hits.append(_pick(model, x[end - len(ords):end], ranked, ords)
-                        if ranked else None)
+        scored = [(p, ranked, index.ordinals(ranked)) for p, ranked in chunk if ranked]
+        if scored:
+            x = feature_vector_projected(table, [table.query_row(p) for p, _, _ in scored],
+                                         [table.rows(ords) for _, _, ords in scored])
+            owner = np.repeat(np.arange(len(scored)), [len(ords) for _, _, ords in scored])
+            rows = iter(pick_positive(predict_many(model, x), x,
+                                      np.concatenate([ords for _, _, ords in scored]),
+                                      owner, model.decision_threshold).tolist())
+            accessions = [a for _, ranked, _ in scored for a in ranked]
+        for _, ranked in chunk:
+            i = next(rows) if ranked else -1
+            hits.append((accessions[i], tuple(x[i].tolist())) if i >= 0 else None)
     return hits
 
 

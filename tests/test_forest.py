@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("n_trees, n_rows, seed", [
         (1, 1, 40), (1, 30, 41), (100, 1, 42), (100, 30, 43),
-        (7, 5, 44), (25, 12, 45), (60, 2, 46),
+        (7, 5, 44), (25, 12, 45), (60, 2, 46), (100, 4096, 47),
     ])
     def test_forest_eval_bit_exact_vs_per_tree_walk(self, n_trees, n_rows, seed):
         rng = np.random.default_rng(seed)
@@ -302,6 +303,19 @@ class TestPredict:
         assert set(trees[0][0]) == {"leaf"}  # the first tree is a bare leaf
         x = rng.choice(GRID, size=(n_rows, 3))
         assert np.array_equal(predict_many(forest_of(trees), x), walk_oracle(trees, x))
+
+    def test_chunk_call_memory_does_not_grow_with_the_trees(self, corpus_model):
+        # a chunk's call holds O(rows) arrays, never one per (tree, row)
+        assert corpus_model.n_trees == 100
+        corpus_model.packed()  # the table is built once per model, not per call
+        x = np.random.default_rng(48).random((4096, 3))
+        tracemalloc.start()
+        try:
+            predict_many(corpus_model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @settings(max_examples=200, deadline=None)
     @given(n_trees=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),

@@ -6,12 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arxmatch.candidates import build_index
+from arxmatch import similarity
+from arxmatch.candidates import build_index, query_candidates
 from arxmatch.corpus import OUTCOME_CLASSIFIER, OUTCOME_DOI, OUTCOME_UNMATCHED
 from arxmatch.forest import ForestModel, load_model
 from arxmatch.matcher import (
     batch_match,
     build_naive_index,
+    classify_preprints,
     match_by_classifier,
     match_by_doi,
     naive_match,
@@ -157,13 +159,38 @@ CANDIDATES = st.lists(st.tuples(PROBS, st.tuples(DISTANCES, DISTANCES, DISTANCES
 
 
 def pick(candidates, threshold=0.5, ordinals=None):
-    """pick_positive over (probability, vector) candidates, whose ordinals
-    default to their positions."""
+    """pick_positive over (probability, vector) candidates of one owner,
+    whose ordinals default to their positions: a row, or None."""
     probs = np.array([prob for prob, _ in candidates])
     x = np.array([v for _, v in candidates], dtype=np.float64)
     if ordinals is None:
         ordinals = list(range(len(candidates)))
-    return pick_positive(probs, x, ordinals, threshold)
+    owner = np.zeros(len(candidates), dtype=np.int64)
+    [i] = pick_positive(probs, x, np.array(ordinals), owner, threshold).tolist()
+    return None if i < 0 else i
+
+
+class TestClassifyPreprints:
+    def test_decisions_do_not_depend_on_the_chunks(self, corpus_store, corpus_index,
+                                                   corpus_model, monkeypatch):
+        preprints = [corpus_store.preprints[pid] for pid in sorted(corpus_store.preprints)
+                     if match_by_doi(corpus_store.preprints[pid], corpus_store) is None]
+        # a preprint with no candidates inside a chunk: the owners of the
+        # chunk's scored rows skip it
+        lonely = make_preprint(pid="9999.99999", title="Xqzv wjyk",
+                               authors=("Qx Zy",), abstract="Vvq xzk.")
+        assert query_candidates(corpus_index, lonely, 20) == []
+        preprints.insert(1, lonely)
+        want = [match_by_classifier(p, corpus_index, corpus_model, 20) for p in preprints]
+        assert any(want) and not all(want)
+        monkeypatch.setattr(similarity, "CHUNK_PAIRS", 50)
+        chunks = [[p for p, _ in chunk] for chunk in similarity.chunked(
+            (p, query_candidates(corpus_index, p, 20)) for p in preprints)]
+        assert chunks[0].index(lonely) not in (0, len(chunks[0]) - 1)
+        assert len(chunks) > 100
+        assert classify_preprints(preprints, corpus_index, corpus_model, 20) == want
+        monkeypatch.undo()
+        assert classify_preprints(preprints, corpus_index, corpus_model, 20) == want
 
 
 class TestPickPositive:
@@ -185,6 +212,29 @@ class TestPickPositive:
     def test_below_threshold_is_none(self):
         assert pick([(0.49, (0.0, 0.0, 0.0))]) is None
         assert pick([(0.5, (1.0, 1.0, 1.0))]) == 0
+
+    @given(st.lists(CANDIDATES, min_size=1, max_size=6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_property_each_owner_equals_min_over_its_positives(self, groups, data):
+        # a chunk of several preprints' candidates; the same ordinal may
+        # come up for several of them, as one record can for several queries
+        ordinals = [data.draw(st.permutations(range(12)))[:len(g)] for g in groups]
+        flat = [c for g in groups for c in g]
+        owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        rows = pick_positive(np.array([prob for prob, _ in flat]),
+                             np.array([v for _, v in flat], dtype=np.float64),
+                             np.concatenate(ordinals), owner, 0.5)
+        assert rows.shape == (len(groups),)
+        start = 0
+        for group, ords, row in zip(groups, ordinals, rows.tolist()):
+            positives = [(-prob, v, o) for (prob, v), o in zip(group, ords) if prob >= 0.5]
+            if not positives:
+                assert row == -1
+            else:
+                i = row - start
+                assert 0 <= i < len(group)
+                assert (-group[i][0], group[i][1], ords[i]) == min(positives)
+            start += len(group)
 
 
 class TestMatchPreprint:

@@ -78,7 +78,8 @@ rec = spans.SpanRecorder("contract")
 spans.install(rec, {})
 batch_match(store, index, model, K)
 spans_of = {name: sum(1 for nid in rec.name if nid == rec.names.index(name))
-            for name in ("kernels.levenshtein", "similarity.feature_vector_projected")}
+            for name in ("kernels.levenshtein", "similarity.feature_vector_projected",
+                         "forest.predict_many")}
 got = {"rows": rec.counters["kernels.forest_eval.rows"], **spans_of}
 print(json.dumps({"want": want, "got": got}))
 """
@@ -89,7 +90,8 @@ def test_tracer_counts_match_the_scored_pairs():
     want, got = out["want"], out["got"]
     assert want["doi"] > 0 and want["scored"] > 0  # both matcher steps ran
     assert got["rows"] == want["pairs"]
-    # one title kernel call per chunk of pairs, not one per preprint
+    # one title kernel call and one forest call per chunk of pairs, not
+    # one per preprint
     assert got["kernels.levenshtein"] == got["similarity.feature_vector_projected"] \
-        == want["chunks"]
+        == got["forest.predict_many"] == want["chunks"]
     assert 1 < want["chunks"] < want["scored"]
