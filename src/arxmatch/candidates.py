@@ -9,10 +9,10 @@ score first and ties by accession.
 Representation: the published accessions are sorted once, and a record's
 ordinal is its position in that list (ordinal i is ``accessions[i]``). A
 posting is an int64 array of ordinals, strictly increasing because the
-records are indexed in ordinal order. The index also owns the records'
-scoring rows (``similarity.ScoringTable``) by the same ordinals, each
-filled the first time a query's candidates reach its record; ``ordinals``
-maps returned accessions back to them by bisection.
+records are indexed in ordinal order. Ordinals never leave the index: a
+query returns accessions, and the index owns the records' scoring rows
+(``similarity.ScoringTable``) by accession, each filled the first time a
+query's candidates reach its record.
 
 Query: the postings of the query's title tokens (in ``title_tokens``
 order), then of its family names (in sorted order), are concatenated,
@@ -35,7 +35,6 @@ The index is immutable once built; rebuild it after corpus changes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 
@@ -74,10 +73,6 @@ class CandidateIndex:
     idf: dict[str, float]
     table: ScoringTable
 
-    def ordinals(self, accessions: list[str]) -> list[int]:
-        """The ordinals of indexed accessions."""
-        return [bisect_left(self.accessions, a) for a in accessions]
-
 
 def _as_postings(lists: dict[str, list[int]]) -> dict[str, np.ndarray]:
     return {key: np.array(ords, dtype=np.int64) for key, ords in lists.items()}
@@ -87,8 +82,7 @@ def build_index(store: CorpusStore) -> CandidateIndex:
     accessions = sorted(store.published)
     token_lists: dict[str, list[int]] = {}
     author_lists: dict[str, list[int]] = {}
-    records = [store.published[accession] for accession in accessions]
-    for ordinal, rec in enumerate(records):
+    for ordinal, rec in enumerate(store.published[a] for a in accessions):
         for tok in title_tokens(rec.title):
             token_lists.setdefault(tok, []).append(ordinal)
         for fam in sorted(family_set(rec.authors)):
@@ -100,7 +94,7 @@ def build_index(store: CorpusStore) -> CandidateIndex:
         token_postings=_as_postings(token_lists),
         author_postings=_as_postings(author_lists),
         idf=idf,
-        table=ScoringTable(records),
+        table=ScoringTable(store.published),
     )
 
 

@@ -9,7 +9,8 @@ that repeated runs are byte-identical.
 The seven store commands open --store through ``corpus.open_store``: only
 ingest creates a store; ingest, match and merge lock it exclusively until
 their files are replaced, and train, eval, stats and scope lock it shared
-while they read it. A store that is missing or locked fails with exit 1.
+while they read it. A store that is missing or locked fails with exit 1,
+after the forest options of train and eval and match's --model pass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 from .authors import build_profiles
 from .candidates import DEFAULT_K, build_index
 from .corpus import (OUTCOME_UNMATCHED, PROFILES_FILE, CorpusStore, StoreError,
-                     open_store, write_atomic)
+                     open_store, report_json, write_atomic)
 from .evaluate import evaluate
 from .forest import (
     DEFAULT_MAX_DEPTH,
@@ -35,6 +36,7 @@ from .forest import (
     DEFAULT_NEG_PER_POS,
     DEFAULT_THRESHOLD,
     bootstrap_training_set,
+    hyperparameter_problem,
     load_model,
     save_model,
     train_forest,
@@ -53,10 +55,6 @@ def _write_text(path: str | None, text: str) -> None:
         return
     with write_atomic(path) as fh:
         fh.write(text)
-
-
-def _report_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
@@ -108,7 +106,7 @@ def cmd_ingest(args) -> int:
         if args.published:
             result["published"] = store.ingest_published(args.published).as_dict()
         store.save(args.store)
-    sys.stdout.write(_report_json(result))
+    sys.stdout.write(report_json(result))
     return 0
 
 
@@ -122,6 +120,13 @@ def _require_candidates(k: int) -> None:
         raise CliError(f"--candidates must be >= 1, got {k}")
 
 
+def _require_hyperparameters(args) -> None:
+    problem = hyperparameter_problem(args.trees, args.depth, args.seed,
+                                     args.threshold, args.neg_per_pos)
+    if problem is not None:
+        raise CliError(problem)
+
+
 def cmd_scope(args) -> int:
     with open_store(args.store) as store:
         csv_text = scope_report(store, store.decisions, load_rules(args.rules))
@@ -130,6 +135,7 @@ def cmd_scope(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require_hyperparameters(args)
     with open_store(args.store) as store:
         index = build_index(store)
         x, labels = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
@@ -137,7 +143,7 @@ def cmd_train(args) -> int:
     model = train_forest(x, labels, n_trees=args.trees, max_depth=args.depth,
                          seed=args.seed, decision_threshold=args.threshold)
     save_model(model, args.model)
-    sys.stdout.write(_report_json({
+    sys.stdout.write(report_json({
         "model": args.model,
         "training_pairs": len(labels),
         "positives": positives,
@@ -152,14 +158,14 @@ def cmd_train(args) -> int:
 def cmd_match(args) -> int:
     _require_candidates(args.candidates)
     timestamp = _run_timestamp(args.timestamp)
+    _require_file(args.model)
+    model = load_model(args.model)
     with open_store(args.store, "w") as store:
-        _require_file(args.model)
-        model = load_model(args.model)
         index = build_index(store)
         report = batch_match(store, index, model, k=args.candidates,
                              timestamp=timestamp)
         store.save(args.store)
-    _write_text(args.report, _report_json(dataclasses.asdict(report)))
+    _write_text(args.report, report_json(dataclasses.asdict(report)))
     return 0
 
 
@@ -175,8 +181,8 @@ def cmd_merge(args) -> int:
         profiles = build_profiles(store)
         store.save(args.store)
         profiles.export_jsonl(Path(args.store) / PROFILES_FILE)
-    sys.stdout.write(_report_json({"merged": merged,
-                                   "profiles": len(profiles.profiles)}))
+    sys.stdout.write(report_json({"merged": merged,
+                                  "profiles": len(profiles.profiles)}))
     return 0
 
 
@@ -211,17 +217,18 @@ def cmd_stats(args) -> int:
             "with_msc": with_msc,
             "subjects": _subject_table(store, unpublished),
         }
-    _write_text(args.report, _report_json(stats))
+    _write_text(args.report, report_json(stats))
     return 0
 
 
 def cmd_eval(args) -> int:
     _require_candidates(args.candidates)
+    _require_hyperparameters(args)
     with open_store(args.store) as store:
         report = evaluate(store, seed=args.seed, n_trees=args.trees,
                           max_depth=args.depth, neg_per_pos=args.neg_per_pos,
                           k=args.candidates, decision_threshold=args.threshold)
-    _write_text(args.report, _report_json(dataclasses.asdict(report)))
+    _write_text(args.report, report_json(dataclasses.asdict(report)))
     return 0
 
 
@@ -230,7 +237,7 @@ def cmd_gen(args) -> int:
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(PerturbationProfile)})
     truth = gen_synthetic_corpus(args.n, profile, args.seed, args.out)
-    sys.stdout.write(_report_json({
+    sys.stdout.write(report_json({
         "out": args.out,
         "pairs": len(truth["pairs"]),
         "decoys": len(truth["decoys"]),

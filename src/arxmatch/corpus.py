@@ -297,6 +297,11 @@ def write_jsonl(path: str | Path, objects) -> None:
         _write_lines(fh, objects)
 
 
+def report_json(obj) -> str:
+    """The text of a report: key-sorted JSON indented by two, one newline."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
 def _read_jsonl(path: str | Path, parse, reject=None):
     """Yield ``(line number, parse(value))`` per non-blank line of ``path``.
     A line that is not UTF-8 raises ``RecordError`` naming it, and so does

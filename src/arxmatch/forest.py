@@ -93,25 +93,25 @@ def training_pairs_from(store: CorpusStore, index: CandidateIndex,
     """(x, labels): positives from the given (preprint, accession) pairs,
     each followed by the up-to neg_per_pos highest-ranked non-matching
     candidates of its preprint."""
-    if neg_per_pos < 1:
-        raise TrainingError("neg_per_pos must be >= 1")
+    problem = hyperparameter_problem(neg_per_pos=neg_per_pos)
+    if problem is not None:
+        raise TrainingError(problem)
     vectors = [np.empty((0, len(FEATURE_NAMES)))]
     labels = [np.empty(0, dtype=bool)]
     for chunk in chunked(_labelled_candidates(store, index, pairs, neg_per_pos)):
         vectors.append(feature_vector(index.table, [p for p, _ in chunk],
-                                      [ords for _, ords in chunk]))
-        labels += [np.arange(len(ords)) == 0 for _, ords in chunk]
+                                      [accs for _, accs in chunk]))
+        labels += [np.arange(len(accs)) == 0 for _, accs in chunk]
     return np.concatenate(vectors), np.concatenate(labels)
 
 
 def _labelled_candidates(store: CorpusStore, index: CandidateIndex,
                          pairs: list[tuple[str, str]], neg_per_pos: int):
-    """(preprint, ordinals) per pair: its accession's, then its negatives'."""
+    """(preprint, accessions) per pair: its accession, then its negatives."""
     for pid, accession in pairs:
         p = store.preprints[pid]
         ranked = query_candidates(index, p, k=neg_per_pos + 1)
-        negatives = [a for a in ranked if a != accession][:neg_per_pos]
-        yield p, index.ordinals([accession] + negatives)
+        yield p, [accession] + [a for a in ranked if a != accession][:neg_per_pos]
 
 
 def bootstrap_training_set(store: CorpusStore, index: CandidateIndex,
@@ -173,8 +173,7 @@ def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TRE
                  max_depth: int = DEFAULT_MAX_DEPTH, seed: int = 0,
                  decision_threshold: float = DEFAULT_THRESHOLD) -> ForestModel:
     seed = int(seed)
-    problem = _scalar_problem(n_trees, max_depth, seed, decision_threshold,
-                              list(FEATURE_NAMES))
+    problem = hyperparameter_problem(n_trees, max_depth, seed, decision_threshold)
     if problem is not None:
         raise TrainingError(problem)
     if labels.size == 0:
@@ -332,11 +331,12 @@ def load_model(path: str | Path) -> ForestModel:
         )
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc.args[0]!r}") from exc
-    problem = _scalar_problem(model.n_trees, model.max_depth, model.seed,
-                              model.decision_threshold,
-                              payload.get("feature_names", list(FEATURE_NAMES)))
+    problem = hyperparameter_problem(model.n_trees, model.max_depth, model.seed,
+                                     model.decision_threshold)
     if problem is not None:
         raise ModelFormatError(f"{path}: {problem}")
+    if payload.get("feature_names", list(FEATURE_NAMES)) != list(FEATURE_NAMES):
+        raise ModelFormatError(f"{path}: feature_names must be {list(FEATURE_NAMES)}")
     if not isinstance(model.trees, list) or len(model.trees) != model.n_trees:
         raise ModelFormatError(f"{path}: tree count does not match n_trees")
     for t, nodes in enumerate(model.trees):
@@ -360,19 +360,19 @@ def _is_number(x) -> bool:
         return False
 
 
-def _scalar_problem(n_trees, max_depth, seed, decision_threshold,
-                    feature_names) -> str | None:
-    """Why the hyperparameters are not ones a model holds, or None: the
-    one check of train_forest's arguments and of a model file's fields."""
-    for name, value in (("n_trees", n_trees), ("max_depth", max_depth)):
+def hyperparameter_problem(n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
+                           seed=0, decision_threshold=DEFAULT_THRESHOLD,
+                           neg_per_pos=DEFAULT_NEG_PER_POS) -> str | None:
+    """Why the hyperparameters cannot train a model, or None; one left out
+    is its default. The one check of arguments, options and model files."""
+    for name, value in (("n_trees", n_trees), ("max_depth", max_depth),
+                        ("neg_per_pos", neg_per_pos)):
         if type(value) is not int or value < 1:
             return f"{name} must be an integer >= 1"
     if type(seed) is not int:
         return "seed must be an integer"
     if not (_is_number(decision_threshold) and 0.0 < decision_threshold < 1.0):
         return "decision_threshold must be a number in (0, 1)"
-    if feature_names != list(FEATURE_NAMES):
-        return f"feature_names must be {list(FEATURE_NAMES)}"
     return None
 
 

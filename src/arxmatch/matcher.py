@@ -69,14 +69,13 @@ def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
     return store.doi_accession(p.doi)
 
 
-def pick_positive(probs: np.ndarray, x: np.ndarray, ordinals: np.ndarray,
+def pick_positive(probs: np.ndarray, x: np.ndarray, accessions: np.ndarray,
                   owner: np.ndarray, threshold: float) -> np.ndarray:
     """Per owner, the row of its most probable candidate with probability
     at least threshold, or -1. owner numbers each row's preprint 0..n-1,
     in order, and every owner has at least one row. Ties go to the
-    lexicographically smaller vector, then to the smaller ordinal, which
-    is the smaller accession."""
-    order = np.lexsort((ordinals, x[:, 2], x[:, 1], x[:, 0], -probs, owner))
+    lexicographically smaller vector, then to the smaller accession."""
+    order = np.lexsort((accessions, x[:, 2], x[:, 1], x[:, 0], -probs, owner))
     first = order[np.diff(owner[order], prepend=-1) != 0]
     return np.where(probs[first] >= threshold, first, -1)
 
@@ -91,15 +90,15 @@ def classify_preprints(preprints: Iterable[PreprintRecord], index: CandidateInde
     table = index.table
     hits = []
     for chunk in chunked((p, query_candidates(index, p, k)) for p in preprints):
-        scored = [(p, ranked, index.ordinals(ranked)) for p, ranked in chunk if ranked]
+        scored = [(p, ranked) for p, ranked in chunk if ranked]
         if scored:
-            x = feature_vector_projected(table, [table.query_row(p) for p, _, _ in scored],
-                                         [table.rows(ords) for _, _, ords in scored])
-            owner = np.repeat(np.arange(len(scored)), [len(ords) for _, _, ords in scored])
-            rows = iter(pick_positive(predict_many(model, x), x,
-                                      np.concatenate([ords for _, _, ords in scored]),
-                                      owner, model.decision_threshold).tolist())
-            accessions = [a for _, ranked, _ in scored for a in ranked]
+            x = feature_vector_projected(table, [table.query_row(p) for p, _ in scored],
+                                         [table.rows(ranked) for _, ranked in scored])
+            owner = np.repeat(np.arange(len(scored)), [len(r) for _, r in scored])
+            # object, not '<U': numpy's str arrays drop trailing NULs
+            accessions = np.array([a for _, r in scored for a in r], dtype=object)
+            rows = iter(pick_positive(predict_many(model, x), x, accessions, owner,
+                                      model.decision_threshold).tolist())
         for _, ranked in chunk:
             i = next(rows) if ranked else -1
             hits.append((accessions[i], tuple(x[i].tolist())) if i >= 0 else None)

@@ -17,7 +17,7 @@ keys over counts, with ids from a vocabulary. A family name with id v
 has key -1 - v and count 1, an abstract token key v and its count, and
 the families come first; the row also carries the integer squared norm
 of the abstract counts, 0 for a missing abstract. A ``ScoringTable``
-holds the rows of a fixed list of published records by ordinal and owns
+holds the rows of a mapping of published records by accession and owns
 their vocabulary; a row is filled the first time a batch scores its
 record. The candidate index keeps one table over the whole published
 corpus, so no table here is module state.
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -103,8 +103,7 @@ class Row(NamedTuple):
 def project(title: str, authors, abstract: str | None,
             vocab: dict[str, int]) -> Row:
     """The row of one record; names and tokens new to vocab get its next ids."""
-    keys = [-1 - v for v in {vocab.setdefault(name.key[0], len(vocab))
-                             for name in authors if name.key[0]}]
+    keys = [-1 - vocab.setdefault(f, len(vocab)) for f in sorted(family_set(authors))]
     families = len(keys)
     tf = Counter(normalize_tokens(abstract)) if abstract else Counter()
     if tf.total() >= TOKEN_TOTAL_LIMIT:
@@ -115,26 +114,26 @@ def project(title: str, authors, abstract: str | None,
 
 
 class ScoringTable:
-    """The rows of a fixed list of published records, by ordinal, over a
-    vocabulary of the table's own. A row is filled the first time it is
-    asked for, so a table built over a corpus normalizes only the
-    abstracts that some batch scores. Query rows add their new names and
-    tokens to the vocabulary too, so it grows with what was scored."""
+    """The rows of published records, by accession, over a vocabulary of
+    the table's own. A row is filled the first time it is asked for, so
+    a table built over a corpus normalizes only the abstracts that some
+    batch scores. Query rows add their new names and tokens to the
+    vocabulary too, so it grows with what was scored."""
 
-    def __init__(self, records: Sequence[PublishedRecord]) -> None:
+    def __init__(self, records: Mapping[str, PublishedRecord]) -> None:
         self.records = records
         self.vocab: dict[str, int] = {}
-        self._rows: dict[int, Row] = {}
+        self._rows: dict[str, Row] = {}
         self._lookup = np.zeros(0, dtype=np.int64)
 
-    def rows(self, ordinals: Iterable[int]) -> list[Row]:
+    def rows(self, accessions: Iterable[str]) -> list[Row]:
         out = []
-        for ordinal in ordinals:
-            row = self._rows.get(ordinal)
+        for accession in accessions:
+            row = self._rows.get(accession)
             if row is None:
-                rec = self.records[ordinal]
-                row = self._rows[ordinal] = project(rec.title, rec.authors,
-                                                    rec.abstract, self.vocab)
+                rec = self.records[accession]
+                row = self._rows[accession] = project(rec.title, rec.authors,
+                                                      rec.abstract, self.vocab)
             out.append(row)
         return out
 
@@ -203,8 +202,7 @@ def feature_vector_projected(table: ScoringTable, queries: list[Row],
 
 
 def feature_vector(table: ScoringTable, ps: list[PreprintRecord],
-                   ordinals: list[list[int]]) -> np.ndarray:
-    """feature_vector_projected of each of ps against the table's records
-    at its ordinals."""
+                   accessions: list[list[str]]) -> np.ndarray:
+    """feature_vector_projected of each of ps against its accessions' records."""
     return feature_vector_projected(table, [table.query_row(p) for p in ps],
-                                    [table.rows(ords) for ords in ordinals])
+                                    [table.rows(accs) for accs in accessions])

@@ -20,7 +20,6 @@ oracle tests that compare it with numpy's Generator call for call.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -28,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DOCUMENT_TYPES, PREPRINTS_FILE, PUBLISHED_FILE, write_atomic, write_jsonl
+from .corpus import (DOCUMENT_TYPES, PREPRINTS_FILE, PUBLISHED_FILE, report_json,
+                     write_atomic, write_jsonl)
 
 GROUNDTRUTH_FILE = "groundtruth.json"
 MAX_PAIRS = 100_000  # preprint i is numbered i; arXiv numbers have five digits
@@ -229,6 +229,11 @@ def _make_msc(rng: _Draws) -> list[str]:
     return out
 
 
+def _make_source(rng: _Draws, journal: str, year: int) -> str:
+    return (f"{journal} {rng.integers(1, 90)}, No. {rng.integers(1, 13)}, "
+            f"{rng.integers(1, 400)}-{rng.integers(400, 900)} ({year})")
+
+
 def _perturb_title(rng: _Draws, title: str, rate: float) -> str:
     words = title.split()
     for i in range(len(words)):
@@ -320,9 +325,7 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
             "authors": pub_authors,
             "abstract": pub_abstract,
             "doi": doi,
-            "source": f"{journal} {rng.integers(1, 90)}, No. "
-                      f"{rng.integers(1, 13)}, {rng.integers(1, 400)}-"
-                      f"{rng.integers(400, 900)} ({year})",
+            "source": _make_source(rng, journal, year),
             "document_type": DOCUMENT_TYPES[
                 bisect_right(_DOCUMENT_TYPE_CDF, rng.random())],
             "msc": _make_msc(rng),
@@ -341,9 +344,7 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
             "authors": _make_authors(rng),
             "abstract": _make_abstract(rng),
             "doi": f"10.{2000 + j % len(_JOURNALS)}/{slug}.{year}.d{j:05d}",
-            "source": f"{journal} {rng.integers(1, 90)}, No. "
-                      f"{rng.integers(1, 13)}, {rng.integers(1, 400)}-"
-                      f"{rng.integers(400, 900)} ({year})",
+            "source": _make_source(rng, journal, year),
             "document_type": "journal_article",
             "msc": _make_msc(rng),
         })
@@ -359,11 +360,6 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
     }
     write_jsonl(out_dir / PREPRINTS_FILE, preprints)
     write_jsonl(out_dir / PUBLISHED_FILE, published)
-    _write_json(out_dir / GROUNDTRUTH_FILE, truth)
+    with write_atomic(out_dir / GROUNDTRUTH_FILE) as fh:
+        fh.write(report_json(truth))
     return truth
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    with write_atomic(path) as fh:
-        json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
-        fh.write("\n")

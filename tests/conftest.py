@@ -49,8 +49,10 @@ def make_published(accession="zbl00000001", title="On Knot Invariants",
 
 
 def score_records(p, cs) -> list:
-    """feature_vector of p against the records cs, through a table of their own."""
-    return feature_vector(ScoringTable(cs), [p], [range(len(cs))])
+    """feature_vector of p against the records cs, in order, through a table
+    of their own."""
+    return feature_vector(ScoringTable({c.accession: c for c in cs}), [p],
+                          [[c.accession for c in cs]])
 
 
 def store_with(preprints=(), published=()) -> CorpusStore:

@@ -286,6 +286,52 @@ class TestCandidatesOption:
         assert "--candidates" in _one_error_line(capsys)
 
 
+class TestHyperparameterOptions:
+    @pytest.mark.parametrize("command", [["train", "--model", "m.json"], ["eval"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("option, value, name", [
+        ("--trees", "0", "n_trees"), ("--depth", "0", "max_depth"),
+        ("--threshold", "1.5", "decision_threshold"), ("--threshold", "nan",
+                                                       "decision_threshold"),
+        ("--neg-per-pos", "0", "neg_per_pos"),
+    ])
+    def test_checked_before_the_store(self, tmp_path, monkeypatch, capsys, command,
+                                      option, value, name):
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "missing"
+        assert run(*command, "--store", str(missing), "--seed", "1", option, value) == 1
+        error = _one_error_line(capsys)
+        assert name in error and "store" not in error
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestModelBeforeStore:
+    """match reads and checks --model before it opens the store, so a bad
+    model fails without loading the store or taking its exclusive lock."""
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "input file not found"),
+        ("{", "unreadable model file"),
+        ('{"schema_version": 2}', "unsupported schema version"),
+    ], ids=["missing", "not-json", "wrong-schema"])
+    def test_bad_model_never_loads_the_store(self, small_store, tmp_path, capsys,
+                                             monkeypatch, text, message):
+        model = tmp_path / "model.json"
+        if text is not None:
+            model.write_text(text)
+        loads = []
+        monkeypatch.setattr(CorpusStore, "load", classmethod(
+            lambda cls, directory: loads.append(directory)))
+        before = {f.name: f.read_bytes() for f in small_store.iterdir()}
+        with open(small_store / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run("match", "--store", str(small_store), "--model", str(model),
+                       "--timestamp", TS) == 1
+        assert message in _one_error_line(capsys)
+        assert loads == []
+        assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before
+
+
 class TestTimestampOption:
     @pytest.mark.parametrize("ts", ["next tuesday", "2024-1-1T00:00:00Z",
                                     "2024-02-30T00:00:00Z", "2024-01-01 00:00:00", ""])
@@ -407,6 +453,8 @@ class TestLocking:
 
     def test_writer_refused_while_a_reader_holds_the_store(self, small_store, tmp_path,
                                                            capsys):
+        # a valid model, since match reads --model before the store
+        (tmp_path / "model.json").write_text(json.dumps(stump_payload()))
         before = {f.name: f.read_bytes() for f in small_store.iterdir()}
         with _holding(HOLD_SHARED, str(small_store / ".lock")):
             assert run("stats", "--store", str(small_store)) == 0  # readers share
@@ -427,8 +475,15 @@ class TestMissingStore:
         ["train", "--model", "model.json", "--seed", "1"], ["eval", "--seed", "1"],
         ["stats"], ["scope"],
     ], ids=lambda argv: argv[0])
-    def test_mistyped_store_is_1_and_creates_nothing(self, tmp_path, monkeypatch,
-                                                     capsys, argv):
+    def test_mistyped_store_is_1_and_creates_nothing(self, tmp_path, tmp_path_factory,
+                                                     monkeypatch, capsys, argv):
+        if argv[0] == "match":
+            # match reads --model before the store, so it gets a valid one
+            # kept outside tmp_path; train's model.json stays relative, so
+            # the check below also proves train writes no model
+            model = tmp_path_factory.mktemp("model") / "model.json"
+            model.write_text(json.dumps(stump_payload()))
+            argv = [str(model) if arg == "model.json" else arg for arg in argv]
         monkeypatch.chdir(tmp_path)
         typo = tmp_path / "stroe"
         assert run(*argv, "--store", str(typo)) == 1

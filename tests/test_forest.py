@@ -17,6 +17,7 @@ from arxmatch.forest import (
     ModelFormatError,
     TrainingError,
     bootstrap_training_set,
+    hyperparameter_problem,
     load_model,
     predict_many,
     save_model,
@@ -622,6 +623,14 @@ class TestBootstrapTrainingSet:
         store = store_with(preprints, published)
         _, labels = bootstrap_training_set(store, build_index(store), neg_per_pos=2)
         assert labels.sum() == 2
+
+    @pytest.mark.parametrize("neg_per_pos", [0, -1, 2.0, True])
+    def test_refuses_neg_per_pos_that_the_options_refuse(self, neg_per_pos):
+        store = self._paired_store()
+        problem = hyperparameter_problem(neg_per_pos=neg_per_pos)
+        assert problem == "neg_per_pos must be an integer >= 1"
+        with pytest.raises(TrainingError, match=problem):
+            training_pairs_from(store, build_index(store), [], neg_per_pos)
 
     def test_no_training_signal(self):
         store = store_with([make_preprint()], [make_published()])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,15 +159,16 @@ CANDIDATES = st.lists(st.tuples(PROBS, st.tuples(DISTANCES, DISTANCES, DISTANCES
                       min_size=1, max_size=12)
 
 
-def pick(candidates, threshold=0.5, ordinals=None):
+def pick(candidates, threshold=0.5, accessions=None):
     """pick_positive over (probability, vector) candidates of one owner,
-    whose ordinals default to their positions: a row, or None."""
+    whose accessions default to ascending in rank order: a row, or None."""
     probs = np.array([prob for prob, _ in candidates])
     x = np.array([v for _, v in candidates], dtype=np.float64)
-    if ordinals is None:
-        ordinals = list(range(len(candidates)))
+    if accessions is None:
+        accessions = [f"zbl{i:08d}" for i in range(len(candidates))]
     owner = np.zeros(len(candidates), dtype=np.int64)
-    [i] = pick_positive(probs, x, np.array(ordinals), owner, threshold).tolist()
+    [i] = pick_positive(probs, x, np.array(accessions, dtype=object), owner,
+                        threshold).tolist()
     return None if i < 0 else i
 
 
@@ -192,18 +194,36 @@ class TestClassifyPreprints:
         monkeypatch.undo()
         assert classify_preprints(preprints, corpus_index, corpus_model, 20) == want
 
+    @pytest.mark.parametrize("small, large", [("zbl1", "zbl2"), ("zbl1", "zbl1\x00")],
+                             ids=["digit", "trailing-nul"])
+    def test_tie_goes_to_the_smaller_accession_whatever_the_rank(self, small, large):
+        # equal probability and vector: 1 - 1/2 and 1 - 2/4 are one author
+        # distance, but blocking ranks the larger accession first for its
+        # second shared family name; a trailing NUL is larger to Python,
+        # though numpy's str arrays would drop it
+        p = make_preprint(authors=("Jane Doe", "John Roe"))
+        store = store_with([p], [
+            make_published(accession=small, authors=("Jane Doe",)),
+            make_published(accession=large,
+                           authors=("Jane Doe", "John Roe", "Ann Poe", "Bob Loe")),
+        ])
+        index = build_index(store)
+        assert query_candidates(index, p, 20) == [large, small]
+        assert classify_preprints([p], index, always_match_model(), 20) == \
+            [(small, (0.0, 0.5, 0.0))]
+
 
 class TestPickPositive:
     @given(CANDIDATES, st.data())
     @settings(max_examples=300, deadline=None)
     def test_property_equals_min_over_positives(self, candidates, data):
-        # the candidates come in rank order; ordinal order is accession order
-        ordinals = data.draw(st.permutations(range(100)))[:len(candidates)]
-        accessions = [f"zbl{o:08d}" for o in ordinals]
+        # the candidates come in rank order, which is not accession order
+        accessions = [f"zbl{o:08d}"
+                      for o in data.draw(st.permutations(range(100)))[:len(candidates)]]
         positives = [(-prob, v, accession)
                      for (prob, v), accession in zip(candidates, accessions)
                      if prob >= 0.5]
-        i = pick(candidates, ordinals=ordinals)
+        i = pick(candidates, accessions=accessions)
         if not positives:
             assert i is None
         else:
@@ -216,24 +236,25 @@ class TestPickPositive:
     @given(st.lists(CANDIDATES, min_size=1, max_size=6), st.data())
     @settings(max_examples=300, deadline=None)
     def test_property_each_owner_equals_min_over_its_positives(self, groups, data):
-        # a chunk of several preprints' candidates; the same ordinal may
+        # a chunk of several preprints' candidates; the same accession may
         # come up for several of them, as one record can for several queries
-        ordinals = [data.draw(st.permutations(range(12)))[:len(g)] for g in groups]
+        accessions = [[f"zbl{o}" for o in data.draw(st.permutations(range(12)))[:len(g)]]
+                      for g in groups]
         flat = [c for g in groups for c in g]
         owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
         rows = pick_positive(np.array([prob for prob, _ in flat]),
                              np.array([v for _, v in flat], dtype=np.float64),
-                             np.concatenate(ordinals), owner, 0.5)
+                             np.array(sum(accessions, []), dtype=object), owner, 0.5)
         assert rows.shape == (len(groups),)
         start = 0
-        for group, ords, row in zip(groups, ordinals, rows.tolist()):
-            positives = [(-prob, v, o) for (prob, v), o in zip(group, ords) if prob >= 0.5]
+        for group, accs, row in zip(groups, accessions, rows.tolist()):
+            positives = [(-prob, v, a) for (prob, v), a in zip(group, accs) if prob >= 0.5]
             if not positives:
                 assert row == -1
             else:
                 i = row - start
                 assert 0 <= i < len(group)
-                assert (-group[i][0], group[i][1], ords[i]) == min(positives)
+                assert (-group[i][0], group[i][1], accs[i]) == min(positives)
             start += len(group)
 
 

@@ -54,7 +54,7 @@ def edit_distance_oracle(a: str, b: str) -> int:
 def scored(title_a="", title_b="", authors_a=(), authors_b=(),
            abstract_a=None, abstract_b=None) -> tuple[float, float, float]:
     """The vector of one pair, through project and feature_vector_projected."""
-    table = ScoringTable([])
+    table = ScoringTable({})
     [v] = feature_vector_projected(table, [project(title_a, authors_a, abstract_a, table.vocab)],
                                    [[project(title_b, authors_b, abstract_b, table.vocab)]])
     return tuple(v.tolist())
@@ -104,7 +104,7 @@ class TestTitleDistance:
         # 100 queries of 1-5 titles each, scored as one chunk
         rng = np.random.default_rng(7)
         alphabet = list("abcdef -")
-        table = ScoringTable([])
+        table = ScoringTable({})
         queries, rows, want = [], [], []
         for _ in range(100):
             a = "".join(rng.choice(alphabet, rng.integers(0, 25)))
@@ -303,7 +303,7 @@ class TestAbstractDistanceOracle:
             a = normalize_text(p.abstract)
             ranked = query_candidates(corpus_index, p)
             cs = [corpus_store.published[acc] for acc in ranked]
-            vectors = feature_vector(corpus_index.table, [p], [corpus_index.ordinals(ranked)])
+            vectors = feature_vector(corpus_index.table, [p], [ranked])
             for v, c in zip(vectors, cs):
                 b = normalize_text(c.abstract or "")
                 assert v[2] == cosine_oracle(a, b), (a, b)
@@ -320,7 +320,8 @@ class TestAbstractDistanceOracle:
             fresh = " ".join(uuid.uuid4().hex for _ in range(5))
             project(f"On {fresh}", split_authors("Jane Doe"), f"We study {fresh}.", {})
             p = make_preprint(title=f"On {fresh}", abstract=f"We study {fresh}.")
-            feature_vector(ScoringTable([make_published(title=f"On {fresh}")]), [p], [[0]])
+            c = make_published(title=f"On {fresh}")
+            feature_vector(ScoringTable({c.accession: c}), [p], [[c.accession]])
         assert sizes() == before
 
     def test_indexes_share_no_vocabulary(self):
@@ -329,8 +330,8 @@ class TestAbstractDistanceOracle:
         first, second = build_index(store), build_index(store)
         assert first.table.vocab is not second.table.vocab
         p = make_preprint(abstract=f"{fresh} flows again.")
-        assert np.array_equal(feature_vector(first.table, [p], [[0]]),
-                              feature_vector(second.table, [p], [[0]]))
+        assert np.array_equal(feature_vector(first.table, [p], [list(store.published)]),
+                              feature_vector(second.table, [p], [list(store.published)]))
         assert fresh in first.table.vocab and fresh in second.table.vocab
         third = build_index(store)
         assert third.table.vocab == {}
@@ -435,9 +436,10 @@ def scoring_case(draw):
     preprints = [make_preprint(title=draw(TITLES),
                                authors=draw(BYLINES), abstract=draw(ABSTRACTS))
                  for _ in range(2)]
-    ordinals = [draw(st.lists(st.integers(0, len(published) - 1), min_size=1, max_size=6))
-                for _ in preprints]
-    return published, preprints, ordinals
+    accessions = [draw(st.lists(st.sampled_from([c.accession for c in published]),
+                                min_size=1, max_size=6))
+                  for _ in preprints]
+    return {c.accession: c for c in published}, preprints, accessions
 
 
 class TestTableAgainstPairwiseOracles:
@@ -447,12 +449,12 @@ class TestTableAgainstPairwiseOracles:
     @given(scoring_case())
     @settings(max_examples=300, deadline=None)
     def test_equals_pairwise_oracles(self, case):
-        published, preprints, ordinals = case
+        published, preprints, accessions = case
         table = ScoringTable(published)
-        for p, ords in zip(preprints, ordinals):
-            got = feature_vector(table, [p], [ords])
+        for p, accs in zip(preprints, accessions):
+            got = feature_vector(table, [p], [accs])
             assert [as_hex(v) for v in got] == \
-                [pair_oracle_hex(p, published[o]) for o in ords]
+                [pair_oracle_hex(p, published[a]) for a in accs]
 
     def test_repeated_token(self):
         # 10**5 copies of one token: counts, squares and the dot stay exact
@@ -484,11 +486,12 @@ class TestTableAgainstPairwiseOracles:
             project("t", (), "a b a", {})
 
     def test_tokens_new_to_the_vocabulary(self):
-        table = ScoringTable([make_published(abstract="known words here")])
+        c = make_published(abstract="known words here")
+        table = ScoringTable({c.accession: c})
         p = make_preprint(abstract="known unseen words unseen")
-        [v] = feature_vector(table, [p], [[0]])
+        [v] = feature_vector(table, [p], [[c.accession]])
         assert {"unseen", "known"} <= set(table.vocab)
-        assert as_hex(v) == pair_oracle_hex(p, table.records[0])
+        assert as_hex(v) == pair_oracle_hex(p, c)
 
     @pytest.mark.parametrize("text", [
         "self-similar sets", "self--similar sets", "self–similar sets",
@@ -603,10 +606,10 @@ class TestLexCompare:
         assert picked((0.1, 0, 0), (0, 1, 1)) == (0, 1, 1)
 
     def test_equal(self):
-        # equal vectors: the smaller ordinal wins, wherever it ranks
+        # equal vectors: the smaller accession wins, wherever it ranks
         tied = [(1.0, (0.0, 0.0, 0.0))] * 2
-        assert pick(tied, ordinals=[7, 3]) == 1
-        assert pick(tied, ordinals=[3, 7]) == 0
+        assert pick(tied, accessions=["zbl7", "zbl3"]) == 1
+        assert pick(tied, accessions=["zbl3", "zbl7"]) == 0
 
     def test_third_component_decides(self):
         assert picked((0.2, 0.1, 0.3), (0.2, 0.1, 0)) == (0.2, 0.1, 0)
