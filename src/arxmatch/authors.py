@@ -60,11 +60,11 @@ class ProfileTable:
         self.profiles: dict[str, AuthorProfile] = {}
         self._by_name: dict[NameKey, AuthorProfile] = {}
 
-    def assign_record(self, kind: str, key: str, authors,
-                      withdrawn: bool = False) -> None:
-        """List one document on the profile of each of its author names,
-        creating a profile on a name's first mention."""
-        doc = (kind, key)
+    def assign_preprint(self, pid: str, authors, withdrawn: bool) -> None:
+        """List one preprint on the profile of each of its author names,
+        creating a profile on a name's first mention. Published records
+        enter only through ``update_on_merge``."""
+        doc = (KIND_PREPRINT, pid)
         for name in authors:
             name_key = name.key
             profile = self._by_name.get(name_key)
@@ -125,8 +125,7 @@ def build_profiles(store: CorpusStore) -> ProfileTable:
     table = ProfileTable()
     for pid in sorted(store.preprints):
         rec = store.preprints[pid]
-        table.assign_record(KIND_PREPRINT, pid, rec.authors,
-                            withdrawn=rec.withdrawn)
+        table.assign_preprint(pid, rec.authors, rec.withdrawn)
     for pid in sorted(store.merges):
         table.update_on_merge(store.preprints[pid],
                               store.published[store.merges[pid]])

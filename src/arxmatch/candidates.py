@@ -9,16 +9,18 @@ score first and ties by accession.
 Representation: the published accessions are sorted once, and a record's
 ordinal is its position in that list (ordinal i is ``accessions[i]``). A
 posting is an int64 array of ordinals, strictly increasing because the
-records are indexed in ordinal order. Ordinals never leave the index: a
-query returns accessions, and the index owns the records' scoring rows
-(``similarity.ScoringTable``) by accession, each filled the first time a
-query's candidates reach its record.
+records are indexed in ordinal order. A title token's posting carries its
+weight, the token's IDF: ``token_postings[tok]`` is ``(idf, ordinals)``.
+A family name's weight is always ``AUTHOR_BOOST``. Ordinals never leave
+the index: a query returns accessions, and the index owns the records'
+scoring rows (``similarity.ScoringTable``) by accession, each filled the
+first time a query's candidates reach its record.
 
-Query: the postings of the query's title tokens (in ``title_tokens``
-order), then of its family names (in sorted order), are concatenated,
-each with its weight repeated alongside, and one dense ``np.bincount``
-over all ordinals sums the weights per record, so a query costs
-O(hits + n). Hits tied at the k-th score are all kept through
+Query: the (weight, ordinals) pairs of the query's title tokens (in
+``title_tokens`` order), then of its family names (in sorted order), are
+gathered; their postings are concatenated, each with its weight repeated
+alongside, and one dense ``np.bincount`` over all ordinals sums the
+weights per record, so a query costs O(hits + n). Hits tied at the k-th score are all kept through
 ``np.partition``, and the survivors are ordered by ``np.lexsort`` on
 (-score, ordinal).
 
@@ -68,14 +70,9 @@ def title_tokens(title: str) -> list[str]:
 @dataclass
 class CandidateIndex:
     accessions: list[str]
-    token_postings: dict[str, np.ndarray]
+    token_postings: dict[str, tuple[float, np.ndarray]]  # (idf, ordinals)
     author_postings: dict[str, np.ndarray]
-    idf: dict[str, float]
     table: ScoringTable
-
-
-def _as_postings(lists: dict[str, list[int]]) -> dict[str, np.ndarray]:
-    return {key: np.array(ords, dtype=np.int64) for key, ords in lists.items()}
 
 
 def build_index(store: CorpusStore) -> CandidateIndex:
@@ -88,12 +85,13 @@ def build_index(store: CorpusStore) -> CandidateIndex:
         for fam in sorted(family_set(rec.authors)):
             author_lists.setdefault(fam, []).append(ordinal)
     n = len(accessions)
-    idf = {tok: math.log(1.0 + n / len(ords)) for tok, ords in token_lists.items()}
     return CandidateIndex(
         accessions=accessions,
-        token_postings=_as_postings(token_lists),
-        author_postings=_as_postings(author_lists),
-        idf=idf,
+        token_postings={tok: (math.log(1.0 + n / len(ords)),
+                              np.array(ords, dtype=np.int64))
+                        for tok, ords in token_lists.items()},
+        author_postings={fam: np.array(ords, dtype=np.int64)
+                         for fam, ords in author_lists.items()},
         table=ScoringTable(store.published),
     )
 
@@ -103,20 +101,14 @@ def query_candidates(index: CandidateIndex, p: PreprintRecord,
     """Top-k accessions by blocking score; only strictly positive scores."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    postings: list[np.ndarray] = []
-    weights: list[float] = []
-    for tok in title_tokens(p.title):
-        ords = index.token_postings.get(tok)
-        if ords is not None:
-            postings.append(ords)
-            weights.append(index.idf[tok])
-    for fam in sorted(family_set(p.authors)):
-        ords = index.author_postings.get(fam)
-        if ords is not None:
-            postings.append(ords)
-            weights.append(AUTHOR_BOOST)
-    if not postings:
+    hit_postings = [index.token_postings[tok] for tok in title_tokens(p.title)
+                    if tok in index.token_postings]
+    hit_postings += [(AUTHOR_BOOST, index.author_postings[fam])
+                     for fam in sorted(family_set(p.authors))
+                     if fam in index.author_postings]
+    if not hit_postings:
         return []
+    weights, postings = zip(*hit_postings)
     w = np.repeat(weights, [len(ords) for ords in postings])
     scores = np.bincount(np.concatenate(postings), weights=w,
                          minlength=len(index.accessions))

@@ -10,7 +10,8 @@ The seven store commands open --store through ``corpus.open_store``: only
 ingest creates a store; ingest, match and merge lock it exclusively until
 their files are replaced, and train, eval, stats and scope lock it shared
 while they read it. A store that is missing or locked fails with exit 1,
-after the forest options of train and eval and match's --model pass.
+after the forest options of train and eval, match's --model and scope's
+--rules pass.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from pathlib import Path
 
 from .authors import build_profiles
 from .candidates import DEFAULT_K, build_index
-from .corpus import (OUTCOME_UNMATCHED, PROFILES_FILE, CorpusStore, StoreError,
-                     open_store, report_json, write_atomic)
+from .corpus import (PROFILES_FILE, CorpusStore, StoreError, open_store,
+                     report_json, write_atomic)
 from .evaluate import evaluate
 from .forest import (
     DEFAULT_MAX_DEPTH,
@@ -128,8 +129,11 @@ def _require_hyperparameters(args) -> None:
 
 
 def cmd_scope(args) -> int:
+    if args.rules is not None:
+        _require_file(args.rules)
+    rules = load_rules(args.rules)
     with open_store(args.store) as store:
-        csv_text = scope_report(store, store.decisions, load_rules(args.rules))
+        csv_text = scope_report(store, store.decisions, rules)
     _write_text(args.report, csv_text)
     return 0
 
@@ -174,7 +178,7 @@ def cmd_merge(args) -> int:
         merged = 0
         for pid in sorted(store.decisions):
             decision = store.decisions[pid]
-            if decision.outcome == OUTCOME_UNMATCHED:
+            if not decision.matched:
                 continue
             store.merge_on_publication(decision)
             merged += 1

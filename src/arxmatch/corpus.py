@@ -104,11 +104,14 @@ class MatchDecision:
     def __post_init__(self):
         if self.outcome not in OUTCOMES:
             raise RecordError(f"unknown outcome: {self.outcome!r}")
-        matched = self.outcome != OUTCOME_UNMATCHED
-        if matched != (self.matched_accession is not None):
+        if self.matched != (self.matched_accession is not None):
             raise RecordError("matched_accession must be present iff matched")
         if (self.vector is not None) != (self.outcome == OUTCOME_CLASSIFIER):
             raise RecordError("vector must be present iff classifier_match")
+
+    @property
+    def matched(self) -> bool:
+        return self.outcome != OUTCOME_UNMATCHED
 
 
 @dataclass
@@ -116,11 +119,13 @@ class IngestReport:
     added: int = 0
     replaced: int = 0
     unchanged: int = 0  # equal to the stored record, as on a rerun
-    rejected: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)
 
+    @property
+    def rejected(self) -> int:
+        return len(self.errors)
+
     def reject(self, line_no: int, reason: str) -> None:
-        self.rejected += 1
         self.errors.append((line_no, reason))
 
     def as_dict(self) -> dict:
@@ -452,7 +457,7 @@ class CorpusStore:
         recording the merge of its arXiv identifier into the accession.
         Idempotent; the store is untouched on error.
         """
-        if decision.outcome == OUTCOME_UNMATCHED:
+        if not decision.matched:
             raise ValueError("cannot merge an unmatched decision")
         pid = decision.preprint
         accession = decision.matched_accession
@@ -476,7 +481,7 @@ class CorpusStore:
         out = []
         for pid in sorted(self.preprints):
             d = self.decisions.get(pid)
-            if d is None or d.outcome == OUTCOME_UNMATCHED:
+            if d is None or not d.matched:
                 out.append(pid)
         return out
 

@@ -70,13 +70,8 @@ def evaluate(store: CorpusStore, seed: int,
              max_depth: int = DEFAULT_MAX_DEPTH,
              neg_per_pos: int = DEFAULT_NEG_PER_POS,
              k: int = DEFAULT_K,
-             decision_threshold: float = DEFAULT_THRESHOLD,
-             split: tuple[list, list] | None = None) -> EvalReport:
-    """Run the harness; `split` overrides the seeded split (harness tests)."""
-    if split is None:
-        train, holdout = split_doi_pairs(store, seed)
-    else:
-        train, holdout = split
+             decision_threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
+    train, holdout = split_doi_pairs(store, seed)
     index = build_index(store)
     x, labels = training_pairs_from(store, index, train, neg_per_pos)
     model = train_forest(x, labels, n_trees=n_trees, max_depth=max_depth, seed=seed,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .corpus import OUTCOME_UNMATCHED, CorpusStore, MatchDecision
+from .corpus import CorpusStore, MatchDecision
 
 REASON_INCLUDED = "included_subcategory"
 REASON_STANDALONE = "standalone_included"
@@ -55,9 +55,6 @@ class ScopeRules:
 class ScopeDecision:
     in_scope: bool
     reason: str
-
-    def __bool__(self) -> bool:
-        return self.in_scope
 
 
 def load_rules(path: str | Path | None = None) -> ScopeRules:
@@ -116,8 +113,7 @@ def overlap_share(category: str, store: CorpusStore,
     if not carrying:
         return None
     matched = sum(
-        1 for pid in carrying
-        if pid in decisions and decisions[pid].outcome != OUTCOME_UNMATCHED
+        1 for pid in carrying if pid in decisions and decisions[pid].matched
     )
     return matched / len(carrying)
 
@@ -135,7 +131,7 @@ def scope_report(store: CorpusStore, decisions: dict[str, MatchDecision],
         for cat in rec.categories:
             counts[cat] = counts.get(cat, 0) + 1
         decision = decisions.get(pid)
-        hit = decision is not None and decision.outcome != OUTCOME_UNMATCHED
+        hit = decision is not None and decision.matched
         for cat in set(rec.categories):
             carrying[cat] = carrying.get(cat, 0) + 1
             matched[cat] = matched.get(cat, 0) + hit

@@ -43,15 +43,15 @@ def doi_decision(pid="2301.00001", accession="zbl00000001"):
 class TestAssignment:
     def test_first_occurrence_creates_slug_profile(self):
         table = ProfileTable()
-        table.assign_record(KIND_PREPRINT, "2301.00001", [name("Doe, Jane")])
+        table.assign_preprint("2301.00001", [name("Doe, Jane")], False)
         assert list(table.profiles) == ["doe.jane"]
         assert list(table.profiles["doe.jane"].documents) == \
             [(KIND_PREPRINT, "2301.00001")]
 
     def test_second_paper_reuses_profile(self):
         table = ProfileTable()
-        table.assign_record(KIND_PREPRINT, "2301.00001", [name("Doe, Jane")])
-        table.assign_record(KIND_PREPRINT, "2301.00002", [name("Jane Doe")])
+        table.assign_preprint("2301.00001", [name("Doe, Jane")], False)
+        table.assign_preprint("2301.00002", [name("Jane Doe")], False)
         assert list(table.profiles) == ["doe.jane"]
         assert len(table.profiles["doe.jane"].documents) == 2
 
@@ -78,8 +78,7 @@ class TestAssignment:
 
     def test_multitoken_slug(self):
         table = ProfileTable()
-        table.assign_record(KIND_PREPRINT, "2301.00001",
-                            [name("van der Berg, Jan")])
+        table.assign_preprint("2301.00001", [name("van der Berg, Jan")], False)
         assert "van-der-berg.jan" in table.profiles
 
 

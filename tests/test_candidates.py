@@ -122,8 +122,9 @@ class TestBuildIndex:
     def test_postings_are_increasing_ordinals(self, corpus_index):
         n = len(corpus_index.accessions)
         assert corpus_index.accessions == sorted(corpus_index.accessions)
-        for postings in (corpus_index.token_postings, corpus_index.author_postings):
-            for ords in postings.values():
+        token_ords = [ords for _, ords in corpus_index.token_postings.values()]
+        for postings in (token_ords, corpus_index.author_postings.values()):
+            for ords in postings:
                 assert ords.dtype == np.int64 and len(ords) > 0
                 assert 0 <= ords[0] and ords[-1] < n
                 assert np.all(np.diff(ords) > 0)
@@ -132,11 +133,22 @@ class TestBuildIndex:
         store = store_with([], [make_published(), make_published(accession="zbl2")])
         i1, i2 = build_index(store), build_index(store)
         assert i1.accessions == i2.accessions
-        for attr in ("token_postings", "author_postings"):
-            a, b = getattr(i1, attr), getattr(i2, attr)
-            assert list(a) == list(b)
-            assert all(np.array_equal(a[key], b[key]) for key in a)
-        assert i1.idf == i2.idf
+        a, b = i1.author_postings, i2.author_postings
+        assert list(a) == list(b)
+        assert all(np.array_equal(a[key], b[key]) for key in a)
+        a, b = i1.token_postings, i2.token_postings
+        assert list(a) == list(b)
+        assert all(a[key][0] == b[key][0] and np.array_equal(a[key][1], b[key][1])
+                   for key in a)
+
+    def test_token_posting_carries_smoothed_idf(self):
+        store = store_with([], [make_published(accession=f"zbl{i}",
+                                               title="Knots" if i else "Braids")
+                                for i in range(4)])
+        index = build_index(store)
+        idf, ords = index.token_postings["knots"]
+        assert idf == math.log(1.0 + 4 / 3)
+        assert [index.accessions[i] for i in ords] == ["zbl1", "zbl2", "zbl3"]
 
     def test_stopword_list_has_thirty_words(self):
         assert len(load_stopwords()) == 30

@@ -332,6 +332,32 @@ class TestModelBeforeStore:
         assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before
 
 
+class TestRulesBeforeStore:
+    """scope reads and checks --rules before it opens the store, so a bad
+    rules file fails without loading the store or waiting for its lock."""
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "input file not found"),
+        ("{", "unreadable scope rules"),
+        ('{"included": "math.AG"}', "'included' must be a list of strings"),
+    ], ids=["missing", "not-json", "wrong-schema"])
+    def test_bad_rules_never_load_the_store(self, small_store, tmp_path, capsys,
+                                            monkeypatch, text, message):
+        rules = tmp_path / "rules.json"
+        if text is not None:
+            rules.write_text(text)
+        loads = []
+        monkeypatch.setattr(CorpusStore, "load", classmethod(
+            lambda cls, directory: loads.append(directory)))
+        with open(small_store / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run("scope", "--store", str(small_store), "--rules", str(rules),
+                       "--report", str(tmp_path / "scope.csv")) == 1
+        assert message in _one_error_line(capsys)
+        assert loads == []
+        assert not (tmp_path / "scope.csv").exists()
+
+
 class TestTimestampOption:
     @pytest.mark.parametrize("ts", ["next tuesday", "2024-1-1T00:00:00Z",
                                     "2024-02-30T00:00:00Z", "2024-01-01 00:00:00", ""])

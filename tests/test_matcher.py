@@ -12,6 +12,7 @@ from arxmatch.candidates import build_index, query_candidates
 from arxmatch.corpus import OUTCOME_CLASSIFIER, OUTCOME_DOI, OUTCOME_UNMATCHED
 from arxmatch.forest import ForestModel, load_model
 from arxmatch.matcher import (
+    MatchRunReport,
     batch_match,
     build_naive_index,
     classify_preprints,
@@ -22,7 +23,7 @@ from arxmatch.matcher import (
     pick_positive,
 )
 
-from conftest import make_preprint, make_published, store_with
+from conftest import DATA_DIR, make_preprint, make_published, store_with
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -346,6 +347,15 @@ class TestBatchMatch:
         assert report.new_vs_naive == \
             report.classifier_matches - report.naive_equal_title_authors
         assert report.new_vs_naive >= 0
+
+    @pytest.mark.parametrize("outcome",
+                             ["doi_matches", "classifier_matches", "unmatched"])
+    def test_check_raises_when_outcomes_miss_the_total(self, outcome):
+        # a RuntimeError, not an assert, so that python -O keeps the check
+        fields = json.loads((DATA_DIR / "reference_counts.json").read_text())
+        fields[outcome] += 1
+        with pytest.raises(RuntimeError, match="conservation"):
+            MatchRunReport(**fields).check()
 
     def test_rerun_identical_report(self, corpus_store, corpus_index,
                                     corpus_model):
