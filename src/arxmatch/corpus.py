@@ -6,19 +6,20 @@ file each inside a store directory. A record is stored as its fields,
 with its authors as written. One reader parses every line, so a line
 that breaks the schema is reported like one that is not JSON: as
 ``path:line`` on load, as a rejected line on ingest. The DOI index is
-derived state, rebuilt deterministically on load; ingest adds to it
-record by record. A store remembers which of its files
-still hold exactly its in-memory table, and ``save`` rewrites only the
-others, in two phases: it writes every such table to its ``.tmp`` file
-first, then renames them in ``TABLE_FILES`` order. Mutations require
-exclusive access. Commands open a store directory only through
-``open_store``.
+derived state: load and ingest add to it record by record, and
+``rebuild_doi_index`` rebuilds it after records are deleted. A store
+remembers which of its files still hold exactly its in-memory table, and
+``save`` rewrites only the others, in two phases: it writes every such
+table to its ``.tmp`` file first, then renames them in ``TABLE_FILES``
+order. Mutations require exclusive access. Commands open a store
+directory only through ``open_store``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fcntl
+import gc
 import json
 import os
 import re
@@ -32,6 +33,12 @@ from .normalize import AuthorName, DoiError, normalize_doi, split_authors
 ARXIV_ID_RE = re.compile(r"\d{4}\.\d{4,5}|[a-z-]+(\.[A-Z]{2})?/\d{7}")
 MSC_RE = re.compile(r"\d{2}[A-Z-][0-9X-]{2}")
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")  # \ud800 to \udfff
+
+# shared by every line read or written: json.dumps with options builds an
+# encoder per call, and json.loads wraps the decoder's one call in two more
+_raw_decode = json.JSONDecoder().raw_decode
+_encode_line = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                separators=(",", ":")).encode
 
 DOCUMENT_TYPES = ("journal_article", "collection_article", "book")
 
@@ -143,7 +150,7 @@ def _parse_authors(items, where: str) -> tuple[AuthorName, ...]:
         raise RecordError(f"{where}: authors must be a non-empty list")
     names: list[AuthorName] = []
     for entry in items:
-        if not isinstance(entry, str) or not entry.strip():
+        if not isinstance(entry, str) or not entry or entry.isspace():
             raise RecordError(f"{where}: author entries must be non-empty strings")
         names.extend(split_authors(entry))
     if not names:
@@ -291,8 +298,7 @@ def write_atomic(path: str | Path):
 def _write_lines(fh, objects) -> None:
     """Write one compact, key-sorted JSON object per line."""
     for obj in objects:
-        fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                            separators=(",", ":")))
+        fh.write(_encode_line(obj))
         fh.write("\n")
 
 
@@ -324,7 +330,14 @@ def _read_jsonl(path: str | Path, parse, reject=None):
             if not line.strip(" \t\r\n"):  # JSON's whitespace, not str.isspace
                 continue
             try:
-                value = json.loads(line)
+                try:
+                    value, end = _raw_decode(line)
+                except (ValueError, RecursionError):
+                    end = None
+                if end is None or line[end:].strip(" \t\r\n"):
+                    # leading whitespace, a BOM, extra data or a refusal:
+                    # json.loads gives the value or the reason, as it always has
+                    value = json.loads(line)
                 # the backslash test is cheap and spares most lines the
                 # regex; a match may be a valid pair, which encodes fine
                 if "\\" in line and _SURROGATE_ESCAPE_RE.search(line):
@@ -359,6 +372,12 @@ def open_store(directory: str | Path, mode: str = "r"):
     under the lock. The OS drops an flock when its holder dies. When the
     block raises, ``"c"`` removes the directories it made in this call, so
     a failed first ingest leaves no empty store behind.
+
+    The loaded records are acyclic, so the garbage collector could free
+    none of them: it is paused while they load, and then skips them, frozen
+    with everything else it tracks, until the block ends, so cyclic garbage
+    made before the block is collected after it. A caller that has disabled
+    the collector or frozen objects finds it as it left it.
     """
     directory = Path(directory)
     created = []  # the directories made here, deepest first
@@ -370,25 +389,38 @@ def open_store(directory: str | Path, mode: str = "r"):
         directory.mkdir(parents=True, exist_ok=True)
     elif not directory.is_dir():
         raise StoreError(f"store directory not found: {directory}")
-    with open(directory / LOCK_FILE, "a") as lock:
-        try:
-            fcntl.flock(lock, (fcntl.LOCK_SH if mode == "r" else fcntl.LOCK_EX)
-                        | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise StoreError(f"store {directory} is locked by another run") from None
-        store = CorpusStore.load(directory)
-        if mode != "r":
+    own_gc = gc.isenabled() and not gc.get_freeze_count()
+    try:
+        with open(directory / LOCK_FILE, "a") as lock:
             try:
-                yield store
-            except BaseException:
-                if created:  # still under the lock, so nothing else is inside
-                    shutil.rmtree(directory, ignore_errors=True)
-                    for parent in created[1:]:
-                        with contextlib.suppress(OSError):
-                            parent.rmdir()
-                raise
-            return
-    yield store
+                fcntl.flock(lock, (fcntl.LOCK_SH if mode == "r" else fcntl.LOCK_EX)
+                            | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StoreError(f"store {directory} is locked by another run") from None
+            if own_gc:
+                gc.disable()
+            try:
+                store = CorpusStore.load(directory)
+                if own_gc:
+                    gc.freeze()  # before enable, so no collection walks the load
+            finally:
+                if own_gc:
+                    gc.enable()
+            if mode != "r":
+                try:
+                    yield store
+                except BaseException:
+                    if created:  # still under the lock, so nothing else is inside
+                        shutil.rmtree(directory, ignore_errors=True)
+                        for parent in created[1:]:
+                            with contextlib.suppress(OSError):
+                                parent.rmdir()
+                    raise
+                return
+        yield store
+    finally:
+        if own_gc:
+            gc.unfreeze()
 
 
 class CorpusStore:
@@ -554,7 +586,6 @@ class CorpusStore:
             for _ in _read_jsonl(path, add):  # add parses and stores a line
                 pass
             store._clean[name] = path.absolute()
-        store.rebuild_doi_index()
         return store
 
     def _load_preprint(self, obj) -> None:
@@ -564,6 +595,7 @@ class CorpusStore:
     def _load_published(self, obj) -> None:
         rec = published_from_json(obj)
         _put_once(self.published, rec.accession, rec, "accession")
+        self._index_doi(rec)
 
     def _load_decision(self, obj) -> None:
         d = decision_from_json(obj)

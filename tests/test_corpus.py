@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import fcntl
+import gc
 import io
 import json
 import re
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arxmatch import corpus
+from arxmatch import authors, corpus
 from arxmatch.cli import main
 from arxmatch.corpus import (
     OUTCOME_CLASSIFIER,
@@ -22,8 +24,10 @@ from arxmatch.corpus import (
     IntegrityError,
     MatchDecision,
     RecordError,
+    StoreError,
     _parse_authors,
     decision_from_json,
+    open_store,
     preprint_from_json,
     published_from_json,
     record_to_json,
@@ -1000,3 +1004,218 @@ class TestIngestFuzz:
             assert set(rejected) <= set(lines)
             assert len(records) == 1 + counts["added"]
         assert resaved == files
+
+
+def _loads_oracle(line: str):
+    """What a line read the json.loads way gives: ``("skip",)`` for a blank
+    line, ``("value", repr(value))`` or ``("reject", reason)``."""
+    if not line.strip(" \t\r\n"):
+        return ("skip",)
+    try:
+        value = json.loads(line)
+        if "\\" in line and re.search(r"\\u[dD][89a-fA-F]", line):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        return ("reject", f"malformed JSON: {exc.msg}")
+    except RecursionError:
+        return ("reject", "malformed JSON: nested too deeply")
+    except UnicodeEncodeError:
+        return ("reject", "unpaired surrogate escape")
+    except ValueError as exc:
+        return ("reject", f"malformed JSON: {exc}")
+    return ("value", repr(value))  # repr tells 1 from 1.0, and nan equals nan
+
+
+def _read_one_line(directory: Path, line: str):
+    """What ``_read_jsonl`` gives for a file holding only ``line``."""
+    path = directory / "one.jsonl"
+    path.write_bytes(line.encode("utf-8"))
+    rejected = []
+    values = list(corpus._read_jsonl(path, lambda v: v,
+                                     lambda n, reason: rejected.append(reason)))
+    if values:
+        return ("value", repr(values[0][1]))
+    return ("reject", rejected[0]) if rejected else ("skip",)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+# JSON whitespace, other whitespace, a BOM and a few JSON tokens
+LINE_EDGES = st.text(alphabet=" \t\r\x0c\xa0\ufeff {}[],:1x\"", max_size=3)
+ONE_LINE_TEXTS = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=30),
+    st.builds(lambda head, value, tail: head + json.dumps(value) + tail,
+              LINE_EDGES, JSON_VALUES, LINE_EDGES),
+    st.builds(lambda head, value, tail: head + json.dumps(value, ensure_ascii=False,
+                                                         separators=(",", ":")) + tail,
+              LINE_EDGES, JSON_VALUES, LINE_EDGES),
+)
+
+
+class TestDecoderPath:
+    """_read_jsonl decodes a line in one decoder call, and gives every line
+    the value or the reason that json.loads gives it."""
+
+    @pytest.mark.parametrize("line", [
+        ' {"a":1}',
+        '{"a":1}\x0c',
+        '{"a":1}\xa0',
+        '\ufeff{"a":1}',
+        '{"a":1}{"b":2}',
+        '1,2',
+        "[" * 100_000,
+        "9" * 5000,
+        "NaN",
+        "-Infinity",
+        '"\\ud800"',
+        '{"a":1}\r\n',
+        '{"a":1} \t\r\n',
+    ], ids=["leading-space", "trailing-form-feed", "trailing-nbsp", "bom",
+            "two-objects", "two-numbers", "nested-100k", "digits-5000", "nan",
+            "minus-infinity", "surrogate", "crlf", "json-whitespace"])
+    def test_edge_cases_equal_json_loads(self, tmp_path, line):
+        assert _read_one_line(tmp_path, line) == _loads_oracle(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ONE_LINE_TEXTS, st.sampled_from(["", "\n", "\r\n"]))
+    def test_any_line_equals_json_loads(self, text, ending):
+        line = text + ending
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _read_one_line(Path(tmp), line) == _loads_oracle(line)
+
+
+class TestSharedEncoder:
+    def test_lines_equal_json_dumps(self, monkeypatch):
+        preprint = make_preprint(title="Über Knoten", authors=("Jürgen Müller",
+                                                                "Zoë Ødegård; 李 小龙"))
+        published = make_published(abstract=None, doi="10.1/a")
+        decision = MatchDecision("2301.00001", OUTCOME_CLASSIFIER, "zbl00000001",
+                                 (0.1 + 0.2, 1e-07, 1), TS)
+        store = store_with([preprint], [published])
+        store.merge_on_publication(decision)
+        profile_lines = []
+        monkeypatch.setattr(authors, "write_jsonl",
+                            lambda path, objects: profile_lines.extend(objects))
+        authors.build_profiles(store).export_jsonl("unused")
+        objects = [record_to_json(preprint), record_to_json(published),
+                   record_to_json(decision),
+                   {"preprint": "2301.00001", "accession": "zbl00000001"},
+                   *profile_lines]
+        assert len(profile_lines) == 3
+        fh = io.StringIO()
+        corpus._write_lines(fh, objects)
+        expected = "".join(json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                                      separators=(",", ":")) + "\n" for obj in objects)
+        assert fh.getvalue() == expected
+        assert "Jürgen Müller" in expected and "0.30000000000000004" in expected
+
+
+class TestLoadIndexesDois:
+    def test_load_never_rebuilds_the_index(self, tmp_path, monkeypatch):
+        store = store_with([make_preprint()],
+                           [make_published(doi="10.1/a"),
+                            make_published("zbl2", doi="10.1/a"),
+                            make_published("zbl3", doi="10.1/b"),
+                            make_published("zbl4")])
+        store.save(tmp_path)
+
+        def refuse(self):
+            raise AssertionError("load rebuilt the DOI index")
+
+        monkeypatch.setattr(CorpusStore, "rebuild_doi_index", refuse)
+        loaded = CorpusStore.load(tmp_path)
+        assert loaded.doi_index == store.doi_index == {
+            "10.1/a": {"zbl00000001", "zbl2"}, "10.1/b": {"zbl3"}}
+
+
+def _gc_state() -> tuple[bool, int]:
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+class TestOpenStoreCollector:
+    """open_store pauses the collector while it loads, freezes what the
+    collector tracks for the block, and leaves the collector as it found it
+    however the block ends; a caller that manages the collector is left
+    alone."""
+
+    @pytest.fixture()
+    def store_dir(self, tmp_path) -> Path:
+        store_with([make_preprint()], [make_published()]).save(tmp_path / "store")
+        assert _gc_state() == (True, 0)
+        yield tmp_path / "store"
+        gc.enable()
+        gc.unfreeze()
+
+    def _load_sees(self, monkeypatch) -> list:
+        seen = []
+        load = CorpusStore.load.__func__
+
+        def recording(cls, directory):
+            seen.append(gc.isenabled())
+            return load(cls, directory)
+
+        monkeypatch.setattr(CorpusStore, "load", classmethod(recording))
+        return seen
+
+    @pytest.mark.parametrize("mode", ["r", "w", "c"])
+    def test_normal_block(self, store_dir, monkeypatch, mode):
+        seen = self._load_sees(monkeypatch)
+        with open_store(store_dir, mode) as store:
+            assert gc.isenabled()
+            assert gc.get_freeze_count() > 0
+            assert store.published
+        assert seen == [False]
+        assert _gc_state() == (True, 0)
+
+    @pytest.mark.parametrize("mode", ["r", "w", "c"])
+    def test_block_that_raises(self, store_dir, mode):
+        with pytest.raises(ZeroDivisionError):
+            with open_store(store_dir, mode):
+                assert gc.get_freeze_count() > 0
+                1 / 0
+        assert _gc_state() == (True, 0)
+
+    @pytest.mark.parametrize("mode", ["r", "w", "c"])
+    def test_load_that_fails(self, store_dir, mode):
+        with open(store_dir / "published.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(RecordError, match="published.jsonl:2: malformed JSON"):
+            with open_store(store_dir, mode):
+                pytest.fail("the block ran")
+        assert _gc_state() == (True, 0)
+
+    @pytest.mark.parametrize("mode", ["r", "w", "c"])
+    def test_store_locked_elsewhere(self, store_dir, mode):
+        with open(store_dir / ".lock", "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(StoreError, match="locked by another run"):
+                with open_store(store_dir, mode):
+                    pytest.fail("the block ran")
+        assert _gc_state() == (True, 0)
+
+    @pytest.mark.parametrize("mode", ["r", "w", "c"])
+    def test_collector_disabled_by_the_caller(self, store_dir, monkeypatch, mode):
+        seen = self._load_sees(monkeypatch)
+        gc.disable()
+        with open_store(store_dir, mode):
+            assert _gc_state() == (False, 0)
+        assert seen == [False]
+        assert _gc_state() == (False, 0)
+
+    @pytest.mark.parametrize("mode", ["r", "w", "c"])
+    def test_objects_frozen_by_the_caller(self, store_dir, monkeypatch, mode):
+        seen = self._load_sees(monkeypatch)
+        gc.freeze()
+        with pytest.raises(ZeroDivisionError):
+            with open_store(store_dir, mode):
+                1 / 0
+        assert seen == [True]
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > 0
+
+    def test_load_alone_leaves_the_collector_alone(self, store_dir):
+        assert CorpusStore.load(store_dir).published
+        assert _gc_state() == (True, 0)
