@@ -9,9 +9,12 @@ that repeated runs are byte-identical.
 The seven store commands open --store through ``corpus.open_store``: only
 ingest creates a store; ingest, match and merge lock it exclusively until
 their files are replaced, and train, eval, stats and scope lock it shared
-while they read it. A store that is missing or locked fails with exit 1,
-after the forest options of train and eval, match's --model and scope's
---rules pass.
+while they read it. Each command loads only the tables it reads or writes:
+ingest those of its inputs, train and eval preprints and published, scope
+those two and decisions, and match, merge and stats all four. A store that
+is missing or locked, or a bad line in a table the command loads, fails
+with exit 1, after the forest options of train and eval, match's --model
+and scope's --rules pass.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 
 from .authors import build_profiles
 from .candidates import DEFAULT_K, build_index
-from .corpus import (PROFILES_FILE, CorpusStore, StoreError, open_store,
+from .corpus import (PROFILES_FILE, TABLES, CorpusStore, StoreError, open_store,
                      report_json, write_atomic)
 from .evaluate import evaluate
 from .forest import (
@@ -100,7 +103,8 @@ def cmd_ingest(args) -> int:
     for path in (args.preprints, args.published):
         if path:
             _require_file(path)
-    with open_store(args.store, "c") as store:
+    tables = [t for t in ("preprints", "published") if getattr(args, t)]
+    with open_store(args.store, "c", tables) as store:
         result: dict = {}
         if args.preprints:
             result["preprints"] = store.ingest_preprints(args.preprints).as_dict()
@@ -132,7 +136,8 @@ def cmd_scope(args) -> int:
     if args.rules is not None:
         _require_file(args.rules)
     rules = load_rules(args.rules)
-    with open_store(args.store) as store:
+    with open_store(args.store, tables=("preprints", "published",
+                                        "decisions")) as store:
         csv_text = scope_report(store, store.decisions, rules)
     _write_text(args.report, csv_text)
     return 0
@@ -140,7 +145,7 @@ def cmd_scope(args) -> int:
 
 def cmd_train(args) -> int:
     _require_hyperparameters(args)
-    with open_store(args.store) as store:
+    with open_store(args.store, tables=("preprints", "published")) as store:
         index = build_index(store)
         x, labels = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
     positives = int(labels.sum())
@@ -164,7 +169,7 @@ def cmd_match(args) -> int:
     timestamp = _run_timestamp(args.timestamp)
     _require_file(args.model)
     model = load_model(args.model)
-    with open_store(args.store, "w") as store:
+    with open_store(args.store, "w", TABLES) as store:
         index = build_index(store)
         report = batch_match(store, index, model, k=args.candidates,
                              timestamp=timestamp)
@@ -174,7 +179,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    with open_store(args.store, "w") as store:
+    with open_store(args.store, "w", TABLES) as store:
         merged = 0
         for pid in sorted(store.decisions):
             decision = store.decisions[pid]
@@ -208,7 +213,7 @@ def _subject_table(store: CorpusStore, unpublished: list[str]) -> list[dict]:
 
 
 def cmd_stats(args) -> int:
-    with open_store(args.store) as store:
+    with open_store(args.store, tables=TABLES) as store:
         unpublished = store.unpublished_preprints()
         with_msc = sum(1 for pid in unpublished if store.preprints[pid].msc)
         stats = {
@@ -228,7 +233,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     _require_candidates(args.candidates)
     _require_hyperparameters(args)
-    with open_store(args.store) as store:
+    with open_store(args.store, tables=("preprints", "published")) as store:
         report = evaluate(store, seed=args.seed, n_trees=args.trees,
                           max_depth=args.depth, neg_per_pos=args.neg_per_pos,
                           k=args.candidates, decision_threshold=args.threshold)

@@ -6,13 +6,13 @@ file each inside a store directory. A record is stored as its fields,
 with its authors as written. One reader parses every line, so a line
 that breaks the schema is reported like one that is not JSON: as
 ``path:line`` on load, as a rejected line on ingest. The DOI index is
-derived state: load and ingest add to it record by record, and
-``rebuild_doi_index`` rebuilds it after records are deleted. A store
-remembers which of its files still hold exactly its in-memory table, and
-``save`` rewrites only the others, in two phases: it writes every such
-table to its ``.tmp`` file first, then renames them in ``TABLE_FILES``
-order. Mutations require exclusive access. Commands open a store
-directory only through ``open_store``.
+derived state: load and ingest add to it record by record. A load reads
+only the tables its caller names; a table left out is not parsed, and
+any use of it raises. A store remembers which of its files still hold
+exactly its in-memory table, and ``save`` rewrites only the others, in
+two phases: it writes every such table to its ``.tmp`` file first, then
+renames them in ``TABLE_FILES`` order. Mutations require exclusive
+access. Commands open a store directory only through ``open_store``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ PUBLISHED_FILE = "published.jsonl"
 DECISIONS_FILE = "decisions.jsonl"
 MERGES_FILE = "merges.jsonl"
 TABLE_FILES = (PREPRINTS_FILE, PUBLISHED_FILE, DECISIONS_FILE, MERGES_FILE)
+# the CorpusStore attribute of each table file, in TABLE_FILES order
+TABLES = ("preprints", "published", "decisions", "merges")
 PROFILES_FILE = "profiles.jsonl"
 LOCK_FILE = ".lock"
 
@@ -66,7 +68,8 @@ class IntegrityError(RuntimeError):
 
 
 class StoreError(RuntimeError):
-    """A store directory is missing or locked by another run."""
+    """A store directory is missing or locked by another run, or a table
+    that was not loaded is used."""
 
 
 def validate_arxiv_id(value: str) -> str:
@@ -362,11 +365,13 @@ def _read_jsonl(path: str | Path, parse, reject=None):
 
 
 @contextlib.contextmanager
-def open_store(directory: str | Path, mode: str = "r"):
+def open_store(directory: str | Path, mode: str = "r", tables=TABLES):
     """Load the store in ``directory`` for one command and yield it.
 
     ``mode`` is ``"r"`` (read), ``"w"`` (write) or ``"c"`` (write, creating
-    the directory; only ingest creates a store). A reader holds a shared
+    the directory; only ingest creates a store). ``tables`` names the tables
+    the command reads or writes, out of ``TABLES``; ``CorpusStore.load``
+    reads them, and only them, before this yields. A reader holds a shared
     flock on ``.lock`` while the files are read; a writer holds an exclusive
     one from before the load until its block ends, so it replaces its files
     under the lock. The OS drops an flock when its holder dies. When the
@@ -400,7 +405,7 @@ def open_store(directory: str | Path, mode: str = "r"):
             if own_gc:
                 gc.disable()
             try:
-                store = CorpusStore.load(directory)
+                store = CorpusStore.load(directory, tables)
                 if own_gc:
                     gc.freeze()  # before enable, so no collection walks the load
             finally:
@@ -519,11 +524,6 @@ class CorpusStore:
 
     # -- derived state ----------------------------------------------------------
 
-    def rebuild_doi_index(self) -> None:
-        self.doi_index = {}
-        for rec in self.published.values():
-            self._index_doi(rec)
-
     def _index_doi(self, rec: PublishedRecord) -> None:
         if rec.doi is not None:
             self.doi_index.setdefault(rec.doi, set()).add(rec.accession)
@@ -539,11 +539,12 @@ class CorpusStore:
     def save(self, directory: str | Path) -> None:
         """Write the four table files into ``directory``, skipping each file
         that already holds its table: one this store was loaded from or last
-        saved to, when the table has not changed since. Saving to another
-        directory writes all four. A skipped file keeps its bytes, so a
-        hand-edited file that load accepts but that save would have written
-        otherwise (a URL-form DOI, unsorted lines) stays as it is until its
-        table changes."""
+        saved to, when the table has not changed since, and the file of a
+        table that load left out. Saving to another directory writes all
+        four, so there a table left out raises ``StoreError`` and no file is
+        renamed. A skipped file keeps its bytes, so a hand-edited file that
+        load accepts but that save would have written otherwise (a URL-form
+        DOI, unsorted lines) stays as it is until its table changes."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         here = directory.absolute()
@@ -569,24 +570,48 @@ class CorpusStore:
         self._clean.update((name, here / name) for name in stale)
 
     @classmethod
-    def load(cls, directory: str | Path) -> "CorpusStore":
-        """Read a saved store. A bad line raises ``RecordError`` naming its
-        file and line: every key is stored once, every decision and merge names
-        a stored preprint, and every merge and matched decision a stored
-        accession."""
+    def load(cls, directory: str | Path, tables=TABLES) -> "CorpusStore":
+        """Read the tables named in ``tables`` (out of ``TABLES``) from a
+        saved store. Naming decisions or merges reads preprints and published
+        too, since their lines are checked against those keys. A bad line
+        raises ``RecordError`` naming its file and line: every key is stored
+        once, every decision and merge names a stored preprint, and every
+        merge and matched decision a stored accession.
+
+        A table whose file is missing is empty. A table left out whose file
+        exists is not read: any use of it, and of the DOI index when it is
+        published, raises ``StoreError``, and ``save`` leaves its file as it
+        is."""
+        wanted = set(tables)
+        if not wanted <= set(TABLES):
+            raise ValueError(f"unknown tables: {sorted(wanted - set(TABLES))}")
+        if wanted & {"decisions", "merges"}:
+            wanted |= {"preprints", "published"}
         directory = Path(directory)
         store = cls()
-        for name, add in ((PREPRINTS_FILE, store._load_preprint),
-                          (PUBLISHED_FILE, store._load_published),
-                          (DECISIONS_FILE, store._load_decision),
-                          (MERGES_FILE, store._load_merge)):
+        for name, table, add in zip(TABLE_FILES, TABLES,
+                                    (store._load_preprint, store._load_published,
+                                     store._load_decision, store._load_merge)):
             path = directory / name
             if not path.exists():
                 continue
-            for _ in _read_jsonl(path, add):  # add parses and stores a line
-                pass
+            if table in wanted:
+                for _ in _read_jsonl(path, add):  # add parses and stores a line
+                    pass
+            else:  # __getattr__ now answers for it
+                delattr(store, table)
+                if table == "published":
+                    del store.doi_index
             store._clean[name] = path.absolute()
         return store
+
+    def __getattr__(self, name: str):
+        # called only for an attribute that is not set: a table that load
+        # left out, which must not read as empty
+        if name in TABLES or name == "doi_index":
+            table = "published" if name == "doi_index" else name
+            raise StoreError(f"{TABLE_FILES[TABLES.index(table)]} was not loaded")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _load_preprint(self, obj) -> None:
         rec = preprint_from_json(obj)

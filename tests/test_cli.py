@@ -4,6 +4,7 @@ import contextlib
 import fcntl
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -747,6 +748,76 @@ class TestStoreRewrites:
         assert sorted(_stamps(store)) == sorted(TABLES)
         for name in ("preprints.jsonl", "decisions.jsonl", "merges.jsonl"):
             assert (store / name).read_bytes() == b""
+
+
+@pytest.fixture(scope="module")
+def matched_store(tmp_path_factory) -> Path:
+    """A directory with a 250-pair corpus, a model and a store that ingest,
+    match and merge filled, so that every table holds lines and eval finds
+    enough DOI pairs."""
+    work = tmp_path_factory.mktemp("tables")
+    corpus, store = str(work / "corpus"), str(work / "store")
+    assert run("gen", "--n", "250", "--seed", "7", "--out", corpus,
+               "--doi-rate", "1.0", "--wrong-doi-rate", "0") == 0
+    for argv in (["ingest", "--preprints", f"{corpus}/preprints.jsonl",
+                  "--published", f"{corpus}/published.jsonl"],
+                 ["train", "--model", str(work / "model.json"), "--trees", "5",
+                  "--depth", "3", "--seed", "7"],
+                 ["match", "--model", str(work / "model.json"), "--timestamp", TS],
+                 ["merge"]):
+        assert run(*argv, "--store", store) == 0, argv
+    for name in TABLES:
+        assert (work / "store" / name).stat().st_size > 0, name
+    return work
+
+
+# each store command: its arguments but --store, and the tables it loads
+def _table_commands(work: Path, out: Path) -> dict[str, tuple[list[str], set[str]]]:
+    preprints = ["--preprints", str(work / "corpus" / "preprints.jsonl")]
+    published = ["--published", str(work / "corpus" / "published.jsonl")]
+    forest = ["--trees", "5", "--depth", "3", "--seed", "7"]
+    return {
+        "ingest-preprints": (["ingest", *preprints], {"preprints.jsonl"}),
+        "ingest-published": (["ingest", *published], {"published.jsonl"}),
+        "ingest-both": (["ingest", *preprints, *published],
+                        {"preprints.jsonl", "published.jsonl"}),
+        "train": (["train", "--model", str(out / "model.json"), *forest],
+                  {"preprints.jsonl", "published.jsonl"}),
+        "eval": (["eval", "--report", str(out / "eval.json"), *forest],
+                 {"preprints.jsonl", "published.jsonl"}),
+        "scope": (["scope", "--report", str(out / "scope.csv")],
+                  {"preprints.jsonl", "published.jsonl", "decisions.jsonl"}),
+        "match": (["match", "--model", str(work / "model.json"), "--timestamp", TS,
+                   "--report", str(out / "match.json")], set(TABLES)),
+        "merge": (["merge"], set(TABLES)),
+        "stats": (["stats", "--report", str(out / "stats.json")], set(TABLES)),
+    }
+
+
+class TestTablesEachCommandLoads:
+    """A command parses only the tables it reads or writes: a bad line in
+    one of them fails it with exit 1, and one in any other table is never
+    read, and its file is left as it was."""
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("command", list(_table_commands(Path(), Path())))
+    def test_bad_line(self, matched_store, tmp_path, capsys, command, table):
+        store = tmp_path / "store"
+        shutil.copytree(matched_store / "store", store)
+        bad = store / table
+        lines = len(bad.read_bytes().splitlines())
+        with open(bad, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        before = bad.read_bytes(), bad.stat().st_ino
+        argv, loads = _table_commands(matched_store, tmp_path)[command]
+        capsys.readouterr()
+        code = run(*argv, "--store", str(store))
+        if table in loads:
+            assert code == 1
+            assert f"{table}:{lines + 1}: malformed JSON" in _one_error_line(capsys)
+        else:
+            assert code == 0, capsys.readouterr().err
+        assert (bad.read_bytes(), bad.stat().st_ino) == before
 
 
 class TestInterruptedIngest:

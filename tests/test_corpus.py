@@ -36,7 +36,8 @@ from arxmatch.corpus import (
 )
 from arxmatch.normalize import DoiError, normalize_doi, split_authors
 
-from conftest import CORPUS_DIR, make_preprint, make_published, store_with
+from conftest import (CORPUS_DIR, make_preprint, make_published, rebuild_doi_index,
+                      store_with)
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -668,16 +669,18 @@ def _change_merges(store, tmp):
     store.merge_on_publication(matched_decision("2301.00002", "zbl2"))
 
 
-class TestSaveSkipsCleanTables:
-    @pytest.fixture()
-    def saved(self, tmp_path) -> Path:
-        store = store_with([make_preprint(), make_preprint("2301.00002")],
-                           [make_published(), make_published("zbl2")])
-        store.record_decision(matched_decision())
-        store.merge_on_publication(matched_decision())
-        store.save(tmp_path / "store")
-        return tmp_path / "store"
+@pytest.fixture()
+def saved(tmp_path) -> Path:
+    """A saved store whose four tables each hold a line."""
+    store = store_with([make_preprint(), make_preprint("2301.00002")],
+                       [make_published(doi="10.1/a"), make_published("zbl2")])
+    store.record_decision(matched_decision())
+    store.merge_on_publication(matched_decision())
+    store.save(tmp_path / "store")
+    return tmp_path / "store"
 
+
+class TestSaveSkipsCleanTables:
     def test_unchanged_store_writes_nothing(self, saved):
         before = _stamps(saved)
         store = CorpusStore.load(saved)
@@ -781,6 +784,81 @@ class TestSaveSkipsCleanTables:
         CorpusStore.load(saved).save(fresh)
         for n in TABLES:
             assert (saved / n).read_bytes() == (fresh / n).read_bytes()
+
+
+class TestTablesLeftOut:
+    """A load that leaves a table out does not parse its file: any use of
+    the table raises, so it never reads as empty, and save leaves its file
+    as it is."""
+
+    @pytest.mark.parametrize("tables, left_out", [
+        (["preprints"], ["published", "decisions", "merges"]),
+        (["published"], ["preprints", "decisions", "merges"]),
+        (["preprints", "published"], ["decisions", "merges"]),
+        (["decisions"], ["merges"]),  # decisions name preprints and accessions
+        (["merges"], ["decisions"]),
+    ])
+    def test_reading_a_table_left_out_raises(self, saved, tables, left_out):
+        full = CorpusStore.load(saved)
+        store = CorpusStore.load(saved, tables)
+        for table in corpus.TABLES:
+            if table in left_out:
+                with pytest.raises(StoreError, match=f"{table}.jsonl was not loaded"):
+                    getattr(store, table, {})
+            else:
+                assert getattr(store, table) == getattr(full, table)
+        if "published" in left_out:
+            with pytest.raises(StoreError, match="published.jsonl was not loaded"):
+                store.doi_accession("10.1/a")
+        else:
+            assert store.doi_accession("10.1/a") == "zbl00000001"
+
+    @pytest.mark.parametrize("tables, change", [
+        (["published"], _change_preprints),
+        (["preprints"], _change_published),
+        (["preprints", "published"], _change_decision),
+        (["decisions"], _change_merges),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_writing_a_table_left_out_raises(self, saved, tables, change):
+        before = _stamps(saved)
+        store = CorpusStore.load(saved, tables)
+        with pytest.raises(StoreError, match="was not loaded"):
+            change(store, saved.parent)
+        store.save(saved)
+        assert _stamps(saved) == before
+
+    def test_save_replaces_only_the_changed_table(self, saved):
+        before = _stamps(saved)
+        oracle = CorpusStore.load(saved)
+        _change_preprints(oracle, saved.parent)
+        oracle.save(saved.parent / "fresh")
+        store = CorpusStore.load(saved, ["preprints"])
+        _change_preprints(store, saved.parent)
+        store.save(saved)
+        after = _stamps(saved)
+        assert [n for n in TABLES if after[n] != before[n]] == ["preprints.jsonl"]
+        for n in TABLES:
+            assert (saved / n).read_bytes() == (saved.parent / "fresh" / n).read_bytes()
+
+    def test_missing_table_left_out_is_written_empty(self, saved):
+        before = _stamps(saved)
+        (saved / "merges.jsonl").unlink()
+        store = CorpusStore.load(saved, ["preprints"])
+        assert store.merges == {}
+        store.save(saved)
+        after = _stamps(saved)
+        assert [n for n in TABLES if after[n] != before[n]] == ["merges.jsonl"]
+        assert (saved / "merges.jsonl").read_bytes() == b""
+
+    def test_save_elsewhere_with_a_table_left_out_raises(self, saved, tmp_path):
+        store = CorpusStore.load(saved, ["preprints", "published"])
+        with pytest.raises(StoreError, match="was not loaded"):
+            store.save(tmp_path / "copy")
+        assert list((tmp_path / "copy").iterdir()) == []
+
+    def test_unknown_table_is_refused(self, saved):
+        with pytest.raises(ValueError, match=r"unknown tables: \['profiles'\]"):
+            CorpusStore.load(saved, ["preprints", "profiles"])
 
 
 class TestStoreProperties:
@@ -1114,20 +1192,16 @@ class TestSharedEncoder:
 
 
 class TestLoadIndexesDois:
-    def test_load_never_rebuilds_the_index(self, tmp_path, monkeypatch):
-        store = store_with([make_preprint()],
-                           [make_published(doi="10.1/a"),
-                            make_published("zbl2", doi="10.1/a"),
-                            make_published("zbl3", doi="10.1/b"),
-                            make_published("zbl4")])
-        store.save(tmp_path)
-
-        def refuse(self):
-            raise AssertionError("load rebuilt the DOI index")
-
-        monkeypatch.setattr(CorpusStore, "rebuild_doi_index", refuse)
+    def test_load_never_rebuilds_the_index(self, tmp_path):
+        store_with([make_preprint()],
+                   [make_published(doi="10.1/a"),
+                    make_published("zbl2", doi="10.1/a"),
+                    make_published("zbl3", doi="10.1/b"),
+                    make_published("zbl4")]).save(tmp_path)
         loaded = CorpusStore.load(tmp_path)
-        assert loaded.doi_index == store.doi_index == {
+        indexed = loaded.doi_index
+        rebuild_doi_index(loaded)
+        assert indexed == loaded.doi_index == {
             "10.1/a": {"zbl00000001", "zbl2"}, "10.1/b": {"zbl3"}}
 
 
@@ -1153,9 +1227,9 @@ class TestOpenStoreCollector:
         seen = []
         load = CorpusStore.load.__func__
 
-        def recording(cls, directory):
+        def recording(cls, *args):
             seen.append(gc.isenabled())
-            return load(cls, directory)
+            return load(cls, *args)
 
         monkeypatch.setattr(CorpusStore, "load", classmethod(recording))
         return seen

@@ -10,6 +10,8 @@ from arxmatch.corpus import CorpusStore
 from arxmatch.evaluate import EvalError, evaluate, split_doi_pairs
 from arxmatch.synth import PerturbationProfile, gen_synthetic_corpus
 
+from conftest import rebuild_doi_index
+
 
 def corpus(tmp_path, n, seed, **profile_kw) -> CorpusStore:
     profile = PerturbationProfile(**profile_kw)
@@ -59,7 +61,7 @@ class TestEvaluate:
         train, holdout = split_doi_pairs(store, seed=4)
         for _pid, accession in holdout:
             del store.published[accession]
-        store.rebuild_doi_index()
+        rebuild_doi_index(store)
         # a split of the reduced store would draw another holdout, so
         # evaluation gets the split drawn before the deletions
         monkeypatch.setattr(evaluate_module, "split_doi_pairs",
