@@ -138,7 +138,7 @@ def cmd_scope(args) -> int:
     rules = load_rules(args.rules)
     with open_store(args.store, tables=("preprints", "published",
                                         "decisions")) as store:
-        csv_text = scope_report(store, store.decisions, rules)
+        csv_text = scope_report(store, rules)
     _write_text(args.report, csv_text)
     return 0
 

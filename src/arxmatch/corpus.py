@@ -5,14 +5,15 @@ match decisions) plus the merge assignments, persisted as one JSON Lines
 file each inside a store directory. A record is stored as its fields,
 with its authors as written. One reader parses every line, so a line
 that breaks the schema is reported like one that is not JSON: as
-``path:line`` on load, as a rejected line on ingest. The DOI index is
-derived state: load and ingest add to it record by record. A load reads
-only the tables its caller names; a table left out is not parsed, and
-any use of it raises. A store remembers which of its files still hold
-exactly its in-memory table, and ``save`` rewrites only the others, in
-two phases: it writes every such table to its ``.tmp`` file first, then
-renames them in ``TABLE_FILES`` order. Mutations require exclusive
-access. Commands open a store directory only through ``open_store``.
+``path:line`` on load, as a rejected line on ingest. The DOI index, one
+accession per DOI, is built on the first lookup: only match, train and
+eval build it. A load reads only the tables its caller names; a table
+left out is not parsed, and any use of it raises. A store remembers
+which of its files still hold exactly its in-memory table, and ``save``
+rewrites only the others, in two phases: it writes every such table to
+its ``.tmp`` file first, then renames them in ``TABLE_FILES`` order.
+Mutations require exclusive access. Commands open a store directory only
+through ``open_store``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 import re
 import shutil
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .normalize import AuthorName, DoiError, normalize_doi, split_authors
@@ -429,14 +431,13 @@ def open_store(directory: str | Path, mode: str = "r", tables=TABLES):
 
 
 class CorpusStore:
-    """In-memory corpus with JSONL persistence and a derived DOI index."""
+    """In-memory corpus with JSONL persistence and a lazily built DOI index."""
 
     def __init__(self) -> None:
         self.preprints: dict[str, PreprintRecord] = {}
         self.published: dict[str, PublishedRecord] = {}
         self.decisions: dict[str, MatchDecision] = {}
         self.merges: dict[str, str] = {}
-        self.doi_index: dict[str, set[str]] = {}
         # table file name -> the absolute path of a file that holds exactly
         # that table. Every write to a table drops its entry; the four
         # mutators below are the only code that writes to the tables.
@@ -474,7 +475,7 @@ class CorpusStore:
                 continue
             self.published[rec.accession] = rec
             self._clean.pop(PUBLISHED_FILE, None)
-            self._index_doi(rec)
+            vars(self).pop("doi_index", None)  # rebuilt on the next lookup
             report.added += 1
         return report
 
@@ -524,15 +525,19 @@ class CorpusStore:
 
     # -- derived state ----------------------------------------------------------
 
-    def _index_doi(self, rec: PublishedRecord) -> None:
-        if rec.doi is not None:
-            self.doi_index.setdefault(rec.doi, set()).add(rec.accession)
+    @cached_property
+    def doi_index(self) -> dict[str, str | None]:
+        """DOI -> accession of the one published record carrying it, or None."""
+        index: dict[str, str | None] = {}
+        for rec in self.published.values():
+            if rec.doi is not None:
+                index[rec.doi] = None if rec.doi in index else rec.accession
+        return index
 
     def doi_accession(self, doi: str | None) -> str | None:
         """Accession of the one published record carrying ``doi``; None when
         the DOI is absent or no record or several records carry it."""
-        hits = self.doi_index.get(doi, ())
-        return next(iter(hits)) if len(hits) == 1 else None
+        return self.doi_index.get(doi)
 
     # -- persistence --------------------------------------------------------------
 
@@ -581,7 +586,7 @@ class CorpusStore:
         A table whose file is missing is empty. A table left out whose file
         exists is not read: any use of it, and of the DOI index when it is
         published, raises ``StoreError``, and ``save`` leaves its file as it
-        is."""
+        is. The DOI index is built on its first lookup, not here."""
         wanted = set(tables)
         if not wanted <= set(TABLES):
             raise ValueError(f"unknown tables: {sorted(wanted - set(TABLES))}")
@@ -600,17 +605,14 @@ class CorpusStore:
                     pass
             else:  # __getattr__ now answers for it
                 delattr(store, table)
-                if table == "published":
-                    del store.doi_index
             store._clean[name] = path.absolute()
         return store
 
     def __getattr__(self, name: str):
         # called only for an attribute that is not set: a table that load
         # left out, which must not read as empty
-        if name in TABLES or name == "doi_index":
-            table = "published" if name == "doi_index" else name
-            raise StoreError(f"{TABLE_FILES[TABLES.index(table)]} was not loaded")
+        if name in TABLES:
+            raise StoreError(f"{TABLE_FILES[TABLES.index(name)]} was not loaded")
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _load_preprint(self, obj) -> None:
@@ -620,7 +622,6 @@ class CorpusStore:
     def _load_published(self, obj) -> None:
         rec = published_from_json(obj)
         _put_once(self.published, rec.accession, rec, "accession")
-        self._index_doi(rec)
 
     def _load_decision(self, obj) -> None:
         d = decision_from_json(obj)

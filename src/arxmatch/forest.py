@@ -17,7 +17,7 @@ fraction. Prediction is the mean leaf probability across trees.
 
 Each tree is a piecewise-constant function on the grid of its own
 thresholds, so prediction is a table lookup (_kernels.forest_eval) into
-a threshold-bin table that ForestModel.packed() builds once per model:
+a threshold-bin table, ForestModel.packed, built on a model's first use:
 the model's sorted thresholds per feature, a per-tree map from a global
 bin to the tree's local one, and every tree's grid of leaf values. The
 table's size depends on the trees, not on max_depth alone, so it is
@@ -32,6 +32,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -69,12 +70,10 @@ class ForestModel:
     max_depth: int
     seed: int
     decision_threshold: float = DEFAULT_THRESHOLD
-    _packed: tuple | None = field(default=None, repr=False, compare=False)
 
+    @cached_property
     def packed(self) -> tuple:
-        if self._packed is None:
-            self._packed = _build_table(self.trees)
-        return self._packed
+        return _build_table(self.trees)
 
 
 def doi_pairs(store: CorpusStore) -> list[tuple[str, str]]:
@@ -287,7 +286,7 @@ def _build_table(trees: list[list[dict]]) -> tuple:
 
 def predict_many(model: ForestModel, vectors: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(vectors, dtype=np.float64)
-    edges_0, edges_1, edges_2, cells_0, cells_1, cells_2, leaf = model.packed()
+    edges_0, edges_1, edges_2, cells_0, cells_1, cells_2, leaf = model.packed
     return _kernels.forest_eval(edges_0, edges_1, edges_2,
                                 cells_0, cells_1, cells_2, x, leaf)
 

@@ -124,14 +124,12 @@ def normalize_tokens(raw: str) -> list[str]:
     return list(filter(None, tokens))
 
 
-def normalize_uncached(raw: str) -> str:
-    """Canonical lowercase form of a title, abstract, or name fragment."""
-    return " ".join(normalize_tokens(raw))
-
-
 # titles and names repeat across a run, so their forms are cached; an
 # abstract is normalized once per record, through normalize_tokens
-normalize_text = lru_cache(maxsize=65536)(normalize_uncached)
+@lru_cache(maxsize=65536)
+def normalize_text(raw: str) -> str:
+    """Canonical lowercase form of a title, abstract, or name fragment."""
+    return " ".join(normalize_tokens(raw))
 
 
 _AND_RE = re.compile(r"\s+and\s+")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .corpus import CorpusStore, MatchDecision
+from .corpus import CorpusStore
 
 REASON_INCLUDED = "included_subcategory"
 REASON_STANDALONE = "standalone_included"
@@ -105,21 +105,18 @@ def decide_categories(categories, rules: ScopeRules) -> ScopeDecision:
     return ScopeDecision(False, REASON_NO_MATH)
 
 
-def overlap_share(category: str, store: CorpusStore,
-                  decisions: dict[str, MatchDecision]) -> float | None:
+def overlap_share(category: str, store: CorpusStore) -> float | None:
     """Fraction of preprints carrying the category that matched; None if absent."""
     carrying = [pid for pid in store.preprints
                 if category in store.preprints[pid].categories]
     if not carrying:
         return None
-    matched = sum(
-        1 for pid in carrying if pid in decisions and decisions[pid].matched
-    )
+    matched = sum(1 for pid in carrying
+                  if pid in store.decisions and store.decisions[pid].matched)
     return matched / len(carrying)
 
 
-def scope_report(store: CorpusStore, decisions: dict[str, MatchDecision],
-                 rules: ScopeRules) -> str:
+def scope_report(store: CorpusStore, rules: ScopeRules) -> str:
     """Per-category CSV: count, overlap share, and the policy verdict.
 
     One pass over the preprints; the share is ``overlap_share``'s, counting
@@ -130,7 +127,7 @@ def scope_report(store: CorpusStore, decisions: dict[str, MatchDecision],
     for pid, rec in store.preprints.items():
         for cat in rec.categories:
             counts[cat] = counts.get(cat, 0) + 1
-        decision = decisions.get(pid)
+        decision = store.decisions.get(pid)
         hit = decision is not None and decision.matched
         for cat in set(rec.categories):
             carrying[cat] = carrying.get(cat, 0) + 1

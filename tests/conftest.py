@@ -61,17 +61,7 @@ def store_with(preprints=(), published=()) -> CorpusStore:
         store.preprints[rec.id] = rec
     for rec in published:
         store.published[rec.accession] = rec
-    rebuild_doi_index(store)
     return store
-
-
-def rebuild_doi_index(store: CorpusStore) -> None:
-    """Index the DOIs of ``store.published`` anew, after records were added
-    or deleted behind the store's back."""
-    store.doi_index = {}
-    for rec in store.published.values():
-        if rec.doi is not None:
-            store.doi_index.setdefault(rec.doi, set()).add(rec.accession)
 
 
 def load_truth() -> dict:

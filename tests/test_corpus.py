@@ -36,8 +36,7 @@ from arxmatch.corpus import (
 )
 from arxmatch.normalize import DoiError, normalize_doi, split_authors
 
-from conftest import (CORPUS_DIR, make_preprint, make_published, rebuild_doi_index,
-                      store_with)
+from conftest import CORPUS_DIR, make_preprint, make_published, store_with
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -349,15 +348,17 @@ class TestIngestPublished:
                            published_obj("zbl2", doi="10.1/b")])
         store = CorpusStore()
         store.ingest_published(path)
-        assert len(store.doi_index) == 2
+        assert store.doi_accession("10.1/a") == "zbl1"
+        assert store.doi_accession("10.1/b") == "zbl2"
 
-    def test_shared_doi_two_element_set(self, tmp_path):
+    def test_shared_doi_resolves_to_none(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [published_obj("zbl1", doi="10.1/a"),
-                           published_obj("zbl2", doi="10.1/a")])
+                           published_obj("zbl2", doi="10.1/a"),
+                           published_obj("zbl3", doi="10.1/a")])
         store = CorpusStore()
         store.ingest_published(path)
-        assert store.doi_index["10.1/a"] == {"zbl1", "zbl2"}
+        assert store.doi_accession("10.1/a") is None
 
     def test_no_doi_no_index_entry(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -365,6 +366,7 @@ class TestIngestPublished:
         store = CorpusStore()
         store.ingest_published(path)
         assert store.doi_index == {}
+        assert store.doi_accession(None) is None
 
     def test_duplicate_accession_later_line_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -382,7 +384,7 @@ class TestIngestPublished:
         store = CorpusStore()
         report = store.ingest_published(path)
         assert (report.added, report.unchanged, report.rejected) == (1, 1, 0)
-        assert store.doi_index == {"10.1/a": {"zbl1"}}
+        assert store.doi_accession("10.1/a") == "zbl1"  # not shared with itself
 
 
 def matched_decision(pid="2301.00001", accession="zbl00000001",
@@ -871,12 +873,11 @@ class TestStoreProperties:
                 doi = f"10.1/d{rng.integers(0, 8)}" if rng.random() < 0.7 else None
                 published.append(make_published(accession=f"zbl{i:08d}", doi=doi))
             store = store_with([], published)
-            for rec in published:
-                if rec.doi is not None:
-                    assert rec.accession in store.doi_index[rec.doi]
-            for doi, accs in store.doi_index.items():
-                for acc in accs:
-                    assert store.published[acc].doi == doi
+            for doi in [None, *(f"10.1/d{k}" for k in range(9))]:
+                carriers = [acc for acc, rec in store.published.items()
+                            if doi is not None and rec.doi == doi]
+                expected = carriers[0] if len(carriers) == 1 else None
+                assert store.doi_accession(doi) == expected
 
     def test_one_entry_per_id_version_monotone(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -1191,18 +1192,41 @@ class TestSharedEncoder:
         assert "Jürgen Müller" in expected and "0.30000000000000004" in expected
 
 
-class TestLoadIndexesDois:
-    def test_load_never_rebuilds_the_index(self, tmp_path):
+class TestDoiIndexOnFirstLookup:
+    """The DOI index is built from the published table on the first lookup,
+    never by load or ingest, and an ingest that adds a record drops it."""
+
+    def _saved(self, tmp_path) -> Path:
         store_with([make_preprint()],
                    [make_published(doi="10.1/a"),
                     make_published("zbl2", doi="10.1/a"),
                     make_published("zbl3", doi="10.1/b"),
                     make_published("zbl4")]).save(tmp_path)
-        loaded = CorpusStore.load(tmp_path)
-        indexed = loaded.doi_index
-        rebuild_doi_index(loaded)
-        assert indexed == loaded.doi_index == {
-            "10.1/a": {"zbl00000001", "zbl2"}, "10.1/b": {"zbl3"}}
+        return tmp_path
+
+    def test_load_gives_one_accession_per_doi(self, tmp_path):
+        loaded = CorpusStore.load(self._saved(tmp_path))
+        assert [loaded.doi_accession(doi) for doi in ("10.1/a", "10.1/b", "10.1/c", None)] \
+            == [None, "zbl3", None, None]
+        assert loaded.doi_index == {"10.1/a": None, "10.1/b": "zbl3"}
+
+    def test_load_and_ingest_build_no_index(self, tmp_path):
+        store = CorpusStore.load(self._saved(tmp_path / "store"))
+        assert "doi_index" not in vars(store)
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [published_obj("zbl5", doi="10.1/c")])
+        assert store.ingest_published(path).added == 1
+        assert "doi_index" not in vars(store)
+        assert store.doi_accession("10.1/c") == "zbl5"
+        assert "doi_index" in vars(store)
+
+    def test_ingest_after_a_lookup_drops_the_index(self, tmp_path):
+        store = CorpusStore.load(self._saved(tmp_path / "store"))
+        assert store.doi_accession("10.1/b") == "zbl3"
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [published_obj("zbl5", doi="10.1/b")])
+        assert store.ingest_published(path).added == 1
+        assert store.doi_accession("10.1/b") is None
 
 
 def _gc_state() -> tuple[bool, int]:

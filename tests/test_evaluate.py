@@ -10,8 +10,6 @@ from arxmatch.corpus import CorpusStore
 from arxmatch.evaluate import EvalError, evaluate, split_doi_pairs
 from arxmatch.synth import PerturbationProfile, gen_synthetic_corpus
 
-from conftest import rebuild_doi_index
-
 
 def corpus(tmp_path, n, seed, **profile_kw) -> CorpusStore:
     profile = PerturbationProfile(**profile_kw)
@@ -61,7 +59,7 @@ class TestEvaluate:
         train, holdout = split_doi_pairs(store, seed=4)
         for _pid, accession in holdout:
             del store.published[accession]
-        rebuild_doi_index(store)
+        del store.doi_index  # the split built it; the next lookup rebuilds it
         # a split of the reduced store would draw another holdout, so
         # evaluation gets the split drawn before the deletions
         monkeypatch.setattr(evaluate_module, "split_doi_pairs",

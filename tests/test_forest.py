@@ -308,7 +308,7 @@ class TestPredict:
     def test_chunk_call_memory_does_not_grow_with_the_trees(self, corpus_model):
         # a chunk's call holds O(rows) arrays, never one per (tree, row)
         assert corpus_model.n_trees == 100
-        corpus_model.packed()  # the table is built once per model, not per call
+        corpus_model.packed  # the table is built once per model, not per call
         x = np.random.default_rng(48).random((4096, 3))
         tracemalloc.start()
         try:
@@ -333,7 +333,7 @@ class TestPredict:
         x = np.array(rows, dtype=np.float64).reshape(-1, 3)
         model = forest_of(trees)
         assert np.array_equal(predict_many(model, x), walk_oracle(trees, x))
-        assert table_entries(trees) == sum(a.size for a in model.packed()[3:])
+        assert table_entries(trees) == sum(a.size for a in model.packed[3:])
 
     def test_forest_within_tree_range(self):
         rng = np.random.default_rng(27)

@@ -158,30 +158,29 @@ class TestOverlapShare:
 
     def test_all_matched(self):
         store = self._store()
-        decisions = {p: decision(p) for p in store.preprints}
-        assert overlap_share("math.AG", store, decisions) == 1.0
+        store.decisions.update((p, decision(p)) for p in store.preprints)
+        assert overlap_share("math.AG", store) == 1.0
 
     def test_half_matched(self):
         store = self._store()
-        decisions = {}
         for i, pid in enumerate(sorted(store.preprints)):
-            decisions[pid] = decision(pid, matched=i % 2 == 0)
-        assert overlap_share("math.AG", store, decisions) == 0.5
+            store.decisions[pid] = decision(pid, matched=i % 2 == 0)
+        assert overlap_share("math.AG", store) == 0.5
 
     def test_absent_category(self):
-        assert overlap_share("math.NT", self._store(), {}) is None
+        assert overlap_share("math.NT", self._store()) is None
 
     def test_crosslisted_counts(self):
         store = store_with(
             [make_preprint(categories=("math.NT", "math.AG"))], [])
-        decisions = {"2301.00001": decision("2301.00001")}
-        assert overlap_share("math.AG", store, decisions) == 1.0
-        assert overlap_share("math.NT", store, decisions) == 1.0
+        store.decisions["2301.00001"] = decision("2301.00001")
+        assert overlap_share("math.AG", store) == 1.0
+        assert overlap_share("math.NT", store) == 1.0
 
 
 class TestScopeReport:
     def test_header_only_for_empty_store(self):
-        out = scope_report(store_with([], []), {}, RULES)
+        out = scope_report(store_with([], []), RULES)
         assert out == "category,count,overlap_share,in_scope,reason\n"
 
     def test_generator_ground_truth(self):
@@ -192,16 +191,15 @@ class TestScopeReport:
                for i in range(1, 3)]
         )
         store = store_with(preprints, [make_published()])
-        decisions = {
+        store.decisions.update({
             "2301.00001": decision("2301.00001"),
             "2301.00002": decision("2301.00002"),
             "2301.00003": decision("2301.00003", matched=False),
             "2301.00004": decision("2301.00004", matched=False),
             "2302.00001": decision("2302.00001", matched=False),
             "2302.00002": decision("2302.00002", matched=False),
-        }
-        rows = list(csv.DictReader(io.StringIO(
-            scope_report(store, decisions, RULES))))
+        })
+        rows = list(csv.DictReader(io.StringIO(scope_report(store, RULES))))
         assert rows[0]["category"] == "math.AG"
         assert rows[0]["count"] == "4"
         assert rows[0]["overlap_share"] == "0.5000"
@@ -214,7 +212,7 @@ class TestScopeReport:
         preprints = [make_preprint(pid="2301.00001", categories=("math.IT",)),
                      make_preprint(pid="2301.00002", categories=("math.AG",))]
         store = store_with(preprints, [])
-        base = scope_report(store, {}, RULES)
+        base = scope_report(store, RULES)
         custom = {
             "included": sorted(RULES.included | {"math.IT"}),
             "excluded": sorted(RULES.excluded - {"math.IT"}),
@@ -224,7 +222,7 @@ class TestScopeReport:
         }
         rules_path = tmp_path / "rules.json"
         rules_path.write_text(json.dumps(custom))
-        flipped = scope_report(store, {}, load_rules(rules_path))
+        flipped = scope_report(store, load_rules(rules_path))
         base_rows = {r["category"]: r for r in csv.DictReader(io.StringIO(base))}
         new_rows = {r["category"]: r for r in csv.DictReader(io.StringIO(flipped))}
         assert base_rows["math.IT"]["in_scope"] == "false"
@@ -241,9 +239,10 @@ class TestScopeReport:
         # repeated categories on one preprint count it once, as in overlap_share
         store = store_with([make_preprint(pid=f"2301.{i:05d}", categories=cats)
                             for i, (cats, _) in enumerate(rows, 1)], [])
-        decisions = {f"2301.{i:05d}": decision(f"2301.{i:05d}", matched=m)
-                     for i, (_, m) in enumerate(rows, 1) if m is not None}
-        report = csv.DictReader(io.StringIO(scope_report(store, decisions, RULES)))
+        store.decisions.update(
+            (f"2301.{i:05d}", decision(f"2301.{i:05d}", matched=m))
+            for i, (_, m) in enumerate(rows, 1) if m is not None)
+        report = csv.DictReader(io.StringIO(scope_report(store, RULES)))
         for row in report:
-            share = overlap_share(row["category"], store, decisions)
+            share = overlap_share(row["category"], store)
             assert row["overlap_share"] == f"{share:.4f}"
