@@ -215,7 +215,8 @@ def _subject_table(store: CorpusStore, unpublished: list[str]) -> list[dict]:
 def cmd_stats(args) -> int:
     with open_store(args.store, tables=TABLES) as store:
         unpublished = store.unpublished_preprints()
-        with_msc = sum(1 for pid in unpublished if store.preprints[pid].msc)
+        # each unpublished preprint with MSC codes counts once, under its first area
+        subjects = _subject_table(store, unpublished)
         stats = {
             "preprints_total": len(store.preprints),
             "published_total": len(store.published),
@@ -223,8 +224,8 @@ def cmd_stats(args) -> int:
             "matched": len(store.preprints) - len(unpublished),
             "merged": len(store.merges),
             "withdrawn": sum(1 for r in store.preprints.values() if r.withdrawn),
-            "with_msc": with_msc,
-            "subjects": _subject_table(store, unpublished),
+            "with_msc": sum(row["count"] for row in subjects),
+            "subjects": subjects,
         }
     _write_text(args.report, report_json(stats))
     return 0

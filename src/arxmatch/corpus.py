@@ -157,9 +157,7 @@ def _parse_authors(items, where: str) -> tuple[AuthorName, ...]:
     for entry in items:
         if not isinstance(entry, str) or not entry or entry.isspace():
             raise RecordError(f"{where}: author entries must be non-empty strings")
-        names.extend(split_authors(entry))
-    if not names:
-        raise RecordError(f"{where}: no parseable author names")
+        names.extend(split_authors(entry))  # a non-blank entry gives >= 1 name
     return tuple(names)
 
 

@@ -26,8 +26,8 @@ from .forest import (
     train_forest,
     training_pairs_from,
 )
-# match_by_classifier stays bound here for the benchmark's tracer
-# (perfbench/spans.py), which rebinds it in this module
+# nothing calls match_by_classifier; it stays bound here only for the
+# benchmark's tracer (perfbench/spans.py), which rebinds it in this module
 from .matcher import classify_preprints, match_by_classifier  # noqa: F401
 
 MIN_DOI_PAIRS = 200

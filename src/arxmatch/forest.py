@@ -53,6 +53,8 @@ DEFAULT_NEG_PER_POS = 3
 # leaf cells plus bin-index entries of a model's lookup table; the
 # defaults (100 trees of depth 6) stay below 1,695,100
 MAX_TABLE_ENTRIES = 1 << 21
+# a tree takes at least 4 entries: 1 grid cell and 3 bin-index entries
+MAX_TREES = MAX_TABLE_ENTRIES // 4
 
 
 class TrainingError(ValueError):
@@ -368,6 +370,9 @@ def hyperparameter_problem(n_trees=DEFAULT_N_TREES, max_depth=DEFAULT_MAX_DEPTH,
                         ("neg_per_pos", neg_per_pos)):
         if type(value) is not int or value < 1:
             return f"{name} must be an integer >= 1"
+    if n_trees > MAX_TREES:
+        return (f"n_trees must be <= {MAX_TREES:,}: each tree takes at least 4 "
+                f"of the lookup table's {MAX_TABLE_ENTRIES:,} entries")
     if type(seed) is not int:
         return "seed must be an integer"
     if not (_is_number(decision_threshold) and 0.0 < decision_threshold < 1.0):

@@ -15,14 +15,13 @@ the chunk), one forest call classifies them and one sort picks each
 preprint's candidate. The forest scores each row on its own and the
 sort keys rows by their preprint first, so a decision does not depend
 on the chunk it fell in. ``match_by_classifier`` is that run for one
-preprint; no command calls it, only tests and the benchmark's tracer.
+preprint. No command or test calls it; it stays only because the
+benchmark's tracer (perfbench/spans.py) rebinds it.
 
 The batch report tallies its decisions' outcomes and counts, with
 ``pair_has_equal_title_authors``, the classifier matches a naive matcher
-could also have found. The naive matcher (``naive_match`` over
-``build_naive_index``: exact normalized title + ordered family list,
-unique hit required) takes no part in a run; it serves only the
-acceptance suite's dominance criterion.
+could also have found: one that links a preprint to the published record
+with exactly its normalized title and ordered family-name list.
 """
 
 from __future__ import annotations
@@ -89,10 +88,11 @@ def pick_positive(probs: np.ndarray, x: np.ndarray, accessions: np.ndarray,
 def classify_preprints(preprints: Iterable[PreprintRecord], index: CandidateIndex,
                        model: ForestModel, k: int,
                        ) -> list[tuple[str, tuple[float, float, float]] | None]:
-    """match_by_classifier of each preprint, in order. Each preprint is
-    queried on its own; the pairs of a chunk of about CHUNK_PAIRS are
-    scored in one feature_vector_projected call, classified in one
-    predict_many call and picked in one pick_positive call."""
+    """Each preprint's most probable positively-classified candidate and
+    its vector, or None, in order. Each preprint is queried on its own; the
+    pairs of a chunk of about CHUNK_PAIRS are scored in one
+    feature_vector_projected call, classified in one predict_many call and
+    picked in one pick_positive call."""
     table = index.table
     hits = []
     for chunk in chunked((p, query_candidates(index, p, k)) for p in preprints):
@@ -115,7 +115,9 @@ def match_by_classifier(p: PreprintRecord, index: CandidateIndex, model: ForestM
                         k: int) -> tuple[str, tuple[float, float, float]] | None:
     """The most probable positively-classified candidate and its vector, or
     None. This is ``classify_preprints`` of ``p`` alone; ``batch_match`` and
-    evaluation classify a run's preprints together and give each the same."""
+    evaluation classify a run's preprints together and give each the same.
+    No command or test calls it; it stays bound because the benchmark's
+    tracer (perfbench/spans.py) rebinds it here and in ``evaluate``."""
     return classify_preprints([p], index, model, k)[0]
 
 
@@ -143,25 +145,6 @@ def _naive_key(title: str, authors) -> tuple[str, tuple[str, ...]]:
         normalize_text(title),
         tuple(n.key[0] for n in authors),
     )
-
-
-def build_naive_index(store: CorpusStore) -> dict[tuple, list[str]]:
-    index: dict[tuple, list[str]] = {}
-    for accession in sorted(store.published):
-        rec = store.published[accession]
-        index.setdefault(_naive_key(rec.title, rec.authors), []).append(accession)
-    return index
-
-
-def naive_match(p: PreprintRecord, store: CorpusStore,
-                naive_index: dict | None = None) -> str | None:
-    """Exact normalized title+authors equality; unique hit required."""
-    if naive_index is None:
-        naive_index = build_naive_index(store)
-    hits = naive_index.get(_naive_key(p.title, p.authors), [])
-    if len(hits) == 1:
-        return hits[0]
-    return None
 
 
 def pair_has_equal_title_authors(p: PreprintRecord, c: PublishedRecord) -> bool:

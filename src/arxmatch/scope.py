@@ -5,8 +5,8 @@ mathematics subcategories minus a fixed exclusion list, mathematical
 physics as a whole, and statistics theory (math.ST / stat.TH) only when
 the submission carries no cross-listing from a non-mathematical archive.
 The rule sets ship as a versioned JSON data file so policy changes need
-no code change; overlap_share is the analytic tool that justifies them
-after a match run.
+no code change; the scope report's per-category overlap share, read
+after a match run, is what justifies them.
 """
 
 from __future__ import annotations
@@ -105,22 +105,12 @@ def decide_categories(categories, rules: ScopeRules) -> ScopeDecision:
     return ScopeDecision(False, REASON_NO_MATH)
 
 
-def overlap_share(category: str, store: CorpusStore) -> float | None:
-    """Fraction of preprints carrying the category that matched; None if absent."""
-    carrying = [pid for pid in store.preprints
-                if category in store.preprints[pid].categories]
-    if not carrying:
-        return None
-    matched = sum(1 for pid in carrying
-                  if pid in store.decisions and store.decisions[pid].matched)
-    return matched / len(carrying)
-
-
 def scope_report(store: CorpusStore, rules: ScopeRules) -> str:
     """Per-category CSV: count, overlap share, and the policy verdict.
 
-    One pass over the preprints; the share is ``overlap_share``'s, counting
-    each preprint once per category it carries."""
+    A category's count is its occurrences over all preprints. Its overlap
+    share is the matched preprints over the preprints that carry it, each
+    preprint counted once however often it lists the category."""
     counts: dict[str, int] = {}
     carrying: dict[str, int] = {}
     matched: dict[str, int] = {}

@@ -9,6 +9,7 @@ import pytest
 from arxmatch.candidates import build_index
 from arxmatch.corpus import CorpusStore, preprint_from_json, published_from_json
 from arxmatch.forest import bootstrap_training_set, train_forest
+from arxmatch.normalize import normalize_text
 from arxmatch.similarity import ScoringTable, feature_vector
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -62,6 +63,25 @@ def store_with(preprints=(), published=()) -> CorpusStore:
     for rec in published:
         store.published[rec.accession] = rec
     return store
+
+
+def naive_key(rec) -> tuple[str, tuple[str, ...]]:
+    """A record's normalized title and its ordered family-name keys."""
+    return normalize_text(rec.title), tuple(n.key[0] for n in rec.authors)
+
+
+def naive_matcher(store: CorpusStore):
+    """The naive baseline over store's published records: a function giving
+    a preprint the accession of the one record with its naive_key, or None
+    when no record or several have it."""
+    hits: dict[tuple, list[str]] = {}
+    for accession, rec in store.published.items():
+        hits.setdefault(naive_key(rec), []).append(accession)
+
+    def match(p) -> str | None:
+        found = hits.get(naive_key(p), [])
+        return found[0] if len(found) == 1 else None
+    return match
 
 
 def load_truth() -> dict:

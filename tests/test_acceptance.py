@@ -17,7 +17,7 @@ from arxmatch.cli import main as cli_main
 from arxmatch.corpus import CorpusStore, MatchDecision, OUTCOME_DOI
 from arxmatch.evaluate import evaluate
 from arxmatch.forest import ForestModel
-from arxmatch.matcher import MatchRunReport, batch_match, build_naive_index, naive_match
+from arxmatch.matcher import MatchRunReport, batch_match
 from arxmatch.normalize import normalize_text
 from arxmatch.scope import (
     REASON_CODES,
@@ -32,6 +32,7 @@ from conftest import (
     criterion,
     make_preprint,
     make_published,
+    naive_matcher,
     store_with,
 )
 from test_candidates import brute_force_rank
@@ -78,12 +79,9 @@ def test_two_step_dominance(corpus_store, corpus_index, corpus_model,
     with criterion("two-step matches strictly dominate naive baseline"):
         batch_match(corpus_store, corpus_index, corpus_model, 20, timestamp=TS)
         truth = corpus_truth["pairs"]
-        naive_index = build_naive_index(corpus_store)
-        naive_correct = {
-            pid for pid in truth
-            if naive_match(corpus_store.preprints[pid], corpus_store,
-                           naive_index) == truth[pid]
-        }
+        naive = naive_matcher(corpus_store)
+        naive_correct = {pid for pid in truth
+                         if naive(corpus_store.preprints[pid]) == truth[pid]}
         two_step_correct = {
             pid for pid, d in corpus_store.decisions.items()
             if d.matched_accession == truth.get(pid)

@@ -81,6 +81,11 @@ class TestAssignment:
         table.assign_preprint("2301.00001", [name("van der Berg, Jan")], False)
         assert "van-der-berg.jan" in table.profiles
 
+    def test_family_only_name_displays_the_family(self):
+        table = ProfileTable()
+        table.assign_preprint("2301.00001", [name("Euclid")], False)
+        assert table.profiles["euclid"].display_name() == "Euclid"
+
 
 class TestUpdateOnMerge:
     def _built(self, preprint_authors=("Jane Doe",), published_authors=("Jane Doe",),

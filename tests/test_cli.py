@@ -18,6 +18,7 @@ from arxmatch.cli import main
 from arxmatch.corpus import CorpusStore
 
 from conftest import CORPUS_DIR, GOLDEN_DIR
+from make_goldens import run_pipeline
 from test_forest import stump_payload, wide_tree
 
 SEED = "42"
@@ -291,7 +292,8 @@ class TestHyperparameterOptions:
     @pytest.mark.parametrize("command", [["train", "--model", "m.json"], ["eval"]],
                              ids=lambda argv: argv[0])
     @pytest.mark.parametrize("option, value, name", [
-        ("--trees", "0", "n_trees"), ("--depth", "0", "max_depth"),
+        ("--trees", "0", "n_trees"), ("--trees", "524289", "n_trees"),
+        ("--depth", "0", "max_depth"),
         ("--threshold", "1.5", "decision_threshold"), ("--threshold", "nan",
                                                        "decision_threshold"),
         ("--neg-per-pos", "0", "neg_per_pos"),
@@ -553,6 +555,9 @@ class TestPipeline:
         assert counts == sorted(counts, reverse=True)
         for row in stats["subjects"]:
             assert set(row) == {"msc", "area", "count"}
+        store = CorpusStore.load(small_store)
+        assert stats["with_msc"] == sum(1 for pid in store.unpublished_preprints()
+                                        if store.preprints[pid].msc) > 0
 
     def test_stats_lists_the_unpublished_preprints_once(self, small_store, capsys,
                                                          monkeypatch):
@@ -600,26 +605,9 @@ class TestPipeline:
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
+    """The run tests/make_goldens.py makes the goldens from."""
     work = tmp_path_factory.mktemp("golden")
-    store = work / "store"
-    model = work / "model.json"
-    assert run("ingest", "--preprints", str(CORPUS_DIR / "preprints.jsonl"),
-               "--published", str(CORPUS_DIR / "published.jsonl"),
-               "--store", str(store)) == 0
-    with open(work / "train.json", "w", encoding="utf-8") as out, \
-            contextlib.redirect_stdout(out):
-        assert run("train", "--store", str(store), "--model", str(model),
-                   "--seed", SEED) == 0
-    assert run("match", "--store", str(store), "--model", str(model),
-               "--timestamp", TS,
-               "--report", str(work / "match_report.json")) == 0
-    assert run("eval", "--store", str(store), "--seed", SEED,
-               "--report", str(work / "eval_report.json")) == 0
-    assert run("merge", "--store", str(store)) == 0
-    assert run("stats", "--store", str(store),
-               "--report", str(work / "stats.json")) == 0
-    assert run("scope", "--store", str(store),
-               "--report", str(work / "scope.csv")) == 0
+    run_pipeline(work)
     return work
 
 

@@ -432,6 +432,12 @@ class TestMerge:
         with pytest.raises(IntegrityError):
             store.merge_on_publication(matched_decision(pid="9999.99999"))
 
+    def test_decision_for_unknown_preprint_errors(self):
+        store = self._store()
+        with pytest.raises(IntegrityError, match="unknown preprint 9999.99999"):
+            store.record_decision(matched_decision(pid="9999.99999"))
+        assert not store.decisions
+
     def test_remerge_into_other_accession_errors(self):
         store = store_with([make_preprint()],
                            [make_published(), make_published(accession="zbl2")])
@@ -531,6 +537,12 @@ class TestStorePersistence:
         ("merges.jsonl", {"preprint": "2301.00001"}, "keys preprint and accession"),
         ("merges.jsonl", {"preprint": "2301.00001", "accession": None},
          "unknown accession None"),
+        ("decisions.jsonl", ["2301.00001"], "decision must be a JSON object"),
+        ("preprints.jsonl", [preprint_obj()], "record must be a JSON object"),
+        ("published.jsonl", "zbl00000001", "record must be a JSON object"),
+        ("preprints.jsonl", preprint_obj(authors=["Jane Doe", 7]),
+         "author entries must be non-empty strings"),
+        ("published.jsonl", published_obj(source=None), "source must be a string"),
     ])
     def test_load_rejects_bad_decision_or_merge(self, tmp_path, name, line, problem):
         store_with([make_preprint()], [make_published()]).save(tmp_path)

@@ -71,6 +71,25 @@ class TestEvaluate:
         assert report.false_positives == 0
         assert report.false_negatives == report.holdout_size
 
+    def test_wrong_pick_is_a_false_positive_and_a_miss(self, tmp_path, monkeypatch):
+        # the toy corpus of test_perfect_separation_toy_corpus, with the first
+        # holdout preprint's hit swapped for another holdout counterpart
+        store = corpus(tmp_path, 250, seed=34, **PERFECT)
+        _, holdout = split_doi_pairs(store, seed=3)
+        classify = evaluate_module.classify_preprints
+
+        def one_wrong(preprints, index, model, k):
+            [(accession, vector), *hits] = classify(preprints, index, model, k)
+            wrong = next(a for _, a in holdout if a != accession)
+            return [(wrong, vector), *hits]
+
+        monkeypatch.setattr(evaluate_module, "classify_preprints", one_wrong)
+        report = evaluate(store, seed=3)
+        n = report.holdout_size
+        assert (report.true_positives, report.false_positives,
+                report.false_negatives) == (n - 1, 1, 1)
+        assert report.precision == report.recall == (n - 1) / n
+
     def test_never_trains_on_holdout(self, tmp_path):
         # fingerprint check: no training pair may coincide with a holdout pair
         store = corpus(tmp_path, 260, seed=36, doi_rate=1.0)

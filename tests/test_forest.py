@@ -167,6 +167,7 @@ BAD_SCALARS = [
     ("feature_names", 5),
     ("feature_names", ["abstract_d", "author_d", "title_d"]),
     pytest.param("decision_threshold", 10**400, id="decision_threshold-10**400"),
+    ("n_trees", MAX_TABLE_ENTRIES // 4 + 1),  # more trees than the table can hold
 ]
 
 
@@ -462,7 +463,8 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="tree 0"):
             load_model(tmp_path / "bad.json")
 
-    @pytest.mark.parametrize("name, value", BAD_SCALARS)
+    # the saved model has one tree, so an n_trees of 2 does not match it
+    @pytest.mark.parametrize("name, value", BAD_SCALARS + [("n_trees", 2)])
     def test_bad_scalar_field(self, tmp_path, name, value):
         model = train_forest(*STUMP_DATA, n_trees=1, max_depth=2, seed=1)
         save_model(model, tmp_path / "m.json")
@@ -537,6 +539,14 @@ class TestTableBound:
     def test_entries_count_cells_and_index(self):
         assert table_entries([wide_tree(4)]) == 5**3 + 3 * 5
         assert table_entries([wide_tree(4), [{"leaf": 0.5}]]) == 5**3 + 1 + 2 * 3 * 5
+
+    def test_tree_count_bound(self):
+        # a single-leaf tree takes 4 entries, the fewest a tree can take
+        assert table_entries([[{"leaf": 0.5}]] * 3) == 3 * 4
+        assert hyperparameter_problem(n_trees=MAX_TABLE_ENTRIES // 4) is None
+        assert hyperparameter_problem(n_trees=MAX_TABLE_ENTRIES // 4 + 1) == (
+            "n_trees must be <= 524,288: each tree takes at least 4 of the lookup "
+            "table's 2,097,152 entries")
 
     def test_model_file_over_the_bound(self, tmp_path):
         payload = {"schema_version": 1, "n_trees": 1, "max_depth": 400, "seed": 0,

@@ -14,16 +14,20 @@ from arxmatch.forest import ForestModel, load_model
 from arxmatch.matcher import (
     MatchRunReport,
     batch_match,
-    build_naive_index,
     classify_preprints,
-    match_by_classifier,
     match_by_doi,
-    naive_match,
     pair_has_equal_title_authors,
     pick_positive,
 )
 
-from conftest import DATA_DIR, make_preprint, make_published, store_with
+from conftest import (
+    DATA_DIR,
+    make_preprint,
+    make_published,
+    naive_key,
+    naive_matcher,
+    store_with,
+)
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -64,6 +68,8 @@ class TestMatchByDoi:
 
 
 class TestMatchByClassifier:
+    """The classifier step of one preprint: classify_preprints of [p]."""
+
     def test_single_positive_candidate(self):
         store = store_with(
             [make_preprint(title="On Knot Invariants")],
@@ -73,8 +79,8 @@ class TestMatchByClassifier:
                             authors=("Al Smith",))],
         )
         index = build_index(store)
-        hit = match_by_classifier(store.preprints["2301.00001"], index,
-                                  title_stump_model(), 20)
+        hit = classify_preprints([store.preprints["2301.00001"]], index,
+                                 title_stump_model(), 20)[0]
         assert hit is not None and hit[0] == "zbl1"
 
     def test_lexicographic_smallest_among_positives(self):
@@ -90,7 +96,7 @@ class TestMatchByClassifier:
         ]
         store = store_with([p], published)
         index = build_index(store)
-        hit = match_by_classifier(p, index, always_match_model(), 20)
+        hit = classify_preprints([p], index, always_match_model(), 20)[0]
         assert hit is not None
         accession, vec = hit
         assert accession == "zbl2"
@@ -115,8 +121,8 @@ class TestMatchByClassifier:
             "trees": [[{"feature": 1, "threshold": 0.5, "left": 1, "right": 2},
                        {"leaf": 0.9}, {"leaf": 0.6}]],
         }))
-        hit = match_by_classifier(p, build_index(store),
-                                  load_model(model_path), 20)
+        hit = classify_preprints([p], build_index(store),
+                                 load_model(model_path), 20)[0]
         assert hit is not None
         accession, vec = hit
         assert accession == "zbl2"
@@ -128,7 +134,7 @@ class TestMatchByClassifier:
                      make_published(accession="zbl3")]
         store = store_with([p], published)
         index = build_index(store)
-        hit = match_by_classifier(p, index, always_match_model(), 20)
+        hit = classify_preprints([p], index, always_match_model(), 20)[0]
         assert hit is not None and hit[0] == "zbl3"
 
     def test_no_candidates(self):
@@ -138,8 +144,8 @@ class TestMatchByClassifier:
             [make_published(title="Different world", authors=("Al Smith",))],
         )
         index = build_index(store)
-        assert match_by_classifier(store.preprints["2301.00001"], index,
-                                   always_match_model(), 20) is None
+        assert classify_preprints([store.preprints["2301.00001"]], index,
+                                  always_match_model(), 20) == [None]
 
     def test_no_positive_candidates(self):
         store = store_with(
@@ -148,8 +154,8 @@ class TestMatchByClassifier:
                             authors=("Al Smith",))],
         )
         index = build_index(store)
-        hit = match_by_classifier(store.preprints["2301.00001"], index,
-                                  title_stump_model(threshold=0.01), 20)
+        hit = classify_preprints([store.preprints["2301.00001"]], index,
+                                 title_stump_model(threshold=0.01), 20)[0]
         assert hit is None
 
 
@@ -184,7 +190,8 @@ class TestClassifyPreprints:
                                authors=("Qx Zy",), abstract="Vvq xzk.")
         assert query_candidates(corpus_index, lonely, 20) == []
         preprints.insert(1, lonely)
-        want = [match_by_classifier(p, corpus_index, corpus_model, 20) for p in preprints]
+        want = [classify_preprints([p], corpus_index, corpus_model, 20)[0]
+                for p in preprints]
         assert any(want) and not all(want)
         monkeypatch.setattr(similarity, "CHUNK_PAIRS", 50)
         chunks = [[p for p, _ in chunk] for chunk in similarity.chunked(
@@ -306,31 +313,54 @@ class TestNaiveMatch:
     def test_unique_exact_hit(self):
         store = store_with([make_preprint(title="On $L^2$ Bounds")],
                            [make_published(title="On L2 Bounds")])
-        assert naive_match(store.preprints["2301.00001"], store) == "zbl00000001"
+        assert naive_matcher(store)(store.preprints["2301.00001"]) == "zbl00000001"
 
     def test_title_differs_by_word(self):
         store = store_with([make_preprint(title="On sharp bounds")],
                            [make_published(title="On sharper bounds")])
-        assert naive_match(store.preprints["2301.00001"], store) is None
+        assert naive_matcher(store)(store.preprints["2301.00001"]) is None
 
     def test_ambiguous_duplicate_titles(self):
         store = store_with(
             [make_preprint()],
             [make_published(accession="zbl1"), make_published(accession="zbl2")],
         )
-        assert naive_match(store.preprints["2301.00001"], store) is None
+        assert naive_matcher(store)(store.preprints["2301.00001"]) is None
 
     def test_author_order_matters_for_naive(self):
         store = store_with(
             [make_preprint(authors=("Jane Doe", "John Roe"))],
             [make_published(authors=("John Roe", "Jane Doe"))],
         )
-        assert naive_match(store.preprints["2301.00001"], store) is None
+        assert naive_matcher(store)(store.preprints["2301.00001"]) is None
 
     def test_pair_equality_helper(self):
         p = make_preprint(title="The  Riemann--Zeta   Function")
         c = make_published(title="the riemann-zeta function")
         assert pair_has_equal_title_authors(p, c)
+
+    def test_keys_records_as_the_match_report_does(self, corpus_store, corpus_index,
+                                                   corpus_truth):
+        # the baseline must link exactly the pairs that batch_match counts as
+        # naive_equal_title_authors: each preprint against its blocking
+        # candidates, its true counterpart, and two variants of that: given
+        # names cut to initials under an upper-cased title, which keeps the
+        # key, and the byline reversed, which changes it
+        outcomes = []
+        for pid, p in corpus_store.preprints.items():
+            others = [corpus_store.published[a] for a in query_candidates(corpus_index, p, 20)]
+            if pid in corpus_truth["pairs"]:
+                c = corpus_store.published[corpus_truth["pairs"][pid]]
+                initials = [f"{n.given[:1]}. {n.family}" if n.given else n.raw
+                            for n in c.authors]
+                reversed_byline = [n.raw for n in reversed(c.authors)]
+                others += [c, make_published(title=c.title.upper(), authors=initials),
+                           make_published(title=c.title, authors=reversed_byline)]
+            for c in others:
+                equal = pair_has_equal_title_authors(p, c)
+                assert (naive_key(p) == naive_key(c)) == equal, (pid, c.accession)
+                outcomes.append(equal)
+        assert 0 < sum(outcomes) < len(outcomes)
 
 
 class TestBatchMatch:
@@ -397,12 +427,9 @@ class TestBatchMatch:
                                         corpus_model, corpus_truth):
         batch_match(corpus_store, corpus_index, corpus_model, 20, timestamp=TS)
         truth = corpus_truth["pairs"]
-        naive_index = build_naive_index(corpus_store)
-        naive_correct = {
-            pid for pid in truth
-            if naive_match(corpus_store.preprints[pid], corpus_store,
-                           naive_index) == truth[pid]
-        }
+        naive = naive_matcher(corpus_store)
+        naive_correct = {pid for pid in truth
+                         if naive(corpus_store.preprints[pid]) == truth[pid]}
         two_step_correct = {
             pid for pid, d in corpus_store.decisions.items()
             if d.matched_accession == truth.get(pid)

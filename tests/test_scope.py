@@ -20,7 +20,6 @@ from arxmatch.scope import (
     ScopeRules,
     decide_categories,
     load_rules,
-    overlap_share,
     scope_report,
 )
 
@@ -28,6 +27,18 @@ from conftest import make_preprint, make_published, store_with
 
 TS = "2024-01-01T00:00:00Z"
 RULES = load_rules()
+
+
+def overlap_share(category, store) -> float | None:
+    """The reference for scope_report's share: the fraction of preprints
+    carrying the category that matched, or None if none carries it."""
+    carrying = [pid for pid in store.preprints
+                if category in store.preprints[pid].categories]
+    if not carrying:
+        return None
+    matched = sum(1 for pid in carrying
+                  if pid in store.decisions and store.decisions[pid].matched)
+    return matched / len(carrying)
 
 
 def decision(pid, accession="zbl00000001", matched=True):
@@ -48,6 +59,10 @@ class TestInScope:
     def test_statistics_with_nonmath_crosslist_excluded(self):
         d = decide_categories(("math.ST", "cs.LG"), RULES)
         assert not d.in_scope and d.reason == REASON_CONDITIONAL_OUT
+
+    def test_no_category_refused(self):
+        with pytest.raises(ValueError, match="at least one category"):
+            decide_categories([], RULES)
 
     def test_mathematical_physics_included_as_whole(self):
         d = decide_categories(("math-ph",), RULES)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from arxmatch import _kernels, similarity
 from arxmatch.candidates import build_index, query_candidates
 from arxmatch.forest import ForestModel
-from arxmatch.matcher import match_by_classifier
+from arxmatch.matcher import classify_preprints
 from arxmatch.normalize import normalize_text, split_authors
 from arxmatch.similarity import (
     NEUTRAL_ABSTRACT_DISTANCE,
@@ -353,7 +353,7 @@ class TestAbstractDistanceOracle:
         for pid in sorted(corpus_store.preprints)[:20]:
             p = corpus_store.preprints[pid]
             fills.clear()
-            match_by_classifier(p, index, model, k)
+            classify_preprints([p], index, model, k)
             ranked = query_candidates(index, p, k)
             assert 1 <= len(fills) <= k + 1
             assert len(fills) == 1 + len(set(ranked) - reached)
