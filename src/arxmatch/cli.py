@@ -13,8 +13,8 @@ while they read it. Each command loads only the tables it reads or writes:
 ingest those of its inputs, train and eval preprints and published, scope
 those two and decisions, and match, merge and stats all four. A store that
 is missing or locked, or a bad line in a table the command loads, fails
-with exit 1, after the forest options of train and eval, match's --model
-and scope's --rules pass.
+with exit 1, after the forest options of train and eval, match's --model,
+scope's --rules and every output path pass.
 """
 
 from __future__ import annotations
@@ -120,6 +120,12 @@ def _require_file(path: str) -> None:
         raise CliError(f"input file not found: {path}")
 
 
+def _require_output(path: str | None) -> None:
+    """A file path to write, or None for stdout; its directory must exist."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise CliError(f"output path must name a file in an existing directory: {path}")
+
+
 def _require_candidates(k: int) -> None:
     if k < 1:
         raise CliError(f"--candidates must be >= 1, got {k}")
@@ -136,6 +142,7 @@ def cmd_scope(args) -> int:
     if args.rules is not None:
         _require_file(args.rules)
     rules = load_rules(args.rules)
+    _require_output(args.report)
     with open_store(args.store, tables=("preprints", "published",
                                         "decisions")) as store:
         csv_text = scope_report(store, rules)
@@ -145,6 +152,7 @@ def cmd_scope(args) -> int:
 
 def cmd_train(args) -> int:
     _require_hyperparameters(args)
+    _require_output(args.model)
     with open_store(args.store, tables=("preprints", "published")) as store:
         index = build_index(store)
         x, labels = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
@@ -169,6 +177,7 @@ def cmd_match(args) -> int:
     timestamp = _run_timestamp(args.timestamp)
     _require_file(args.model)
     model = load_model(args.model)
+    _require_output(args.report)
     with open_store(args.store, "w", TABLES) as store:
         index = build_index(store)
         report = batch_match(store, index, model, k=args.candidates,
@@ -213,6 +222,7 @@ def _subject_table(store: CorpusStore, unpublished: list[str]) -> list[dict]:
 
 
 def cmd_stats(args) -> int:
+    _require_output(args.report)
     with open_store(args.store, tables=TABLES) as store:
         unpublished = store.unpublished_preprints()
         # each unpublished preprint with MSC codes counts once, under its first area
@@ -234,6 +244,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     _require_candidates(args.candidates)
     _require_hyperparameters(args)
+    _require_output(args.report)
     with open_store(args.store, tables=("preprints", "published")) as store:
         report = evaluate(store, seed=args.seed, n_trees=args.trees,
                           max_depth=args.depth, neg_per_pos=args.neg_per_pos,
@@ -260,6 +271,15 @@ def cmd_gen(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _add_forest_options(p: argparse.ArgumentParser) -> None:
+    """train's and eval's options, checked by hyperparameter_problem."""
+    p.add_argument("--trees", type=int, default=DEFAULT_N_TREES)
+    p.add_argument("--depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--neg-per-pos", type=int, default=DEFAULT_NEG_PER_POS)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--seed", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arxmatch",
@@ -282,11 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the match classifier from DOI pairs")
     p.add_argument("--store", required=True)
     p.add_argument("--model", required=True, help="output model JSON path")
-    p.add_argument("--trees", type=int, default=DEFAULT_N_TREES)
-    p.add_argument("--depth", type=int, default=DEFAULT_MAX_DEPTH)
-    p.add_argument("--neg-per-pos", type=int, default=DEFAULT_NEG_PER_POS)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--seed", type=int, required=True)
+    _add_forest_options(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("match", help="run the two-step matcher over the store")
@@ -311,13 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="precision/recall on held-out DOI pairs")
     p.add_argument("--store", required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report", help="output JSON path (default: stdout)")
-    p.add_argument("--trees", type=int, default=DEFAULT_N_TREES)
-    p.add_argument("--depth", type=int, default=DEFAULT_MAX_DEPTH)
-    p.add_argument("--neg-per-pos", type=int, default=DEFAULT_NEG_PER_POS)
     p.add_argument("--candidates", type=int, default=DEFAULT_K)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    _add_forest_options(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gen", help="generate a synthetic evaluation corpus")

@@ -20,10 +20,11 @@ thresholds, so prediction is a table lookup (_kernels.forest_eval) into
 a threshold-bin table, ForestModel.packed, built on a model's first use:
 the model's sorted thresholds per feature, a per-tree map from a global
 bin to the tree's local one, and every tree's grid of leaf values. The
-table's size depends on the trees, not on max_depth alone, so it is
-counted from the thresholds before anything is allocated; a model whose
-table would exceed MAX_TABLE_ENTRIES is refused by load_model and by
-train_forest.
+table's size depends on the trees, not on max_depth alone, so
+_build_table counts it from the thresholds and refuses a table over
+MAX_TABLE_ENTRIES before it allocates one; train_forest and load_model
+build the table, so they refuse such a model. A model's tree count,
+ForestModel.n_trees, is read from its trees.
 """
 
 from __future__ import annotations
@@ -65,13 +66,20 @@ class ModelFormatError(ValueError):
     """A model file is unreadable, truncated, or has the wrong schema."""
 
 
+class TableSizeError(ValueError):
+    """A model's lookup table would exceed MAX_TABLE_ENTRIES."""
+
+
 @dataclass
 class ForestModel:
     trees: list[list[dict]]
-    n_trees: int
     max_depth: int
     seed: int
     decision_threshold: float = DEFAULT_THRESHOLD
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
 
     @cached_property
     def packed(self) -> tuple:
@@ -201,44 +209,12 @@ def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TRE
         root = builder.build(rows, 0)
         assert root == 0
         trees.append(builder.nodes)
-    problem = _table_problem(trees)
-    if problem is not None:
-        raise TrainingError(problem)
-    return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
-                       seed=seed, decision_threshold=decision_threshold)
-
-
-def _edges(trees: list[list[dict]]) -> tuple[list, list[list[float]]]:
-    """Each feature's sorted distinct thresholds, per tree and over the model."""
-    local = []
-    for nodes in trees:
-        edges: list[set[float]] = [set() for _ in FEATURE_NAMES]
-        for node in nodes:
-            if "leaf" not in node:
-                edges[node["feature"]].add(float(node["threshold"]))
-        local.append([sorted(e) for e in edges])
-    model = [sorted(set().union(*(e[f] for e in local)))
-             for f in range(len(FEATURE_NAMES))]
-    return local, model
-
-
-def table_entries(trees: list[list[dict]]) -> int:
-    """Size of the model's threshold-bin table, counted before it is built:
-    every tree's grid cells (the product over features of its distinct
-    thresholds + 1) plus n_trees x sum over features of (the model's
-    distinct thresholds + 1) bin-index entries."""
-    local, model = _edges(trees)
-    cells = sum(math.prod(len(e) + 1 for e in edges) for edges in local)
-    return cells + len(trees) * sum(len(e) + 1 for e in model)
-
-
-def _table_problem(trees: list[list[dict]]) -> str | None:
-    """Why the model's threshold-bin table is too large to build, or None."""
-    entries = table_entries(trees)
-    if entries > MAX_TABLE_ENTRIES:
-        return (f"lookup table of {entries:,} entries exceeds the limit of "
-                f"{MAX_TABLE_ENTRIES:,}")
-    return None
+    model = ForestModel(trees, max_depth, seed, decision_threshold)
+    try:
+        model.packed
+    except TableSizeError as exc:
+        raise TrainingError(str(exc)) from exc
+    return model
 
 
 def _build_table(trees: list[list[dict]]) -> tuple:
@@ -252,11 +228,25 @@ def _build_table(trees: list[list[dict]]) -> tuple:
     of the box empty (a repeated or contradictory split on a path) sends
     the whole box the other way. cells_f[t, g] maps a global bin g of
     edges_f to tree t's local bin times its grid stride on f.
+
+    The grids' cells and n_trees x sum over f of (edges_f.size + 1) bin
+    indexes are counted first: above MAX_TABLE_ENTRIES, TableSizeError.
     """
-    local, model = _edges(trees)
-    edges = [np.array(e, dtype=np.float64) for e in model]
+    local = []  # each tree's sorted distinct thresholds per feature
+    for nodes in trees:
+        thresholds: list[set[float]] = [set() for _ in FEATURE_NAMES]
+        for node in nodes:
+            if "leaf" not in node:
+                thresholds[node["feature"]].add(float(node["threshold"]))
+        local.append([sorted(e) for e in thresholds])
+    edges = [np.array(sorted(set().union(*(loc[f] for loc in local))), dtype=np.float64)
+             for f in range(len(FEATURE_NAMES))]
     shapes = [tuple(len(e) + 1 for e in loc) for loc in local]
     sizes = [math.prod(shape) for shape in shapes]
+    entries = sum(sizes) + len(trees) * sum(e.size + 1 for e in edges)
+    if entries > MAX_TABLE_ENTRIES:
+        raise TableSizeError(f"lookup table of {entries:,} entries exceeds the "
+                             f"limit of {MAX_TABLE_ENTRIES:,}")
     leaf = np.empty(sum(sizes), dtype=np.float64)
     cells = [np.empty((len(trees), e.size + 1), dtype=np.int64) for e in edges]
     base = 0
@@ -323,30 +313,26 @@ def load_model(path: str | Path) -> ForestModel:
             f"{path}: unsupported schema version {version!r}"
         )
     try:
-        model = ForestModel(
-            trees=payload["trees"],
-            n_trees=payload["n_trees"],
-            max_depth=payload["max_depth"],
-            seed=payload["seed"],
-            decision_threshold=payload["decision_threshold"],
-        )
+        trees, n_trees, max_depth, seed, decision_threshold = (payload[key] for key in (
+            "trees", "n_trees", "max_depth", "seed", "decision_threshold"))
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing field {exc.args[0]!r}") from exc
-    problem = hyperparameter_problem(model.n_trees, model.max_depth, model.seed,
-                                     model.decision_threshold)
+    problem = hyperparameter_problem(n_trees, max_depth, seed, decision_threshold)
     if problem is not None:
         raise ModelFormatError(f"{path}: {problem}")
     if payload.get("feature_names", list(FEATURE_NAMES)) != list(FEATURE_NAMES):
         raise ModelFormatError(f"{path}: feature_names must be {list(FEATURE_NAMES)}")
-    if not isinstance(model.trees, list) or len(model.trees) != model.n_trees:
+    if not isinstance(trees, list) or len(trees) != n_trees:
         raise ModelFormatError(f"{path}: tree count does not match n_trees")
-    for t, nodes in enumerate(model.trees):
+    for t, nodes in enumerate(trees):
         problem = _tree_problem(nodes)
         if problem is not None:
             raise ModelFormatError(f"{path}: tree {t}: {problem}")
-    problem = _table_problem(model.trees)
-    if problem is not None:
-        raise ModelFormatError(f"{path}: {problem}")
+    model = ForestModel(trees, max_depth, seed, decision_threshold)
+    try:
+        model.packed
+    except TableSizeError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
     return model
 
 

@@ -203,7 +203,7 @@ def test_property_lexicographic_total_order():
 def _stub_model() -> ForestModel:
     tree = [{"feature": 0, "threshold": 0.35, "left": 1, "right": 2},
             {"leaf": 1.0}, {"leaf": 0.0}]
-    return ForestModel(trees=[tree], n_trees=1, max_depth=1, seed=0)
+    return ForestModel(trees=[tree], max_depth=1, seed=0)
 
 
 def test_property_report_conservation():

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,34 @@ class TestModelBeforeStore:
         assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before
 
 
+class TestOutputPathBeforeStore:
+    """An output path in a missing directory, or one that is a directory,
+    fails before the store is opened, so the store keeps every byte."""
+
+    @pytest.mark.parametrize("command", ["train", "match", "eval", "stats", "scope"])
+    @pytest.mark.parametrize("target", ["missing/out.json", "existing"])
+    def test_checked_before_the_store(self, small_store, tmp_path, capsys, monkeypatch,
+                                      command, target):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(stump_payload()))
+        (tmp_path / "existing").mkdir()
+        out = tmp_path / target
+        option = {"train": ["--seed", "1", "--model"],
+                  "match": ["--model", str(model), "--timestamp", TS, "--report"],
+                  "eval": ["--seed", "1", "--report"]}.get(command, ["--report"])
+        loads = []
+        monkeypatch.setattr(CorpusStore, "load", classmethod(
+            lambda cls, *args, **kwargs: loads.append(args)))
+        before = {f.name: f.read_bytes() for f in small_store.iterdir()}
+        assert run(command, "--store", str(small_store), *option, str(out)) == 1
+        assert _one_error_line(capsys) == \
+            f"output path must name a file in an existing directory: {out}"
+        assert loads == []
+        assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before
+        assert not (tmp_path / "missing").exists()
+        assert list((tmp_path / "existing").iterdir()) == []
+
+
 class TestRulesBeforeStore:
     """scope reads and checks --rules before it opens the store, so a bad
     rules file fails without loading the store or waiting for its lock."""
@@ -558,6 +587,47 @@ class TestPipeline:
         store = CorpusStore.load(small_store)
         assert stats["with_msc"] == sum(1 for pid in store.unpublished_preprints()
                                         if store.preprints[pid].msc) > 0
+
+    def test_stats_subject_table_of_the_committed_corpus(self, tmp_path, capsys):
+        # right after ingest all 1,000 preprints are unpublished
+        store = tmp_path / "store"
+        assert run("ingest", "--preprints", str(CORPUS_DIR / "preprints.jsonl"),
+                   "--published", str(CORPUS_DIR / "published.jsonl"),
+                   "--store", str(store)) == 0
+        capsys.readouterr()
+        assert run("stats", "--store", str(store)) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["unpublished"] == 1000
+        names = json.loads((Path(arxmatch.__file__).parent / "data" / "msc_sections.json")
+                           .read_text("utf-8"))
+        with open(CORPUS_DIR / "preprints.jsonl", encoding="utf-8") as fh:
+            areas = Counter(r["msc"][0][:2] for r in map(json.loads, fh) if r["msc"])
+        ranked = sorted(areas, key=lambda area: (-areas[area], area))
+        assert stats["subjects"] == [{"msc": area, "area": names[area],
+                                      "count": areas[area]} for area in ranked]
+        assert stats["with_msc"] == sum(areas.values())
+        # a tie in count is ranked by area
+        tied = [row["msc"] for row in stats["subjects"] if row["count"] == 35]
+        assert tied == ["57", "81"]
+
+    def test_stats_names_an_unknown_area_by_its_code(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        path = tmp_path / "preprints.jsonl"
+        lines = [json.dumps({"id": f"2301.0000{i}", "version": 1, "title": "On knots",
+                             "authors": ["Jane Doe"], "abstract": "We study knots.",
+                             "categories": ["math.GT"], "msc": msc, "doi": None,
+                             "withdrawn": False})
+                 for i, msc in enumerate([["99A01"], ["99Z99", "57M25"], [], ["57M25"]])]
+        path.write_text("".join(line + "\n" for line in lines))
+        assert run("ingest", "--preprints", str(path), "--store", str(store)) == 0
+        capsys.readouterr()
+        assert run("stats", "--store", str(store)) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["subjects"] == [
+            {"msc": "99", "area": "msc-99", "count": 2},
+            {"msc": "57", "area": "Manifolds and cell complexes", "count": 1},
+        ]
+        assert stats["with_msc"] == 3
 
     def test_stats_lists_the_unpublished_preprints_once(self, small_store, capsys,
                                                          monkeypatch):

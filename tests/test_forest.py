@@ -21,7 +21,6 @@ from arxmatch.forest import (
     load_model,
     predict_many,
     save_model,
-    table_entries,
     train_forest,
     training_pairs_from,
 )
@@ -122,7 +121,12 @@ def walk_oracle(trees: list[list[dict]], x: np.ndarray) -> np.ndarray:
 
 
 def forest_of(trees: list[list[dict]]) -> ForestModel:
-    return ForestModel(trees=trees, n_trees=len(trees), max_depth=6, seed=0)
+    return ForestModel(trees=trees, max_depth=6, seed=0)
+
+
+def table_size(model: ForestModel) -> int:
+    """Entries of the model's built lookup table: its bin indexes and leaves."""
+    return sum(a.size for a in model.packed[3:])
 
 
 def stump_payload() -> dict:
@@ -334,7 +338,6 @@ class TestPredict:
         x = np.array(rows, dtype=np.float64).reshape(-1, 3)
         model = forest_of(trees)
         assert np.array_equal(predict_many(model, x), walk_oracle(trees, x))
-        assert table_entries(trees) == sum(a.size for a in model.packed[3:])
 
     def test_forest_within_tree_range(self):
         rng = np.random.default_rng(27)
@@ -344,7 +347,7 @@ class TestPredict:
         for _ in range(100):
             v = rng.random(3)
             per_tree = [
-                predict_many(ForestModel(trees=[t], n_trees=1, max_depth=4, seed=0),
+                predict_many(ForestModel(trees=[t], max_depth=4, seed=0),
                              np.array([v]))[0]
                 for t in model.trees
             ]
@@ -474,6 +477,13 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=name):
             load_model(tmp_path / "bad.json")
 
+    def test_tree_count_is_read_from_the_trees(self, tmp_path):
+        model = forest_of([[{"leaf": 0.25}], [{"leaf": 0.75}]])
+        assert model.n_trees == 2
+        save_model(model, tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text())["n_trees"] == 2
+        assert load_model(tmp_path / "m.json").n_trees == 2
+
     @pytest.mark.parametrize("version", [True, 1.0])  # both == 1 in Python
     def test_schema_version_not_an_int(self, tmp_path, version):
         model = train_forest(*STUMP_DATA, n_trees=1, max_depth=2, seed=1)
@@ -537,12 +547,13 @@ class TestTableBound:
     before the table is built."""
 
     def test_entries_count_cells_and_index(self):
-        assert table_entries([wide_tree(4)]) == 5**3 + 3 * 5
-        assert table_entries([wide_tree(4), [{"leaf": 0.5}]]) == 5**3 + 1 + 2 * 3 * 5
+        assert table_size(forest_of([wide_tree(4)])) == 5**3 + 3 * 5
+        assert table_size(forest_of([wide_tree(4), [{"leaf": 0.5}]])) == \
+            5**3 + 1 + 2 * 3 * 5
 
     def test_tree_count_bound(self):
         # a single-leaf tree takes 4 entries, the fewest a tree can take
-        assert table_entries([[{"leaf": 0.5}]] * 3) == 3 * 4
+        assert table_size(forest_of([[{"leaf": 0.5}]] * 3)) == 3 * 4
         assert hyperparameter_problem(n_trees=MAX_TABLE_ENTRIES // 4) is None
         assert hyperparameter_problem(n_trees=MAX_TABLE_ENTRIES // 4 + 1) == (
             "n_trees must be <= 524,288: each tree takes at least 4 of the lookup "
@@ -551,20 +562,37 @@ class TestTableBound:
     def test_model_file_over_the_bound(self, tmp_path):
         payload = {"schema_version": 1, "n_trees": 1, "max_depth": 400, "seed": 0,
                    "decision_threshold": 0.5, "feature_names": list(FEATURE_NAMES),
-                   "trees": [wide_tree(130)]}
-        assert table_entries(payload["trees"]) == 131**3 + 3 * 131 > MAX_TABLE_ENTRIES
+                   "trees": [wide_tree(130)]}  # 131**3 + 3 * 131 entries
         (tmp_path / "wide.json").write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="lookup table of 2,248,484 entries"):
             load_model(tmp_path / "wide.json")
-        payload["trees"] = [wide_tree(126)]  # 127**3 + 3 * 127 entries
+        payload["trees"] = [wide_tree(126)]
         (tmp_path / "ok.json").write_text(json.dumps(payload))
-        assert load_model(tmp_path / "ok.json").trees == payload["trees"]
+        model = load_model(tmp_path / "ok.json")
+        assert model.trees == payload["trees"]
+        assert table_size(model) == 127**3 + 3 * 127
+
+    def test_refused_before_the_table_is_allocated(self, tmp_path):
+        # the refused table would take 18 MB of leaf values
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(stump_payload(), max_depth=400,
+                                        trees=[wide_tree(130)])))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError) as refused:
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (f"{path}: lookup table of 2,248,484 entries "
+                                      f"exceeds the limit of 2,097,152")
+        assert peak < 1 << 20
 
     def test_training_over_the_bound(self, monkeypatch):
         rng = np.random.default_rng(47)
         data = arrays([tp(*rng.random(3), bool(rng.random() < 0.5)) for _ in range(200)])
         model = train_forest(*data, n_trees=3, max_depth=10, seed=2)
-        entries = table_entries(model.trees)
+        entries = table_size(model)
         assert entries > 1000  # noisy labels make wide trees
         monkeypatch.setattr(forest, "MAX_TABLE_ENTRIES", entries)
         assert train_forest(*data, n_trees=3, max_depth=10, seed=2).trees == model.trees

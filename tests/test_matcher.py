@@ -36,11 +36,11 @@ def title_stump_model(threshold=0.5) -> ForestModel:
     """Hand-built single tree: match iff title_d <= threshold."""
     tree = [{"feature": 0, "threshold": threshold, "left": 1, "right": 2},
             {"leaf": 1.0}, {"leaf": 0.0}]
-    return ForestModel(trees=[tree], n_trees=1, max_depth=1, seed=0)
+    return ForestModel(trees=[tree], max_depth=1, seed=0)
 
 
 def always_match_model() -> ForestModel:
-    return ForestModel(trees=[[{"leaf": 1.0}]], n_trees=1, max_depth=1, seed=0)
+    return ForestModel(trees=[[{"leaf": 1.0}]], max_depth=1, seed=0)
 
 
 class TestMatchByDoi:

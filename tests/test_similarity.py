@@ -340,7 +340,7 @@ class TestAbstractDistanceOracle:
         # a query fills its preprint's row and its candidates' missing rows,
         # and a candidate's row, once filled, serves every later query
         index = build_index(corpus_store)
-        model = ForestModel(trees=[[{"leaf": 1.0}]], n_trees=1, max_depth=1, seed=0)
+        model = ForestModel(trees=[[{"leaf": 1.0}]], max_depth=1, seed=0)
         fills = []
 
         def counting(*args):
