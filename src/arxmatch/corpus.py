@@ -8,10 +8,11 @@ that breaks the schema is reported like one that is not JSON: as
 ``path:line`` on load, as a rejected line on ingest. The DOI index, one
 accession per DOI, is built on the first lookup: only match, train and
 eval build it. A load reads only the tables its caller names; a table
-left out is not parsed, and any use of it raises. A store remembers
-which of its files still hold exactly its in-memory table, and ``save``
-rewrites only the others, in two phases: it writes every such table to
-its ``.tmp`` file first, then renames them in ``TABLE_FILES`` order.
+left out is not parsed, and any use of it raises. A store remembers the
+directory it was loaded from or last saved to and which of the files
+there still hold exactly its in-memory table, and ``save`` into that
+directory rewrites only the others, in two phases: it writes every such
+table to its ``.tmp`` file first, then renames them in ``TABLES`` order.
 Mutations require exclusive access. Commands open a store directory only
 through ``open_store``.
 """
@@ -49,13 +50,8 @@ OUTCOME_CLASSIFIER = "classifier_match"
 OUTCOME_UNMATCHED = "unmatched"
 OUTCOMES = (OUTCOME_DOI, OUTCOME_CLASSIFIER, OUTCOME_UNMATCHED)
 
-# The store directory's files; merge writes the author profiles.
-PREPRINTS_FILE = "preprints.jsonl"
-PUBLISHED_FILE = "published.jsonl"
-DECISIONS_FILE = "decisions.jsonl"
-MERGES_FILE = "merges.jsonl"
-TABLE_FILES = (PREPRINTS_FILE, PUBLISHED_FILE, DECISIONS_FILE, MERGES_FILE)
-# the CorpusStore attribute of each table file, in TABLE_FILES order
+# The store directory's files: table t is the CorpusStore attribute t and
+# the file f"{t}.jsonl"; merge writes the author profiles.
 TABLES = ("preprints", "published", "decisions", "merges")
 PROFILES_FILE = "profiles.jsonl"
 LOCK_FILE = ".lock"
@@ -372,11 +368,13 @@ def open_store(directory: str | Path, mode: str = "r", tables=TABLES):
     the directory; only ingest creates a store). ``tables`` names the tables
     the command reads or writes, out of ``TABLES``; ``CorpusStore.load``
     reads them, and only them, before this yields. A reader holds a shared
-    flock on ``.lock`` while the files are read; a writer holds an exclusive
-    one from before the load until its block ends, so it replaces its files
-    under the lock. The OS drops an flock when its holder dies. When the
-    block raises, ``"c"`` removes the directories it made in this call, so
-    a failed first ingest leaves no empty store behind.
+    flock on ``.lock`` while the files are read and unlocks as soon as the
+    load returns; a writer holds an exclusive one from before the load until
+    its block ends, so it replaces its files under the lock. Either keeps
+    ``.lock`` open until the block ends. The OS drops an flock when its
+    holder dies. When the block raises, ``"c"`` removes the directories it
+    made in this call, so a failed first ingest leaves no empty store
+    behind.
 
     The loaded records are acyclic, so the garbage collector could free
     none of them: it is paused while they load, and then skips them, frozen
@@ -395,37 +393,35 @@ def open_store(directory: str | Path, mode: str = "r", tables=TABLES):
     elif not directory.is_dir():
         raise StoreError(f"store directory not found: {directory}")
     own_gc = gc.isenabled() and not gc.get_freeze_count()
-    try:
-        with open(directory / LOCK_FILE, "a") as lock:
-            try:
-                fcntl.flock(lock, (fcntl.LOCK_SH if mode == "r" else fcntl.LOCK_EX)
-                            | fcntl.LOCK_NB)
-            except BlockingIOError:
-                raise StoreError(f"store {directory} is locked by another run") from None
-            if own_gc:
-                gc.disable()
-            try:
-                store = CorpusStore.load(directory, tables)
-                if own_gc:
-                    gc.freeze()  # before enable, so no collection walks the load
-            finally:
-                if own_gc:
-                    gc.enable()
-            if mode != "r":
-                try:
-                    yield store
-                except BaseException:
-                    if created:  # still under the lock, so nothing else is inside
-                        shutil.rmtree(directory, ignore_errors=True)
-                        for parent in created[1:]:
-                            with contextlib.suppress(OSError):
-                                parent.rmdir()
-                    raise
-                return
-        yield store
-    finally:
+    with open(directory / LOCK_FILE, "a") as lock:
+        try:
+            fcntl.flock(lock, (fcntl.LOCK_SH if mode == "r" else fcntl.LOCK_EX)
+                        | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StoreError(f"store {directory} is locked by another run") from None
         if own_gc:
-            gc.unfreeze()
+            gc.disable()
+        try:
+            store = CorpusStore.load(directory, tables)
+            if own_gc:
+                gc.freeze()  # before enable, so no collection walks the load
+        finally:
+            if own_gc:
+                gc.enable()
+        try:
+            if mode == "r":
+                fcntl.flock(lock, fcntl.LOCK_UN)
+            yield store
+        except BaseException:
+            if created:  # still under the lock, so nothing else is inside
+                shutil.rmtree(directory, ignore_errors=True)
+                for parent in created[1:]:
+                    with contextlib.suppress(OSError):
+                        parent.rmdir()
+            raise
+        finally:
+            if own_gc:
+                gc.unfreeze()
 
 
 class CorpusStore:
@@ -436,10 +432,12 @@ class CorpusStore:
         self.published: dict[str, PublishedRecord] = {}
         self.decisions: dict[str, MatchDecision] = {}
         self.merges: dict[str, str] = {}
-        # table file name -> the absolute path of a file that holds exactly
-        # that table. Every write to a table drops its entry; the four
-        # mutators below are the only code that writes to the tables.
-        self._clean: dict[str, Path] = {}
+        # the absolute directory this store was loaded from or last saved
+        # to, and the tables whose files there hold exactly the table. Every
+        # write to a table drops it from the set; the four mutators below
+        # are the only code that writes to the tables.
+        self._home: Path | None = None
+        self._clean: set[str] = set()
 
     # -- ingest ----------------------------------------------------------------
 
@@ -454,7 +452,7 @@ class CorpusStore:
                 report.reject(line_no, f"{rec.id}: version {rec.version} is not newer")
                 continue
             self.preprints[rec.id] = rec
-            self._clean.pop(PREPRINTS_FILE, None)
+            self._clean.discard("preprints")
             if old is None:
                 report.added += 1
             else:
@@ -472,7 +470,7 @@ class CorpusStore:
                 report.reject(line_no, f"duplicate accession {rec.accession}")
                 continue
             self.published[rec.accession] = rec
-            self._clean.pop(PUBLISHED_FILE, None)
+            self._clean.discard("published")
             vars(self).pop("doi_index", None)  # rebuilt on the next lookup
             report.added += 1
         return report
@@ -483,7 +481,7 @@ class CorpusStore:
         if decision.preprint not in self.preprints:
             raise IntegrityError(f"decision for unknown preprint {decision.preprint}")
         if self.decisions.get(decision.preprint) != decision:
-            self._clean.pop(DECISIONS_FILE, None)
+            self._clean.discard("decisions")
         # an equal decision still replaces the loaded one, whose strings no
         # other record shares, so that they are freed
         self.decisions[decision.preprint] = decision
@@ -506,7 +504,7 @@ class CorpusStore:
                 f"{pid} already merged into {self.merges[pid]}, not {accession}"
             )
         if pid not in self.merges:
-            self._clean.pop(MERGES_FILE, None)
+            self._clean.discard("merges")
         self.merges[pid] = accession
 
     def unmerged_preprints(self) -> list[str]:
@@ -540,37 +538,35 @@ class CorpusStore:
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write the four table files into ``directory``, skipping each file
-        that already holds its table: one this store was loaded from or last
-        saved to, when the table has not changed since, and the file of a
-        table that load left out. Saving to another directory writes all
-        four, so there a table left out raises ``StoreError`` and no file is
-        renamed. A skipped file keeps its bytes, so a hand-edited file that
-        load accepts but that save would have written otherwise (a URL-form
-        DOI, unsorted lines) stays as it is until its table changes."""
+        """Write the four table files into ``directory``. Into the store's
+        home, the directory it was loaded from or last saved to, this skips
+        each clean table: one whose file there holds it, as it has not
+        changed since, and one that load left out. Into any other directory
+        it writes all four, so there a table left out raises ``StoreError``
+        and no file is renamed; on success ``directory`` becomes the home
+        and every table is clean. A skipped file keeps its bytes, so a
+        hand-edited file that load accepts but that save would have written
+        otherwise (a URL-form DOI, unsorted lines) stays as it is until its
+        table changes."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         here = directory.absolute()
-        stale = [name for name in TABLE_FILES if self._clean.get(name) != here / name]
-        encoded = {  # called only for a stale table: sorted() runs as a generator is made
-            PREPRINTS_FILE: lambda: (record_to_json(self.preprints[k])
-                                     for k in sorted(self.preprints)),
-            PUBLISHED_FILE: lambda: (record_to_json(self.published[k])
-                                     for k in sorted(self.published)),
-            DECISIONS_FILE: lambda: (record_to_json(self.decisions[k])
-                                     for k in sorted(self.decisions)),
-            MERGES_FILE: lambda: ({"preprint": k, "accession": self.merges[k]}
-                                  for k in sorted(self.merges)),
-        }
+        stale = [t for t in TABLES if here != self._home or t not in self._clean]
         # entered last to first, so the stack renames first to last, and
         # only once every stale table is in its .tmp file; an error removes
         # every .tmp file not yet renamed and renames no more
         with contextlib.ExitStack() as renames:
-            for name in reversed(stale):
-                fh = renames.enter_context(write_atomic(directory / name))
-                _write_lines(fh, encoded[name]())
+            for table in reversed(stale):
+                rows = getattr(self, table)  # a table left out raises here
+                fh = renames.enter_context(write_atomic(directory / f"{table}.jsonl"))
+                if table == "merges":
+                    _write_lines(fh, ({"preprint": k, "accession": rows[k]}
+                                      for k in sorted(rows)))
+                else:
+                    _write_lines(fh, (record_to_json(rows[k]) for k in sorted(rows)))
                 fh.flush()  # a run killed between renames leaves whole .tmp files
-        self._clean.update((name, here / name) for name in stale)
+        self._home = here
+        self._clean = set(TABLES)
 
     @classmethod
     def load(cls, directory: str | Path, tables=TABLES) -> "CorpusStore":
@@ -584,7 +580,9 @@ class CorpusStore:
         A table whose file is missing is empty. A table left out whose file
         exists is not read: any use of it, and of the DOI index when it is
         published, raises ``StoreError``, and ``save`` leaves its file as it
-        is. The DOI index is built on its first lookup, not here."""
+        is. The store's home is ``directory``, and its clean tables are
+        those whose files exist. The DOI index is built on its first lookup,
+        not here."""
         wanted = set(tables)
         if not wanted <= set(TABLES):
             raise ValueError(f"unknown tables: {sorted(wanted - set(TABLES))}")
@@ -592,10 +590,10 @@ class CorpusStore:
             wanted |= {"preprints", "published"}
         directory = Path(directory)
         store = cls()
-        for name, table, add in zip(TABLE_FILES, TABLES,
-                                    (store._load_preprint, store._load_published,
-                                     store._load_decision, store._load_merge)):
-            path = directory / name
+        store._home = directory.absolute()
+        for table, add in zip(TABLES, (store._load_preprint, store._load_published,
+                                       store._load_decision, store._load_merge)):
+            path = directory / f"{table}.jsonl"
             if not path.exists():
                 continue
             if table in wanted:
@@ -603,14 +601,14 @@ class CorpusStore:
                     pass
             else:  # __getattr__ now answers for it
                 delattr(store, table)
-            store._clean[name] = path.absolute()
+            store._clean.add(table)
         return store
 
     def __getattr__(self, name: str):
         # called only for an attribute that is not set: a table that load
         # left out, which must not read as empty
         if name in TABLES:
-            raise StoreError(f"{TABLE_FILES[TABLES.index(name)]} was not loaded")
+            raise StoreError(f"{name}.jsonl was not loaded")
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _load_preprint(self, obj) -> None:

@@ -6,8 +6,8 @@ substitutions, author drops/additions, abstract sentence rewrites. A
 configurable share of preprints carries the counterpart's DOI; a small
 fraction of those DOIs is mangled so they resolve to nothing, exercising
 the fall-through into the classifier step. Output is deterministic for a
-given seed and knob setting, and the ground-truth map is written next to
-the corpus files.
+given seed and knob setting: ``preprints.jsonl`` and ``published.jsonl``,
+the inputs of ``ingest``, and the ground-truth map ``groundtruth.json``.
 
 The corpus is the scalar stream of ``np.random.default_rng(seed)``:
 ``integers(low, high)``, ``random()`` and the document-type
@@ -27,10 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (DOCUMENT_TYPES, PREPRINTS_FILE, PUBLISHED_FILE, report_json,
-                     write_atomic, write_jsonl)
+from .corpus import DOCUMENT_TYPES, report_json, write_atomic, write_jsonl
 
-GROUNDTRUTH_FILE = "groundtruth.json"
 MAX_PAIRS = 100_000  # preprint i is numbered i; arXiv numbers have five digits
 RAW_BLOCK = 4096  # PCG64 outputs fetched per numpy call
 
@@ -358,8 +356,8 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
         "wrong_doi": wrong_doi,
         "decoys": decoys,
     }
-    write_jsonl(out_dir / PREPRINTS_FILE, preprints)
-    write_jsonl(out_dir / PUBLISHED_FILE, published)
-    with write_atomic(out_dir / GROUNDTRUTH_FILE) as fh:
+    write_jsonl(out_dir / "preprints.jsonl", preprints)
+    write_jsonl(out_dir / "published.jsonl", published)
+    with write_atomic(out_dir / "groundtruth.json") as fh:
         fh.write(report_json(truth))
     return truth

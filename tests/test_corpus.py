@@ -733,6 +733,24 @@ class TestSaveSkipsCleanTables:
         for n in TABLES:
             assert (tmp_path / "copy" / n).read_bytes() == (saved / n).read_bytes()
 
+    def test_save_elsewhere_moves_the_home(self, saved, tmp_path):
+        copy = tmp_path / "copy"
+        store = CorpusStore.load(saved)
+        store.save(copy)
+        written = _stamps(copy)
+        store.save(copy)  # the copy is the store's home now, and all clean
+        assert _stamps(copy) == written
+        _change_merges(store, tmp_path)
+        store.save(copy)
+        changed = _stamps(copy)
+        assert [n for n in TABLES if changed[n] != written[n]] == ["merges.jsonl"]
+        loaded = _stamps(saved)
+        store.save(saved)  # no longer the home: every file is replaced
+        replaced = _stamps(saved)
+        assert [n for n in TABLES if replaced[n][0] != loaded[n][0]] == list(TABLES)
+        for n in TABLES:
+            assert (saved / n).read_bytes() == (copy / n).read_bytes()
+
     def test_paths_compare_as_absolute(self, saved, tmp_path, monkeypatch):
         before = _stamps(saved)
         monkeypatch.chdir(tmp_path)
@@ -1329,3 +1347,39 @@ class TestOpenStoreCollector:
     def test_load_alone_leaves_the_collector_alone(self, store_dir):
         assert CorpusStore.load(store_dir).published
         assert _gc_state() == (True, 0)
+
+
+def _can_lock_exclusively(directory: Path) -> bool:
+    """Whether another open file of ``directory/.lock`` gets an exclusive flock."""
+    with open(directory / ".lock", "a") as other:
+        try:
+            fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+    return True
+
+
+class TestOpenStoreLock:
+    """A reader holds its shared lock only while it loads; a writer holds
+    its exclusive lock until its block ends."""
+
+    def test_reader_unlocks_once_loaded(self, saved, monkeypatch):
+        seen = []
+        load = CorpusStore.load.__func__
+
+        def probing(cls, *args):
+            seen.append(_can_lock_exclusively(saved))
+            return load(cls, *args)
+
+        monkeypatch.setattr(CorpusStore, "load", classmethod(probing))
+        with open_store(saved, "r") as store:
+            assert store.preprints
+            assert _can_lock_exclusively(saved)
+        assert seen == [False]
+
+    @pytest.mark.parametrize("mode", ["w", "c"])
+    def test_writer_holds_its_lock_for_the_block(self, saved, mode):
+        with open_store(saved, mode) as store:
+            assert store.preprints
+            assert not _can_lock_exclusively(saved)
+        assert _can_lock_exclusively(saved)
