@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .normalize import AuthorName, DoiError, normalize_doi, split_authors
+from .normalize import AuthorName, normalize_doi, split_authors
 
 # matched with fullmatch: a $ anchor would also match before a final newline
 ARXIV_ID_RE = re.compile(r"\d{4}\.\d{4,5}|[a-z-]+(\.[A-Z]{2})?/\d{7}")
@@ -168,15 +168,6 @@ def _parse_msc(items, where: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _parse_doi(value) -> str | None:
-    if not isinstance(value, str):
-        return None
-    try:
-        return normalize_doi(value)
-    except DoiError:
-        return None  # unusable DOI is treated as absent
-
-
 def preprint_from_json(obj: dict) -> PreprintRecord:
     if not isinstance(obj, dict):
         raise RecordError("record must be a JSON object")
@@ -210,7 +201,7 @@ def preprint_from_json(obj: dict) -> PreprintRecord:
         abstract=abstract,
         categories=tuple(categories),
         msc=_parse_msc(obj.get("msc"), pid),
-        doi=_parse_doi(obj.get("doi")),
+        doi=normalize_doi(obj.get("doi")),
         withdrawn=withdrawn,
     )
 
@@ -242,7 +233,7 @@ def published_from_json(obj: dict) -> PublishedRecord:
         title=title,
         authors=authors,
         abstract=abstract,
-        doi=_parse_doi(obj.get("doi")),
+        doi=normalize_doi(obj.get("doi")),
         source=source,
         document_type=document_type,
         msc=_parse_msc(obj.get("msc"), accession),

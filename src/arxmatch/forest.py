@@ -22,8 +22,9 @@ the model's sorted thresholds per feature, a per-tree map from a global
 bin to the tree's local one, and every tree's grid of leaf values. The
 table's size depends on the trees, not on max_depth alone, so
 _build_table counts it from the thresholds and refuses a table over
-MAX_TABLE_ENTRIES before it allocates one; train_forest and load_model
-build the table, so they refuse such a model. A model's tree count,
+MAX_TABLE_ENTRIES with a TrainingError before it allocates one;
+train_forest and load_model build the table, so they refuse such a
+model, load_model as a ModelFormatError. A model's tree count,
 ForestModel.n_trees, is read from its trees.
 """
 
@@ -64,10 +65,6 @@ class TrainingError(ValueError):
 
 class ModelFormatError(ValueError):
     """A model file is unreadable, truncated, or has the wrong schema."""
-
-
-class TableSizeError(ValueError):
-    """A model's lookup table would exceed MAX_TABLE_ENTRIES."""
 
 
 @dataclass
@@ -181,7 +178,6 @@ class _Builder:
 def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TREES,
                  max_depth: int = DEFAULT_MAX_DEPTH, seed: int = 0,
                  decision_threshold: float = DEFAULT_THRESHOLD) -> ForestModel:
-    seed = int(seed)
     problem = hyperparameter_problem(n_trees, max_depth, seed, decision_threshold)
     if problem is not None:
         raise TrainingError(problem)
@@ -210,10 +206,7 @@ def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TRE
         assert root == 0
         trees.append(builder.nodes)
     model = ForestModel(trees, max_depth, seed, decision_threshold)
-    try:
-        model.packed
-    except TableSizeError as exc:
-        raise TrainingError(str(exc)) from exc
+    model.packed  # a table over MAX_TABLE_ENTRIES is refused here, not at first use
     return model
 
 
@@ -230,7 +223,7 @@ def _build_table(trees: list[list[dict]]) -> tuple:
     edges_f to tree t's local bin times its grid stride on f.
 
     The grids' cells and n_trees x sum over f of (edges_f.size + 1) bin
-    indexes are counted first: above MAX_TABLE_ENTRIES, TableSizeError.
+    indexes are counted first: above MAX_TABLE_ENTRIES, TrainingError.
     """
     local = []  # each tree's sorted distinct thresholds per feature
     for nodes in trees:
@@ -245,8 +238,8 @@ def _build_table(trees: list[list[dict]]) -> tuple:
     sizes = [math.prod(shape) for shape in shapes]
     entries = sum(sizes) + len(trees) * sum(e.size + 1 for e in edges)
     if entries > MAX_TABLE_ENTRIES:
-        raise TableSizeError(f"lookup table of {entries:,} entries exceeds the "
-                             f"limit of {MAX_TABLE_ENTRIES:,}")
+        raise TrainingError(f"lookup table of {entries:,} entries exceeds the "
+                            f"limit of {MAX_TABLE_ENTRIES:,}")
     leaf = np.empty(sum(sizes), dtype=np.float64)
     cells = [np.empty((len(trees), e.size + 1), dtype=np.int64) for e in edges]
     base = 0
@@ -331,7 +324,7 @@ def load_model(path: str | Path) -> ForestModel:
     model = ForestModel(trees, max_depth, seed, decision_threshold)
     try:
         model.packed
-    except TableSizeError as exc:
+    except TrainingError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     return model
 

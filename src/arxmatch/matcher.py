@@ -46,8 +46,6 @@ from .forest import ForestModel, predict_many
 from .normalize import normalize_text
 from .similarity import chunked, feature_vector_projected
 
-DEFAULT_TIMESTAMP = "1970-01-01T00:00:00Z"
-
 
 @dataclass
 class MatchRunReport:
@@ -152,7 +150,7 @@ def pair_has_equal_title_authors(p: PreprintRecord, c: PublishedRecord) -> bool:
 
 
 def batch_match(store: CorpusStore, index: CandidateIndex, model: ForestModel,
-                k: int, timestamp: str = DEFAULT_TIMESTAMP) -> MatchRunReport:
+                k: int, timestamp: str) -> MatchRunReport:
     """Match every unmerged preprint, persist decisions, return the report.
 
     naive_equal_title_authors counts the classifier matches whose matched

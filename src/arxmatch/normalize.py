@@ -33,7 +33,8 @@ where it cannot change the text, so each is exact:
   tokens that hold one. It is checked after step 4, which maps every
   dash, U+FE63 and U+FF0D among them, to ``-``.
 
-All functions here are total and idempotent.
+All functions here are total and idempotent; ``normalize_doi`` answers
+None for a value that is not a DOI, which the store keeps as no DOI.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-
-class DoiError(ValueError):
-    """Raised when a string cannot be canonicalized into a DOI."""
 
 
 @dataclass(frozen=True)
@@ -186,19 +183,20 @@ _DOI_PREFIXES = (
 _DOI_RE = re.compile(r"^10\.[^/\s]+/\S+$")
 
 
-def normalize_doi(raw: str) -> str:
-    """Canonical lowercase DOI, or DoiError for anything that is not one.
+def normalize_doi(raw) -> str | None:
+    """Canonical lowercase DOI, or None for anything else, a value that is
+    not a string included: an unusable DOI counts as absent.
 
     A DOI already canonical, as the store writes it, is its own result, so
     a reload skips the prefix and case passes; fullmatch, since the
     pattern's $ also matches before a final newline, which strip removes.
     """
+    if not isinstance(raw, str):
+        return None
     if _DOI_RE.fullmatch(raw) and raw == raw.lower():
         return raw
     doi = raw.strip().lower()
     while doi.startswith(_DOI_PREFIXES):
         prefix = next(p for p in _DOI_PREFIXES if doi.startswith(p))
         doi = doi[len(prefix):].strip()
-    if not _DOI_RE.match(doi):
-        raise DoiError(f"not a DOI: {raw!r}")
-    return doi
+    return doi if _DOI_RE.match(doi) else None

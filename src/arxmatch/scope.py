@@ -110,7 +110,10 @@ def scope_report(store: CorpusStore, rules: ScopeRules) -> str:
 
     A category's count is its occurrences over all preprints. Its overlap
     share is the matched preprints over the preprints that carry it, each
-    preprint counted once however often it lists the category."""
+    preprint counted once however often it lists the category. The verdict
+    is decide_categories([category]): the category judged on its own, so
+    conditional_crosslisted_nonmath, which needs a non-mathematical
+    cross-listing beside it, never appears in the report."""
     counts: dict[str, int] = {}
     carrying: dict[str, int] = {}
     matched: dict[str, int] = {}

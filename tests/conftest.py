@@ -15,6 +15,8 @@ from arxmatch.similarity import ScoringTable, feature_vector
 DATA_DIR = Path(__file__).resolve().parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus1000"
 GOLDEN_DIR = DATA_DIR / "golden"
+# JSON values of a doi field that are not strings: each is no DOI
+NOT_STRING_DOIS = [12, 1.5, True, ["10.1/x"], {"doi": "10.1/x"}, None]
 
 
 def make_preprint(pid="2301.00001", version=1, title="On Knot Invariants",

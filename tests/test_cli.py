@@ -617,17 +617,20 @@ class TestPipeline:
                              "authors": ["Jane Doe"], "abstract": "We study knots.",
                              "categories": ["math.GT"], "msc": msc, "doi": None,
                              "withdrawn": False})
-                 for i, msc in enumerate([["99A01"], ["99Z99", "57M25"], [], ["57M25"]])]
+                 for i, msc in enumerate([["99A01"], ["99Z99", "57M25"], [], ["57M25"],
+                                          ["05C10", "99A01"], ["05C10"]])]
         path.write_text("".join(line + "\n" for line in lines))
         assert run("ingest", "--preprints", str(path), "--store", str(store)) == 0
         capsys.readouterr()
         assert run("stats", "--store", str(store)) == 0
         stats = json.loads(capsys.readouterr().out)
+        # ranked by count, then by area: 05 and 99 tie
         assert stats["subjects"] == [
+            {"msc": "05", "area": "Combinatorics", "count": 2},
             {"msc": "99", "area": "msc-99", "count": 2},
             {"msc": "57", "area": "Manifolds and cell complexes", "count": 1},
         ]
-        assert stats["with_msc"] == 3
+        assert stats["with_msc"] == 5
 
     def test_stats_lists_the_unpublished_preprints_once(self, small_store, capsys,
                                                          monkeypatch):

@@ -34,9 +34,9 @@ from arxmatch.corpus import (
     validate_arxiv_id,
     write_atomic,
 )
-from arxmatch.normalize import DoiError, normalize_doi, split_authors
+from arxmatch.normalize import normalize_doi, split_authors
 
-from conftest import CORPUS_DIR, make_preprint, make_published, store_with
+from conftest import CORPUS_DIR, NOT_STRING_DOIS, make_preprint, make_published, store_with
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -119,6 +119,19 @@ class TestValidation:
         rec = preprint_from_json(preprint_obj(doi="not a doi"))
         assert rec.doi is None
 
+    @pytest.mark.parametrize("doi", NOT_STRING_DOIS)
+    def test_doi_that_is_not_a_string_treated_as_absent(self, doi, tmp_path):
+        assert preprint_from_json(preprint_obj(doi=doi)).doi is None
+        assert published_from_json(published_obj(doi=doi)).doi is None
+        write_jsonl(tmp_path / "p.jsonl", [preprint_obj(doi=doi)])
+        write_jsonl(tmp_path / "c.jsonl", [published_obj(doi=doi)])
+        store = CorpusStore()
+        for report in (store.ingest_preprints(tmp_path / "p.jsonl"),
+                       store.ingest_published(tmp_path / "c.jsonl")):
+            assert (report.added, report.rejected) == (1, 0)
+        assert store.preprints["2301.00001"].doi is None
+        assert store.published["zbl00000001"].doi is None
+
     def test_doi_normalized(self):
         rec = preprint_from_json(preprint_obj(doi="https://doi.org/10.1/X"))
         assert rec.doi == "10.1/x"
@@ -134,14 +147,6 @@ class TestValidation:
             MatchDecision("2301.00001", OUTCOME_DOI, "zbl1", (0, 0, 0), TS)
         with pytest.raises(RecordError):
             MatchDecision("2301.00001", OUTCOME_CLASSIFIER, "zbl1", None, TS)
-
-
-def doi_outcome(parse, value: str):
-    """parse(value), or the message of the DoiError it raises."""
-    try:
-        return parse(value)
-    except DoiError as exc:
-        return ("DoiError", str(exc))
 
 
 # mostly DOI characters; a few of them whitespace to strip, or letters
@@ -164,7 +169,7 @@ def doi_like(draw):
     return doi.upper() if draw(st.booleans()) else doi
 
 
-def full_path_doi(raw: str) -> str:
+def full_path_doi(raw: str) -> str | None:
     """normalize_doi without its shortcut for a DOI already canonical."""
     doi = raw.strip().lower()
     prefixes = ("https://doi.org/", "http://doi.org/", "https://dx.doi.org/",
@@ -172,24 +177,22 @@ def full_path_doi(raw: str) -> str:
     while doi.startswith(prefixes):
         prefix = next(p for p in prefixes if doi.startswith(p))
         doi = doi[len(prefix):].strip()
-    if not re.match(r"^10\.[^/\s]+/\S+$", doi):
-        raise DoiError(f"not a DOI: {raw!r}")
-    return doi
+    return doi if re.match(r"^10\.[^/\s]+/\S+$", doi) else None
 
 
 class TestCanonicalDoi:
     """normalize_doi's shortcut for a canonical DOI, which a reload takes,
-    gives what the full path gives, value or error."""
+    gives what the full path gives, a DOI or None."""
 
     @given(st.one_of(st.text(max_size=30), doi_like()))
     @settings(max_examples=500, deadline=None)
     def test_equals_normalize_doi(self, value):
-        assert doi_outcome(normalize_doi, value) == doi_outcome(full_path_doi, value)
+        assert normalize_doi(value) == full_path_doi(value)
 
     def test_cases(self):
         for value in ["10.1/x", "10.1/x\n", "10.1/X", " 10.1/x", "doi:10.1/x",
                       "10.1/x\u2028", "10.1\x1c/x", "10.1/\u0130", "11.1/x", ""]:
-            assert doi_outcome(normalize_doi, value) == doi_outcome(full_path_doi, value)
+            assert normalize_doi(value) == full_path_doi(value)
         assert normalize_doi("10.1/x\n") == "10.1/x"
         doi = "10.1/x"
         assert normalize_doi(doi) is doi  # canonical: returned as it is

@@ -264,12 +264,11 @@ class TestTrainForest:
             train_forest(*STUMP_DATA, n_trees=1, max_depth=1, seed=0,
                          decision_threshold=1.5)
 
-    # train_forest stores int(seed) and takes no feature names, so the seed
-    # and feature_names cases do not apply
+    # train_forest takes no feature names; True and "7" are seeds that int()
+    # accepts and hyperparameter_problem refuses
     @pytest.mark.parametrize("name, value", [
-        case for case in BAD_SCALARS
-        if getattr(case, "values", case)[0] not in ("seed", "feature_names")
-    ] + [("n_trees", 2.0)])
+        case for case in BAD_SCALARS if getattr(case, "values", case)[0] != "feature_names"
+    ] + [("n_trees", 2.0), ("seed", True), ("seed", "7")])
     def test_refuses_what_load_model_refuses(self, name, value):
         with pytest.raises(TrainingError, match=name):
             train_forest(*STUMP_DATA, **{"n_trees": 1, "max_depth": 2, "seed": 1,

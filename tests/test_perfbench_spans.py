@@ -76,7 +76,7 @@ want["chunks"] += chunk > 0
 
 rec = spans.SpanRecorder("contract")
 spans.install(rec, {})
-batch_match(store, index, model, K)
+batch_match(store, index, model, K, "2024-01-01T00:00:00Z")
 spans_of = {name: sum(1 for nid in rec.name if nid == rec.names.index(name))
             for name in ("kernels.levenshtein", "similarity.feature_vector_projected",
                          "forest.predict_many")}
