@@ -69,13 +69,13 @@ class ProfileTable:
             name_key = name.key
             profile = self._by_name.get(name_key)
             if profile is None:
-                base = pid = _slug(name_key)
+                base = profile_id = _slug(name_key)
                 ordinal = 0
-                while pid in self.profiles:
+                while profile_id in self.profiles:
                     ordinal += 1
-                    pid = f"{base}.{ordinal}"
-                profile = AuthorProfile(profile_id=pid, canonical_name=name)
-                self.profiles[pid] = self._by_name[name_key] = profile
+                    profile_id = f"{base}.{ordinal}"
+                profile = AuthorProfile(profile_id=profile_id, canonical_name=name)
+                self.profiles[profile_id] = self._by_name[name_key] = profile
             profile.documents.setdefault(doc, DocEntry(withdrawn=withdrawn))
 
     def update_on_merge(self, preprint: PreprintRecord,

@@ -31,8 +31,8 @@ from pathlib import Path
 
 from .authors import build_profiles
 from .candidates import DEFAULT_K, build_index
-from .corpus import (PROFILES_FILE, TABLES, CorpusStore, StoreError, open_store,
-                     report_json, write_atomic)
+from .corpus import (PROFILES_FILE, CorpusStore, StoreError, open_store, report_json,
+                     write_atomic)
 from .evaluate import evaluate
 from .forest import (
     DEFAULT_MAX_DEPTH,
@@ -178,7 +178,7 @@ def cmd_match(args) -> int:
     _require_file(args.model)
     model = load_model(args.model)
     _require_output(args.report)
-    with open_store(args.store, "w", TABLES) as store:
+    with open_store(args.store, "w") as store:
         index = build_index(store)
         report = batch_match(store, index, model, k=args.candidates,
                              timestamp=timestamp)
@@ -188,7 +188,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    with open_store(args.store, "w", TABLES) as store:
+    with open_store(args.store, "w") as store:
         merged = 0
         for pid in sorted(store.decisions):
             decision = store.decisions[pid]
@@ -223,7 +223,7 @@ def _subject_table(store: CorpusStore, unpublished: list[str]) -> list[dict]:
 
 def cmd_stats(args) -> int:
     _require_output(args.report)
-    with open_store(args.store, tables=TABLES) as store:
+    with open_store(args.store) as store:
         unpublished = store.unpublished_preprints()
         # each unpublished preprint with MSC codes counts once, under its first area
         subjects = _subject_table(store, unpublished)

@@ -22,7 +22,9 @@ from .forest import (
     DEFAULT_N_TREES,
     DEFAULT_NEG_PER_POS,
     DEFAULT_THRESHOLD,
+    TrainingError,
     doi_pairs,
+    hyperparameter_problem,
     train_forest,
     training_pairs_from,
 )
@@ -57,7 +59,7 @@ def split_doi_pairs(store: CorpusStore, seed: int,
     if len(pairs) < MIN_DOI_PAIRS:
         raise EvalError(f"too few DOI-matched pairs for evaluation: "
                         f"{len(pairs)} < {MIN_DOI_PAIRS}")
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     perm = rng.permutation(len(pairs))
     cut = int(round(len(pairs) * (1.0 - HOLDOUT_FRACTION)))
     train = [pairs[i] for i in perm[:cut]]
@@ -71,6 +73,10 @@ def evaluate(store: CorpusStore, seed: int,
              neg_per_pos: int = DEFAULT_NEG_PER_POS,
              k: int = DEFAULT_K,
              decision_threshold: float = DEFAULT_THRESHOLD) -> EvalReport:
+    problem = hyperparameter_problem(n_trees, max_depth, seed,
+                                     decision_threshold, neg_per_pos)
+    if problem is not None:
+        raise TrainingError(problem)
     train, holdout = split_doi_pairs(store, seed)
     index = build_index(store)
     x, labels = training_pairs_from(store, index, train, neg_per_pos)
@@ -97,5 +103,5 @@ def evaluate(store: CorpusStore, seed: int,
         false_negatives=fn,
         holdout_size=len(holdout),
         train_size=len(train),
-        seed=int(seed),
+        seed=seed,
     )

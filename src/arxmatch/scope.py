@@ -6,7 +6,9 @@ physics as a whole, and statistics theory (math.ST / stat.TH) only when
 the submission carries no cross-listing from a non-mathematical archive.
 The rule sets ship as a versioned JSON data file so policy changes need
 no code change; the scope report's per-category overlap share, read
-after a match run, is what justifies them.
+after a match run, is what justifies them. The four sets are disjoint, so
+each code listed has the one verdict its set gives; a rules file that
+lists a code in two of them is refused.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -27,15 +30,6 @@ REASON_CONDITIONAL_OUT = "conditional_crosslisted_nonmath"
 REASON_EXCLUDED = "excluded_subcategory"
 REASON_NO_MATH = "no_mathematical_category"
 
-REASON_CODES = (
-    REASON_INCLUDED,
-    REASON_STANDALONE,
-    REASON_CONDITIONAL_IN,
-    REASON_CONDITIONAL_OUT,
-    REASON_EXCLUDED,
-    REASON_NO_MATH,
-)
-
 REPORT_HEADER = ("category", "count", "overlap_share", "in_scope", "reason")
 
 
@@ -47,8 +41,10 @@ class ScopeRules:
     standalone: frozenset[str]
 
     def __post_init__(self):
-        if self.included & self.excluded:
-            raise ValueError("included and excluded category sets overlap")
+        counts = Counter(c for f in fields(self) for c in getattr(self, f.name))
+        shared = sorted(c for c, n in counts.items() if n > 1)
+        if shared:
+            raise ValueError(f"scope rules: {shared} in two category sets")
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,8 @@ def load_rules(path: str | Path | None = None) -> ScopeRules:
     """Read a rule set: a JSON object whose keys ``included``, ``excluded``,
     ``conditional`` and ``standalone`` each hold a list of category codes.
     Other keys are ignored. Any other file raises ValueError, naming the
-    file when it is not JSON and the key at fault when there is one."""
+    file when it is not JSON, the key at fault when there is one, and the
+    codes listed under two keys."""
     source = resources.files("arxmatch.data").joinpath("scope_rules.json") \
         if path is None else Path(path)
     try:

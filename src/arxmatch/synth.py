@@ -268,7 +268,9 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
     """Write preprints.jsonl, published.jsonl, groundtruth.json; return truth."""
     if not 1 <= n <= MAX_PAIRS:
         raise ValueError(f"n must be in 1..{MAX_PAIRS}, got {n}")
-    rng = _Draws(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    if type(seed) is not int:
+        raise ValueError("seed must be an integer")
+    rng = _Draws(seed & 0xFFFFFFFFFFFFFFFF)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -349,7 +351,7 @@ def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
 
     truth = {
         "n": n,
-        "seed": int(seed),
+        "seed": seed,
         "profile": asdict(profile),
         "pairs": pairs,
         "doi_assigned": doi_assigned,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from arxmatch import scope
 from arxmatch.candidates import build_index
 from arxmatch.corpus import CorpusStore, preprint_from_json, published_from_json
 from arxmatch.forest import bootstrap_training_set, train_forest
@@ -17,6 +18,11 @@ CORPUS_DIR = DATA_DIR / "corpus1000"
 GOLDEN_DIR = DATA_DIR / "golden"
 # JSON values of a doi field that are not strings: each is no DOI
 NOT_STRING_DOIS = [12, 1.5, True, ["10.1/x"], {"doi": "10.1/x"}, None]
+# seeds that are not integers; int() would read each of them as 1
+NOT_INT_SEEDS = [1.5, True, "1"]
+# every reason a scope decision can give: the values of scope's REASON_* names
+SCOPE_REASONS = {value for name, value in vars(scope).items()
+                 if name.startswith("REASON_")}
 
 
 def make_preprint(pid="2301.00001", version=1, title="On Knot Invariants",

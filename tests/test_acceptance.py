@@ -7,34 +7,31 @@ criteria execute.
 from __future__ import annotations
 
 import json
+import shutil
 import time
 
 import numpy as np
 
 from arxmatch import _kernels
 from arxmatch.candidates import build_index, query_candidates
-from arxmatch.cli import main as cli_main
 from arxmatch.corpus import CorpusStore, MatchDecision, OUTCOME_DOI
 from arxmatch.evaluate import evaluate
 from arxmatch.forest import ForestModel
 from arxmatch.matcher import MatchRunReport, batch_match
 from arxmatch.normalize import normalize_text
-from arxmatch.scope import (
-    REASON_CODES,
-    decide_categories,
-    load_rules,
-)
+from arxmatch.scope import decide_categories, load_rules
 from arxmatch.synth import PerturbationProfile, gen_synthetic_corpus
 
 from conftest import (
-    CORPUS_DIR,
     DATA_DIR,
+    SCOPE_REASONS,
     criterion,
     make_preprint,
     make_published,
     naive_matcher,
     store_with,
 )
+from make_goldens import run_pipeline
 from test_candidates import brute_force_rank
 from test_forest import gini_split_oracle
 from test_similarity import edit_distance_oracle, levenshtein_run, picked, scored
@@ -323,42 +320,30 @@ def test_scope_decision_table():
             got = decide_categories(cats, rules)
             assert got.reason == want, cats
             seen.add(got.reason)
-        assert seen == set(REASON_CODES)
+        assert seen == SCOPE_REASONS
 
 
 # -- 7. end-to-end determinism ------------------------------------------------------------------
 
-def _run_pipeline(work) -> dict[str, bytes]:
-    store = work / "store"
-    model = work / "model.json"
-
-    def run(*argv):
-        assert cli_main(list(argv)) == 0, argv
-
-    run("ingest", "--preprints", str(CORPUS_DIR / "preprints.jsonl"),
-        "--published", str(CORPUS_DIR / "published.jsonl"), "--store", str(store))
-    run("train", "--store", str(store), "--model", str(model), "--seed", "42")
-    run("match", "--store", str(store), "--model", str(model),
-        "--timestamp", TS, "--report", str(work / "match.json"))
-    run("eval", "--store", str(store), "--seed", "42",
-        "--report", str(work / "eval.json"))
-    run("merge", "--store", str(store))
-    run("stats", "--store", str(store), "--report", str(work / "stats.json"))
-    out = {}
-    for f in sorted(store.glob("*.jsonl")):
-        out[f"store/{f.name}"] = f.read_bytes()
-    for name in ("model.json", "match.json", "eval.json", "stats.json"):
-        out[name] = (work / name).read_bytes()
-    return out
+def _pipeline_files(work) -> dict[str, bytes]:
+    """Run the golden run in the fresh directory work; every file it
+    wrote there, by its path under work."""
+    work.mkdir()
+    run_pipeline(work)
+    return {f.relative_to(work).as_posix(): f.read_bytes()
+            for f in sorted(work.rglob("*")) if f.is_file()}
 
 
 def test_end_to_end_determinism(tmp_path):
     with criterion("two pipeline runs are byte-identical"):
-        run_a = _run_pipeline(tmp_path / "a")
-        run_b = _run_pipeline(tmp_path / "b")
+        # one directory for both runs: train.json names the model's path
+        work = tmp_path / "run"
+        run_a = _pipeline_files(work)
+        shutil.rmtree(work)
+        run_b = _pipeline_files(work)
         assert run_a.keys() == run_b.keys()
         assert set(run_a) >= {"store/preprints.jsonl", "store/decisions.jsonl",
                               "store/merges.jsonl", "store/profiles.jsonl",
-                              "model.json"}
+                              "model.json", "train.json", "scope.csv"}
         for name in run_a:
             assert run_a[name] == run_b[name], name

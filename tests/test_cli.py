@@ -372,7 +372,10 @@ class TestRulesBeforeStore:
         (None, "input file not found"),
         ("{", "unreadable scope rules"),
         ('{"included": "math.AG"}', "'included' must be a list of strings"),
-    ], ids=["missing", "not-json", "wrong-schema"])
+        ('{"included": ["math.AG", "math.ST"], "excluded": [], '
+         '"conditional": ["math.ST"], "standalone": []}',
+         "ValueError: scope rules: ['math.ST'] in two category sets"),
+    ], ids=["missing", "not-json", "wrong-schema", "code-in-two-sets"])
     def test_bad_rules_never_load_the_store(self, small_store, tmp_path, capsys,
                                             monkeypatch, text, message):
         rules = tmp_path / "rules.json"

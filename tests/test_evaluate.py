@@ -8,7 +8,10 @@ import arxmatch.evaluate as evaluate_module
 from arxmatch import similarity
 from arxmatch.corpus import CorpusStore
 from arxmatch.evaluate import EvalError, evaluate, split_doi_pairs
+from arxmatch.forest import TrainingError
 from arxmatch.synth import PerturbationProfile, gen_synthetic_corpus
+
+from conftest import NOT_INT_SEEDS, store_with
 
 
 def corpus(tmp_path, n, seed, **profile_kw) -> CorpusStore:
@@ -113,6 +116,34 @@ class TestEvaluate:
     def test_deterministic(self, tmp_path):
         store = corpus(tmp_path, 250, seed=38, doi_rate=1.0)
         assert evaluate(store, seed=8) == evaluate(store, seed=8)
+
+
+class TestOptionsCheckedFirst:
+    """evaluate refuses what train_forest would refuse before it reads the
+    DOI pairs, so a bad option costs no index and no scoring."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("evaluation started")
+
+        for name in ("split_doi_pairs", "build_index"):
+            monkeypatch.setattr(evaluate_module, name, ran)
+
+    @pytest.mark.parametrize("seed", NOT_INT_SEEDS, ids=repr)
+    def test_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(TrainingError, match="seed must be an integer"):
+            evaluate(store_with(), seed=seed)
+
+    @pytest.mark.parametrize("option, value, problem", [
+        ("n_trees", 0, "n_trees must be an integer >= 1"),
+        ("max_depth", 2.0, "max_depth must be an integer >= 1"),
+        ("neg_per_pos", True, "neg_per_pos must be an integer >= 1"),
+        ("decision_threshold", 1.0, "decision_threshold must be a number in"),
+    ])
+    def test_each_forest_option(self, option, value, problem):
+        with pytest.raises(TrainingError, match=problem):
+            evaluate(store_with(), seed=1, **{option: value})
 
 
 class TestSharedProjections:

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,6 @@ from hypothesis import strategies as st
 
 from arxmatch.corpus import OUTCOME_DOI, OUTCOME_UNMATCHED, MatchDecision
 from arxmatch.scope import (
-    REASON_CODES,
     REASON_CONDITIONAL_IN,
     REASON_CONDITIONAL_OUT,
     REASON_EXCLUDED,
@@ -23,7 +25,7 @@ from arxmatch.scope import (
     scope_report,
 )
 
-from conftest import make_preprint, make_published, store_with
+from conftest import SCOPE_REASONS, make_preprint, make_published, store_with
 
 TS = "2024-01-01T00:00:00Z"
 RULES = load_rules()
@@ -108,10 +110,9 @@ class TestInScope:
             got = decide_categories(cats, RULES)
             assert got.reason == want
             seen.add(got.reason)
-        assert seen == set(REASON_CODES)
+        assert seen == SCOPE_REASONS
 
     def test_monotone_nonmath_crosslist_only_flips_in_to_out(self):
-        import itertools
         base_sets = [("math.ST",), ("math.ST", "stat.TH"), ("math.AG",),
                      ("math.GM",), ("math-ph",)]
         for cats, extra in itertools.product(base_sets,
@@ -126,11 +127,25 @@ class TestInScope:
                        excluded=frozenset({"math.GM"}),
                        conditional=frozenset(), standalone=frozenset())
 
+    @pytest.mark.parametrize("first, second", itertools.combinations(
+        [f.name for f in fields(ScopeRules)], 2))
+    def test_a_code_in_two_sets_is_refused(self, first, second):
+        sets = {f.name: frozenset({f"x.{f.name}"}) for f in fields(ScopeRules)}
+        sets[first] |= {"math.ST"}
+        sets[second] |= {"math.ST"}
+        with pytest.raises(ValueError, match=re.escape(
+                "scope rules: ['math.ST'] in two category sets")):
+            ScopeRules(**sets)
+
     def test_default_rules_shape(self):
         assert len(RULES.included) == 28
         assert RULES.excluded == {"math.GM", "math.HO", "math.IT"}
         assert RULES.conditional == {"math.ST", "stat.TH"}
-        assert RULES.standalone == {"math-ph", "math.MP"}
+        assert RULES.standalone == {"math-ph"}
+
+    def test_mathematical_physics_subcategory_included(self):
+        d = decide_categories(("math.MP",), RULES)
+        assert d.in_scope and d.reason == REASON_INCLUDED
 
 
 class TestLoadRules:

@@ -16,7 +16,7 @@ from arxmatch.forest import bootstrap_training_set, train_forest
 from arxmatch.matcher import batch_match
 from arxmatch.synth import MAX_PAIRS, PerturbationProfile, gen_synthetic_corpus
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, NOT_INT_SEEDS
 
 TS = "2024-01-01T00:00:00Z"
 
@@ -47,6 +47,13 @@ class TestGenerator:
             gen_synthetic_corpus(MAX_PAIRS + 1, PerturbationProfile(), seed=1,
                                  out_dir=tmp_path / "x")
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("seed", NOT_INT_SEEDS, ids=repr)
+    def test_seed_that_is_not_an_integer_writes_nothing(self, tmp_path, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            gen_synthetic_corpus(10, PerturbationProfile(), seed=seed,
+                                 out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_largest_pair_number_is_a_valid_arxiv_id(self):
         assert validate_arxiv_id(f"2412.{MAX_PAIRS - 1:05d}")
