@@ -9,7 +9,7 @@ so every numpy operation advances all the pairs of the chunk by one text
 position. A pattern longer than 64 symbols spans several words, and the
 horizontal delta out of each word's top row is carried into the next
 word, as in Myers' blocked form. A lane's distance is read off at the
-end as a popcount of its vertical deltas, through a byte table. The
+end as a popcount of its vertical deltas (``np.bitwise_count``). The
 strings come in as symbols of the run's own alphabet (``encode``), so a
 pattern's match masks take one row per symbol of the run. The sparse dot
 products of one vector with all of the candidates' take one scatter
@@ -29,14 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
-
-# bits set in each byte value: numpy 1.24, the floor, has no bitwise_count
-_BYTE_BITS = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-# explicit uint64 scalars: numpy 1.x turns a uint64 plus a Python int into
-# float64
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-_ONE = np.uint64(1)
-_TOP = np.uint64(63)
 
 
 class _Alphabet(dict):
@@ -118,7 +110,7 @@ def _block_distances(a: np.ndarray, b: np.ndarray, a_start: np.ndarray,
     m, start, base = m[order], start[order], local[order] * n_symbols
     k = m.size
     live = k - np.searchsorted(m[::-1], np.arange(m[0]), side="right")
-    pv = np.full((w, k), _ONES)
+    pv = np.full((w, k), 2**64 - 1, dtype=np.uint64)
     mv = np.zeros((w, k), dtype=np.uint64)
     idx = np.empty(k, dtype=np.intp)
     for j, alive in enumerate(live.tolist()):
@@ -140,26 +132,27 @@ def _block_distances(a: np.ndarray, b: np.ndarray, a_start: np.ndarray,
             ph |= q
             mh = np.bitwise_and(p, xh, out=xh)
             if r < w - 1:
-                hp_out, hm_out = ph >> _TOP, mh >> _TOP
-            ph <<= _ONE
-            mh <<= _ONE
+                hp_out, hm_out = ph >> 63, mh >> 63
+            ph <<= 1
+            mh <<= 1
             if r:
                 ph |= hp
                 mh |= hm
             else:
-                ph |= _ONE  # the top row: D[0][j] = j
+                ph |= 1  # the top row: D[0][j] = j
             np.bitwise_or(xv, ph, out=p)
             np.invert(p, out=p)
             p |= mh
             np.bitwise_and(ph, xv, out=q)
             if r < w - 1:
                 hp, hm = hp_out, hm_out
-    rows_in = np.full((w, k), _ONES)
+    rows_in = np.full((w, k), 2**64 - 1, dtype=np.uint64)
     rows_in[-1] >>= (64 * w - n[pattern[order]]).astype(np.uint64)
     pv &= rows_in
     mv &= rows_in
     dist = np.empty(k, dtype=np.int64)
-    dist[order] = m + _popcount(pv) - _popcount(mv)
+    dist[order] = (m + np.bitwise_count(pv).sum(axis=0, dtype=np.int64)
+                   - np.bitwise_count(mv).sum(axis=0, dtype=np.int64))
     return dist
 
 
@@ -176,14 +169,8 @@ def _peq(a: np.ndarray, start: np.ndarray, n: np.ndarray, w: int,
     live = n.size - np.searchsorted(n[::-1], np.arange(n[0]), side="right")
     for i, alive in enumerate(live.tolist()):
         rows = base[:alive] + a.take(start[:alive] + i)
-        peq[rows, i // 64] |= _ONE << np.uint64(i % 64)
+        peq[rows, i // 64] |= 1 << i % 64
     return peq
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per column of a (w, k) uint64 array, as int64."""
-    w, k = words.shape
-    return _BYTE_BITS[words.view(np.uint8)].reshape(w, k, 8).sum(axis=(0, 2), dtype=np.int64)
 
 
 def sorted_dot(lookup: np.ndarray, a: np.ndarray, b: np.ndarray,

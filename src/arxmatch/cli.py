@@ -31,8 +31,8 @@ from pathlib import Path
 
 from .authors import build_profiles
 from .candidates import DEFAULT_K, build_index
-from .corpus import (PROFILES_FILE, CorpusStore, StoreError, open_store, report_json,
-                     write_atomic)
+from .corpus import (LOCK_FILE, PROFILES_FILE, TABLES, CorpusStore, StoreError,
+                     open_store, report_json, write_atomic)
 from .evaluate import evaluate
 from .forest import (
     DEFAULT_MAX_DEPTH,
@@ -120,10 +120,17 @@ def _require_file(path: str) -> None:
         raise CliError(f"input file not found: {path}")
 
 
-def _require_output(path: str | None) -> None:
-    """A file path to write, or None for stdout; its directory must exist."""
-    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+def _require_output(path: str | None, store: str) -> None:
+    """A file path to write, or None for stdout; its directory must exist,
+    and it must not be one of the store's own files."""
+    if path is None:
+        return
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
         raise CliError(f"output path must name a file in an existing directory: {path}")
+    home = Path(store).resolve()
+    own = [f"{table}.jsonl" for table in TABLES] + [PROFILES_FILE, LOCK_FILE]
+    if Path(path).resolve() in [home / name for name in own]:
+        raise CliError(f"output path is a file of the store: {path}")
 
 
 def _require_candidates(k: int) -> None:
@@ -142,7 +149,7 @@ def cmd_scope(args) -> int:
     if args.rules is not None:
         _require_file(args.rules)
     rules = load_rules(args.rules)
-    _require_output(args.report)
+    _require_output(args.report, args.store)
     with open_store(args.store, tables=("preprints", "published",
                                         "decisions")) as store:
         csv_text = scope_report(store, rules)
@@ -152,7 +159,7 @@ def cmd_scope(args) -> int:
 
 def cmd_train(args) -> int:
     _require_hyperparameters(args)
-    _require_output(args.model)
+    _require_output(args.model, args.store)
     with open_store(args.store, tables=("preprints", "published")) as store:
         index = build_index(store)
         x, labels = bootstrap_training_set(store, index, neg_per_pos=args.neg_per_pos)
@@ -177,7 +184,7 @@ def cmd_match(args) -> int:
     timestamp = _run_timestamp(args.timestamp)
     _require_file(args.model)
     model = load_model(args.model)
-    _require_output(args.report)
+    _require_output(args.report, args.store)
     with open_store(args.store, "w") as store:
         index = build_index(store)
         report = batch_match(store, index, model, k=args.candidates,
@@ -222,7 +229,7 @@ def _subject_table(store: CorpusStore, unpublished: list[str]) -> list[dict]:
 
 
 def cmd_stats(args) -> int:
-    _require_output(args.report)
+    _require_output(args.report, args.store)
     with open_store(args.store) as store:
         unpublished = store.unpublished_preprints()
         # each unpublished preprint with MSC codes counts once, under its first area
@@ -244,7 +251,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     _require_candidates(args.candidates)
     _require_hyperparameters(args)
-    _require_output(args.report)
+    _require_output(args.report, args.store)
     with open_store(args.store, tables=("preprints", "published")) as store:
         report = evaluate(store, seed=args.seed, n_trees=args.trees,
                           max_depth=args.depth, neg_per_pos=args.neg_per_pos,

@@ -123,19 +123,16 @@ def _decision(p: PreprintRecord, accession: str | None,
               hit: tuple[str, tuple[float, float, float]] | None,
               timestamp: str) -> MatchDecision:
     """The decision of a DOI hit's accession, else of a classifier hit."""
+    vector = None
     if accession is not None:
-        return MatchDecision(preprint=p.id, outcome=OUTCOME_DOI,
-                             matched_accession=accession, vector=None,
-                             decided_at=timestamp)
-    if hit is not None:
-        accession, vec = hit
-        return MatchDecision(preprint=p.id, outcome=OUTCOME_CLASSIFIER,
-                             matched_accession=accession,
-                             vector=vec,
-                             decided_at=timestamp)
-    return MatchDecision(preprint=p.id, outcome=OUTCOME_UNMATCHED,
-                         matched_accession=None, vector=None,
-                         decided_at=timestamp)
+        outcome = OUTCOME_DOI
+    elif hit is not None:
+        outcome = OUTCOME_CLASSIFIER
+        accession, vector = hit
+    else:
+        outcome = OUTCOME_UNMATCHED
+    return MatchDecision(preprint=p.id, outcome=outcome, matched_accession=accession,
+                         vector=vector, decided_at=timestamp)
 
 
 def _naive_key(title: str, authors) -> tuple[str, tuple[str, ...]]:

@@ -266,6 +266,8 @@ def _mangle_doi(doi: str) -> str:
 def gen_synthetic_corpus(n: int, profile: PerturbationProfile, seed: int,
                          out_dir: str | Path) -> dict:
     """Write preprints.jsonl, published.jsonl, groundtruth.json; return truth."""
+    if type(n) is not int:
+        raise ValueError("n must be an integer")
     if not 1 <= n <= MAX_PAIRS:
         raise ValueError(f"n must be in 1..{MAX_PAIRS}, got {n}")
     if type(seed) is not int:

@@ -16,7 +16,7 @@ import pytest
 import arxmatch
 from arxmatch import forest, synth
 from arxmatch.cli import main
-from arxmatch.corpus import CorpusStore
+from arxmatch.corpus import LOCK_FILE, PROFILES_FILE, TABLES, CorpusStore
 
 from conftest import CORPUS_DIR, GOLDEN_DIR
 from make_goldens import run_pipeline
@@ -336,17 +336,25 @@ class TestModelBeforeStore:
         assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before
 
 
+# each file a store may hold, under small_store's directory name
+STORE_FILES = [f"store/{name}" for name in
+               [f"{table}.jsonl" for table in TABLES] + [PROFILES_FILE, LOCK_FILE]]
+
+
 class TestOutputPathBeforeStore:
-    """An output path in a missing directory, or one that is a directory,
-    fails before the store is opened, so the store keeps every byte."""
+    """An output path in a missing directory, one that is a directory, or
+    one that is a file of the store fails before the store is opened, so the
+    store keeps every byte."""
 
     @pytest.mark.parametrize("command", ["train", "match", "eval", "stats", "scope"])
-    @pytest.mark.parametrize("target", ["missing/out.json", "existing"])
+    @pytest.mark.parametrize("target", ["missing/out.json", "existing", *STORE_FILES,
+                                        "link/decisions.jsonl"])
     def test_checked_before_the_store(self, small_store, tmp_path, capsys, monkeypatch,
                                       command, target):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(stump_payload()))
         (tmp_path / "existing").mkdir()
+        (tmp_path / "link").symlink_to(small_store)
         out = tmp_path / target
         option = {"train": ["--seed", "1", "--model"],
                   "match": ["--model", str(model), "--timestamp", TS, "--report"],
@@ -356,8 +364,10 @@ class TestOutputPathBeforeStore:
             lambda cls, *args, **kwargs: loads.append(args)))
         before = {f.name: f.read_bytes() for f in small_store.iterdir()}
         assert run(command, "--store", str(small_store), *option, str(out)) == 1
-        assert _one_error_line(capsys) == \
-            f"output path must name a file in an existing directory: {out}"
+        problem = ("output path is a file of the store"
+                   if out.parent.name in ("store", "link")
+                   else "output path must name a file in an existing directory")
+        assert _one_error_line(capsys) == f"{problem}: {out}"
         assert loads == []
         assert {f.name: f.read_bytes() for f in small_store.iterdir()} == before
         assert not (tmp_path / "missing").exists()

@@ -55,6 +55,13 @@ class TestGenerator:
                                  out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5, "1"], ids=repr)
+    def test_n_that_is_not_an_integer_writes_nothing(self, tmp_path, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gen_synthetic_corpus(n, PerturbationProfile(), seed=1,
+                                 out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_largest_pair_number_is_a_valid_arxiv_id(self):
         assert validate_arxiv_id(f"2412.{MAX_PAIRS - 1:05d}")
 
