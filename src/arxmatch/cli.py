@@ -3,8 +3,7 @@
 Every command exits 0 on success, 1 on runtime failure (with a single
 machine-readable JSON error line on stderr), and 2 on usage errors. All
 randomized steps take an explicit --seed. The match timestamp can be
-pinned with --timestamp or the SOURCE_DATE_EPOCH environment variable so
-that repeated runs are byte-identical.
+pinned with --timestamp so that repeated runs are byte-identical.
 
 The seven store commands open --store through ``corpus.open_store``: only
 ingest creates a store; ingest, match and merge lock it exclusively until
@@ -14,7 +13,8 @@ ingest those of its inputs, train and eval preprints and published, scope
 those two and decisions, and match, merge and stats all four. A store that
 is missing or locked, or a bad line in a table the command loads, fails
 with exit 1, after the forest options of train and eval, match's --model,
-scope's --rules and every output path pass.
+scope's --rules and every output path pass; an output path may name neither
+a file of the store nor the command's own --model or --rules.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -70,28 +69,18 @@ TIMESTAMP_RE = re.compile(
 
 def _run_timestamp(explicit: str | None) -> str:
     """The decision timestamp: ``--timestamp`` in ``TIMESTAMP_FORMAT``, else
-    ``SOURCE_DATE_EPOCH`` as integer seconds, else the current time."""
-    if explicit is not None:
-        fields = TIMESTAMP_RE.fullmatch(explicit)
-        try:
-            if fields is None:
-                raise ValueError
-            datetime(*map(int, fields.groups()))  # no such date: ValueError
-        except ValueError:
-            raise CliError(f"--timestamp must look like 2024-01-01T00:00:00Z, "
-                           f"got {explicit!r}") from None
-        return explicit
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if not epoch:
+    the current UTC time."""
+    if explicit is None:
         return datetime.now(tz=timezone.utc).strftime(TIMESTAMP_FORMAT)
+    fields = TIMESTAMP_RE.fullmatch(explicit)
     try:
-        if not re.fullmatch(r"-?[0-9]+", epoch):
+        if fields is None:
             raise ValueError
-        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(
-            TIMESTAMP_FORMAT)
-    except (ValueError, OverflowError, OSError):  # not an integer, or no date
-        raise CliError(f"SOURCE_DATE_EPOCH must be integer seconds since "
-                       f"the epoch, got {epoch!r}") from None
+        datetime(*map(int, fields.groups()))  # no such date: ValueError
+    except ValueError:
+        raise CliError(f"--timestamp must look like 2024-01-01T00:00:00Z, "
+                       f"got {explicit!r}") from None
+    return explicit
 
 
 # -- commands -----------------------------------------------------------------
@@ -120,17 +109,21 @@ def _require_file(path: str) -> None:
         raise CliError(f"input file not found: {path}")
 
 
-def _require_output(path: str | None, store: str) -> None:
+def _require_output(path: str | None, store: str, source: str | None = None) -> None:
     """A file path to write, or None for stdout; its directory must exist,
-    and it must not be one of the store's own files."""
+    and it must be neither one of the store's own files nor ``source``, the
+    file the command reads."""
     if path is None:
         return
     if Path(path).is_dir() or not Path(path).parent.is_dir():
         raise CliError(f"output path must name a file in an existing directory: {path}")
     home = Path(store).resolve()
     own = [f"{table}.jsonl" for table in TABLES] + [PROFILES_FILE, LOCK_FILE]
-    if Path(path).resolve() in [home / name for name in own]:
+    target = Path(path).resolve()
+    if target in [home / name for name in own]:
         raise CliError(f"output path is a file of the store: {path}")
+    if source is not None and target == Path(source).resolve():
+        raise CliError(f"output path is the command's input file: {path}")
 
 
 def _require_candidates(k: int) -> None:
@@ -149,7 +142,7 @@ def cmd_scope(args) -> int:
     if args.rules is not None:
         _require_file(args.rules)
     rules = load_rules(args.rules)
-    _require_output(args.report, args.store)
+    _require_output(args.report, args.store, args.rules)
     with open_store(args.store, tables=("preprints", "published",
                                         "decisions")) as store:
         csv_text = scope_report(store, rules)
@@ -184,7 +177,7 @@ def cmd_match(args) -> int:
     timestamp = _run_timestamp(args.timestamp)
     _require_file(args.model)
     model = load_model(args.model)
-    _require_output(args.report, args.store)
+    _require_output(args.report, args.store, args.model)
     with open_store(args.store, "w") as store:
         index = build_index(store)
         report = batch_match(store, index, model, k=args.candidates,
@@ -320,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="report JSON path (default: stdout)")
     p.add_argument("--timestamp",
                    help="pin the decision timestamp, as 2024-01-01T00:00:00Z; "
-                        "default: SOURCE_DATE_EPOCH or current time")
+                        "default: the current time")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("merge", help="merge matched preprints into published entries")
