@@ -99,8 +99,12 @@ def cmd_ingest(args) -> int:
             result["preprints"] = store.ingest_preprints(args.preprints).as_dict()
         if args.published:
             result["published"] = store.ingest_published(args.published).as_dict()
+        # a report that stdout cannot encode fails here, before the save
+        text = report_json(result)
+        if sys.stdout.encoding:  # None for an in-memory stream
+            text.encode(sys.stdout.encoding, sys.stdout.errors)
         store.save(args.store)
-    sys.stdout.write(report_json(result))
+    sys.stdout.write(text)
     return 0
 
 

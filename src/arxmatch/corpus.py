@@ -9,10 +9,12 @@ that breaks the schema is reported like one that is not JSON: as
 accession per DOI, is built on the first lookup: only match, train and
 eval build it. A load reads only the tables its caller names; a table
 left out is not parsed, and any use of it raises. A store remembers the
-directory it was loaded from or last saved to and which of the files
-there still hold exactly its in-memory table, and ``save`` into that
-directory rewrites only the others, in two phases: it writes every such
-table to its ``.tmp`` file first, then renames them in ``TABLES`` order.
+directory it was loaded from or last saved to and the keys written to
+each table since, and ``save`` into that directory rewrites only the
+tables written to: it copies the line of every record not written from
+the file load read, and encodes only the others. It does so in two
+phases: it writes every such table to its ``.tmp`` file first, then
+renames them in ``TABLES`` order.
 Mutations require exclusive access. Commands open a store directory only
 through ``open_store``.
 """
@@ -28,6 +30,7 @@ import re
 import shutil
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice, pairwise
 from pathlib import Path
 
 from .normalize import AuthorName, normalize_doi, split_authors
@@ -424,11 +427,14 @@ class CorpusStore:
         self.decisions: dict[str, MatchDecision] = {}
         self.merges: dict[str, str] = {}
         # the absolute directory this store was loaded from or last saved
-        # to, and the tables whose files there hold exactly the table. Every
-        # write to a table drops it from the set; the four mutators below
-        # are the only code that writes to the tables.
+        # to; per table whose file there held it then, what save may copy
+        # from that file: the number of records load read from it and its
+        # identity before the read, or None (a table left out, any table
+        # after a save); and per table the keys written since. The four
+        # mutators below are the only code that writes to the tables.
         self._home: Path | None = None
-        self._clean: set[str] = set()
+        self._files: dict[str, tuple[int, tuple[int, int, int]] | None] = {}
+        self._written: dict[str, set[str]] = {t: set() for t in TABLES}
 
     # -- ingest ----------------------------------------------------------------
 
@@ -443,7 +449,7 @@ class CorpusStore:
                 report.reject(line_no, f"{rec.id}: version {rec.version} is not newer")
                 continue
             self.preprints[rec.id] = rec
-            self._clean.discard("preprints")
+            self._written["preprints"].add(rec.id)
             if old is None:
                 report.added += 1
             else:
@@ -461,7 +467,7 @@ class CorpusStore:
                 report.reject(line_no, f"duplicate accession {rec.accession}")
                 continue
             self.published[rec.accession] = rec
-            self._clean.discard("published")
+            self._written["published"].add(rec.accession)
             vars(self).pop("doi_index", None)  # rebuilt on the next lookup
             report.added += 1
         return report
@@ -472,7 +478,7 @@ class CorpusStore:
         if decision.preprint not in self.preprints:
             raise IntegrityError(f"decision for unknown preprint {decision.preprint}")
         if self.decisions.get(decision.preprint) != decision:
-            self._clean.discard("decisions")
+            self._written["decisions"].add(decision.preprint)
         # an equal decision still replaces the loaded one, whose strings no
         # other record shares, so that they are freed
         self.decisions[decision.preprint] = decision
@@ -495,7 +501,7 @@ class CorpusStore:
                 f"{pid} already merged into {self.merges[pid]}, not {accession}"
             )
         if pid not in self.merges:
-            self._clean.discard("merges")
+            self._written["merges"].add(pid)
         self.merges[pid] = accession
 
     def unmerged_preprints(self) -> list[str]:
@@ -531,33 +537,46 @@ class CorpusStore:
     def save(self, directory: str | Path) -> None:
         """Write the four table files into ``directory``. Into the store's
         home, the directory it was loaded from or last saved to, this skips
-        each clean table: one whose file there holds it, as it has not
-        changed since, and one that load left out. Into any other directory
-        it writes all four, so there a table left out raises ``StoreError``
-        and no file is renamed; on success ``directory`` becomes the home
-        and every table is clean. A skipped file keeps its bytes, so a
-        hand-edited file that load accepts but that save would have written
-        otherwise (a URL-form DOI, unsorted lines) stays as it is until its
-        table changes."""
+        each clean table: one that nothing was written to since and whose
+        file there holds it, and one that load left out. It rewrites every
+        other table in key order: when load read its file there, that file
+        is sorted and it is still the one load read (same inode, size and
+        mtime), the line of each record not written since is copied from it
+        byte for byte, and only the rest are encoded. Any other table, and
+        every table saved into another directory, is encoded in full; there
+        a table left out raises ``StoreError`` and no file is renamed. On
+        success ``directory`` becomes the home, every table is clean and no
+        line may be copied any more.
+
+        A skipped file keeps its bytes, and so does a copied line: a
+        hand-edited line that load accepts but save would not write (a
+        URL-form DOI) stays until its record changes, and an unsorted file
+        until its table changes. A file that load read and that is gone by
+        the save raises ``FileNotFoundError``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         here = directory.absolute()
-        stale = [t for t in TABLES if here != self._home or t not in self._clean]
+        home = here == self._home
+        stale = [t for t in TABLES if not home or t not in self._files or self._written[t]]
         # entered last to first, so the stack renames first to last, and
         # only once every stale table is in its .tmp file; an error removes
         # every .tmp file not yet renamed and renames no more
         with contextlib.ExitStack() as renames:
             for table in reversed(stale):
                 rows = getattr(self, table)  # a table left out raises here
-                fh = renames.enter_context(write_atomic(directory / f"{table}.jsonl"))
-                if table == "merges":
-                    _write_lines(fh, ({"preprint": k, "accession": rows[k]}
-                                      for k in sorted(rows)))
-                else:
-                    _write_lines(fh, (record_to_json(rows[k]) for k in sorted(rows)))
-                fh.flush()  # a run killed between renames leaves whole .tmp files
+                path = directory / f"{table}.jsonl"
+                copyable = self._files.get(table) if home else None
+                with open(path, "rb") if copyable else contextlib.nullcontext(()) as old:
+                    n = 0
+                    if copyable and _identity(os.fstat(old.fileno())) == copyable[1] \
+                            and all(a < b for a, b in pairwise(islice(rows, copyable[0]))):
+                        n = copyable[0]
+                    fh = renames.enter_context(write_atomic(path))
+                    _write_table(fh, table, rows, n, old, self._written[table])
+                    fh.flush()  # a run killed between renames leaves whole .tmp files
         self._home = here
-        self._clean = set(TABLES)
+        self._files = dict.fromkeys(TABLES)
+        self._written = {t: set() for t in TABLES}
 
     @classmethod
     def load(cls, directory: str | Path, tables=TABLES) -> "CorpusStore":
@@ -585,14 +604,17 @@ class CorpusStore:
         for table, add in zip(TABLES, (store._load_preprint, store._load_published,
                                        store._load_decision, store._load_merge)):
             path = directory / f"{table}.jsonl"
-            if not path.exists():
+            try:
+                identity = _identity(os.stat(path))  # before the read: see save
+            except FileNotFoundError:
                 continue
             if table in wanted:
                 for _ in _read_jsonl(path, add):  # add parses and stores a line
                     pass
+                store._files[table] = (len(getattr(store, table)), identity)
             else:  # __getattr__ now answers for it
                 delattr(store, table)
-            store._clean.add(table)
+                store._files[table] = None
         return store
 
     def __getattr__(self, name: str):
@@ -631,6 +653,38 @@ class CorpusStore:
     def _check_accession(self, accession) -> None:
         if not isinstance(accession, str) or accession not in self.published:
             raise RecordError(f"unknown accession {accession!r}")
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int]:
+    """The stat fields that change when a file is replaced or rewritten."""
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _write_table(fh, table: str, rows: dict, n: int, old, written: set) -> None:
+    """Write ``rows`` to ``fh`` in key order. Its first ``n`` keys are in
+    order and are those of the first ``n`` non-blank lines of ``old``, as
+    load read them: the line of each that ``written`` does not hold is
+    copied, given a newline if it has none. Every other record is encoded."""
+    if table == "merges":
+        def encoded(key):
+            return _encode_line({"preprint": key, "accession": rows[key]}) + "\n"
+    else:
+        def encoded(key):
+            return _encode_line(record_to_json(rows[key])) + "\n"
+    added = sorted(islice(rows, n, None))
+    i = 0
+    # the blank lines are those _read_jsonl skips
+    for key, line in zip(islice(rows, n), (line for line in old if line.strip(b" \t\r\n"))):
+        while i < len(added) and added[i] < key:
+            fh.write(encoded(added[i]))
+            i += 1
+        if key in written:
+            fh.write(encoded(key))
+        else:
+            fh.write(line.decode("utf-8") if line.endswith(b"\n")
+                     else line.decode("utf-8") + "\n")
+    for key in added[i:]:
+        fh.write(encoded(key))
 
 
 def _put_once(table: dict, key: str, value, what: str) -> None:

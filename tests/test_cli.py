@@ -989,6 +989,31 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["preprints_total"] == 60
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_ingest_report_stdout_cannot_encode_changes_no_store(
+            self, small_store, tmp_path, existing):
+        # one preprint the store would take, and one whose rejection reason
+        # quotes its MSC code, which ASCII cannot encode
+        good = {"id": "2301.99998", "version": 1, "title": "T", "authors": ["A B"],
+                "abstract": "", "categories": ["math.GT"], "msc": [],
+                "doi": None, "withdrawn": False}
+        bad = dict(good, id="2301.99999", msc=["é"])
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
+        store = small_store if existing else tmp_path / "new" / "store"
+        before = {p.name: p.read_bytes() for p in small_store.iterdir()}
+        env = dict(os.environ, PYTHONPATH=str(Path(arxmatch.__file__).parents[1]),
+                   PYTHONIOENCODING="ascii")
+        proc = subprocess.run([sys.executable, "-m", "arxmatch", "ingest",
+                               "--preprints", str(batch), "--store", str(store)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [err] = proc.stderr.splitlines()
+        assert json.loads(err)["error"].startswith("UnicodeEncodeError: 'ascii' codec")
+        assert {p.name: p.read_bytes() for p in small_store.iterdir()} == before
+        assert not (tmp_path / "new").exists()
+
 
 class TestBadModel:
     def test_self_looping_model_is_1(self, tmp_path):

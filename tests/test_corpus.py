@@ -821,6 +821,121 @@ class TestSaveSkipsCleanTables:
             assert (saved / n).read_bytes() == (fresh / n).read_bytes()
 
 
+def _full_encode(saved: Path, name: str) -> list[bytes]:
+    """The lines of ``name`` as a save of the reloaded store elsewhere
+    writes them: every record encoded."""
+    fresh = saved.parent / "fresh"
+    CorpusStore.load(saved).save(fresh)
+    return (fresh / name).read_bytes().splitlines(True)
+
+
+def _url_doi_line(saved: Path) -> bytes:
+    """published.jsonl's first line with its DOI in URL form, which load
+    accepts and save would not write."""
+    obj = json.loads((saved / "published.jsonl").read_bytes().splitlines()[0])
+    obj["doi"] = "https://doi.org/" + obj["doi"]
+    return json.dumps(obj).encode() + b"\n"
+
+
+class TestSaveCopiesUnchangedLines:
+    """Save into the home copies the line of every record not written
+    since the load from the file load read, when that file is sorted and
+    still the one load read; it encodes every other record."""
+
+    def test_a_hand_edited_line_stays_when_its_table_grows(self, saved):
+        path = saved / "published.jsonl"
+        lines = path.read_bytes().splitlines(True)
+        edited = _url_doi_line(saved)
+        path.write_bytes(edited + lines[1])
+        store = CorpusStore.load(saved)
+        _change_published(store, saved.parent)
+        store.save(saved)
+        expected = _full_encode(saved, path.name)
+        assert expected[0] != edited
+        assert path.read_bytes() == b"".join([edited, *expected[1:]])
+        assert CorpusStore.load(saved).published == store.published
+
+    def test_a_replaced_record_is_encoded(self, saved):
+        path = saved / "preprints.jsonl"
+        # each line with json.dumps's spaces, which save does not write
+        edited = [json.dumps(json.loads(line)).encode() + b"\n"
+                  for line in path.read_bytes().splitlines()]
+        path.write_bytes(b"".join(edited))
+        store = CorpusStore.load(saved)
+        _replace_preprint(store, saved.parent)  # 2301.00002, the second line
+        store.save(saved)
+        expected = _full_encode(saved, path.name)
+        assert expected[1] != edited[1]
+        assert path.read_bytes().splitlines(True) == [edited[0], expected[1]]
+
+    def test_an_unsorted_file_is_encoded_in_full(self, saved):
+        path = saved / "published.jsonl"
+        lines = path.read_bytes().splitlines(True)
+        path.write_bytes(lines[1] + _url_doi_line(saved))
+        store = CorpusStore.load(saved)
+        _change_published(store, saved.parent)
+        store.save(saved)
+        assert path.read_bytes().splitlines(True) == _full_encode(saved, path.name)
+
+    @pytest.mark.parametrize("how", ["renamed-over", "rewritten-in-place"])
+    def test_a_file_replaced_after_the_load_is_encoded_from_memory(self, saved, how):
+        path = saved / "published.jsonl"
+        store = CorpusStore.load(saved)
+        lines = path.read_bytes().splitlines(True)
+        other = _url_doi_line(saved) + lines[1]  # the same records, other bytes
+        if how == "renamed-over":
+            (saved / "other").write_bytes(other)
+            (saved / "other").replace(path)
+        else:
+            path.write_bytes(other)
+        _change_published(store, saved.parent)
+        store.save(saved)
+        assert path.read_bytes().splitlines(True) == _full_encode(saved, path.name)
+
+    def test_line_endings_and_blank_lines(self, saved):
+        path = saved / "preprints.jsonl"
+        first, second = path.read_bytes().splitlines()
+        # blank lines are those load skips: only JSON whitespace
+        path.write_bytes(b"\n" + first + b"\r\n \t\r\n\n" + second)
+        store = CorpusStore.load(saved)
+        _change_preprints(store, saved.parent)  # 2301.00003 sorts last
+        store.save(saved)
+        expected = _full_encode(saved, path.name)
+        assert path.read_bytes().splitlines(True) == \
+            [first + b"\r\n", second + b"\n", expected[2]]
+        assert CorpusStore.load(saved).preprints == store.preprints
+
+    def test_a_new_key_is_written_in_key_order(self, saved):
+        path = saved / "preprints.jsonl"
+        write_jsonl(saved.parent / "in.jsonl",
+                    [preprint_obj("2301.00003"), preprint_obj("2301.00000")])
+        store = CorpusStore.load(saved)
+        assert store.ingest_preprints(saved.parent / "in.jsonl").added == 2
+        store.save(saved)
+        assert [json.loads(line)["id"] for line in path.read_bytes().splitlines()] == \
+            ["2301.00000", "2301.00001", "2301.00002", "2301.00003"]
+        assert path.read_bytes().splitlines(True) == _full_encode(saved, path.name)
+
+    def test_a_failed_copy_renames_nothing(self, saved):
+        # published.jsonl is written before preprints.jsonl is opened, so a
+        # home file gone before the copy leaves the rest as they were
+        store = CorpusStore.load(saved)
+        _change_preprints(store, saved.parent)
+        _change_published(store, saved.parent)
+        kept = (saved / "preprints.jsonl").read_bytes()
+        (saved / "preprints.jsonl").unlink()
+        before = {p.name: p.read_bytes() for p in saved.iterdir()}
+        with pytest.raises(FileNotFoundError):
+            store.save(saved)
+        assert {p.name: p.read_bytes() for p in saved.iterdir()} == before
+        (saved / "preprints.jsonl").write_bytes(kept)
+        stamp = _stamps(saved)["preprints.jsonl"]
+        store.save(saved)  # the file is back, but not the one load read
+        assert _stamps(saved)["preprints.jsonl"] != stamp
+        for n in TABLES:
+            assert (saved / n).read_bytes().splitlines(True) == _full_encode(saved, n)
+
+
 class TestTablesLeftOut:
     """A load that leaves a table out does not parse its file: any use of
     the table raises, so it never reads as empty, and save leaves its file
@@ -930,6 +1045,58 @@ class TestStoreProperties:
                 for pid, rec in store.preprints.items():
                     assert rec.version >= last_version.get(pid, 1)
                     last_version[pid] = rec.version
+
+    def test_save_into_the_home_equals_a_save_elsewhere(self, tmp_path):
+        # random days of ingests, decisions and merges, each loaded from and
+        # saved into the home as a command does: every line save copies
+        # equals the line a full encode writes
+        rng = np.random.default_rng(13)
+        titles = ["On Knots", "Über Knoten", "李 小龙", 'A "quoted" \\ title']
+        for round_no in range(12):
+            home = tmp_path / f"home{round_no}"
+            store_with().save(home)
+            for day in range(5):
+                tables = corpus.TABLES if rng.random() < 0.5 else \
+                    [("preprints", "published")[int(rng.integers(0, 2))]]
+                store = CorpusStore.load(home, tables)
+                batch = tmp_path / "batch.jsonl"
+                if "preprints" in tables:
+                    write_jsonl(batch, [preprint_obj(
+                        f"2301.{int(rng.integers(0, 300)):05d}",
+                        version=int(rng.integers(1, 4)),
+                        title=titles[int(rng.integers(0, len(titles)))])
+                        for _ in range(int(rng.integers(0, 12)))])
+                    store.ingest_preprints(batch)
+                if "published" in tables:
+                    write_jsonl(batch, [published_obj(
+                        f"zbl{int(rng.integers(0, 300)):08d}",
+                        title=titles[int(rng.integers(0, len(titles)))])
+                        for _ in range(int(rng.integers(0, 12)))])
+                    store.ingest_published(batch)
+                if "decisions" in tables and store.published:
+                    accessions = sorted(store.published)
+                    for pid in sorted(store.preprints):
+                        if rng.random() < 0.3:
+                            continue
+                        acc = accessions[int(rng.integers(0, len(accessions)))]
+                        if pid in store.merges or rng.random() < 0.5:
+                            acc = store.merges.get(pid, acc)
+                            decision = matched_decision(pid, acc)
+                        else:
+                            decision = MatchDecision(pid, OUTCOME_UNMATCHED, None,
+                                                     None, f"2024-01-0{day + 1}T00:00:00Z")
+                        store.record_decision(decision)
+                        if decision.matched and rng.random() < 0.5:
+                            store.merge_on_publication(decision)
+                store.save(home)
+                # the home's files hold the store, and are the full encode of it
+                reloaded = CorpusStore.load(home)
+                for table in tables:
+                    assert getattr(reloaded, table) == getattr(store, table)
+                elsewhere = tmp_path / f"elsewhere{round_no}-{day}"
+                reloaded.save(elsewhere)
+                for name in TABLES:
+                    assert (home / name).read_bytes() == (elsewhere / name).read_bytes()
 
     def test_decision_bound(self):
         store = store_with([make_preprint()], [make_published()])
