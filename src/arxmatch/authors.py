@@ -5,12 +5,12 @@ normalized (family, given) name joins the one profile of that name. A
 name's first mention creates its profile, with a readable slug id; when
 distinct names share a slug, later ones get ``.1``, ``.2``, ... in
 first-mention order. The table is derived state: ``build_profiles``
-makes it from a store in one call, assigning every preprint's authors
-and then applying every recorded merge. A merged preprint hands its
-document key over to the published record; authors dropped from the
-published version keep the preprint key with a flag. The module
-boundary is narrow enough that a stronger disambiguator can replace it
-wholesale.
+makes it from a store in one pass over the preprints in id order,
+assigning each one's authors and then applying its merge, if recorded.
+A merged preprint hands its document key over to the published record;
+authors dropped from the published version keep the preprint key with a
+flag. The module boundary is narrow enough that a stronger
+disambiguator can replace it wholesale.
 """
 
 from __future__ import annotations
@@ -120,13 +120,12 @@ class ProfileTable:
 
 
 def build_profiles(store: CorpusStore) -> ProfileTable:
-    """Assign every stored preprint's authors in sorted id order, then
-    apply every stored merge in sorted preprint order."""
+    """Assign every stored preprint's authors in sorted id order, each
+    followed by the preprint's merge, if one is stored."""
     table = ProfileTable()
     for pid in sorted(store.preprints):
         rec = store.preprints[pid]
         table.assign_preprint(pid, rec.authors, rec.withdrawn)
-    for pid in sorted(store.merges):
-        table.update_on_merge(store.preprints[pid],
-                              store.published[store.merges[pid]])
+        if pid in store.merges:
+            table.update_on_merge(rec, store.published[store.merges[pid]])
     return table

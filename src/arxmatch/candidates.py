@@ -52,7 +52,7 @@ DEFAULT_K = 20
 
 def load_stopwords() -> frozenset[str]:
     text = resources.files("arxmatch.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(tok for tok in text.split() if tok)
+    return frozenset(text.split())
 
 
 _STOPWORDS = load_stopwords()

@@ -258,6 +258,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if (Path(args.out) / LOCK_FILE).exists():
+        raise CliError(f"--out is a store directory: {args.out}")
     profile = PerturbationProfile(**{
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(PerturbationProfile)})
@@ -360,7 +362,3 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

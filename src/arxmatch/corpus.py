@@ -288,17 +288,12 @@ def write_atomic(path: str | Path):
         raise
 
 
-def _write_lines(fh, objects) -> None:
-    """Write one compact, key-sorted JSON object per line."""
-    for obj in objects:
-        fh.write(_encode_line(obj))
-        fh.write("\n")
-
-
 def write_jsonl(path: str | Path, objects) -> None:
     """Replace ``path`` with one compact, key-sorted JSON object per line."""
     with write_atomic(path) as fh:
-        _write_lines(fh, objects)
+        for obj in objects:
+            fh.write(_encode_line(obj))
+            fh.write("\n")
 
 
 def report_json(obj) -> str:

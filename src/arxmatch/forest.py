@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -140,41 +140,6 @@ def _canonicalize(x: np.ndarray, labels: np.ndarray,
     return uniq[:, :3], uniq[:, 3] > 0.5, counts.astype(np.float64)
 
 
-@dataclass
-class _Builder:
-    values: np.ndarray
-    pos_w: np.ndarray
-    neg_w: np.ndarray
-    max_depth: int
-    rng: np.random.Generator
-    nodes: list[dict] = field(default_factory=list)
-
-    def build(self, rows: np.ndarray, depth: int) -> int:
-        pos = float(np.sum(self.pos_w[rows]))
-        neg = float(np.sum(self.neg_w[rows]))
-        if depth >= self.max_depth or pos == 0.0 or neg == 0.0:
-            return self._leaf(pos, neg)
-        feats = np.sort(self.rng.choice(3, size=N_SUBSET_FEATURES, replace=False))
-        f, thr, _cost = _kernels.best_split(
-            self.values[rows], self.pos_w[rows], self.neg_w[rows],
-            feats.astype(np.int64),
-        )
-        if f < 0:
-            return self._leaf(pos, neg)
-        idx = len(self.nodes)
-        self.nodes.append({})  # patched below; keeps pre-order placement
-        go_left = self.values[rows, f] <= thr
-        left = self.build(rows[go_left], depth + 1)
-        right = self.build(rows[~go_left], depth + 1)
-        self.nodes[idx] = {"feature": int(f), "threshold": float(thr),
-                           "left": left, "right": right}
-        return idx
-
-    def _leaf(self, pos: float, neg: float) -> int:
-        self.nodes.append({"leaf": pos / (pos + neg)})
-        return len(self.nodes) - 1
-
-
 def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TREES,
                  max_depth: int = DEFAULT_MAX_DEPTH, seed: int = 0,
                  decision_threshold: float = DEFAULT_THRESHOLD) -> ForestModel:
@@ -194,17 +159,33 @@ def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TRE
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, t])
         draw = rng.choice(n, size=n, replace=True, p=probs)
         sample_w = np.bincount(draw, minlength=n).astype(np.float64)
-        rows = np.nonzero(sample_w > 0)[0]
-        builder = _Builder(
-            values=values,
-            pos_w=np.where(is_pos, sample_w, 0.0),
-            neg_w=np.where(is_pos, 0.0, sample_w),
-            max_depth=max_depth,
-            rng=rng,
-        )
-        root = builder.build(rows, 0)
-        assert root == 0
-        trees.append(builder.nodes)
+        pos_w = np.where(is_pos, sample_w, 0.0)
+        neg_w = np.where(is_pos, 0.0, sample_w)
+        nodes: list[dict] = []
+
+        def grow(rows: np.ndarray, depth: int) -> int:
+            """Append the subtree over rows to nodes in pre-order; its index."""
+            idx = len(nodes)
+            nodes.append({})
+            pos = float(np.sum(pos_w[rows]))
+            neg = float(np.sum(neg_w[rows]))
+            f = -1
+            if depth < max_depth and pos > 0.0 and neg > 0.0:
+                feats = np.sort(rng.choice(3, size=N_SUBSET_FEATURES, replace=False))
+                f, thr, _cost = _kernels.best_split(
+                    values[rows], pos_w[rows], neg_w[rows], feats.astype(np.int64))
+            if f < 0:
+                nodes[idx] = {"leaf": pos / (pos + neg)}
+            else:
+                go_left = values[rows, f] <= thr
+                nodes[idx] = {"feature": int(f), "threshold": float(thr),
+                              "left": grow(rows[go_left], depth + 1),
+                              "right": grow(rows[~go_left], depth + 1)}
+            return idx
+
+        grow(np.nonzero(sample_w > 0)[0], 0)
+        del grow  # its closure refers to it: a cycle only the collector frees
+        trees.append(nodes)
     model = ForestModel(trees, max_depth, seed, decision_threshold)
     model.packed  # a table over MAX_TABLE_ENTRIES is refused here, not at first use
     return model

@@ -240,6 +240,16 @@ class TestGenBounds:
         assert problem in json.loads(lines[0])["error"]
         assert not out.exists()
 
+    def test_out_holding_a_store_is_1_and_keeps_every_file(self, small_store, capsys):
+        before = {p.name: p.read_bytes() for p in small_store.iterdir()}
+        assert LOCK_FILE in before
+        assert run("gen", "--n", "5", "--seed", "1", "--out", str(small_store)) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": f"--out is a store directory: {small_store}"}
+        assert {p.name: p.read_bytes() for p in small_store.iterdir()} == before
+
 
 @pytest.fixture()
 def doi_only_store(tmp_path) -> tuple[Path, Path]:

@@ -1367,7 +1367,7 @@ class TestDecoderPath:
 
 
 class TestSharedEncoder:
-    def test_lines_equal_json_dumps(self, monkeypatch):
+    def test_lines_equal_json_dumps(self, monkeypatch, tmp_path):
         preprint = make_preprint(title="Über Knoten", authors=("Jürgen Müller",
                                                                 "Zoë Ødegård; 李 小龙"))
         published = make_published(abstract=None, doi="10.1/a")
@@ -1384,11 +1384,10 @@ class TestSharedEncoder:
                    {"preprint": "2301.00001", "accession": "zbl00000001"},
                    *profile_lines]
         assert len(profile_lines) == 3
-        fh = io.StringIO()
-        corpus._write_lines(fh, objects)
+        corpus.write_jsonl(tmp_path / "lines.jsonl", objects)
         expected = "".join(json.dumps(obj, sort_keys=True, ensure_ascii=False,
                                       separators=(",", ":")) + "\n" for obj in objects)
-        assert fh.getvalue() == expected
+        assert (tmp_path / "lines.jsonl").read_bytes().decode("utf-8") == expected
         assert "Jürgen Müller" in expected and "0.30000000000000004" in expected
 
 
