@@ -29,7 +29,7 @@ DocKey = tuple[str, str]  # (kind, key)
 NameKey = tuple[str, str]  # AuthorName.key: normalized (family, given)
 
 
-@dataclass
+@dataclass(slots=True)
 class DocEntry:
     withdrawn: bool = False
     on_published_version: bool = True

@@ -5,9 +5,13 @@ match decisions) plus the merge assignments, persisted as one JSON Lines
 file each inside a store directory. A record is stored as its fields,
 with its authors as written. One reader parses every line, so a line
 that breaks the schema is reported like one that is not JSON: as
-``path:line`` on load, as a rejected line on ingest. The DOI index, one
-accession per DOI, is built on the first lookup: only match, train and
-eval build it. A load reads only the tables its caller names; a table
+``path:line`` on load, as a rejected line on ingest. An arXiv id or MSC
+code takes the ASCII digits only, and a category is one token free of
+whitespace. Loaded records are slotted and share one instance of each
+repeated code, outcome and stamp; a loaded decision or merge holds the
+key objects of the records it names. The DOI index, one accession per
+DOI, is built on the first lookup: only match, train and eval build it.
+A load reads only the tables its caller names; a table
 left out is not parsed, and any use of it raises. A store remembers the
 directory it was loaded from or last saved to and the keys written to
 each table since, and ``save`` into that directory rewrites only the
@@ -28,16 +32,18 @@ import json
 import os
 import re
 import shutil
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import islice, pairwise
 from pathlib import Path
 
 from .normalize import AuthorName, normalize_doi, split_authors
 
-# matched with fullmatch: a $ anchor would also match before a final newline
-ARXIV_ID_RE = re.compile(r"\d{4}\.\d{4,5}|[a-z-]+(\.[A-Z]{2})?/\d{7}")
-MSC_RE = re.compile(r"\d{2}[A-Z-][0-9X-]{2}")
+# matched with fullmatch: a $ anchor would also match before a final newline;
+# ASCII, so \d is 0-9 and not every Unicode digit
+ARXIV_ID_RE = re.compile(r"\d{4}\.\d{4,5}|[a-z-]+(\.[A-Z]{2})?/\d{7}", re.ASCII)
+MSC_RE = re.compile(r"\d{2}[A-Z-][0-9X-]{2}", re.ASCII)
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")  # \ud800 to \udfff
 
 # shared by every line read or written: json.dumps with options builds an
@@ -79,7 +85,7 @@ def validate_arxiv_id(value: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreprintRecord:
     id: str
     version: int
@@ -92,7 +98,7 @@ class PreprintRecord:
     withdrawn: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublishedRecord:
     accession: str
     title: str
@@ -104,7 +110,7 @@ class PublishedRecord:
     msc: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchDecision:
     preprint: str
     outcome: str
@@ -160,15 +166,24 @@ def _parse_authors(items, where: str) -> tuple[AuthorName, ...]:
     return tuple(names)
 
 
+# every MSC code that has passed MSC_RE, mapped to the one instance that
+# records share; at most 100 * 27 * 12 * 12 codes can pass
+_MSC_CODES: dict[str, str] = {}
+
+
 def _parse_msc(items, where: str) -> tuple[str, ...]:
     if items is None:
         return ()
     if not isinstance(items, list):
         raise RecordError(f"{where}: msc must be a list")
+    try:
+        return tuple([_MSC_CODES[code] for code in items])
+    except (KeyError, TypeError):  # a code not seen before, or unhashable
+        pass
     for code in items:
         if not isinstance(code, str) or not MSC_RE.fullmatch(code):
             raise RecordError(f"{where}: invalid MSC code {code!r}")
-    return tuple(items)
+    return tuple([_MSC_CODES.setdefault(code, code) for code in items])
 
 
 def preprint_from_json(obj: dict) -> PreprintRecord:
@@ -191,22 +206,16 @@ def preprint_from_json(obj: dict) -> PreprintRecord:
     if not isinstance(abstract, str):
         raise RecordError(f"{pid}: abstract must be a string")
     if not isinstance(categories, list) or not categories or not all(
-        isinstance(c, str) and c for c in categories
+        isinstance(c, str) and c.split() == [c] for c in categories  # one token
     ):
         raise RecordError(f"{pid}: categories must be a non-empty list of codes")
     if not isinstance(withdrawn, bool):
         raise RecordError(f"{pid}: withdrawn must be a boolean")
-    return PreprintRecord(
-        id=pid,
-        version=version,
-        title=title,
-        authors=authors,
-        abstract=abstract,
-        categories=tuple(categories),
-        msc=_parse_msc(obj.get("msc"), pid),
-        doi=normalize_doi(obj.get("doi")),
-        withdrawn=withdrawn,
-    )
+    # positional: a keyword call of a frozen dataclass is slower
+    return PreprintRecord(pid, version, title, authors, abstract,
+                          tuple(map(sys.intern, categories)),
+                          _parse_msc(obj.get("msc"), pid),
+                          normalize_doi(obj.get("doi")), withdrawn)
 
 
 def published_from_json(obj: dict) -> PublishedRecord:
@@ -231,21 +240,15 @@ def published_from_json(obj: dict) -> PublishedRecord:
         raise RecordError(f"{accession}: source must be a string")
     if document_type not in DOCUMENT_TYPES:
         raise RecordError(f"{accession}: unknown document_type {document_type!r}")
-    return PublishedRecord(
-        accession=accession,
-        title=title,
-        authors=authors,
-        abstract=abstract,
-        doi=normalize_doi(obj.get("doi")),
-        source=source,
-        document_type=document_type,
-        msc=_parse_msc(obj.get("msc"), accession),
-    )
+    return PublishedRecord(accession, title, authors, abstract,
+                           normalize_doi(obj.get("doi")), source,
+                           sys.intern(document_type),
+                           _parse_msc(obj.get("msc"), accession))
 
 
 def record_to_json(rec: PreprintRecord | PublishedRecord | MatchDecision) -> dict:
     """A record's stored form: its fields, each author as written."""
-    obj = dict(vars(rec))
+    obj = {f.name: getattr(rec, f.name) for f in fields(rec)}
     if "authors" in obj:
         obj["authors"] = [name.raw for name in rec.authors]
     return obj
@@ -261,15 +264,14 @@ def decision_from_json(obj: dict) -> MatchDecision:
     if not isinstance(obj.get("decided_at", ""), str):
         raise RecordError("decided_at must be a string")
     try:
-        return MatchDecision(
-            preprint=obj["preprint"],
-            outcome=obj["outcome"],
-            matched_accession=obj.get("matched_accession"),
-            vector=tuple(vector) if vector is not None else None,
-            decided_at=obj["decided_at"],
-        )
+        pid, outcome, decided_at = obj["preprint"], obj["outcome"], obj["decided_at"]
     except KeyError as exc:
         raise RecordError(f"missing field {exc.args[0]!r}") from exc
+    # a store repeats its outcomes and run stamps: one instance of each
+    return MatchDecision(pid, sys.intern(outcome) if outcome in OUTCOMES else outcome,
+                         obj.get("matched_accession"),
+                         tuple(vector) if vector is not None else None,
+                         sys.intern(decided_at))
 
 
 @contextlib.contextmanager
@@ -315,12 +317,14 @@ def _read_jsonl(path: str | Path, parse, reject=None):
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise RecordError(f"{path}:{line_no}: invalid UTF-8: {exc.reason}") from None
-            if not line.strip(" \t\r\n"):  # JSON's whitespace, not str.isspace
-                continue
             try:
                 try:
                     value, end = _raw_decode(line)
                 except (ValueError, RecursionError):
+                    # blank only if the decoder refused it: strip would
+                    # copy every good line
+                    if not line.strip(" \t\r\n"):  # JSON's whitespace, not str.isspace
+                        continue
                     end = None
                 if end is None or line[end:].strip(" \t\r\n"):
                     # leading whitespace, a BOM, extra data or a refusal:
@@ -474,8 +478,6 @@ class CorpusStore:
             raise IntegrityError(f"decision for unknown preprint {decision.preprint}")
         if self.decisions.get(decision.preprint) != decision:
             self._written["decisions"].add(decision.preprint)
-        # an equal decision still replaces the loaded one, whose strings no
-        # other record shares, so that they are freed
         self.decisions[decision.preprint] = decision
 
     def merge_on_publication(self, decision: MatchDecision) -> None:
@@ -627,27 +629,34 @@ class CorpusStore:
         rec = published_from_json(obj)
         _put_once(self.published, rec.accession, rec, "accession")
 
+    # a decision and a merge hold the key objects of the records they name,
+    # not the equal copies their lines decode to
     def _load_decision(self, obj) -> None:
         d = decision_from_json(obj)
-        self._check_preprint(d.preprint)
+        # d is new and held nowhere else, so it takes the stored keys in
+        # place: a second, checked construction would cost as much again
+        object.__setattr__(d, "preprint", self._check_preprint(d.preprint))
         if d.matched_accession is not None:  # an unmatched decision names none
-            self._check_accession(d.matched_accession)
+            object.__setattr__(d, "matched_accession",
+                               self._check_accession(d.matched_accession))
         _put_once(self.decisions, d.preprint, d, "decision for preprint")
 
     def _load_merge(self, obj) -> None:
         if not isinstance(obj, dict) or set(obj) != {"preprint", "accession"}:
             raise RecordError("a merge has exactly the keys preprint and accession")
-        self._check_preprint(obj["preprint"])
-        self._check_accession(obj["accession"])
-        _put_once(self.merges, obj["preprint"], obj["accession"], "merge of preprint")
+        pid = self._check_preprint(obj["preprint"])
+        _put_once(self.merges, pid, self._check_accession(obj["accession"]),
+                  "merge of preprint")
 
-    def _check_preprint(self, pid) -> None:
+    def _check_preprint(self, pid) -> str:
         if not isinstance(pid, str) or pid not in self.preprints:
             raise RecordError(f"unknown preprint {pid!r}")
+        return self.preprints[pid].id  # the stored key
 
-    def _check_accession(self, accession) -> None:
+    def _check_accession(self, accession) -> str:
         if not isinstance(accession, str) or accession not in self.published:
             raise RecordError(f"unknown accession {accession!r}")
+        return self.published[accession].accession  # the stored key
 
 
 def _identity(st: os.stat_result) -> tuple[int, int, int]:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorName:
     """One byline name as written. ``key``, its normalized (family, given)
     pair, is what profiles, the family-name sets and the naive match
@@ -134,7 +134,8 @@ _AND_RE = re.compile(r"\s+and\s+")
 
 def _parse_given_family(part: str) -> AuthorName:
     tokens = part.split()
-    return AuthorName(family=tokens[-1], given=" ".join(tokens[:-1]), raw=part)
+    # positional, here and below: a keyword call of a frozen dataclass is slower
+    return AuthorName(tokens[-1], " ".join(tokens[:-1]), part)
 
 
 @lru_cache(maxsize=65536)
@@ -161,14 +162,13 @@ def split_authors(raw: str) -> tuple[AuthorName, ...]:
             if len(parts) % 2 == 0 and (
                     all(len(given.split()) == 1 for given in parts[1::2])
                     or len(parts) == 2 and len(parts[0].split()) == 1):
-                names.extend(AuthorName(family=family, given=given,
-                                        raw=f"{family}, {given}")
+                names.extend(AuthorName(family, given, f"{family}, {given}")
                              for family, given in zip(parts[::2], parts[1::2]))
             else:
                 names.extend(map(_parse_given_family, parts))
     good = tuple(n for n in names if n.key[0])
     if not good:
-        return (AuthorName(family=raw.strip(), given="", raw=raw.strip()),)
+        return (AuthorName(raw.strip(), "", raw.strip()),)
     return good
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import gc
 import io
@@ -87,10 +88,41 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", ["", "2312.123", "12.01234", "MATH/0501001",
                                      "math/05001", "2312.01234v2", None,
-                                     "2301.00001\n", "math.GT/0501001\n"])
+                                     "2301.00001\n", "math.GT/0501001\n",
+                                     "\uff12\uff13\uff10\uff11.\uff10\uff10\uff10\uff10\uff11",
+                                     "2301.0000\u0661", "math/050100\u0967"])
     def test_arxiv_ids_rejected(self, bad):
         with pytest.raises(RecordError):
             validate_arxiv_id(bad)
+
+    # digits other than 0-9 (fullwidth, Arabic-Indic), and categories that
+    # are not one token: each is refused by ingest and fails a load
+    @pytest.mark.parametrize("table, obj, reason", [
+        ("preprints", preprint_obj("\uff12\uff13\uff10\uff11.\uff10\uff10\uff10\uff10\uff11"),
+         "invalid arXiv identifier: "
+         "'\uff12\uff13\uff10\uff11.\uff10\uff10\uff10\uff10\uff11'"),
+        ("preprints", preprint_obj(msc=["\u0661\u0664G70"]),
+         "2301.00001: invalid MSC code '\u0661\u0664G70'"),
+        ("published", published_obj(msc=["\uff11\uff14G70"]),
+         "zbl00000001: invalid MSC code '\uff11\uff14G70'"),
+        *(("preprints", preprint_obj(categories=categories),
+           "2301.00001: categories must be a non-empty list of codes")
+          for categories in ([" "], ["math.AG\n"], ["math.AG", "math AG"],
+                             ["\u00a0math.AG"])),
+    ])
+    def test_refused_on_ingest_and_load(self, table, obj, reason, tmp_path):
+        path = tmp_path / f"{table}.jsonl"
+        write_jsonl(path, [obj])
+        ingest = getattr(CorpusStore(), f"ingest_{table}")
+        assert ingest(path).errors == [(1, reason)]
+        good = (preprint_obj("2301.00009") if table == "preprints"
+                else published_obj("zbl00000009"))
+        store = tmp_path / "store"
+        store.mkdir()
+        write_jsonl(store / path.name, [good, obj])
+        with pytest.raises(RecordError) as exc:
+            CorpusStore.load(store)
+        assert str(exc.value) == f"{store / path.name}:2: {reason}"
 
     def test_version_must_be_positive(self):
         with pytest.raises(RecordError):
@@ -500,6 +532,88 @@ class TestAuthorSplitMemo:
                              (decision_from_json, store.decisions)):
             for rec in table.values():
                 assert parse(json.loads(json.dumps(record_to_json(rec)))) == rec
+
+
+def _one_object(values) -> bool:
+    values = list(values)
+    return len(values) > 1 and all(v is values[0] for v in values)
+
+
+class TestLoadedLayout:
+    """A record holds no ``__dict__``, a loaded store one instance of each
+    repeated code and stamp, and its decisions and merges hold the key
+    objects of the records they name."""
+
+    @pytest.mark.parametrize("rec", [
+        make_preprint(authors=("Doe, Jane", "John Roe and Ann Poe")),
+        make_published(authors=("Jane Doe",), abstract=None, msc=("57K10",)),
+        MatchDecision("2301.00001", OUTCOME_CLASSIFIER, "zbl00000001", (0.5, 1.0, 0.25), TS),
+    ], ids=lambda rec: type(rec).__name__)
+    def test_records_are_slotted_frozen_and_stored_whole(self, rec):
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, dataclasses.fields(rec)[0].name, "x")
+        stored = record_to_json(rec)
+        names = [f.name for f in dataclasses.fields(rec)]
+        assert sorted(stored) == sorted(names)
+        for name in names:
+            if name == "authors":
+                assert stored[name] == [a.raw for a in rec.authors]
+            else:
+                assert stored[name] is getattr(rec, name)
+        if isinstance(rec, corpus.PreprintRecord):
+            assert stored["authors"] == ["Doe, Jane", "John Roe", "Ann Poe"]
+
+    def test_author_names_and_profile_entries_are_slotted(self):
+        name = make_preprint().authors[0]
+        assert not hasattr(name, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            name.family = "Roe"
+        entry = authors.DocEntry()
+        assert not hasattr(entry, "__dict__")
+        entry.on_published_version = False  # not frozen
+        assert entry == authors.DocEntry(on_published_version=False)
+
+    @pytest.fixture
+    def loaded(self, tmp_path) -> CorpusStore:
+        pids = [f"2301.0000{i}" for i in range(1, 5)]
+        accessions = [f"zbl0000000{i}" for i in range(1, 5)]
+        store = store_with(
+            [make_preprint(pid, categories=("math.CO", "math.GT"), msc=("05A15", "57K10"))
+             for pid in pids],
+            [make_published(accession, document_type="book", msc=("05A15",))
+             for accession in accessions])
+        for pid, accession in zip(pids[:3], accessions):
+            decision = MatchDecision(pid, OUTCOME_DOI, accession, None, TS)
+            store.record_decision(decision)
+            store.merge_on_publication(decision)
+        store.record_decision(MatchDecision(pids[3], OUTCOME_UNMATCHED, None, None, TS))
+        store.save(tmp_path)
+        return CorpusStore.load(tmp_path)
+
+    def test_decisions_and_merges_hold_the_stored_keys(self, loaded):
+        pids = {pid: pid for pid in loaded.preprints}  # value: the stored key
+        accessions = {accession: accession for accession in loaded.published}
+        assert len(loaded.decisions) == 4 and len(loaded.merges) == 3
+        for pid, d in loaded.decisions.items():
+            assert pid is d.preprint is pids[pid] is loaded.preprints[pid].id
+            if d.matched_accession is not None:
+                assert d.matched_accession is accessions[d.matched_accession]
+        for pid, accession in loaded.merges.items():
+            assert pid is pids[pid]
+            assert accession is accessions[accession]
+
+    def test_repeated_strings_are_one_object(self, loaded):
+        preprints = list(loaded.preprints.values())
+        published = list(loaded.published.values())
+        decisions = list(loaded.decisions.values())
+        assert _one_object(r.categories[0] for r in preprints)
+        assert _one_object(r.categories[1] for r in preprints)
+        assert _one_object([r.msc[0] for r in preprints] + [r.msc[0] for r in published])
+        assert _one_object(r.msc[1] for r in preprints)
+        assert _one_object(r.document_type for r in published)
+        assert _one_object(d.outcome for d in decisions[:3])
+        assert _one_object(d.decided_at for d in decisions)
 
 
 class TestStorePersistence:
