@@ -9,9 +9,9 @@ that breaks the schema is reported like one that is not JSON: as
 code takes the ASCII digits only, and a category is one token free of
 whitespace. Loaded records are slotted and share one instance of each
 repeated code, outcome and stamp; a loaded decision or merge holds the
-key objects of the records it names. The DOI index, one accession per
-DOI, is built on the first lookup: only match, train and eval build it.
-A load reads only the tables its caller names; a table
+key objects of the records it names. A store holds its tables and what
+its saves need, nothing derived: the DOI join's ``doi_map`` is built by
+its callers. A load reads only the tables its caller names; a table
 left out is not parsed, and any use of it raises. A store remembers the
 directory it was loaded from or last saved to and the keys written to
 each table since, and ``save`` into that directory rewrites only the
@@ -34,7 +34,6 @@ import re
 import shutil
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import islice, pairwise
 from pathlib import Path
 
@@ -417,8 +416,18 @@ def open_store(directory: str | Path, mode: str = "r", tables=TABLES):
                 gc.unfreeze()
 
 
+def doi_map(published: dict[str, PublishedRecord]) -> dict[str, str | None]:
+    """DOI -> accession of the one published record carrying it, or None
+    when several carry it; a record with no DOI has no entry."""
+    dois: dict[str, str | None] = {}
+    for rec in published.values():
+        if rec.doi is not None:
+            dois[rec.doi] = None if rec.doi in dois else rec.accession
+    return dois
+
+
 class CorpusStore:
-    """In-memory corpus with JSONL persistence and a lazily built DOI index."""
+    """In-memory corpus with JSONL persistence."""
 
     def __init__(self) -> None:
         self.preprints: dict[str, PreprintRecord] = {}
@@ -467,7 +476,6 @@ class CorpusStore:
                 continue
             self.published[rec.accession] = rec
             self._written["published"].add(rec.accession)
-            vars(self).pop("doi_index", None)  # rebuilt on the next lookup
             report.added += 1
         return report
 
@@ -476,6 +484,9 @@ class CorpusStore:
     def record_decision(self, decision: MatchDecision) -> None:
         if decision.preprint not in self.preprints:
             raise IntegrityError(f"decision for unknown preprint {decision.preprint}")
+        if decision.matched and decision.matched_accession not in self.published:
+            raise IntegrityError(f"decision for unknown accession "
+                                 f"{decision.matched_accession}")
         if self.decisions.get(decision.preprint) != decision:
             self._written["decisions"].add(decision.preprint)
         self.decisions[decision.preprint] = decision
@@ -512,22 +523,6 @@ class CorpusStore:
             if d is None or not d.matched:
                 out.append(pid)
         return out
-
-    # -- derived state ----------------------------------------------------------
-
-    @cached_property
-    def doi_index(self) -> dict[str, str | None]:
-        """DOI -> accession of the one published record carrying it, or None."""
-        index: dict[str, str | None] = {}
-        for rec in self.published.values():
-            if rec.doi is not None:
-                index[rec.doi] = None if rec.doi in index else rec.accession
-        return index
-
-    def doi_accession(self, doi: str | None) -> str | None:
-        """Accession of the one published record carrying ``doi``; None when
-        the DOI is absent or no record or several records carry it."""
-        return self.doi_index.get(doi)
 
     # -- persistence --------------------------------------------------------------
 
@@ -585,11 +580,9 @@ class CorpusStore:
         merge and matched decision a stored accession.
 
         A table whose file is missing is empty. A table left out whose file
-        exists is not read: any use of it, and of the DOI index when it is
-        published, raises ``StoreError``, and ``save`` leaves its file as it
-        is. The store's home is ``directory``, and its clean tables are
-        those whose files exist. The DOI index is built on its first lookup,
-        not here."""
+        exists is not read: any use of it raises ``StoreError``, and
+        ``save`` leaves its file as it is. The store's home is
+        ``directory``, and its clean tables are those whose files exist."""
         wanted = set(tables)
         if not wanted <= set(TABLES):
             raise ValueError(f"unknown tables: {sorted(wanted - set(TABLES))}")

@@ -17,15 +17,14 @@ fraction. Prediction is the mean leaf probability across trees.
 
 Each tree is a piecewise-constant function on the grid of its own
 thresholds, so prediction is a table lookup (_kernels.forest_eval) into
-a threshold-bin table, ForestModel.packed, built on a model's first use:
-the model's sorted thresholds per feature, a per-tree map from a global
-bin to the tree's local one, and every tree's grid of leaf values. The
+a threshold-bin table, ForestModel.packed, built with the model: the
+model's sorted thresholds per feature, a per-tree map from a global bin
+to the tree's local one, and every tree's grid of leaf values. The
 table's size depends on the trees, not on max_depth alone, so
 _build_table counts it from the thresholds and refuses a table over
-MAX_TABLE_ENTRIES with a TrainingError before it allocates one;
-train_forest and load_model build the table, so they refuse such a
-model, load_model as a ModelFormatError. A model's tree count,
-ForestModel.n_trees, is read from its trees.
+MAX_TABLE_ENTRIES with a TrainingError before it allocates one; no such
+model is made, and load_model refuses its file with a ModelFormatError.
+A model's tree count, ForestModel.n_trees, is read from its trees.
 """
 
 from __future__ import annotations
@@ -33,15 +32,14 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
 from .candidates import CandidateIndex, query_candidates
-from .corpus import CorpusStore, write_atomic
+from .corpus import CorpusStore, doi_map, write_atomic
 from .similarity import chunked, feature_vector
 
 SCHEMA_VERSION = 1
@@ -73,21 +71,22 @@ class ForestModel:
     max_depth: int
     seed: int
     decision_threshold: float = DEFAULT_THRESHOLD
+    packed: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.packed = _build_table(self.trees)
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
-    @cached_property
-    def packed(self) -> tuple:
-        return _build_table(self.trees)
-
 
 def doi_pairs(store: CorpusStore) -> list[tuple[str, str]]:
     """(preprint id, accession) for every DOI resolving to a unique record."""
+    dois = doi_map(store.published)
     pairs = []
     for pid in sorted(store.preprints):
-        accession = store.doi_accession(store.preprints[pid].doi)
+        accession = dois.get(store.preprints[pid].doi)
         if accession is not None:
             pairs.append((pid, accession))
     return pairs
@@ -186,9 +185,7 @@ def train_forest(x: np.ndarray, labels: np.ndarray, n_trees: int = DEFAULT_N_TRE
         grow(np.nonzero(sample_w > 0)[0], 0)
         del grow  # its closure refers to it: a cycle only the collector frees
         trees.append(nodes)
-    model = ForestModel(trees, max_depth, seed, decision_threshold)
-    model.packed  # a table over MAX_TABLE_ENTRIES is refused here, not at first use
-    return model
+    return ForestModel(trees, max_depth, seed, decision_threshold)
 
 
 def _build_table(trees: list[list[dict]]) -> tuple:
@@ -302,12 +299,10 @@ def load_model(path: str | Path) -> ForestModel:
         problem = _tree_problem(nodes)
         if problem is not None:
             raise ModelFormatError(f"{path}: tree {t}: {problem}")
-    model = ForestModel(trees, max_depth, seed, decision_threshold)
     try:
-        model.packed
+        return ForestModel(trees, max_depth, seed, decision_threshold)
     except TrainingError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    return model
 
 
 _INNER_KEYS = {"feature", "threshold", "left", "right"}

@@ -1,8 +1,8 @@
 """Two-step matching: DOI lookup first, then classifier over candidates.
 
-Step one returns immediately when the preprint's DOI resolves to exactly
-one published record. Anything else (no DOI, zero hits, multiple hits)
-falls through to step two, which scores the top-k candidates with the
+Step one returns immediately when the run's ``corpus.doi_map`` resolves
+the preprint's DOI to exactly one published record. Anything else (no
+DOI, zero hits, multiple hits) falls through to step two, which scores the top-k candidates with the
 forest and picks the positively-classified candidate with the highest
 forest probability; ties go to the smaller similarity vector in
 lexicographic order, then to the smaller accession (``pick_positive``).
@@ -41,6 +41,7 @@ from .corpus import (
     MatchDecision,
     PreprintRecord,
     PublishedRecord,
+    doi_map,
 )
 from .forest import ForestModel, predict_many
 from .normalize import normalize_text
@@ -67,9 +68,9 @@ class MatchRunReport:
             raise RuntimeError("more naive-equal pairs than classifier matches")
 
 
-def match_by_doi(p: PreprintRecord, store: CorpusStore) -> str | None:
-    """Accession of the unique DOI hit, or None (fall through to step two)."""
-    return store.doi_accession(p.doi)
+def match_by_doi(p: PreprintRecord, dois: dict[str, str | None]) -> str | None:
+    """Accession of the unique DOI hit in a ``doi_map``, or None (step two)."""
+    return dois.get(p.doi)
 
 
 def pick_positive(probs: np.ndarray, x: np.ndarray, accessions: np.ndarray,
@@ -131,8 +132,8 @@ def _decision(p: PreprintRecord, accession: str | None,
         accession, vector = hit
     else:
         outcome = OUTCOME_UNMATCHED
-    return MatchDecision(preprint=p.id, outcome=outcome, matched_accession=accession,
-                         vector=vector, decided_at=timestamp)
+    # positional: a keyword call of a frozen dataclass is slower
+    return MatchDecision(p.id, outcome, accession, vector, timestamp)
 
 
 def _naive_key(title: str, authors) -> tuple[str, tuple[str, ...]]:
@@ -155,13 +156,14 @@ def batch_match(store: CorpusStore, index: CandidateIndex, model: ForestModel,
     the baseline a naive matcher could also have found.
     """
     preprints = [store.preprints[pid] for pid in store.unmerged_preprints()]
-    dois = [match_by_doi(p, store) for p in preprints]
+    dois = doi_map(store.published)
+    accessions = [match_by_doi(p, dois) for p in preprints]
     hits = iter(classify_preprints(
-        [p for p, accession in zip(preprints, dois) if accession is None],
+        [p for p, accession in zip(preprints, accessions) if accession is None],
         index, model, k))
     decisions = [_decision(p, accession, next(hits) if accession is None else None,
                            timestamp)
-                 for p, accession in zip(preprints, dois)]
+                 for p, accession in zip(preprints, accessions)]
     for decision in decisions:
         store.record_decision(decision)
     outcomes = Counter(d.outcome for d in decisions)

@@ -55,9 +55,10 @@ class ScopeDecision:
 
 def load_rules(path: str | Path | None = None) -> ScopeRules:
     """Read a rule set: a JSON object whose keys ``included``, ``excluded``,
-    ``conditional`` and ``standalone`` each hold a list of category codes.
-    Other keys are ignored. Any other file raises ValueError, naming the
-    file when it is not JSON, the key at fault when there is one, and the
+    ``conditional`` and ``standalone`` each hold a list of category codes,
+    each one token free of whitespace like a stored category. Other keys
+    are ignored. Any other file raises ValueError, naming the file when it
+    is not JSON, the key (and code) at fault when there is one, and the
     codes listed under two keys."""
     source = resources.files("arxmatch.data").joinpath("scope_rules.json") \
         if path is None else Path(path)
@@ -72,6 +73,9 @@ def load_rules(path: str | Path | None = None) -> ScopeRules:
         codes = obj.get(key)
         if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
             raise ValueError(f"scope rules: {key!r} must be a list of strings")
+        for c in codes:
+            if c.split() != [c]:  # empty, or not one token
+                raise ValueError(f"scope rules: {key!r} lists {c!r}, not a category code")
         sets[key] = frozenset(codes)
     return ScopeRules(**sets)
 

@@ -417,7 +417,9 @@ class TestRulesBeforeStore:
         ('{"included": ["math.AG", "math.ST"], "excluded": [], '
          '"conditional": ["math.ST"], "standalone": []}',
          "ValueError: scope rules: ['math.ST'] in two category sets"),
-    ], ids=["missing", "not-json", "wrong-schema", "code-in-two-sets"])
+        ('{"included": [], "excluded": [""], "conditional": [], "standalone": []}',
+         "ValueError: scope rules: 'excluded' lists '', not a category code"),
+    ], ids=["missing", "not-json", "wrong-schema", "code-in-two-sets", "empty-code"])
     def test_bad_rules_never_load_the_store(self, small_store, tmp_path, capsys,
                                             monkeypatch, text, message):
         rules = tmp_path / "rules.json"

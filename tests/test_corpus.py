@@ -28,6 +28,7 @@ from arxmatch.corpus import (
     StoreError,
     _parse_authors,
     decision_from_json,
+    doi_map,
     open_store,
     preprint_from_json,
     published_from_json,
@@ -146,6 +147,19 @@ class TestValidation:
             preprint_from_json(preprint_obj(msc=["5A15"]))
         with pytest.raises(RecordError, match="invalid MSC code"):
             preprint_from_json(preprint_obj(msc=["14H52\n"]))
+
+    @pytest.mark.parametrize("msc", [{}, {"msc": None}], ids=["absent", "null"])
+    def test_msc_absent_or_null_is_stored_empty(self, msc, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        for name, obj in (("preprints", preprint_obj()), ("published", published_obj())):
+            del obj["msc"]
+            write_jsonl(store / f"{name}.jsonl", [{**obj, **msc}])
+        loaded = CorpusStore.load(store)
+        assert loaded.preprints["2301.00001"].msc == loaded.published["zbl00000001"].msc == ()
+        loaded.save(tmp_path / "copy")
+        for name in ("preprints.jsonl", "published.jsonl"):
+            assert json.loads((tmp_path / "copy" / name).read_text())["msc"] == []
 
     def test_invalid_doi_treated_as_absent(self):
         rec = preprint_from_json(preprint_obj(doi="not a doi"))
@@ -383,8 +397,7 @@ class TestIngestPublished:
                            published_obj("zbl2", doi="10.1/b")])
         store = CorpusStore()
         store.ingest_published(path)
-        assert store.doi_accession("10.1/a") == "zbl1"
-        assert store.doi_accession("10.1/b") == "zbl2"
+        assert doi_map(store.published) == {"10.1/a": "zbl1", "10.1/b": "zbl2"}
 
     def test_shared_doi_resolves_to_none(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -393,15 +406,14 @@ class TestIngestPublished:
                            published_obj("zbl3", doi="10.1/a")])
         store = CorpusStore()
         store.ingest_published(path)
-        assert store.doi_accession("10.1/a") is None
+        assert doi_map(store.published) == {"10.1/a": None}
 
     def test_no_doi_no_index_entry(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [published_obj("zbl1", doi=None)])
         store = CorpusStore()
         store.ingest_published(path)
-        assert store.doi_index == {}
-        assert store.doi_accession(None) is None
+        assert doi_map(store.published) == {}
 
     def test_duplicate_accession_later_line_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -419,7 +431,7 @@ class TestIngestPublished:
         store = CorpusStore()
         report = store.ingest_published(path)
         assert (report.added, report.unchanged, report.rejected) == (1, 1, 0)
-        assert store.doi_accession("10.1/a") == "zbl1"  # not shared with itself
+        assert doi_map(store.published) == {"10.1/a": "zbl1"}  # not shared with itself
 
 
 def matched_decision(pid="2301.00001", accession="zbl00000001",
@@ -472,6 +484,22 @@ class TestMerge:
         with pytest.raises(IntegrityError, match="unknown preprint 9999.99999"):
             store.record_decision(matched_decision(pid="9999.99999"))
         assert not store.decisions
+
+    @pytest.mark.parametrize("outcome", [OUTCOME_DOI, OUTCOME_CLASSIFIER])
+    def test_decision_for_unknown_accession_errors_store_unchanged(self, tmp_path,
+                                                                   outcome):
+        # a stored decision naming no record would fail every later load
+        self._store().save(tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("*.jsonl")}
+        with open_store(tmp_path, "w") as store:
+            with pytest.raises(IntegrityError,
+                               match="unknown accession zbl-no-such-record"):
+                store.record_decision(matched_decision(accession="zbl-no-such-record",
+                                                       outcome=outcome))
+            assert not store.decisions
+            store.save(tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.jsonl")} == before
+        assert CorpusStore.load(tmp_path).decisions == {}
 
     def test_remerge_into_other_accession_errors(self):
         store = store_with([make_preprint()],
@@ -628,7 +656,8 @@ class TestStorePersistence:
         store.save(tmp_path)
         loaded = CorpusStore.load(tmp_path)
         assert loaded.preprints.keys() == store.preprints.keys()
-        assert loaded.doi_index == store.doi_index
+        assert doi_map(loaded.published) == doi_map(store.published) \
+            == {"10.1/a": "zbl00000001", "10.1/b": "zbl2"}
         assert loaded.merges == store.merges
         assert loaded.decisions["2301.00001"].outcome == OUTCOME_DOI
 
@@ -660,6 +689,8 @@ class TestStorePersistence:
         ("preprints.jsonl", preprint_obj(authors=["Jane Doe", 7]),
          "author entries must be non-empty strings"),
         ("published.jsonl", published_obj(source=None), "source must be a string"),
+        ("published.jsonl", published_obj(" "), "accession must be a non-empty string"),
+        ("published.jsonl", published_obj(abstract=7), "abstract must be a string or null"),
     ])
     def test_load_rejects_bad_decision_or_merge(self, tmp_path, name, line, problem):
         store_with([make_preprint()], [make_published()]).save(tmp_path)
@@ -1071,11 +1102,13 @@ class TestTablesLeftOut:
                     getattr(store, table, {})
             else:
                 assert getattr(store, table) == getattr(full, table)
+        with pytest.raises(AttributeError, match="has no attribute 'doi_index'"):
+            store.doi_index  # not a table, and nothing derived is kept
         if "published" in left_out:
             with pytest.raises(StoreError, match="published.jsonl was not loaded"):
-                store.doi_accession("10.1/a")
+                doi_map(store.published)
         else:
-            assert store.doi_accession("10.1/a") == "zbl00000001"
+            assert doi_map(store.published)["10.1/a"] == "zbl00000001"
 
     @pytest.mark.parametrize("tables, change", [
         (["published"], _change_preprints),
@@ -1135,11 +1168,11 @@ class TestStoreProperties:
                 doi = f"10.1/d{rng.integers(0, 8)}" if rng.random() < 0.7 else None
                 published.append(make_published(accession=f"zbl{i:08d}", doi=doi))
             store = store_with([], published)
-            for doi in [None, *(f"10.1/d{k}" for k in range(9))]:
-                carriers = [acc for acc, rec in store.published.items()
-                            if doi is not None and rec.doi == doi]
-                expected = carriers[0] if len(carriers) == 1 else None
-                assert store.doi_accession(doi) == expected
+            dois = doi_map(store.published)
+            assert set(dois) == {rec.doi for rec in published} - {None}
+            for doi in dois:
+                carriers = [acc for acc, rec in store.published.items() if rec.doi == doi]
+                assert dois[doi] == (carriers[0] if len(carriers) == 1 else None)
 
     def test_one_entry_per_id_version_monotone(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -1505,41 +1538,26 @@ class TestSharedEncoder:
         assert "Jürgen Müller" in expected and "0.30000000000000004" in expected
 
 
-class TestDoiIndexOnFirstLookup:
-    """The DOI index is built from the published table on the first lookup,
-    never by load or ingest, and an ingest that adds a record drops it."""
+class TestDoiMap:
+    """doi_map is computed from the published table it is given: the store
+    keeps no copy of it, so a map built after an ingest sees the records
+    that ingest added."""
 
-    def _saved(self, tmp_path) -> Path:
+    def test_load_gives_one_accession_per_doi(self, tmp_path):
         store_with([make_preprint()],
                    [make_published(doi="10.1/a"),
                     make_published("zbl2", doi="10.1/a"),
                     make_published("zbl3", doi="10.1/b"),
-                    make_published("zbl4")]).save(tmp_path)
-        return tmp_path
-
-    def test_load_gives_one_accession_per_doi(self, tmp_path):
-        loaded = CorpusStore.load(self._saved(tmp_path))
-        assert [loaded.doi_accession(doi) for doi in ("10.1/a", "10.1/b", "10.1/c", None)] \
-            == [None, "zbl3", None, None]
-        assert loaded.doi_index == {"10.1/a": None, "10.1/b": "zbl3"}
-
-    def test_load_and_ingest_build_no_index(self, tmp_path):
-        store = CorpusStore.load(self._saved(tmp_path / "store"))
-        assert "doi_index" not in vars(store)
+                    make_published("zbl4")]).save(tmp_path / "store")
+        loaded = CorpusStore.load(tmp_path / "store")
+        assert doi_map(loaded.published) == {"10.1/a": None, "10.1/b": "zbl3"}
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, [published_obj("zbl5", doi="10.1/c")])
-        assert store.ingest_published(path).added == 1
-        assert "doi_index" not in vars(store)
-        assert store.doi_accession("10.1/c") == "zbl5"
-        assert "doi_index" in vars(store)
-
-    def test_ingest_after_a_lookup_drops_the_index(self, tmp_path):
-        store = CorpusStore.load(self._saved(tmp_path / "store"))
-        assert store.doi_accession("10.1/b") == "zbl3"
-        path = tmp_path / "c.jsonl"
-        write_jsonl(path, [published_obj("zbl5", doi="10.1/b")])
-        assert store.ingest_published(path).added == 1
-        assert store.doi_accession("10.1/b") is None
+        write_jsonl(path, [published_obj("zbl5", doi="10.1/b"),
+                           published_obj("zbl6", doi="10.1/c")])
+        assert loaded.ingest_published(path).added == 2
+        # a second carrier of a stored DOI, and a new DOI
+        assert doi_map(loaded.published) == {"10.1/a": None, "10.1/b": None,
+                                             "10.1/c": "zbl6"}
 
 
 def _gc_state() -> tuple[bool, int]:

@@ -62,7 +62,6 @@ class TestEvaluate:
         train, holdout = split_doi_pairs(store, seed=4)
         for _pid, accession in holdout:
             del store.published[accession]
-        del store.doi_index  # the split built it; the next lookup rebuilds it
         # a split of the reduced store would draw another holdout, so
         # evaluation gets the split drawn before the deletions
         monkeypatch.setattr(evaluate_module, "split_doi_pairs",

@@ -311,8 +311,7 @@ class TestPredict:
 
     def test_chunk_call_memory_does_not_grow_with_the_trees(self, corpus_model):
         # a chunk's call holds O(rows) arrays, never one per (tree, row)
-        assert corpus_model.n_trees == 100
-        corpus_model.packed  # the table is built once per model, not per call
+        assert corpus_model.n_trees == 100  # its table was built with it
         x = np.random.default_rng(48).random((4096, 3))
         tracemalloc.start()
         try:
@@ -565,6 +564,8 @@ class TestTableBound:
         (tmp_path / "wide.json").write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="lookup table of 2,248,484 entries"):
             load_model(tmp_path / "wide.json")
+        with pytest.raises(TrainingError, match="lookup table of 2,248,484 entries"):
+            ForestModel(payload["trees"], 400, 0)  # the table is built with the model
         payload["trees"] = [wide_tree(126)]
         (tmp_path / "ok.json").write_text(json.dumps(payload))
         model = load_model(tmp_path / "ok.json")

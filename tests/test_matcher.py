@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from arxmatch import similarity
 from arxmatch.candidates import build_index, query_candidates
-from arxmatch.corpus import OUTCOME_CLASSIFIER, OUTCOME_DOI, OUTCOME_UNMATCHED
+from arxmatch.corpus import OUTCOME_CLASSIFIER, OUTCOME_DOI, OUTCOME_UNMATCHED, doi_map
 from arxmatch.forest import ForestModel, load_model
 from arxmatch.matcher import (
     MatchRunReport,
@@ -47,11 +47,12 @@ class TestMatchByDoi:
     def test_unique_hit(self):
         store = store_with([make_preprint(doi="10.1/a")],
                            [make_published(doi="10.1/a")])
-        assert match_by_doi(store.preprints["2301.00001"], store) == "zbl00000001"
+        assert match_by_doi(store.preprints["2301.00001"],
+                            doi_map(store.published)) == "zbl00000001"
 
     def test_absent_doi(self):
         store = store_with([make_preprint()], [make_published(doi="10.1/a")])
-        assert match_by_doi(store.preprints["2301.00001"], store) is None
+        assert match_by_doi(store.preprints["2301.00001"], doi_map(store.published)) is None
 
     def test_multi_hit_falls_through(self):
         store = store_with(
@@ -59,12 +60,12 @@ class TestMatchByDoi:
             [make_published(accession="zbl1", doi="10.1/a"),
              make_published(accession="zbl2", doi="10.1/a")],
         )
-        assert match_by_doi(store.preprints["2301.00001"], store) is None
+        assert match_by_doi(store.preprints["2301.00001"], doi_map(store.published)) is None
 
     def test_zero_hit_falls_through(self):
         store = store_with([make_preprint(doi="10.1/nowhere")],
                            [make_published(doi="10.1/a")])
-        assert match_by_doi(store.preprints["2301.00001"], store) is None
+        assert match_by_doi(store.preprints["2301.00001"], doi_map(store.published)) is None
 
 
 class TestMatchByClassifier:
@@ -182,8 +183,9 @@ def pick(candidates, threshold=0.5, accessions=None):
 class TestClassifyPreprints:
     def test_decisions_do_not_depend_on_the_chunks(self, corpus_store, corpus_index,
                                                    corpus_model, monkeypatch):
+        dois = doi_map(corpus_store.published)
         preprints = [corpus_store.preprints[pid] for pid in sorted(corpus_store.preprints)
-                     if match_by_doi(corpus_store.preprints[pid], corpus_store) is None]
+                     if match_by_doi(corpus_store.preprints[pid], dois) is None]
         # a preprint with no candidates inside a chunk: the owners of the
         # chunk's scored rows skip it
         lonely = make_preprint(pid="9999.99999", title="Xqzv wjyk",
@@ -417,8 +419,9 @@ class TestBatchMatch:
     def test_doi_priority_invariant(self, corpus_store, corpus_index,
                                     corpus_model):
         batch_match(corpus_store, corpus_index, corpus_model, 20, timestamp=TS)
+        dois = doi_map(corpus_store.published)
         for pid, decision in corpus_store.decisions.items():
-            doi_hit = match_by_doi(corpus_store.preprints[pid], corpus_store)
+            doi_hit = match_by_doi(corpus_store.preprints[pid], dois)
             if doi_hit is not None:
                 assert decision.outcome == OUTCOME_DOI
                 assert decision.matched_accession == doi_hit

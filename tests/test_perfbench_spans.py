@@ -43,7 +43,7 @@ import sys
 import spans
 from arxmatch import similarity
 from arxmatch.candidates import build_index, query_candidates
-from arxmatch.corpus import CorpusStore
+from arxmatch.corpus import CorpusStore, doi_map
 from arxmatch.forest import bootstrap_training_set, train_forest
 from arxmatch.matcher import batch_match
 
@@ -60,9 +60,10 @@ for pid in sorted(store.preprints)[150:]:
 # the scored pairs and their chunks, recomputed without the traced functions
 want = {"pairs": 0, "scored": 0, "doi": 0, "chunks": 0}
 chunk = 0
+dois = doi_map(store.published)
 for pid in store.unmerged_preprints():
     p = store.preprints[pid]
-    if store.doi_accession(p.doi) is not None:
+    if dois.get(p.doi) is not None:
         want["doi"] += 1
         continue
     ranked = query_candidates(index, p, K)

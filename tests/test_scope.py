@@ -153,6 +153,10 @@ class TestLoadRules:
         ({"included": "math.AG"}, "'included' must be a list of strings"),
         ({"excluded": ["math.GM", 7]}, "'excluded' must be a list of strings"),
         ({"standalone": None}, "'standalone' must be a list of strings"),
+        # a stored category is one token free of whitespace: this one
+        # would never match
+        ({"included": ["math.AG "]},
+         "'included' lists 'math.AG ', not a category code"),
     ])
     def test_malformed_rule_set_names_the_key(self, tmp_path, change, problem):
         rules = {f: sorted(getattr(RULES, f))

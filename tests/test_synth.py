@@ -11,7 +11,7 @@ import pytest
 from arxmatch import synth
 from arxmatch.candidates import build_index
 from arxmatch.cli import main
-from arxmatch.corpus import CorpusStore, validate_arxiv_id
+from arxmatch.corpus import CorpusStore, doi_map, validate_arxiv_id
 from arxmatch.forest import bootstrap_training_set, train_forest
 from arxmatch.matcher import batch_match
 from arxmatch.synth import MAX_PAIRS, PerturbationProfile, gen_synthetic_corpus
@@ -112,9 +112,10 @@ class TestGenerator:
                                       wrong_doi_rate=1.0)
         gen_synthetic_corpus(10, profile, seed=5, out_dir=tmp_path)
         store = load_store(tmp_path)
+        dois = doi_map(store.published)
         for pid, rec in store.preprints.items():
             assert rec.doi is not None
-            assert rec.doi not in store.doi_index
+            assert rec.doi not in dois
 
     def test_committed_fixture_reproducible(self, tmp_path):
         truth = gen_synthetic_corpus(1000, PerturbationProfile(), seed=42,
